@@ -100,7 +100,6 @@ class NumericsConfig:
     fit_window_hi: float = 0.15
     fit_residual_threshold: float = 1e-4
     zeta_split: float = 1.0
-    quad_tol: float = 1e-9
     workers: int | None = None
     oracle_n_s: int = 400
     oracle_n_theta: int = 64
@@ -357,8 +356,13 @@ def _pair_quantities(profile_a, profile_b, cfg: NumericsConfig, times, master: G
         window=cfg.fit_window,
         residual_threshold=cfg.fit_residual_threshold,
     )
-    det = determinant_from_series(series, inv, split=cfg.zeta_split, quad_tol=cfg.quad_tol)
+    det = determinant_from_series(series, inv, split=cfg.zeta_split)
     return sys_a, sys_b, series, inv, det
+
+
+def _budget_header(det) -> str:
+    """CSV columns for the error-budget terms of a determinant, in budget order."""
+    return ",".join(f"budget_{name}" for name in det.error_budget)
 
 
 def _flat_reference(count: int) -> list[float]:
@@ -450,9 +454,8 @@ def _sweep_row(cfg, eps, baseline_profile_a, baseline_values, times, master):
     num = cfg.numerics
     pa, pb = cfg.pair_at(eps)
     sys_a, sys_b, series, inv, det = _pair_quantities(pa, pb, num, times, master)
-    ratio_nodes = pa.weight(np.asarray(baseline_profile_a.sample(2048)[0]))
-    base_nodes = baseline_profile_a.weight(np.asarray(baseline_profile_a.sample(2048)[0]))
-    weight_ratio = float(np.max(ratio_nodes / base_nodes))
+    nodes, base_weight = baseline_profile_a.sample(2048)
+    weight_ratio = float(np.max(pa.weight(nodes) / base_weight))
     dsup = float(np.max(np.abs(series.values - baseline_values)))
     return {
         "epsilon": float(eps),
@@ -465,6 +468,7 @@ def _sweep_row(cfg, eps, baseline_profile_a, baseline_values, times, master):
         "dsup": dsup,
         "series": series,
         "residual": inv.residual,
+        "budget": det.error_budget,
     }
 
 
@@ -494,6 +498,7 @@ def _run_surgery_sweep(cfg: ScenarioConfig, out: Path, report: Report, stage):
                 "dsup": 0.0,
                 "series": series0,
                 "residual": inv0.residual,
+                "budget": det0.error_budget,
             }
         else:
             row = _sweep_row(cfg, eps, pa0, series0.values, times, master)
@@ -506,7 +511,8 @@ def _run_surgery_sweep(cfg: ScenarioConfig, out: Path, report: Report, stage):
         out / "sweep.csv",
         "epsilon,lambda1,weight_ratio,rel_area,"
         + ",".join(f"a{k}" for k in range(k_cols))
-        + ",fit_residual,log_det,det,dsup",
+        + ",fit_residual,log_det,det,dsup,"
+        + _budget_header(det0),
         [
             (
                 r["epsilon"],
@@ -518,6 +524,7 @@ def _run_surgery_sweep(cfg: ScenarioConfig, out: Path, report: Report, stage):
                 r["log_det"],
                 r["det"],
                 r["dsup"],
+                *r["budget"].values(),
             )
             for r in rows
         ],
@@ -696,9 +703,10 @@ def _run_funnel_conformal(cfg: ScenarioConfig, out: Path, report: Report, stage)
                 float(inv.coefficients[1]),
                 det.log_determinant,
                 det.determinant,
+                *det.error_budget.values(),
             )
         )
-    _write_csv(out / "conformal.csv", "c,a0,a1,log_det,det", rows)
+    _write_csv(out / "conformal.csv", "c,a0,a1,log_det,det," + _budget_header(det), rows)
     report.artifacts.append("conformal.csv")
     stage("determinant invariance check")
     drift = max(abs(r[3] - base_logdet) for r in rows)

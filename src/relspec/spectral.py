@@ -17,11 +17,13 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import exp1
 
 from .discretize import Eigensystem
 from .geometry import line_distance, relative_area
 
 __all__ = [
+    "PairedSpectrum",
     "TraceSeries",
     "OffdiagResult",
     "default_time_grid",
@@ -88,7 +90,11 @@ def relative_trace_tail_bound(rel_area: float, lambda_cut: float, t):
     )
 
 
-def spectral_gap(sys: Eigensystem, *, kernel_tol: float = 1e-10) -> float:
+# Eigenvalues at or below this are treated as kernel (zero modes).
+KERNEL_TOL = 1e-10
+
+
+def spectral_gap(sys: Eigensystem, *, kernel_tol: float = KERNEL_TOL) -> float:
     """Smallest computed eigenvalue above the kernel threshold."""
     best = math.inf
     for vals in sys.mode_eigenvalues.values():
@@ -100,24 +106,26 @@ def spectral_gap(sys: Eigensystem, *, kernel_tol: float = 1e-10) -> float:
     return best
 
 
-class _PairedEvaluator:
-    """E(t) from two mode-resolved spectra, paired mode by mode.
+@dataclass(frozen=True)
+class PairedSpectrum:
+    """Two mode-resolved spectra paired mode by mode: the data of E(t).
 
-    Within each mode the exponentials are subtracted element-wise over the
-    common prefix of the two (ascending) lists before anything is added up, in
-    fixed mode order; bitwise-equal spectra therefore produce exactly 0.0.
+    ``modes`` holds one (m, multiplicity, vals_a, vals_b) entry per angular
+    mode in fixed order, with ascending eigenvalues.  Within each mode both
+    sums below subtract element-wise over the common prefix of the two lists
+    before anything is added up, so bitwise-equal spectra give exactly 0.0,
+    nearby spectra cancel their common ultraviolet bulk first, and swapping A
+    and B negates every result bitwise.
     """
 
-    def __init__(self, pairs):
-        # pairs: list of (multiplicity, vals_a, vals_b), fixed order
-        self.pairs = pairs
+    modes: tuple
 
-    def __call__(self, t):
+    def heat_trace(self, t):
+        """E(t) = sum mult (sum_j e^{-lam_a,j t} - sum_j e^{-lam_b,j t})."""
         t_arr = np.asarray(t, dtype=float)
-        shape = t_arr.shape
         tt = t_arr.reshape(-1, 1)
         total = np.zeros(tt.shape[0])
-        for mult, va, vb in self.pairs:
+        for _, mult, va, vb in self.modes:
             k = min(len(va), len(vb))
             term = np.zeros(tt.shape[0])
             if k:
@@ -127,23 +135,42 @@ class _PairedEvaluator:
             if len(vb) > k:
                 term -= np.exp(-tt * vb[k:]).sum(axis=1)
             total += mult * term
-        if shape == ():
-            return float(total[0])
-        return total.reshape(shape)
-
-
-class _FiniteEvaluator:
-    def __init__(self, lam_a, lam_b):
-        self.lam_a = lam_a
-        self.lam_b = lam_b
-
-    def __call__(self, t):
-        t_arr = np.asarray(t, dtype=float)
-        tt = t_arr.reshape(-1, 1)
-        out = np.exp(-tt * self.lam_a).sum(axis=1) - np.exp(-tt * self.lam_b).sum(axis=1)
         if t_arr.shape == ():
-            return float(out[0])
-        return out.reshape(t_arr.shape)
+            return float(total[0])
+        return total.reshape(t_arr.shape)
+
+    def e1_sum(self, x: float) -> float:
+        """S(x) = int_x^inf E(t) dt/t
+               = sum mult sum_j [E1(lam_a,j x) - E1(lam_b,j x)]
+        (Abramowitz-Stegun 5.1.1), exact over the kept spectra.
+
+        Bitwise-equal pairs inside a mode are skipped, so identical spectra
+        give exactly 0.0 even when they carry a kernel.  Any other eigenvalue
+        at or below KERNEL_TOL makes the integral diverge (E1(0) = inf) and
+        raises ValueError naming the mode.
+        """
+        if not x > 0:
+            raise ValueError("E1 sums need a positive lower limit")
+        total = 0.0
+        for m, mult, va, vb in self.modes:
+            k = min(len(va), len(vb))
+            differ = va[:k] != vb[:k]
+            pa, pb = va[:k][differ], vb[:k][differ]
+            ta, tb = va[k:], vb[k:]
+            for vals in (pa, pb, ta, tb):
+                low = vals[vals <= KERNEL_TOL]
+                if len(low):
+                    raise ValueError(
+                        f"mode {m}: eigenvalue {float(low[0])!r} <= {KERNEL_TOL:g} has no "
+                        "bitwise-equal partner to cancel it; E1 diverges at 0"
+                    )
+            term = float((exp1(pa * x) - exp1(pb * x)).sum()) if len(pa) else 0.0
+            if len(ta):
+                term += float(exp1(ta * x).sum())
+            if len(tb):
+                term -= float(exp1(tb * x).sum())
+            total += mult * term
+        return total
 
 
 @dataclass(eq=False)
@@ -153,8 +180,9 @@ class TraceSeries:
     values[i] = E(times[i]); tail_bounds[i] estimates what the spectral cutoff
     chopped off (relative_trace_tail_bound).  t_trust_min is the smallest time
     at which that estimate drops below 1e-6 of the series scale -- samples
-    below it are cutoff-limited.  ``evaluate`` recomputes E at arbitrary times
-    from the retained spectra (unavailable on instances read back from CSV).
+    below it are cutoff-limited.  ``spectrum`` keeps the paired spectra, so
+    ``evaluate`` recomputes E at arbitrary times and zeta'(0) integrates E
+    exactly (both unavailable on instances read back from CSV).
     """
 
     times: np.ndarray = field(repr=False)
@@ -165,7 +193,7 @@ class TraceSeries:
     gap_a: float
     gap_b: float
     t_trust_min: float
-    _evaluator: object = field(repr=False, default=None)
+    spectrum: PairedSpectrum | None = field(repr=False, default=None)
 
     def __post_init__(self):
         if not (len(self.times) == len(self.values) == len(self.tail_bounds)):
@@ -179,9 +207,9 @@ class TraceSeries:
         return min(self.gap_a, self.gap_b)
 
     def evaluate(self, t):
-        if self._evaluator is None:
-            raise ValueError("series has no evaluator (was it read from CSV?)")
-        return self._evaluator(t)
+        if self.spectrum is None:
+            raise ValueError("series has no spectrum evaluator (was it read from CSV?)")
+        return self.spectrum.heat_trace(t)
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="\n") as fh:
@@ -232,17 +260,17 @@ class TraceSeries:
         if np.any(la <= 0) or np.any(lb <= 0):
             raise ValueError("finite spectra must be positive")
         tgrid = np.geomspace(1e-3, 50.0, 200) if times is None else np.asarray(times, float)
-        ev = _FiniteEvaluator(la, lb)
+        spectrum = PairedSpectrum(((0, 1, la, lb),))
         return cls(
             times=tgrid,
-            values=ev(tgrid),
+            values=spectrum.heat_trace(tgrid),
             tail_bounds=np.zeros_like(tgrid),
             pair_id="finite-spectra",
             rel_area=0.0,
             gap_a=float(la[0]),
             gap_b=float(lb[0]),
             t_trust_min=0.0,
-            _evaluator=ev,
+            spectrum=spectrum,
         )
 
 
@@ -287,9 +315,9 @@ def relative_trace_series(
         vb = np.empty(0) if vb is None else vb
         if len(va) == 0 and len(vb) == 0:
             continue
-        pairs.append((1 if m == 0 else 2, va, vb))
-    ev = _PairedEvaluator(pairs)
-    values = ev(tgrid)
+        pairs.append((m, 1 if m == 0 else 2, va, vb))
+    spectrum = PairedSpectrum(tuple(pairs))
+    values = spectrum.heat_trace(tgrid)
     tails = relative_trace_tail_bound(rel_area, sys_a.lambda_cut, tgrid)
     ref = max(float(np.max(np.abs(values))), abs(rel_area) / (4.0 * math.pi), 1e-300)
     return TraceSeries(
@@ -301,7 +329,7 @@ def relative_trace_series(
         gap_a=spectral_gap(sys_a),
         gap_b=spectral_gap(sys_b),
         t_trust_min=_trust_threshold(rel_area, sys_a.lambda_cut, ref),
-        _evaluator=ev,
+        spectrum=spectrum,
     )
 
 

@@ -7,31 +7,44 @@ relative heat trace E(t),
 
 meromorphically continued through the small-time expansion
 t E(t) ~ sum_k a_k t^k.  Splitting the integral at tau and expanding 1/Gamma
-around s = 0 gives the closed form used here:
+around s = 0 gives
 
     zeta'(0) = gamma a_1 + a_1 ln tau - a_0 / tau
                + sum_{k>=2} a_k tau^{k-1} / (k - 1)
                + int_0^tau (E(t) - sum_k a_k t^{k-1}) dt/t
                + int_tau^inf E(t) dt/t,
 
-with gamma the Euler-Mascheroni constant.  The result is independent of tau
-and of the a_k (shifts cancel between the singular sum and the first
-integral); numerically the residual of the invariant fit leaks in through the
-1/t_floor sensitivity of the small-time integral, which the error budget
-tracks.  The determinant convention is det = exp(-zeta'(0)), so for finite
-spectra det({1,2,3}, {1,2,4}) = (1*2*3)/(1*2*4) = 3/4.
+with gamma the Euler-Mascheroni constant.  Both integrals are taken in
+closed form.  Over the kept spectra E is a finite exponential sum, and
+int_x^inf e^{-lam t} dt/t = E1(lam x) (Abramowitz-Stegun 5.1.1), so
+
+    S(x) = int_x^inf E(t) dt/t = sum mult sum_j [E1(lam_a,j x) - E1(lam_b,j x)]
+
+(``PairedSpectrum.e1_sum``, paired mode by mode).  The large-time integral
+is S(tau), exact to infinity.  The small-time integral is cut at the trust
+floor t_floor and equals S(t_floor) - S(tau) - M, where M is the model
+integral
+
+    M = a_0 (1/t_floor - 1/tau) + a_1 ln(tau/t_floor)
+        + sum_{k>=2} a_k (tau^{k-1} - t_floor^{k-1}) / (k - 1).
+
+The value is therefore independent of tau up to round-off; tau only decides
+how it is divided among the pieces.  What remains inexact is the data: the
+model's truncation below t_floor, the residual of the invariant fit (which
+leaks in through the 1/t_floor sensitivity of the small-time integral), and
+the spectrum the cutoff dropped.  The error budget tracks these three.  The
+determinant convention is det = exp(-zeta'(0)), so for finite spectra
+det({1,2,3}, {1,2,4}) = (1*2*3)/(1*2*4) = 3/4.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import exp1
 
 from .discretize import Eigensystem
-from .numerics import adaptive_simpson
 from .spectral import TraceSeries, relative_trace_series
 
 __all__ = [
@@ -178,35 +191,25 @@ def taylor_invariants(lam_a, lam_b, k_max: int = 5) -> HeatInvariants:
     )
 
 
-def _scaled_exp1(x: float) -> float:
-    """e^x E_1(x) without overflow (asymptotic series for large x)."""
-    if x <= 0:
-        raise ValueError("argument must be positive")
-    if x < 30.0:
-        return float(math.exp(x) * exp1(x))
-    inv = 1.0 / x
-    return inv * (1.0 - inv * (1.0 - 2.0 * inv * (1.0 - 3.0 * inv)))
-
-
 @dataclass(frozen=True)
 class ZetaPrimeResult:
     """zeta'(0) of a relative pair with its additive pieces and error budget.
 
-    pieces: singular_part (the a_k tau-powers), small_time_integral,
-    large_time_integral (quadrature plus the analytic tail beyond t_max),
-    euler_gamma_term (gamma a_1).  analytic_tail repeats the tail summand
-    separately for inspection.
+    pieces: singular_part (the a_k tau-powers), small_time_integral
+    (S(t_floor) - S(tau) minus the model integral on [t_floor, tau]),
+    large_time_integral (S(tau), exact over the kept spectra) and
+    euler_gamma_term (gamma a_1).  error_budget: small_time_truncation (the
+    model term dropped below t_floor), fit_sensitivity (the fit residual
+    times the 1/t_floor sensitivity), cutoff_leak (the trapezoid integral of
+    the recorded tail bounds over dt/t) and their total.
     """
 
     value: float
     pieces: dict
     error_budget: dict
-    analytic_tail: float
     invariants: HeatInvariants
     split: float
     t_floor: float
-    t_max: float
-    gap: float
 
 
 def relative_zeta_prime_at_zero(
@@ -214,19 +217,18 @@ def relative_zeta_prime_at_zero(
     invariants: HeatInvariants | None = None,
     *,
     split: float = 1.0,
-    quad_tol: float = 1e-9,
-    t_max: float | None = None,
-    gap: float | None = None,
 ) -> ZetaPrimeResult:
     """Evaluate zeta'(0) by the split-Mellin closed form (module docstring).
 
-    pre: the series carries an evaluator; at least two invariant orders
-    beyond the Weyl term (k_max >= 2); the recorded cutoff tail bound at the
-    last sample is below 1e-8 of the series scale (otherwise the large-time
-    data cannot be trusted and this raises).
+    pre: the series carries its paired spectrum; at least two invariant
+    orders beyond the Weyl term (k_max >= 2); the recorded cutoff tail bound
+    at the last sample is below 1e-8 of the series scale (otherwise the
+    large-time data cannot be trusted and this raises); no eigenvalue at or
+    below the kernel threshold lacks a bitwise-equal partner (E1 diverges
+    at 0; raises naming the mode).
     """
-    if series._evaluator is None:
-        raise ValueError("series has no evaluator; zeta'(0) needs E(t) at arbitrary t")
+    if series.spectrum is None:
+        raise ValueError("series has no spectrum evaluator; zeta'(0) needs the paired spectra")
     inv = fit_heat_invariants(series) if invariants is None else invariants
     if inv.k_max < 2:
         raise ValueError("need invariants through k = 2 (a_0, a_1, a_2) at least")
@@ -239,33 +241,23 @@ def relative_zeta_prime_at_zero(
     tau = float(split)
     if tau <= 0:
         raise ValueError("split must be positive")
-    T = float(series.times[-1]) if t_max is None else float(t_max)
-    if T <= tau:
-        raise ValueError("t_max must exceed the split point")
-    mu = series.gap if gap is None else float(gap)
-    if not (mu > 0 and math.isfinite(mu)):
-        raise ValueError("need a positive spectral gap for the large-time tail")
     a = inv.coefficients
     t_floor = max(series.t_trust_min, 1e-9)
     if t_floor >= tau:
         raise ValueError(f"trust threshold {t_floor:.4g} reaches the split {tau}")
 
     singular = -a[0] / tau + a[1] * math.log(tau)
+    model_int = a[0] * (1.0 / t_floor - 1.0 / tau) + a[1] * math.log(tau / t_floor)
     for k in range(2, len(a)):
         singular += a[k] * tau ** (k - 1) / (k - 1)
+        model_int += a[k] * (tau ** (k - 1) - t_floor ** (k - 1)) / (k - 1)
     euler_term = EULER_GAMMA * a[1]
 
-    def small_integrand(t: float) -> float:
-        return (series.evaluate(t) - inv.trace_model(t)) / t
+    s_floor = series.spectrum.e1_sum(t_floor)
+    large_int = series.spectrum.e1_sum(tau)
+    small_int = s_floor - large_int - model_int
 
-    small_int = adaptive_simpson(small_integrand, t_floor, tau, abs_tol=quad_tol)
-    large_quad = adaptive_simpson(
-        lambda t: series.evaluate(t) / t, tau, T, abs_tol=quad_tol
-    )
-    e_T = float(series.evaluate(T))
-    analytic_tail = e_T * _scaled_exp1(mu * T) if e_T != 0.0 else 0.0
-
-    value = euler_term + singular + small_int + large_quad + analytic_tail
+    value = euler_term + singular + small_int + large_int
 
     a_top = max(abs(c) for c in a)
     k_top = len(a) - 1
@@ -281,17 +273,15 @@ def relative_zeta_prime_at_zero(
                 + sum(t_floor ** (k - 1) / (k - 1) for k in range(2, len(a)))
             )
         )
-    leak_mask = (series.times >= t_floor) & (series.times <= T)
+    leak_mask = series.times >= t_floor
     cutoff_leak = 0.0
     if np.count_nonzero(leak_mask) >= 2:
         ts = series.times[leak_mask]
         cutoff_leak = float(np.trapezoid(series.tail_bounds[leak_mask] / ts, ts))
     budget = {
-        "quadrature": 2.0 * quad_tol,
         "small_time_truncation": a_top * t_floor**k_top / max(k_top, 1),
         "fit_sensitivity": sens,
         "cutoff_leak": cutoff_leak,
-        "tail": abs(analytic_tail),
     }
     budget["total"] = sum(budget.values())
     return ZetaPrimeResult(
@@ -299,16 +289,13 @@ def relative_zeta_prime_at_zero(
         pieces={
             "singular_part": singular,
             "small_time_integral": small_int,
-            "large_time_integral": large_quad + analytic_tail,
+            "large_time_integral": large_int,
             "euler_gamma_term": euler_term,
         },
         error_budget=budget,
-        analytic_tail=analytic_tail,
         invariants=inv,
         split=tau,
         t_floor=t_floor,
-        t_max=T,
-        gap=mu,
     )
 
 
@@ -356,11 +343,10 @@ def relative_determinant(
     window: tuple[float, float] = DEFAULT_FIT_WINDOW,
     residual_threshold: float = 1e-4,
     split: float = 1.0,
-    quad_tol: float = 1e-9,
 ) -> DeterminantResult:
     """Trace series + invariant fit + zeta'(0) for two solved surfaces."""
     series = relative_trace_series(sys_a, sys_b, times=times)
     inv = fit_heat_invariants(
         series, k_max, window=window, residual_threshold=residual_threshold
     )
-    return determinant_from_series(series, inv, split=split, quad_tol=quad_tol)
+    return determinant_from_series(series, inv, split=split)

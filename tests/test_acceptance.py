@@ -279,6 +279,29 @@ def test_criterion_10_zeta_pipeline_vs_exact_products():
     assert ok
 
 
+# -- error budgets in the tables -------------------------------------------
+
+BUDGET_COLUMNS = (
+    "budget_small_time_truncation",
+    "budget_fit_sensitivity",
+    "budget_cutoff_leak",
+    "budget_total",
+)
+
+
+@pytest.mark.parametrize(
+    "run, name", [("sweep_run", "sweep.csv"), ("conformal_run", "conformal.csv")]
+)
+def test_determinant_tables_carry_error_budgets(run, name, request):
+    _, out = request.getfixturevalue(run)
+    table = _table(out, name)
+    assert table.dtype.names[-len(BUDGET_COLUMNS):] == BUDGET_COLUMNS
+    terms = np.stack([table[c] for c in BUDGET_COLUMNS[:-1]])
+    assert np.all(terms >= 0.0)
+    assert np.allclose(terms.sum(axis=0), table["budget_total"], rtol=1e-15, atol=0.0)
+    assert np.all(table["budget_total"] > 0.0)
+
+
 # -- completeness ---------------------------------------------------------
 
 def test_all_acceptance_scenarios_completed(

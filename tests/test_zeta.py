@@ -6,7 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from relspec.spectral import TraceSeries
+from relspec.discretize import make_grid, solve_modes
+from relspec.geometry import BumpSpec, Truncation, build_weight
+from relspec.spectral import PairedSpectrum, TraceSeries, relative_trace_series
 from relspec.zeta import (
     DEFAULT_FIT_WINDOW,
     FitResidualError,
@@ -16,6 +18,8 @@ from relspec.zeta import (
     relative_zeta_prime_at_zero,
     taylor_invariants,
 )
+
+from conftest import funnel_cap_spec
 
 
 def synthetic_series(values_of_t, times=None, tail_bounds=None, rel_area=0.0):
@@ -33,6 +37,39 @@ def synthetic_series(values_of_t, times=None, tail_bounds=None, rel_area=0.0):
         gap_b=1.0,
         t_trust_min=0.0,
     )
+
+
+def paired_series(lam_a, lam_b):
+    """A one-mode TraceSeries over explicit spectra, kernels allowed."""
+    la = np.asarray(lam_a, float)
+    lb = np.asarray(lam_b, float)
+    spectrum = PairedSpectrum(((0, 1, la, lb),))
+    t = np.geomspace(1e-3, 50.0, 200)
+    return TraceSeries(
+        times=t,
+        values=spectrum.heat_trace(t),
+        tail_bounds=np.zeros_like(t),
+        pair_id="paired",
+        rel_area=0.0,
+        gap_a=1.0,
+        gap_b=1.0,
+        t_trust_min=0.0,
+        spectrum=spectrum,
+    )
+
+
+@pytest.fixture(scope="module")
+def surface_series():
+    """Relative traces A-vs-B and B-vs-A of a funnel + filled-cap pair
+    (bump vs plain) at the default resolution and lambda_cut = 400."""
+    tr = Truncation(funnel_depth=1.0, cusp_end=40.0, cap_end=14.0)
+    bump = BumpSpec(center=0.35, radius=0.09, amplitude=0.3)
+    a = build_weight(funnel_cap_spec(0.3, bump), truncation=tr)
+    b = build_weight(funnel_cap_spec(0.3), truncation=tr)
+    grid = make_grid(a, 4000)
+    sys_a, sys_b = solve_modes(a, grid, 400.0), solve_modes(b, grid, 400.0)
+    times = np.geomspace(0.05, 20.0, 112)
+    return relative_trace_series(sys_a, sys_b, times), relative_trace_series(sys_b, sys_a, times)
 
 
 # ----------------------------------------------------------------------------
@@ -174,13 +211,17 @@ def test_zeta_preconditions():
     dead = synthetic_series(lambda t: 2.0 / t)
     with pytest.raises(ValueError, match="evaluator"):
         relative_zeta_prime_at_zero(dead, inv)
-    # split and t_max sanity
+    # split sanity
     with pytest.raises(ValueError, match="split"):
         relative_zeta_prime_at_zero(series, inv, split=-1.0)
-    with pytest.raises(ValueError, match="t_max"):
-        relative_zeta_prime_at_zero(series, inv, split=1.0, t_max=0.5)
-    with pytest.raises(ValueError, match="gap"):
-        relative_zeta_prime_at_zero(series, inv, gap=0.0)
+    # a kernel eigenvalue without a bitwise-equal partner: E1 diverges at 0
+    kernel = paired_series([0.0, 2.0], [2.5, 3.0])
+    with pytest.raises(ValueError, match=r"mode 0: eigenvalue 0\.0"):
+        relative_zeta_prime_at_zero(kernel, taylor_invariants([0.0, 2.0], [2.5, 3.0], 6))
+    # a negative round-off eigenvalue left unpaired in the longer list
+    roundoff = paired_series([-1e-14, 2.0], [2.0])
+    with pytest.raises(ValueError, match="mode 0: eigenvalue -1e-14"):
+        relative_zeta_prime_at_zero(roundoff, taylor_invariants([-1e-14, 2.0], [2.0], 6))
     # untrusted large-time data
     polluted = TraceSeries.from_finite_spectra(la, lb)
     polluted.tail_bounds = np.full_like(polluted.times, 1.0)
@@ -191,6 +232,61 @@ def test_zeta_preconditions():
     late.t_trust_min = 2.0
     with pytest.raises(ValueError, match="trust threshold"):
         relative_zeta_prime_at_zero(late, inv, split=1.0)
+
+
+def test_equal_kernel_pairs_cancel_exactly():
+    # bitwise-equal kernel eigenvalues are skipped, not fed to E1(0) = inf
+    same = paired_series([0.0, 2.0], [0.0, 2.0])
+    z = relative_zeta_prime_at_zero(same, taylor_invariants([0.0, 2.0], [0.0, 2.0], 6))
+    assert z.value == 0.0
+    shifted = paired_series([0.0, 2.0], [0.0, 3.0])
+    z = relative_zeta_prime_at_zero(shifted, taylor_invariants([0.0, 2.0], [0.0, 3.0], 6))
+    assert z.value == pytest.approx(math.log(1.5), abs=1e-12)
+
+
+def test_three_level_log_determinant_to_round_off():
+    la, lb = [1.0, 2.0, 3.0], [1.0, 2.0, 4.0]
+    series = TraceSeries.from_finite_spectra(la, lb)
+    inv = taylor_invariants(la, lb, k_max=6)
+    det = determinant_from_series(series, inv, split=0.5)
+    assert abs(det.zeta_prime_zero - math.log(np.prod(lb) / np.prod(la))) <= 1e-12
+
+
+def test_swap_negates_zeta_prime_bitwise_finite():
+    rng = np.random.default_rng(7)
+    for n_a, n_b in ((8, 8), (8, 5), (3, 6)):
+        la = 1.0 + 4.0 * rng.random(n_a)
+        lb = 1.0 + 4.0 * rng.random(n_b)
+        ab = relative_zeta_prime_at_zero(
+            TraceSeries.from_finite_spectra(la, lb), taylor_invariants(la, lb, 6), split=0.5
+        )
+        ba = relative_zeta_prime_at_zero(
+            TraceSeries.from_finite_spectra(lb, la), taylor_invariants(lb, la, 6), split=0.5
+        )
+        assert ab.value == -ba.value
+        assert ab.value != 0.0
+
+
+def test_swap_negates_zeta_prime_bitwise_surface(surface_series):
+    ab, ba = surface_series
+    det_ab = determinant_from_series(ab)
+    det_ba = determinant_from_series(ba)
+    # fitted coefficients negate too, so the whole pipeline is antisymmetric
+    assert det_ab.invariants.coefficients == tuple(-c for c in det_ba.invariants.coefficients)
+    assert det_ab.zeta_prime_zero == -det_ba.zeta_prime_zero
+    assert det_ab.zeta_prime_zero != 0.0
+
+
+def test_split_only_redistributes_the_pieces(surface_series):
+    series, _ = surface_series
+    inv = fit_heat_invariants(series)
+    z1 = relative_zeta_prime_at_zero(series, inv, split=0.5)
+    z2 = relative_zeta_prime_at_zero(series, inv, split=1.0)
+    assert abs(z1.value - z2.value) <= 1e-13
+    assert z1.pieces["large_time_integral"] != z2.pieces["large_time_integral"]
+    assert set(z1.error_budget) == {
+        "small_time_truncation", "fit_sensitivity", "cutoff_leak", "total"
+    }
 
 
 def test_relative_determinant_guards_low_cutoffs(small_systems):
