@@ -33,7 +33,6 @@ __all__ = [
     "relative_trace_series",
     "spectral_gap",
     "kernel_value",
-    "kernel_diagonal",
     "offdiag_l2_integral",
 ]
 
@@ -94,11 +93,11 @@ def relative_trace_tail_bound(rel_area: float, lambda_cut: float, t):
 KERNEL_TOL = 1e-10
 
 
-def spectral_gap(sys: Eigensystem, *, kernel_tol: float = KERNEL_TOL) -> float:
-    """Smallest computed eigenvalue above the kernel threshold."""
+def spectral_gap(sys: Eigensystem) -> float:
+    """Smallest computed eigenvalue above the kernel threshold KERNEL_TOL."""
     best = math.inf
     for vals in sys.mode_eigenvalues.values():
-        above = vals[vals > kernel_tol]
+        above = vals[vals > KERNEL_TOL]
         if len(above):
             best = min(best, float(above[0]))
     if not math.isfinite(best):
@@ -349,30 +348,22 @@ def _snap(sys: Eigensystem, s: float) -> int:
     return int(np.argmin(np.abs(nodes - s)))
 
 
-def _radial_parts(sys: Eigensystem, t: float, i_y: int, i_y2: int):
-    """Per-mode sums r_m(s) = sum_j e^{-lam t} u_j(s) u_j(s_y): the radial
-    factor of the kernel column through y (and through y2)."""
-    cols_a, cols_b = [], []
-    ms = sorted(sys.mode_eigenvalues)
-    for m in ms:
-        lam = sys.mode_eigenvalues[m]
-        if len(lam) == 0:
-            cols_a.append(None)
-            cols_b.append(None)
-            continue
-        U = sys.vectors[m]
-        w = np.exp(-lam * t)
-        cols_a.append(U @ (w * U[i_y, :]))
-        cols_b.append(U @ (w * U[i_y2, :]))
-    return ms, cols_a, cols_b
+def _angular_factor(m: int, dtheta: float) -> float:
+    """Angular factor of mode m in K(t, y, y2), dtheta = theta_y - theta_y2:
+    1/(2 pi) for m = 0 and cos(m dtheta)/pi for m >= 1 (the cos cos + sin sin
+    pair summed).  The same number is int_{S^1} phi_m(theta - theta_y)
+    phi_m(theta - theta_y2) dtheta for the angular parts phi_0 = 1/(2 pi),
+    phi_m(u) = cos(m u)/pi of a kernel column, so the kernel and its windowed
+    L2 products use one rule."""
+    return 1.0 / (2.0 * math.pi) if m == 0 else math.cos(m * dtheta) / math.pi
 
 
 def kernel_value(sys: Eigensystem, t: float, y, y2=None) -> float:
     """Heat kernel K(t, y, y2) reassembled from the computed modes.
 
     y = (s, theta); the radial coordinate snaps to the nearest grid node.
-    The angular factors are 1/(2 pi) for m = 0 and cos(m dtheta)/pi for
-    m >= 1 (cos cos + sin sin pairs summed).
+    Each mode's radial sum is weighted by its angular factor
+    (_angular_factor).
     """
     _require_vectors(sys)
     if y2 is None:
@@ -390,14 +381,8 @@ def kernel_value(sys: Eigensystem, t: float, y, y2=None) -> float:
             continue
         U = sys.vectors[m]
         radial = float(np.dot(np.exp(-lam * t), U[i_y, :] * U[i_y2, :]))
-        ang = 1.0 / (2.0 * math.pi) if m == 0 else math.cos(m * dth) / math.pi
-        total += ang * radial
+        total += _angular_factor(m, dth) * radial
     return total
-
-
-def kernel_diagonal(sys: Eigensystem, t: float, y) -> float:
-    """On-diagonal heat kernel K(t, y, y)."""
-    return kernel_value(sys, t, y, y)
 
 
 @dataclass(frozen=True)
@@ -408,8 +393,9 @@ class OffdiagResult:
 
     with the chart distances that control its decay: region_distance from y
     to the integration window (0 when y lies inside) and pair_distance
-    between the two base circles.  Over the full chart the semigroup property
-    collapses I(t) to K(2t, y, y2).
+    between the two base circles.  value takes the angular integral in
+    closed form, as a per-mode radial sum (see offdiag_l2_integral).  Over the
+    full chart the semigroup property collapses I(t) to K(2t, y, y2).
     """
 
     value: float
@@ -419,7 +405,6 @@ class OffdiagResult:
     y2: tuple[float, float]
     region_distance: float
     pair_distance: float
-    n_theta: int
     tail_fraction: float
 
 
@@ -437,15 +422,22 @@ def offdiag_l2_integral(
     region=None,
     y=(None, 0.0),
     y2=None,
-    n_theta: int = 256,
 ) -> OffdiagResult:
     """Integrate K(t, x, y) K(t, x, y2) over region x S^1 against dA = w ds dtheta.
 
     region is an s-interval (None = the whole chart); y = (s, theta) with s
-    snapped to the nearest node.  The radial integral uses the lumped cells of
-    the eigenbasis (so the full-chart case reproduces K(2t, y, y2) to
-    round-off); the angular integral is an n_theta-point trapezoid rule, exact
-    for the trigonometric polynomials that appear once n_theta > 2 m_max.
+    snapped to the nearest node.  Both kernel columns expand in the angular
+    modes, which are orthogonal on S^1, so the angular integral is exact and
+    leaves one radial sum per mode:
+
+        I(t) = sum_m c_m(theta_y - theta_y2) sum_i w_i cell_i r_m^y(s_i) r_m^y2(s_i),
+
+    with r_m^y(s) = sum_j e^{-lam_j t} u_j(s) u_j(s_y) the radial factor of
+    the column through y, c_m the angular factor of kernel_value, and the
+    lumped cells of the eigenbasis restricted to the region (so the full-chart
+    case reproduces K(2t, y, y2) to round-off).
+    Modes are added in ascending m, and each radial sum is symmetric in its
+    two columns, so swapping y and y2 gives bitwise the same value.
 
     pre: t large enough that the spectral cutoff is invisible -- the estimated
     cutoff remainder of Tr e^{-t Delta} must stay below 1e-6 of the trace
@@ -483,37 +475,25 @@ def offdiag_l2_integral(
         if not (nodes[0] - 1e-12 <= lo < hi <= nodes[-1] + 1e-12):
             raise ValueError("region must be an increasing interval inside the chart")
     i_y, i_y2 = _snap(sys, s_y), _snap(sys, s_y2)
-    if n_theta <= 2 * sys.m_max:
-        raise ValueError(
-            f"n_theta={n_theta} cannot integrate angular degree 2*m_max={2 * sys.m_max} "
-            f"exactly; need at least {2 * sys.m_max + 1}"
-        )
 
-    ms, cols_a, cols_b = _radial_parts(sys, t, i_y, i_y2)
-    n = len(nodes)
     h = sys.grid.h
     mask = (nodes >= lo - 1e-12) & (nodes <= hi + 1e-12)
-    cell = np.full(n, h)
+    cell = np.full(len(nodes), h)
     cell[0] = cell[-1] = h / 2.0
     cell[~mask] = 0.0
-    w = sys.profile.weight(nodes)
+    radial_weights = sys.profile.weight(nodes) * cell
 
-    theta = np.arange(n_theta) * (2.0 * math.pi / n_theta)
-    field_a = np.zeros((n, n_theta))
-    field_b = np.zeros((n, n_theta))
-    for m, ca, cb in zip(ms, cols_a, cols_b):
-        if ca is None:
+    dth = th_y - th_y2
+    value = 0.0
+    for m in sorted(sys.mode_eigenvalues):
+        lam = sys.mode_eigenvalues[m]
+        if len(lam) == 0:
             continue
-        if m == 0:
-            field_a += ca[:, None] / (2.0 * math.pi)
-            field_b += cb[:, None] / (2.0 * math.pi)
-        else:
-            field_a += np.outer(ca, np.cos(m * (theta - th_y)) / math.pi)
-            field_b += np.outer(cb, np.cos(m * (theta - th_y2)) / math.pi)
-    radial_weights = w * cell
-    value = float(
-        (radial_weights @ (field_a * field_b)).sum() * (2.0 * math.pi / n_theta)
-    )
+        U = sys.vectors[m]
+        decay = np.exp(-lam * t)
+        r_y = U @ (decay * U[i_y, :])
+        r_y2 = U @ (decay * U[i_y2, :])
+        value += _angular_factor(m, dth) * float(np.dot(radial_weights, r_y * r_y2))
     return OffdiagResult(
         value=value,
         t=t,
@@ -522,6 +502,5 @@ def offdiag_l2_integral(
         y2=(float(nodes[i_y2]), float(th_y2)),
         region_distance=_region_distance(sys, float(nodes[i_y]), lo, hi),
         pair_distance=line_distance(sys.profile, float(nodes[i_y]), float(nodes[i_y2])),
-        n_theta=n_theta,
         tail_fraction=tail_fraction,
     )

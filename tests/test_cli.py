@@ -95,6 +95,10 @@ def test_config_rejects_unknown_keys():
         ScenarioConfig.from_dict(
             {"kind": "validate", "numerics": {"nodes": 5}}
         )
+    with pytest.raises(ConfigError, match="unknown keys"):
+        ScenarioConfig.from_dict(
+            {"kind": "validate", "numerics": {"offdiag_n_theta": 256}}
+        )
 
 
 def test_config_rejects_unknown_kind():

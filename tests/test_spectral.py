@@ -243,11 +243,66 @@ def test_offdiag_region_distance_positive_when_outside(vector_system):
     assert res.value < offdiag_l2_integral(vector_system, 1.0, y=(0.35, 0.0)).value
 
 
+def _trapezoid_offdiag(sys, t, region, y, y2, n_theta):
+    """Brute-force reference: both kernel columns sampled on an n_theta-point
+    angular grid and multiplied pointwise before integrating."""
+    nodes = sys.grid.nodes
+    i_y = int(np.argmin(np.abs(nodes - y[0])))
+    i_y2 = int(np.argmin(np.abs(nodes - y2[0])))
+    cell = np.full(len(nodes), sys.grid.h)
+    cell[0] = cell[-1] = sys.grid.h / 2.0
+    cell[(nodes < region[0]) | (nodes > region[1])] = 0.0
+    theta = np.arange(n_theta) * (2.0 * math.pi / n_theta)
+    field_a = np.zeros((len(nodes), n_theta))
+    field_b = np.zeros((len(nodes), n_theta))
+    for m, lam in sys.mode_eigenvalues.items():
+        if len(lam) == 0:
+            continue
+        U = sys.vectors[m]
+        decay = np.exp(-lam * t)
+        col_a = U @ (decay * U[i_y, :])
+        col_b = U @ (decay * U[i_y2, :])
+        if m == 0:
+            ang_a = np.full(n_theta, 1.0 / (2.0 * math.pi))
+            ang_b = ang_a
+        else:
+            ang_a = np.cos(m * (theta - y[1])) / math.pi
+            ang_b = np.cos(m * (theta - y2[1])) / math.pi
+        field_a += np.outer(col_a, ang_a)
+        field_b += np.outer(col_b, ang_b)
+    weights = sys.profile.weight(nodes) * cell
+    return float((weights @ (field_a * field_b)).sum() * (2.0 * math.pi / n_theta))
+
+
+@pytest.mark.parametrize("n_theta", ["minimal", 256])
+def test_region_offdiag_integral_matches_trapezoid_reference(vector_system, n_theta):
+    # The closed-form angular sum against the sampled product of the two
+    # kernel columns; the trapezoid rule is exact from 2 m_max + 1 points on.
+    if n_theta == "minimal":
+        n_theta = 2 * vector_system.m_max + 1
+    region = (2.0, 4.0)
+    y = (2.4, 0.7)
+    y2 = (3.1, 2.3)
+    res = offdiag_l2_integral(vector_system, 1.0, region=region, y=y, y2=y2)
+    expected = _trapezoid_offdiag(vector_system, 1.0, region, y, y2, n_theta)
+    assert res.value == pytest.approx(expected, rel=1e-12)
+    assert res.region == region
+
+
+@pytest.mark.parametrize("y, y2", [((0.35, 0.0), (0.9, 1.3)), ((0.5, 1.0), (0.9, -0.3))])
+def test_offdiag_integral_swap_is_bitwise(vector_system, y, y2):
+    for t in (1.0, 1.5):
+        for region in (None, (0.2, 2.5), (2.0, 4.0)):
+            forward = offdiag_l2_integral(vector_system, t, region=region, y=y, y2=y2)
+            backward = offdiag_l2_integral(vector_system, t, region=region, y=y2, y2=y)
+            assert forward.value == backward.value
+
+
 def test_offdiag_preconditions(vector_system):
     with pytest.raises(ValueError, match="smallest usable t"):
         offdiag_l2_integral(vector_system, 0.05, y=(0.35, 0.0))
-    with pytest.raises(ValueError, match="n_theta"):
-        offdiag_l2_integral(vector_system, 1.0, y=(0.35, 0.0), n_theta=16)
+    with pytest.raises(ValueError, match="t must be positive"):
+        offdiag_l2_integral(vector_system, 0.0, y=(0.35, 0.0))
     with pytest.raises(ValueError, match="region"):
         offdiag_l2_integral(vector_system, 1.0, region=(5.0, 9.0), y=(0.35, 0.0))
     with pytest.raises(ValueError, match="outside the chart"):
