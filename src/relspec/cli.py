@@ -99,7 +99,6 @@ class NumericsConfig:
     fit_window_lo: float = 0.05
     fit_window_hi: float = 0.15
     fit_residual_threshold: float = 1e-4
-    zeta_split: float = 1.0
     workers: int | None = None
     oracle_n_s: int = 400
     oracle_n_theta: int = 64
@@ -150,7 +149,6 @@ class ScenarioConfig:
     epsilons: tuple[float, ...] = field(default_factory=_default_epsilons)
     conformal_constants: tuple[float, ...] = (0.0, 0.2, 0.4)
     numerics: NumericsConfig = field(default_factory=NumericsConfig)
-    seed: int = 1
     output_dir: str | None = None
     notes: str = ""
 
@@ -355,7 +353,7 @@ def _pair_quantities(profile_a, profile_b, cfg: NumericsConfig, times, master: G
         window=cfg.fit_window,
         residual_threshold=cfg.fit_residual_threshold,
     )
-    det = determinant_from_series(series, inv, split=cfg.zeta_split)
+    det = determinant_from_series(series, inv)
     return sys_a, sys_b, series, inv, det
 
 

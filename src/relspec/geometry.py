@@ -25,11 +25,8 @@ import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass, field, replace
-from typing import Iterable
 
 import numpy as np
-
-from .numerics import adaptive_simpson
 
 __all__ = [
     "SURGERY_S_THRESHOLD",
@@ -460,16 +457,9 @@ class MetricProfile:
 
     @property
     def area(self) -> float:
-        """Total area 2*pi*int w ds (adaptive quadrature, cached)."""
+        """Total area 2*pi*int w ds (panel Gauss-Legendre quadrature, cached)."""
         if self._area is None:
-            val = adaptive_simpson(
-                lambda s: float(self._fn(s)),
-                self.s_min,
-                self.s_max,
-                abs_tol=1e-10,
-                breakpoints=self.breakpoints,
-            )
-            self._area = 2.0 * math.pi * val
+            self._area = 2.0 * math.pi * _integrate(self._fn, self.s_min, self.s_max, self.breakpoints)
         return self._area
 
     def to_dict(self) -> dict:
@@ -484,13 +474,6 @@ class MetricProfile:
     def label(self) -> str:
         payload = json.dumps(self.to_dict(), sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()[:12]
-
-    def write_weight_csv(self, path, n: int = 2001) -> None:
-        nodes, w = self.sample(n)
-        with open(path, "w", newline="\n") as fh:
-            fh.write("s,weight\n")
-            for si, wi in zip(nodes, w):
-                fh.write(f"{float(si)!r},{float(wi)!r}\n")
 
 
 def profile_from_dict(d: dict) -> MetricProfile:
@@ -662,50 +645,66 @@ def flat_cylinder(length: float = math.pi, bump: BumpSpec | None = None) -> Metr
 # derived geometric quantities
 # ----------------------------------------------------------------------------
 
-def _probe(extent: tuple[float, float], n: int = 96) -> np.ndarray:
-    lo, hi = extent
-    if hi <= lo:
-        return np.asarray([lo])
-    return np.linspace(lo, hi, n)
+# 8-point Gauss-Legendre rule on [-1, 1]; exact for polynomials of degree 15.
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+# Two successive levels must agree to this fraction of int |f|.
+_QUAD_RTOL = 1e-13
+# Finest level: 2^_QUAD_MAX_LEVEL equal pieces per panel (the shipped
+# configs converge by level 10).
+_QUAD_MAX_LEVEL = 14
 
 
-def relative_area(a: MetricProfile, b: MetricProfile, *, abs_tol: float = 1e-10) -> float:
+def _integrate(f, lo: float, hi: float, breakpoints) -> float:
+    """int_lo^hi f ds for a vectorized f, to a fixed relative tolerance.
+
+    The interval is split into panels at the ``breakpoints`` inside it, and
+    at level L every panel is cut into 2^L equal pieces carrying the 8-point
+    Gauss-Legendre rule; f is called once per level on all nodes.  Levels
+    double until two agree to _QUAD_RTOL * int |f|, so work is bounded by
+    _QUAD_MAX_LEVEL; an integrand that does not converge by then (a jump
+    missing from ``breakpoints``) raises ValueError.  The node layout and the
+    summation order depend only on (lo, hi, breakpoints), so f -> -f flips
+    the result bitwise and an identically zero f gives exactly 0.0.
+    """
+    edges = np.array([lo, *sorted({p for p in breakpoints if lo < p < hi}), hi], dtype=float)
+    width = np.diff(edges)
+    prev = change = math.nan
+    for level in range(_QUAD_MAX_LEVEL + 1):
+        n = 2**level
+        half = np.repeat(width / (2 * n), n)
+        left = (edges[:-1, None] + width[:, None] * (np.arange(n) / n)).ravel()
+        vals = f(((left + half)[:, None] + half[:, None] * _GL_NODES).ravel())
+        qw = (half[:, None] * _GL_WEIGHTS).ravel()
+        est = float(np.sum(vals * qw))
+        scale = float(np.sum(np.abs(vals) * qw))
+        change = abs(est - prev)
+        if change <= _QUAD_RTOL * scale:
+            return est
+        prev = est
+    raise ValueError(
+        f"quadrature on [{lo:.6g}, {hi:.6g}] did not converge by level {_QUAD_MAX_LEVEL}: "
+        f"last change {change:.3g}, tolerance {_QUAD_RTOL * scale:.3g}; "
+        "is a discontinuity of the weight missing from the profile breakpoints?"
+    )
+
+
+def relative_area(a: MetricProfile, b: MetricProfile) -> float:
     """Signed relative area 2 pi * int (w_a - w_b) ds over the shared chart.
 
-    The charts and boundary conditions must match.  The chart is cut at the
-    core edges of both profiles; pieces where the weights agree bitwise on a
-    dense probe (surgery pairs agree off the surgery region, bump pairs off
-    the core) are skipped rather than integrated.  Identical profiles
-    therefore give exactly 0.0, and swapping the arguments flips the sign
-    bitwise (the adaptive quadrature is odd under integrand negation).
+    The charts and boundary conditions must match.  The integrand is split at
+    the breakpoints of both profiles.  Where the weights agree bitwise the
+    node differences are exactly 0.0, so identical profiles give exactly 0.0,
+    and swapping the arguments negates every node value and so flips the sign
+    bitwise.
     """
     if (a.s_min, a.s_max) != (b.s_min, b.s_max):
         raise ValueError("profiles live on different charts")
     if (a.bc_left, a.bc_right) != (b.bc_left, b.bc_right):
         raise ValueError("profiles have different boundary conditions")
-    edges = sorted({a.s_min, a.s_max, *a.core_extent, *b.core_extent})
-    breakpoints = sorted(set(a.breakpoints) | set(b.breakpoints))
-    pieces = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        if hi <= lo:
-            continue
-        probe = _probe((lo, hi), 96)
-        if np.array_equal(a.weight(probe), b.weight(probe)):
-            continue
-        pieces.append((lo, hi))
-    if not pieces:
-        return 0.0
-    total = 0.0
-    tol = abs_tol / (2.0 * math.pi * len(pieces))
-    for lo, hi in pieces:
-        total += adaptive_simpson(
-            lambda s: float(a.weight(s)) - float(b.weight(s)),
-            lo,
-            hi,
-            abs_tol=tol,
-            breakpoints=[p for p in breakpoints if lo < p < hi],
-        )
-    return 2.0 * math.pi * total
+    val = _integrate(
+        lambda s: a.weight(s) - b.weight(s), a.s_min, a.s_max, a.breakpoints + b.breakpoints
+    )
+    return 2.0 * math.pi * val
 
 
 def line_distance(profile: MetricProfile, s0: float, s1: float) -> float:
@@ -715,10 +714,4 @@ def line_distance(profile: MetricProfile, s0: float, s1: float) -> float:
     lo, hi = min(s0, s1), max(s0, s1)
     if lo < profile.s_min - 1e-12 or hi > profile.s_max + 1e-12:
         raise ValueError("points outside the chart")
-    return adaptive_simpson(
-        lambda s: math.sqrt(float(profile.weight(s))),
-        lo,
-        hi,
-        abs_tol=1e-10,
-        breakpoints=[p for p in profile.breakpoints if lo < p < hi],
-    )
+    return _integrate(lambda s: np.sqrt(profile.weight(s)), lo, hi, profile.breakpoints)

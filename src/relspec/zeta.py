@@ -94,16 +94,6 @@ class HeatInvariants:
     def k_max(self) -> int:
         return len(self.coefficients) - 1
 
-    def trace_model(self, t):
-        """The modeled E(t) = sum_k a_k t^{k-1}."""
-        t_arr = np.asarray(t, dtype=float)
-        out = np.zeros_like(t_arr)
-        for k, a in enumerate(self.coefficients):
-            out = out + a * t_arr ** (k - 1)
-        if np.isscalar(t) or np.asarray(t).ndim == 0:
-            return float(out)
-        return out
-
 
 def fit_heat_invariants(
     series: TraceSeries,

@@ -99,6 +99,12 @@ def test_config_rejects_unknown_keys():
         ScenarioConfig.from_dict(
             {"kind": "validate", "numerics": {"offdiag_n_theta": 256}}
         )
+    with pytest.raises(ConfigError, match="unknown keys"):
+        ScenarioConfig.from_dict(
+            {"kind": "validate", "numerics": {"zeta_split": 0.5}}
+        )
+    with pytest.raises(ConfigError, match="unknown keys"):
+        ScenarioConfig.from_dict({"kind": "validate", "seed": 1})
 
 
 def test_config_rejects_unknown_kind():

@@ -6,6 +6,7 @@ change to the formulas shows up as a hard failure.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -319,8 +320,22 @@ def test_profile_roundtrips_bitwise(make):
 
 
 # ----------------------------------------------------------------------------
-# relative area
+# areas
 # ----------------------------------------------------------------------------
+
+@pytest.mark.parametrize("length", [math.pi, 2.0, 7.5])
+def test_flat_cylinder_area_is_closed_form(length):
+    assert flat_cylinder(length).area == pytest.approx(2.0 * math.pi * length, rel=1e-14)
+
+
+def test_funnel_cusp_area_is_closed_form():
+    # no bump and no funnel_constant: w = 1/s^2 on the whole chart
+    prof = build_weight(funnel_cusp_spec(), truncation=small_truncation())
+    s = np.linspace(prof.s_min, prof.s_max, 257)
+    assert prof.weight(s) == pytest.approx(1.0 / s**2, rel=1e-14)
+    exact = 2.0 * math.pi * (1.0 / prof.s_min - 1.0 / prof.s_max)
+    assert prof.area == pytest.approx(exact, rel=1e-12)
+
 
 def test_relative_area_of_identical_surfaces_is_exactly_zero(small_pair):
     a, _ = small_pair
@@ -366,6 +381,16 @@ def test_line_distance_funnel_region_is_logarithmic():
     s0, s1 = 0.12, 0.22  # inside the pure-funnel range of the chart
     got = line_distance(prof, s0, s1)
     assert got == pytest.approx(math.log(s1 / s0), rel=1e-9)
+
+
+def test_line_distance_raises_on_a_jump_missing_from_the_breakpoints():
+    # a weight jump at s = 1 that the profile does not declare: the panel
+    # rule converges only linearly across it and must stop at its level cap
+    flat = flat_cylinder()
+    jumpy = dataclasses.replace(flat, _fn=lambda s: np.where(s < 1.0, 1.0, 4.0))
+    assert jumpy.breakpoints == ()
+    with pytest.raises(ValueError, match="did not converge"):
+        line_distance(jumpy, 0.5, 2.0)
 
 
 def test_line_distance_rejects_points_off_the_chart():
