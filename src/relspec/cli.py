@@ -8,9 +8,8 @@ Verbs
 
 Exit codes: 0 all checks passed, 1 a check failed or a component raised
 (the summary names the failing stage and a FAILED marker is left in the
-output directory), 2 for config errors.  Worker threads for the mode solves
-come from the RELSPEC_WORKERS environment variable unless the config pins
-them.  CSV bodies are byte-identical across reruns of the same config.
+output directory), 2 for config errors.  CSV bodies are byte-identical
+across reruns of the same config.
 """
 
 from __future__ import annotations
@@ -99,7 +98,6 @@ class NumericsConfig:
     fit_window_lo: float = 0.05
     fit_window_hi: float = 0.15
     fit_residual_threshold: float = 1e-4
-    workers: int | None = None
     oracle_n_s: int = 400
     oracle_n_theta: int = 64
     oracle_count: int = 20
@@ -332,20 +330,15 @@ def _prefix_grid(master: Grid, profile) -> Grid:
     )
 
 
-def _solve_pair(profile_a, profile_b, cfg: NumericsConfig, master: Grid | None = None):
+def _pair_quantities(profile_a, profile_b, cfg: NumericsConfig, times, master: Grid | None = None):
     if (profile_b.s_min, profile_b.s_max) != (profile_a.s_min, profile_a.s_max):
         raise ValueError("pair members live on different charts")
     if master is None:
         grid = make_grid(profile_a, cfg.n_nodes)
     else:
         grid = _prefix_grid(master, profile_a)
-    sys_a = solve_modes(profile_a, grid, cfg.lambda_cut, workers=cfg.workers)
-    sys_b = solve_modes(profile_b, grid, cfg.lambda_cut, workers=cfg.workers)
-    return grid, sys_a, sys_b
-
-
-def _pair_quantities(profile_a, profile_b, cfg: NumericsConfig, times, master: Grid | None = None):
-    _, sys_a, sys_b = _solve_pair(profile_a, profile_b, cfg, master)
+    sys_a = solve_modes(profile_a, grid, cfg.lambda_cut)
+    sys_b = solve_modes(profile_b, grid, cfg.lambda_cut)
     series = relative_trace_series(sys_a, sys_b, times=times)
     inv = fit_heat_invariants(
         series,
@@ -381,7 +374,7 @@ def _run_validate(cfg: ScenarioConfig, out: Path, report: Report, stage):
     stage("flat-cylinder spectrum")
     flat = flat_cylinder(math.pi)
     grid = make_grid(flat, num.n_nodes)
-    sys_flat = solve_modes(flat, grid, 30.0, workers=num.workers)
+    sys_flat = solve_modes(flat, grid, 30.0)
     got = sys_flat.eigenvalues_with_multiplicity()[:12]
     want = np.asarray(_flat_reference(12))
     rel = float(np.max(np.abs(got - want) / want))
@@ -447,23 +440,18 @@ def _run_validate(cfg: ScenarioConfig, out: Path, report: Report, stage):
     )
 
 
-def _sweep_row(cfg, eps, baseline_profile_a, baseline_values, times, master):
-    num = cfg.numerics
-    pa, pb = cfg.pair_at(eps)
-    sys_a, sys_b, series, inv, det = _pair_quantities(pa, pb, num, times, master)
-    nodes, base_weight = baseline_profile_a.sample(2048)
-    weight_ratio = float(np.max(pa.weight(nodes) / base_weight))
-    dsup = float(np.max(np.abs(series.values - baseline_values)))
+def _sweep_row(eps, pa, sys_a, series, inv, det, base_sample, base_series):
+    """One sweep.csv row of a solved pair, against the epsilon = 0 baseline."""
+    nodes, base_weight = base_sample
     return {
         "epsilon": float(eps),
         "lambda1": spectral_gap(sys_a),
-        "weight_ratio": weight_ratio,
+        "weight_ratio": float(np.max(pa.weight(nodes) / base_weight)),
         "rel_area": series.rel_area,
         "invariants": inv,
         "log_det": det.log_determinant,
         "det": det.determinant,
-        "dsup": dsup,
-        "series": series,
+        "dsup": float(np.max(np.abs(series.values - base_series.values))),
         "residual": inv.residual,
         "budget": det.error_budget,
     }
@@ -475,8 +463,9 @@ def _run_surgery_sweep(cfg: ScenarioConfig, out: Path, report: Report, stage):
     stage("baseline pair (epsilon = 0)")
     pa0, pb0 = cfg.pair_at(0.0)
     master = make_grid(pa0, num.n_nodes)
-    sys_a0, sys_b0, series0, inv0, det0 = _pair_quantities(pa0, pb0, num, times, master)
+    sys_a0, _, series0, inv0, det0 = _pair_quantities(pa0, pb0, num, times, master)
     lambda1_0 = spectral_gap(sys_a0)
+    base_sample = pa0.sample(2048)
     series0.to_csv(out / "trace_baseline.csv")
     report.artifacts.append("trace_baseline.csv")
 
@@ -484,24 +473,13 @@ def _run_surgery_sweep(cfg: ScenarioConfig, out: Path, report: Report, stage):
     rows = []
     for i, eps in enumerate(cfg.epsilons):
         if eps == 0.0:
-            row = {
-                "epsilon": 0.0,
-                "lambda1": lambda1_0,
-                "weight_ratio": 1.0,
-                "rel_area": series0.rel_area,
-                "invariants": inv0,
-                "log_det": det0.log_determinant,
-                "det": det0.determinant,
-                "dsup": 0.0,
-                "series": series0,
-                "residual": inv0.residual,
-                "budget": det0.error_budget,
-            }
+            pa, sys_a, series, inv, det = pa0, sys_a0, series0, inv0, det0
         else:
-            row = _sweep_row(cfg, eps, pa0, series0.values, times, master)
-            row["series"].to_csv(out / f"trace_eps_{i:02d}.csv")
+            pa, pb = cfg.pair_at(eps)
+            sys_a, _, series, inv, det = _pair_quantities(pa, pb, num, times, master)
+            series.to_csv(out / f"trace_eps_{i:02d}.csv")
             report.artifacts.append(f"trace_eps_{i:02d}.csv")
-        rows.append(row)
+        rows.append(_sweep_row(eps, pa, sys_a, series, inv, det, base_sample, series0))
 
     k_cols = len(inv0.coefficients)
     _write_csv(
@@ -718,7 +696,7 @@ def _run_funnel_conformal(cfg: ScenarioConfig, out: Path, report: Report, stage)
 
 def _offdiag_sup(profile, num: NumericsConfig, n_nodes):
     grid = make_grid(profile, n_nodes)
-    sys = solve_modes(profile, grid, num.lambda_cut, with_vectors=True, workers=num.workers)
+    sys = solve_modes(profile, grid, num.lambda_cut, with_vectors=True)
     tgrid = np.geomspace(num.offdiag_t_lo, num.offdiag_t_hi, num.offdiag_t_points)
     y = (num.offdiag_y_s, num.offdiag_y_theta)
     y2 = (num.offdiag_y2_s, num.offdiag_y2_theta)

@@ -16,8 +16,6 @@ provable Rayleigh cutoff m^2 > lambda_cut * max(w).
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,7 +32,6 @@ __all__ = [
     "solve_mode",
     "solve_modes",
     "mode_cutoff",
-    "worker_count",
 ]
 
 _BC = ("dirichlet", "neumann", "cap")
@@ -119,12 +116,6 @@ class ModeOperator:
     mass_diag: np.ndarray = field(repr=False)
     left_active: bool
     right_active: bool
-
-    @property
-    def active_nodes(self) -> np.ndarray:
-        lo = 0 if self.left_active else 1
-        hi = self.grid.n if self.right_active else self.grid.n - 1
-        return self.grid.nodes[lo:hi]
 
     def symmetrized(self) -> tuple[np.ndarray, np.ndarray]:
         """Diagonal congruence to an ordinary symmetric tridiagonal problem."""
@@ -218,14 +209,10 @@ def mode_cutoff(lambda_cut: float, max_weight: float) -> int:
     return int(math.floor(math.sqrt(lambda_cut * max_weight))) + 1
 
 
+# Only reader: perfbench/pass_worker.py (its ``pool_size`` record).  Mode
+# solves are serial; the benchmark refresh (ROADMAP item 6) deletes this.
 def worker_count() -> int:
-    env = os.environ.get("RELSPEC_WORKERS")
-    if env:
-        n = int(env)
-        if n < 1:
-            raise ValueError("RELSPEC_WORKERS must be a positive integer")
-        return n
-    return min(4, os.cpu_count() or 1)
+    return 1
 
 
 @dataclass(eq=False)
@@ -280,15 +267,12 @@ def solve_modes(
     *,
     m_max: int | None = None,
     with_vectors: bool = False,
-    workers: int | None = None,
 ) -> Eigensystem:
     """Solve every angular mode up to the cutoff (inclusive witness mode).
 
     The first provably empty mode (m = mode_cutoff) is solved as a runtime
     witness and must come back empty; a nonempty witness means the cutoff
-    logic is broken and raises.  Worker threads (RELSPEC_WORKERS) parallelize
-    over modes; results are merged in fixed m order, so the output is
-    independent of the worker count.
+    logic is broken and raises.
     """
     if lambda_cut <= 0:
         raise ValueError("lambda_cut must be positive")
@@ -307,28 +291,18 @@ def solve_modes(
     cutoff = mode_cutoff(lambda_cut, max_weight)
     top = cutoff if m_max is None else max(m_max, cutoff)
 
-    def run(m: int):
+    mode_eigenvalues: dict[int, np.ndarray] = {}
+    vectors: dict[int, np.ndarray] | None = {} if with_vectors else None
+    for m in range(top + 1):
         op = assemble_mode_operator(profile, m, grid)
-        return solve_mode(op, lambda_cut, with_vectors=with_vectors)
-
-    modes = list(range(top + 1))
-    n_workers = worker_count() if workers is None else workers
-    results: dict[int, tuple[np.ndarray, np.ndarray | None]] = {}
-    if n_workers > 1 and len(modes) > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            for m, res in zip(modes, pool.map(run, modes)):
-                results[m] = res
-    else:
-        for m in modes:
-            results[m] = run(m)
-    witness = results[top][0]
-    if len(witness) != 0:
+        mode_eigenvalues[m], vecs = solve_mode(op, lambda_cut, with_vectors=with_vectors)
+        if with_vectors:
+            vectors[m] = vecs
+    if len(mode_eigenvalues[top]) != 0:
         raise RuntimeError(
             f"mode cutoff violated: mode {top} has eigenvalues below "
             f"{lambda_cut} (max weight {max_weight:.6g})"
         )
-    mode_eigenvalues = {m: results[m][0] for m in modes}
-    vectors = {m: results[m][1] for m in modes} if with_vectors else None
     return Eigensystem(
         profile=profile,
         grid=grid,

@@ -6,8 +6,8 @@ relative heat trace E(t),
     zeta(s) Gamma(s) = int_0^inf t^{s-1} E(t) dt,
 
 meromorphically continued through the small-time expansion
-t E(t) ~ sum_k a_k t^k.  Splitting the integral at tau and expanding 1/Gamma
-around s = 0 gives
+t E(t) ~ sum_k a_k t^k.  Splitting the integral at tau = 1 (``SPLIT_TAU``)
+and expanding 1/Gamma around s = 0 gives
 
     zeta'(0) = gamma a_1 + a_1 ln tau - a_0 / tau
                + sum_{k>=2} a_k tau^{k-1} / (k - 1)
@@ -28,11 +28,11 @@ integral
     M = a_0 (1/t_floor - 1/tau) + a_1 ln(tau/t_floor)
         + sum_{k>=2} a_k (tau^{k-1} - t_floor^{k-1}) / (k - 1).
 
-The value is therefore independent of tau up to round-off; tau only decides
-how it is divided among the pieces.  What remains inexact is the data: the
-model's truncation below t_floor, the residual of the invariant fit (which
-leaks in through the 1/t_floor sensitivity of the small-time integral), and
-the spectrum the cutoff dropped.  The error budget tracks these three.  The
+The value does not depend on tau up to round-off, so tau is fixed at 1.
+What remains inexact is the data: the model's truncation below t_floor, the
+residual of the invariant fit (which leaks in through the 1/t_floor
+sensitivity of the small-time integral), and the spectrum the cutoff
+dropped.  The error budget tracks these three.  The
 determinant convention is det = exp(-zeta'(0)), so for finite spectra
 det({1,2,3}, {1,2,4}) = (1*2*3)/(1*2*4) = 3/4.
 """
@@ -60,6 +60,7 @@ __all__ = [
 ]
 
 EULER_GAMMA = float(np.euler_gamma)
+SPLIT_TAU = 1.0  # the Mellin split point tau of the module docstring
 
 # The window balances three error sources at the default discretization
 # (N = 4000, lambda_cut = 400): below ~0.05 the spectral-cutoff tail of the
@@ -198,15 +199,12 @@ class ZetaPrimeResult:
     pieces: dict
     error_budget: dict
     invariants: HeatInvariants
-    split: float
     t_floor: float
 
 
 def relative_zeta_prime_at_zero(
     series: TraceSeries,
     invariants: HeatInvariants | None = None,
-    *,
-    split: float = 1.0,
 ) -> ZetaPrimeResult:
     """Evaluate zeta'(0) by the split-Mellin closed form (module docstring).
 
@@ -228,9 +226,7 @@ def relative_zeta_prime_at_zero(
             "cutoff tail bound at the last sample exceeds 1e-8 of the series scale; "
             "extend the time grid or raise the cutoff"
         )
-    tau = float(split)
-    if tau <= 0:
-        raise ValueError("split must be positive")
+    tau = SPLIT_TAU
     a = inv.coefficients
     t_floor = max(series.t_trust_min, 1e-9)
     if t_floor >= tau:
@@ -284,7 +280,6 @@ def relative_zeta_prime_at_zero(
         },
         error_budget=budget,
         invariants=inv,
-        split=tau,
         t_floor=t_floor,
     )
 
@@ -309,10 +304,9 @@ class DeterminantResult:
 def determinant_from_series(
     series: TraceSeries,
     invariants: HeatInvariants | None = None,
-    **zeta_kwargs,
 ) -> DeterminantResult:
     """Relative determinant from an evaluable trace series."""
-    z = relative_zeta_prime_at_zero(series, invariants, **zeta_kwargs)
+    z = relative_zeta_prime_at_zero(series, invariants)
     return DeterminantResult(
         determinant=math.exp(-z.value),
         log_determinant=-z.value,
@@ -332,11 +326,10 @@ def relative_determinant(
     k_max: int = 3,
     window: tuple[float, float] = DEFAULT_FIT_WINDOW,
     residual_threshold: float = 1e-4,
-    split: float = 1.0,
 ) -> DeterminantResult:
     """Trace series + invariant fit + zeta'(0) for two solved surfaces."""
     series = relative_trace_series(sys_a, sys_b, times=times)
     inv = fit_heat_invariants(
         series, k_max, window=window, residual_threshold=residual_threshold
     )
-    return determinant_from_series(series, inv, split=split)
+    return determinant_from_series(series, inv)

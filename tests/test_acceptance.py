@@ -130,6 +130,9 @@ def test_criterion_04_gap_lower_bound_across_sweep(sweep_run):
     report, out = sweep_run
     table = _table(out, "sweep.csv")
     lam0 = float(table["lambda1"][table["epsilon"] == 0.0][0])
+    # the epsilon = 0 row compares the baseline pair with itself
+    base = table[table["epsilon"] == 0.0][0]
+    assert base["weight_ratio"] == 1.0 and base["dsup"] == 0.0
     big_c = float(np.max(table["weight_ratio"]))
     min_l1 = float(np.min(table["lambda1"]))
     ok = min_l1 >= lam0 / big_c and _check(report, "gap_lower_bound").passed
@@ -269,7 +272,7 @@ def test_criterion_10_zeta_pipeline_vs_exact_products():
         lb = np.sort(1.0 + 4.0 * rng.random(8))
         series = TraceSeries.from_finite_spectra(la, lb)
         inv = taylor_invariants(la, lb, k_max=6)
-        det = determinant_from_series(series, inv, split=0.5)
+        det = determinant_from_series(series, inv)
         exact = finite_matrix_relative_det(la, lb)
         worst = max(worst, abs(det.determinant / exact - 1.0))
     ok = worst <= 1e-6

@@ -104,6 +104,10 @@ def test_config_rejects_unknown_keys():
             {"kind": "validate", "numerics": {"zeta_split": 0.5}}
         )
     with pytest.raises(ConfigError, match="unknown keys"):
+        ScenarioConfig.from_dict(
+            {"kind": "validate", "numerics": {"workers": 2}}
+        )
+    with pytest.raises(ConfigError, match="unknown keys"):
         ScenarioConfig.from_dict({"kind": "validate", "seed": 1})
 
 

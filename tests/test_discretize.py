@@ -14,7 +14,6 @@ from relspec.discretize import (
     mode_cutoff,
     solve_mode,
     solve_modes,
-    worker_count,
 )
 from relspec.geometry import build_weight, flat_cylinder
 from relspec.spectral import spectral_gap
@@ -181,18 +180,8 @@ def test_eigensystem_csv_roundtrip(tmp_path, flat_system):
         assert np.array_equal(np.array(vals), flat_system.mode_eigenvalues[m])
 
 
-def test_solve_modes_result_independent_of_worker_count(small_pair):
-    a, _ = small_pair
-    grid = make_grid(a, 400)
-    one = solve_modes(a, grid, 20.0, workers=1)
-    four = solve_modes(a, grid, 20.0, workers=4)
-    assert one.mode_eigenvalues.keys() == four.mode_eigenvalues.keys()
-    for m in one.mode_eigenvalues:
-        assert np.array_equal(one.mode_eigenvalues[m], four.mode_eigenvalues[m])
-
-
 # ----------------------------------------------------------------------------
-# grids, boundary conditions, workers
+# grids and boundary conditions
 # ----------------------------------------------------------------------------
 
 def test_grid_validation():
@@ -242,12 +231,3 @@ def test_negative_mode_rejected():
     with pytest.raises(ValueError):
         assemble_mode_operator(flat, -1, grid)
 
-
-def test_worker_count_env_override(monkeypatch):
-    monkeypatch.setenv("RELSPEC_WORKERS", "2")
-    assert worker_count() == 2
-    monkeypatch.setenv("RELSPEC_WORKERS", "0")
-    with pytest.raises(ValueError):
-        worker_count()
-    monkeypatch.delenv("RELSPEC_WORKERS")
-    assert worker_count() >= 1

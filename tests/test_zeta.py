@@ -158,9 +158,9 @@ def test_taylor_invariants_power_sums():
 def test_two_level_determinant_closed_form():
     series = TraceSeries.from_finite_spectra([2.0], [3.0])
     inv = taylor_invariants([2.0], [3.0], k_max=6)
-    z = relative_zeta_prime_at_zero(series, inv, split=0.5)
+    z = relative_zeta_prime_at_zero(series, inv)
     assert z.value == pytest.approx(math.log(1.5), rel=1e-8)
-    det = determinant_from_series(series, inv, split=0.5)
+    det = determinant_from_series(series, inv)
     assert det.determinant == pytest.approx(2.0 / 3.0, rel=1e-8)
     assert det.log_determinant == -det.zeta_prime_zero
 
@@ -169,7 +169,7 @@ def test_three_level_determinant_closed_form():
     la, lb = [1.0, 2.0, 3.0], [1.0, 2.0, 4.0]
     series = TraceSeries.from_finite_spectra(la, lb)
     inv = taylor_invariants(la, lb, k_max=6)
-    det = determinant_from_series(series, inv, split=0.5)
+    det = determinant_from_series(series, inv)
     assert det.determinant == pytest.approx(0.75, rel=1e-8)
     # exact invariants: nothing in the budget comes from the fit
     assert det.error_budget["fit_sensitivity"] == 0.0
@@ -184,17 +184,15 @@ def test_zeta_prime_split_independence():
     la, lb = [1.5, 2.5, 4.0], [1.0, 3.0, 5.5]
     series = TraceSeries.from_finite_spectra(la, lb)
     inv = taylor_invariants(la, lb, k_max=6)
-    z1 = relative_zeta_prime_at_zero(series, inv, split=0.5)
-    z2 = relative_zeta_prime_at_zero(series, inv, split=1.0)
-    assert z1.value == pytest.approx(z2.value, abs=2e-8)
+    z = relative_zeta_prime_at_zero(series, inv)
     exact = math.log(np.prod(lb) / np.prod(la))
-    assert z1.value == pytest.approx(exact, rel=1e-7)
+    assert z.value == pytest.approx(exact, rel=1e-7)
 
 
 def test_identical_finite_spectra_give_exact_unit_determinant():
     series = TraceSeries.from_finite_spectra([1.0, 2.0], [1.0, 2.0])
     inv = taylor_invariants([1.0, 2.0], [1.0, 2.0], k_max=6)
-    det = determinant_from_series(series, inv, split=0.5)
+    det = determinant_from_series(series, inv)
     assert det.zeta_prime_zero == 0.0
     assert det.determinant == 1.0
 
@@ -210,9 +208,6 @@ def test_zeta_preconditions():
     dead = synthetic_series(lambda t: 2.0 / t)
     with pytest.raises(ValueError, match="evaluator"):
         relative_zeta_prime_at_zero(dead, inv)
-    # split sanity
-    with pytest.raises(ValueError, match="split"):
-        relative_zeta_prime_at_zero(series, inv, split=-1.0)
     # a kernel eigenvalue without a bitwise-equal partner: E1 diverges at 0
     kernel = paired_series([0.0, 2.0], [2.5, 3.0])
     with pytest.raises(ValueError, match=r"mode 0: eigenvalue 0\.0"):
@@ -230,7 +225,7 @@ def test_zeta_preconditions():
     late = TraceSeries.from_finite_spectra(la, lb)
     late.t_trust_min = 2.0
     with pytest.raises(ValueError, match="trust threshold"):
-        relative_zeta_prime_at_zero(late, inv, split=1.0)
+        relative_zeta_prime_at_zero(late, inv)
 
 
 def test_equal_kernel_pairs_cancel_exactly():
@@ -247,7 +242,7 @@ def test_three_level_log_determinant_to_round_off():
     la, lb = [1.0, 2.0, 3.0], [1.0, 2.0, 4.0]
     series = TraceSeries.from_finite_spectra(la, lb)
     inv = taylor_invariants(la, lb, k_max=6)
-    det = determinant_from_series(series, inv, split=0.5)
+    det = determinant_from_series(series, inv)
     assert abs(det.zeta_prime_zero - math.log(np.prod(lb) / np.prod(la))) <= 1e-12
 
 
@@ -257,10 +252,10 @@ def test_swap_negates_zeta_prime_bitwise_finite():
         la = 1.0 + 4.0 * rng.random(n_a)
         lb = 1.0 + 4.0 * rng.random(n_b)
         ab = relative_zeta_prime_at_zero(
-            TraceSeries.from_finite_spectra(la, lb), taylor_invariants(la, lb, 6), split=0.5
+            TraceSeries.from_finite_spectra(la, lb), taylor_invariants(la, lb, 6)
         )
         ba = relative_zeta_prime_at_zero(
-            TraceSeries.from_finite_spectra(lb, la), taylor_invariants(lb, la, 6), split=0.5
+            TraceSeries.from_finite_spectra(lb, la), taylor_invariants(lb, la, 6)
         )
         assert ab.value == -ba.value
         assert ab.value != 0.0
@@ -274,16 +269,7 @@ def test_swap_negates_zeta_prime_bitwise_surface(surface_series):
     assert det_ab.invariants.coefficients == tuple(-c for c in det_ba.invariants.coefficients)
     assert det_ab.zeta_prime_zero == -det_ba.zeta_prime_zero
     assert det_ab.zeta_prime_zero != 0.0
-
-
-def test_split_only_redistributes_the_pieces(surface_series):
-    series, _ = surface_series
-    inv = fit_heat_invariants(series)
-    z1 = relative_zeta_prime_at_zero(series, inv, split=0.5)
-    z2 = relative_zeta_prime_at_zero(series, inv, split=1.0)
-    assert abs(z1.value - z2.value) <= 1e-13
-    assert z1.pieces["large_time_integral"] != z2.pieces["large_time_integral"]
-    assert set(z1.error_budget) == {
+    assert set(det_ab.error_budget) == {
         "small_time_truncation", "fit_sensitivity", "cutoff_leak", "total"
     }
 
