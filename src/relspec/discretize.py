@@ -11,6 +11,21 @@ against mass w_i, half cells at retained Neumann/cap endpoints).  Eigenvalues
 up to a cutoff are computed mode by mode with LAPACK bisection + inverse
 iteration after a diagonal congruence, and modes are enumerated up to the
 provable Rayleigh cutoff m^2 > lambda_cut * max(w).
+
+``solve_modes`` solves each mode on an Agmon window of the grid.  Every
+eigenfunction of mode m with lambda <= lambda_cut decays where
+m^2 > lambda_cut * w_i: across such a node the three-point stencil shrinks it
+by at least the factor e^{-kappa_i}, with the exact per-step rate
+
+    kappa_i = acosh(1 + h^2 (m^2 - lambda_cut w_i) / 2)
+
+(the continuum rate h sqrt(q) overstates it once h sqrt(q) is not small).
+The window is the contiguous run of rows whose discrete Agmon distance (the
+sum of kappa over the nodes in between) from the allowed set
+{lambda_cut w_i >= m^2} is at most ``AGMON_MARGIN``; it is cut by Dirichlet
+rows, which moves the kept eigenvalues by about e^{-2 AGMON_MARGIN}
+relative, far below round-off.  A window that reaches a grid end keeps that
+end's own row (a half-cell Neumann row where the end is Neumann).
 """
 
 from __future__ import annotations
@@ -29,6 +44,7 @@ __all__ = [
     "Eigensystem",
     "make_grid",
     "assemble_mode_operator",
+    "agmon_window",
     "solve_mode",
     "solve_modes",
     "mode_cutoff",
@@ -36,6 +52,7 @@ __all__ = [
 
 _BC = ("dirichlet", "neumann", "cap")
 KERNEL_FLOOR = -1e-9  # lower edge of the bisection window; catches exact kernels
+AGMON_MARGIN = 20.0  # discrete Agmon distance kept past the allowed set per mode
 
 
 @dataclass(frozen=True)
@@ -117,11 +134,20 @@ class ModeOperator:
     left_active: bool
     right_active: bool
 
+    @property
+    def rows(self) -> slice:
+        """The grid nodes carried as rows (Dirichlet endpoints dropped)."""
+        return _active_rows(self.grid.n, self.left_active, self.right_active)
+
     def symmetrized(self) -> tuple[np.ndarray, np.ndarray]:
         """Diagonal congruence to an ordinary symmetric tridiagonal problem."""
         d = self.stiff_diag / self.mass_diag
         e = self.stiff_off / np.sqrt(self.mass_diag[:-1] * self.mass_diag[1:])
         return d, e
+
+
+def _active_rows(n: int, left_active: bool, right_active: bool) -> slice:
+    return slice(0 if left_active else 1, n if right_active else n - 1)
 
 
 def assemble_mode_operator(
@@ -130,17 +156,22 @@ def assemble_mode_operator(
     grid: Grid,
     *,
     m2_value: float | None = None,
+    weights: np.ndarray | None = None,
 ) -> ModeOperator:
     """Assemble the pencil for mode m on the grid.
 
     ``m2_value`` replaces the exact angular symbol m^2 (used for
     discretization-matched comparisons against 2D stencils, where the
     five-point angular symbol (4/h^2) sin^2(m h / 2) is substituted).
+    ``weights`` is the profile's weight already sampled on ``grid.nodes``;
+    callers assembling many modes of one surface pass it to sample once.
     """
     if m < 0:
         raise ValueError("mode index must be nonnegative")
     h = grid.h
-    w = profile.weight(grid.nodes)
+    w = profile.weight(grid.nodes) if weights is None else weights
+    if w.shape != grid.nodes.shape:
+        raise ValueError("weights must be sampled on the grid nodes")
     if np.any(~np.isfinite(w)) or np.any(w <= 0.0):
         raise ValueError("weight must be positive and finite on the grid")
     m2 = float(m * m) if m2_value is None else float(m2_value)
@@ -148,9 +179,8 @@ def assemble_mode_operator(
     bcr = _resolve_bc(grid.bc_right, m)
     left_active = bcl == "neumann"
     right_active = bcr == "neumann"
-    lo = 0 if left_active else 1
-    hi = grid.n if right_active else grid.n - 1
-    n_active = hi - lo
+    rows = _active_rows(grid.n, left_active, right_active)
+    n_active = rows.stop - rows.start
     cell = np.full(n_active, h)
     deg = np.full(n_active, 2.0)
     if left_active:
@@ -161,7 +191,7 @@ def assemble_mode_operator(
         deg[-1] = 1.0
     stiff_diag = deg / h + m2 * cell
     stiff_off = np.full(n_active - 1, -1.0 / h)
-    mass_diag = w[lo:hi] * cell
+    mass_diag = w[rows] * cell
     return ModeOperator(
         grid=grid,
         m=m,
@@ -173,27 +203,57 @@ def assemble_mode_operator(
     )
 
 
+def agmon_window(
+    weights: np.ndarray, h: float, m2: float, lambda_cut: float
+) -> tuple[int, int]:
+    """Rows [a, b) of ``weights`` (one mode's active rows) within discrete
+    Agmon distance ``AGMON_MARGIN`` of the allowed set {lambda_cut w >= m2}.
+
+    The distance of a row from the allowed set is the sum of the per-step
+    rates acosh(1 + h^2 max(m2 - lambda_cut w_i, 0) / 2) over the rows
+    strictly between them, so the first dropped row on each side lies more
+    than ``AGMON_MARGIN`` away.  An empty allowed set returns every row.
+    """
+    q = m2 - lambda_cut * weights
+    allowed = np.flatnonzero(q <= 0.0)
+    n = len(weights)
+    if allowed.size == 0:
+        return 0, n
+    dist = np.cumsum(np.arccosh(1.0 + 0.5 * h * h * np.maximum(q, 0.0)))
+    first, last = int(allowed[0]), int(allowed[-1])
+    a = 0 if first == 0 else int(np.searchsorted(dist, dist[first - 1] - AGMON_MARGIN))
+    b = int(np.searchsorted(dist, dist[last] + AGMON_MARGIN, side="right")) + 1
+    return a, min(b, n)
+
+
 def solve_mode(
     op: ModeOperator,
     lambda_cut: float,
     *,
     with_vectors: bool = False,
+    window: tuple[int, int] | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """All eigenvalues of the pencil in (KERNEL_FLOOR, lambda_cut], ascending.
 
+    ``window`` = (a, b) restricts the solve to active rows [a, b) with
+    Dirichlet cuts where it stops short of the grid ends (``solve_modes``
+    passes an ``agmon_window``); by default every active row is solved.
+
     Eigenvectors (when requested) are returned on the full grid (zeros at
-    dropped Dirichlet endpoints) and are mass-orthonormal: u_i^T M u_j =
-    delta_ij, which the diagonal congruence gives for free from LAPACK's
-    orthonormal vectors.
+    dropped Dirichlet endpoints and outside the window) and are
+    mass-orthonormal: u_i^T M u_j = delta_ij, which the diagonal congruence
+    gives for free from LAPACK's orthonormal vectors.
     """
     d, e = op.symmetrized()
+    a, b = (0, len(d)) if window is None else window
+    d, e = d[a:b], e[a : b - 1]
     if with_vectors:
         vals, vecs = eigh_tridiagonal(
             d, e, select="v", select_range=(KERNEL_FLOOR, lambda_cut)
         )
-        u = vecs / np.sqrt(op.mass_diag)[:, None]
+        u = vecs / np.sqrt(op.mass_diag[a:b])[:, None]
         full = np.zeros((op.grid.n, u.shape[1]))
-        lo = 0 if op.left_active else 1
+        lo = op.rows.start + a
         full[lo : lo + u.shape[0], :] = u
         return vals, full
     vals = eigh_tridiagonal(
@@ -270,9 +330,13 @@ def solve_modes(
 ) -> Eigensystem:
     """Solve every angular mode up to the cutoff (inclusive witness mode).
 
-    The first provably empty mode (m = mode_cutoff) is solved as a runtime
-    witness and must come back empty; a nonempty witness means the cutoff
-    logic is broken and raises.
+    Each mode m < top is solved on its ``agmon_window``: the rows within
+    discrete Agmon distance ``AGMON_MARGIN`` of {lambda_cut w >= m^2}, cut by
+    Dirichlet rows.  Mode 0 (whose allowed set is every row) and any mode
+    with an empty allowed set get the full grid.  The first provably empty
+    mode (m = top, at least mode_cutoff) is solved on the full grid as a
+    runtime witness and must come back empty; a nonempty witness means the
+    cutoff logic is broken and raises.
     """
     if lambda_cut <= 0:
         raise ValueError("lambda_cut must be positive")
@@ -294,8 +358,13 @@ def solve_modes(
     mode_eigenvalues: dict[int, np.ndarray] = {}
     vectors: dict[int, np.ndarray] | None = {} if with_vectors else None
     for m in range(top + 1):
-        op = assemble_mode_operator(profile, m, grid)
-        mode_eigenvalues[m], vecs = solve_mode(op, lambda_cut, with_vectors=with_vectors)
+        op = assemble_mode_operator(profile, m, grid, weights=w)
+        window = None
+        if m < top:
+            window = agmon_window(w[op.rows], grid.h, float(m * m), lambda_cut)
+        mode_eigenvalues[m], vecs = solve_mode(
+            op, lambda_cut, with_vectors=with_vectors, window=window
+        )
         if with_vectors:
             vectors[m] = vecs
     if len(mode_eigenvalues[top]) != 0:

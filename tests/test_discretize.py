@@ -5,10 +5,15 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import eigh
+from scipy.linalg import eigh, eigh_tridiagonal
 
+from relspec import discretize
+from relspec.cli import ScenarioConfig
 from relspec.discretize import (
+    AGMON_MARGIN,
+    KERNEL_FLOOR,
     Grid,
+    agmon_window,
     assemble_mode_operator,
     make_grid,
     mode_cutoff,
@@ -16,7 +21,8 @@ from relspec.discretize import (
     solve_modes,
 )
 from relspec.geometry import build_weight, flat_cylinder
-from relspec.spectral import spectral_gap
+from relspec.spectral import relative_trace_series, spectral_gap
+from relspec.zeta import relative_determinant
 
 from conftest import funnel_cusp_spec, small_truncation
 
@@ -231,3 +237,154 @@ def test_negative_mode_rejected():
     with pytest.raises(ValueError):
         assemble_mode_operator(flat, -1, grid)
 
+
+
+# ----------------------------------------------------------------------------
+# Agmon windows
+# ----------------------------------------------------------------------------
+
+@pytest.fixture(scope="module", params=["point_sweep.json", "boundary_sweep.json"])
+def shipped_pair(request, configs_dir):
+    """The eps = 0 pair of a shipped sweep (funnel + filled cap, or Dirichlet
+    boundary + cusp) on its N = 4000 grid at lambda_cut = 400."""
+    cfg = ScenarioConfig.from_json(configs_dir / request.param)
+    profile_a, profile_b = cfg.pair_at(0.0)
+    grid = make_grid(profile_a, cfg.numerics.n_nodes)
+    return profile_a, profile_b, grid, cfg.numerics.lambda_cut
+
+
+def _rates(rows, h, m2, lambda_cut):
+    """Exact per-step decay rates of the three-point stencil."""
+    return np.arccosh(1.0 + 0.5 * h * h * np.maximum(m2 - lambda_cut * rows, 0.0))
+
+
+def test_window_truncation_is_at_round_off(shipped_pair):
+    # A tight bisection tolerance takes LAPACK's ||T||-scaled default out of
+    # the comparison, so what is left is the truncation itself.
+    profile, _, grid, lambda_cut = shipped_pair
+    w = profile.weight(grid.nodes)
+    top = mode_cutoff(lambda_cut, float(np.max(w)))
+    rng = (KERNEL_FLOOR, lambda_cut)
+    shortened = 0
+    for m in range(top):
+        op = assemble_mode_operator(profile, m, grid, weights=w)
+        d, e = op.symmetrized()
+        a, b = agmon_window(w[op.rows], grid.h, float(m * m), lambda_cut)
+        shortened += (b - a) < len(d)
+        full = eigh_tridiagonal(d, e, select="v", select_range=rng, eigvals_only=True, tol=1e-300)
+        cut = eigh_tridiagonal(
+            d[a:b], e[a : b - 1], select="v", select_range=rng, eigvals_only=True, tol=1e-300
+        )
+        assert len(cut) == len(full), m
+        if len(full):
+            rel = (cut - full) / np.abs(full)
+            assert np.max(np.abs(rel)) < 1e-13, m
+            # a Dirichlet restriction can only raise eigenvalues
+            assert np.min(rel) > -1e-13, m
+    assert shortened > top // 2
+
+
+def test_window_cuts_lie_beyond_the_agmon_margin(shipped_pair):
+    profile, _, grid, lambda_cut = shipped_pair
+    w = profile.weight(grid.nodes)
+    top = mode_cutoff(lambda_cut, float(np.max(w)))
+    cuts = 0
+    for m in range(top):
+        rows = w[assemble_mode_operator(profile, m, grid, weights=w).rows]
+        m2 = float(m * m)
+        a, b = agmon_window(rows, grid.h, m2, lambda_cut)
+        allowed = np.flatnonzero(lambda_cut * rows >= m2)
+        if allowed.size == 0:  # max w sits on a dropped Dirichlet endpoint
+            assert (a, b) == (0, len(rows))
+            continue
+        first, last = allowed[0], allowed[-1]
+        assert a <= first and last < b
+        rate = _rates(rows, grid.h, m2, lambda_cut)
+        # the distance of a row is the sum of rates over the rows strictly
+        # between it and the allowed set
+        if a > 0:
+            cuts += 1
+            assert math.fsum(rate[a:first]) >= AGMON_MARGIN * (1 - 1e-12), m
+            assert math.fsum(rate[a + 1 : first]) <= AGMON_MARGIN, m
+        if b < len(rows):
+            cuts += 1
+            assert math.fsum(rate[last + 1 : b]) >= AGMON_MARGIN * (1 - 1e-12), m
+            assert math.fsum(rate[last + 1 : b - 1]) <= AGMON_MARGIN, m
+    assert cuts > 0
+
+
+def test_mode_zero_witness_and_empty_modes_get_the_full_grid(shipped_pair, monkeypatch):
+    profile, _, grid, lambda_cut = shipped_pair
+    windows = {}
+    solve = discretize.solve_mode
+
+    def recording(op, cut, **kwargs):
+        windows[op.m] = (kwargs["window"], len(op.mass_diag))
+        return solve(op, cut, **kwargs)
+
+    monkeypatch.setattr(discretize, "solve_mode", recording)
+    system = solve_modes(profile, grid, lambda_cut)
+    window0, rows0 = windows[0]
+    assert window0 == (0, rows0)
+    assert windows[system.m_max][0] is None  # the witness
+    assert any(win[1] - win[0] < rows for win, rows in windows.values() if win is not None)
+    # above the Rayleigh cutoff the allowed set is empty
+    w = profile.weight(grid.nodes)
+    m2 = float(system.m_max**2)
+    assert agmon_window(w, grid.h, m2, lambda_cut) == (0, grid.n)
+
+
+def test_windowed_eigenvectors_are_mass_orthonormal_on_the_full_grid(small_pair):
+    profile, _ = small_pair
+    grid = make_grid(profile, 900)
+    system = solve_modes(profile, grid, 25.0, with_vectors=True)
+    w = profile.weight(grid.nodes)
+    shortened = 0
+    for m in range(system.m_max):
+        op = assemble_mode_operator(profile, m, grid)
+        a, b = agmon_window(w[op.rows], grid.h, float(m * m), 25.0)
+        shortened += (b - a) < len(op.mass_diag)
+        vecs = system.vectors[m]
+        assert vecs.shape == (grid.n, len(system.mode_eigenvalues[m]))
+        lo = op.rows.start
+        assert np.all(vecs[: lo + a] == 0.0) and np.all(vecs[lo + b :] == 0.0)
+        mass = np.zeros(grid.n)
+        mass[op.rows] = op.mass_diag
+        gram = vecs.T @ (mass[:, None] * vecs)
+        assert np.all(np.abs(gram - np.eye(vecs.shape[1])) < 1e-8), m
+    assert shortened > 0
+
+
+def test_exactness_invariants_hold_under_windows(configs_dir):
+    # Each surface's windows depend only on its own weight, so windows keep
+    # identical pairs identical and swapped pairs swapped.
+    cfg = ScenarioConfig.from_json(configs_dir / "point_sweep.json")
+    num = cfg.numerics
+    profile_a, profile_b = cfg.pair_at(0.0)
+    grid = make_grid(profile_a, num.n_nodes)
+    sys_a = solve_modes(profile_a, grid, num.lambda_cut)
+    sys_b = solve_modes(profile_b, grid, num.lambda_cut)
+
+    def det(x, y):
+        return relative_determinant(
+            x, y, times=num.time_grid(), k_max=num.fit_k_max, window=num.fit_window,
+            residual_threshold=num.fit_residual_threshold,
+        )
+
+    assert np.all(relative_trace_series(sys_a, sys_a, times=num.time_grid()).values == 0.0)
+    assert det(sys_a, sys_a).determinant == 1.0
+    ab, ba = det(sys_a, sys_b).log_determinant, det(sys_b, sys_a).log_determinant
+    assert ab != 0.0 and ab == -ba
+
+
+def test_assemble_accepts_presampled_weights():
+    prof = build_weight(funnel_cusp_spec(), truncation=small_truncation())
+    grid = make_grid(prof, 200)
+    w = prof.weight(grid.nodes)
+    sampled = assemble_mode_operator(prof, 3, grid)
+    given = assemble_mode_operator(prof, 3, grid, weights=w)
+    assert np.array_equal(sampled.mass_diag, given.mass_diag)
+    with pytest.raises(ValueError, match="positive"):
+        assemble_mode_operator(prof, 3, grid, weights=np.where(w > w[100], w, -1.0))
+    with pytest.raises(ValueError, match="grid nodes"):
+        assemble_mode_operator(prof, 3, grid, weights=w[1:])

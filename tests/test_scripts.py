@@ -27,3 +27,38 @@ def test_script_imports_without_running(path, monkeypatch):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     assert callable(module.main)
+
+
+def _load(name):
+    path = ROOT / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"_script_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_compare_outputs_reports_shifts_and_gates_on_the_budget(tmp_path, capsys):
+    compare = _load("compare_outputs")
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for root in (parent, change):
+        (root / "run").mkdir(parents=True)
+        (root / "run" / "same.csv").write_text("t,value\n0.1,2.0\n")
+    header = "# gap=0.5\nepsilon,log_det,budget_total\n"
+    (parent / "run" / "sweep.csv").write_text(header + "0.0,1.0,0.01\n0.1,2.0,0.001\n")
+    (change / "run" / "sweep.csv").write_text(header + "0.0,1.005,0.01\n0.1,2.0,0.001\n")
+
+    assert compare.main([str(parent), str(change)]) == 0
+    out = capsys.readouterr().out
+    assert "run/same.csv: identical" in out
+    assert "log_det" in out and "epsilon" not in out.split("run/sweep.csv:")[1]
+    assert "/ parent budget_total = 5.00e-01 (ok)" in out
+
+    # a shift that reaches the parent's budget fails
+    (change / "run" / "sweep.csv").write_text(header + "0.0,1.0,0.01\n0.1,2.002,0.001\n")
+    assert compare.main([str(parent), str(change)]) == 1
+    assert "2.00e+00 (FAIL)" in capsys.readouterr().out
+
+    # tables that cannot be lined up row by row fail too
+    (change / "run" / "sweep.csv").write_text(header + "0.0,1.0,0.01\n")
+    assert compare.main([str(parent), str(change)]) == 1
+    assert "cannot compare" in capsys.readouterr().out
