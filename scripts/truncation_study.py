@@ -5,67 +5,59 @@ Doubles the cusp truncation and deepens the funnel/cap truncations for the
 bump-vs-plain pair and reports how much the fitted heat invariants, the
 fundamental tone and the log-determinant move.  All movements should sit far
 below the tolerances used by the scenario checks; run this before trusting a
-new surface family.
+new surface family.  Every other numerics setting (time grid, fit) is the
+config's own.
 
 Usage::
 
-    python3 scripts/truncation_study.py [--n-nodes 4000] [--lambda-cut 400]
+    python3 scripts/truncation_study.py [--config FILE] [--n-nodes 4000] [--lambda-cut 400]
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import pathlib
 import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-import numpy as np
-
-from relspec import build_weight, fit_heat_invariants, make_grid, relative_trace_series, solve_modes, spectral_gap
-from relspec.cli import ScenarioConfig
+from relspec import build_weight, spectral_gap
+from relspec.cli import ScenarioConfig, solve_pair
 from relspec.geometry import Truncation
-from relspec.zeta import relative_zeta_prime_at_zero
 
 
-def pair_quantities(cfg: ScenarioConfig, tr: Truncation, n_nodes: int, lam_cut: float):
-    prof_a = build_weight(cfg.spec_a(), tr)
-    prof_b = build_weight(cfg.spec_b(), tr)
-    grid = make_grid(prof_a, n_nodes)
-    sys_a = solve_modes(prof_a, grid, lam_cut)
-    sys_b = solve_modes(prof_b, grid, lam_cut)
-    series = relative_trace_series(sys_a, sys_b, times=np.geomspace(0.02, 20.0, 60))
-    inv = fit_heat_invariants(series)
-    zeta = relative_zeta_prime_at_zero(series, inv)
+def pair_quantities(cfg: ScenarioConfig, tr: Truncation):
+    pair = (build_weight(cfg.spec_a(), tr), build_weight(cfg.spec_b(), tr))
+    sys_a, _, det = solve_pair(pair, cfg.numerics)
     return {
         "lambda1": spectral_gap(sys_a),
-        "a0": inv.coefficients[0],
-        "a1": inv.coefficients[1],
-        "log_det": -zeta.value,
+        "a0": det.invariants.coefficients[0],
+        "a1": det.invariants.coefficients[1],
+        "log_det": det.log_determinant,
     }
 
 
-def main() -> int:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--config", default="configs/point_sweep.json")
     ap.add_argument("--n-nodes", type=int, default=4000)
     ap.add_argument("--lambda-cut", type=float, default=400.0)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     cfg = ScenarioConfig.from_json(pathlib.Path(args.config))
-    base = cfg.numerics.truncation()
+    numerics = dataclasses.replace(cfg.numerics, n_nodes=args.n_nodes, lambda_cut=args.lambda_cut)
+    cfg = dataclasses.replace(cfg, numerics=numerics)
+    base = numerics.truncation()
     variants = {
         "baseline": base,
-        "cusp x2": Truncation(funnel_depth=base.funnel_depth, cusp_end=2.0 * base.cusp_end,
-                              cap_end=base.cap_end, boundary_depth=base.boundary_depth),
-        "cap +4": Truncation(funnel_depth=base.funnel_depth, cusp_end=base.cusp_end,
-                             cap_end=base.cap_end + 4.0, boundary_depth=base.boundary_depth),
-        "funnel deeper": Truncation(funnel_depth=base.funnel_depth + 0.5, cusp_end=base.cusp_end,
-                                    cap_end=base.cap_end, boundary_depth=base.boundary_depth),
+        "cusp x2": dataclasses.replace(base, cusp_end=2.0 * base.cusp_end),
+        "cap +4": dataclasses.replace(base, cap_end=base.cap_end + 4.0),
+        "funnel deeper": dataclasses.replace(base, funnel_depth=base.funnel_depth + 0.5),
     }
 
     rows = {}
     for name, tr in variants.items():
-        rows[name] = pair_quantities(cfg, tr, args.n_nodes, args.lambda_cut)
+        rows[name] = pair_quantities(cfg, tr)
         q = rows[name]
         print(f"{name:14s} lambda1={q['lambda1']:.10f} a0={q['a0']:+.8e} "
               f"a1={q['a1']:+.8e} log_det={q['log_det']:+.8e}")

@@ -18,6 +18,6 @@ from .spectral import TraceSeries, heat_trace, relative_trace_series, spectral_g
 from .zeta import (  # noqa: F401
     DeterminantResult,
     HeatInvariants,
+    determinant_from_series,
     fit_heat_invariants,
-    relative_determinant,
 )

@@ -37,6 +37,9 @@ from .geometry import (
 )
 from .oracle import low_eigenvalues_2d, make_grid_2d, mode_sum_reference
 from .spectral import (
+    DEFAULT_T_MAX,
+    DEFAULT_T_MIN,
+    DEFAULT_T_POINTS,
     default_time_grid,
     kernel_value,
     offdiag_l2_integral,
@@ -86,14 +89,9 @@ class NumericsConfig:
     cap_end: float = 14.0
     boundary_depth: float = 1.0
     cap_tip_radius: float = 0.01
-    # The time grid starts where single-trace cutoff noise is dead: each
-    # eigenvalue mis-sorted across lambda_cut contributes +-e^(-lambda t),
-    # which is 3e-4 at t = 0.02 but 2e-9 at t = 0.05.  Family comparisons
-    # (Dsup ladders) difference four truncated sums, so they need every
-    # grid point to be trustworthy on its own.
-    t_min: float = 0.05
-    t_max: float = 20.0
-    t_points: int = 112
+    t_min: float = DEFAULT_T_MIN
+    t_max: float = DEFAULT_T_MAX
+    t_points: int = DEFAULT_T_POINTS
     fit_k_max: int = 3
     fit_window_lo: float = 0.05
     fit_window_hi: float = 0.15
@@ -218,27 +216,28 @@ class ScenarioConfig:
             "there is no surgery parameter to sweep"
         )
 
-    def pair_at(self, epsilon: float) -> tuple[MetricProfile, MetricProfile]:
-        tr = self.numerics.truncation()
-        a = build_weight(self._with_surgery(self.spec_a(), epsilon), truncation=tr)
-        b = build_weight(self._with_surgery(self.spec_b(), epsilon), truncation=tr)
-        return a, b
+    def pair(
+        self, *, epsilon: float | None = None, constant: float | None = None
+    ) -> tuple[MetricProfile, MetricProfile]:
+        """The (A, B) profiles of the scenario.
 
-    def pair_plain(self) -> tuple[MetricProfile, MetricProfile]:
+        ``epsilon`` rewrites the surgery parameter and ``constant`` the
+        funnel's conformal constant, in both members.  The isospectral check
+        compares A against itself.
+        """
         tr = self.numerics.truncation()
-        return (
-            build_weight(self.spec_a(), truncation=tr),
-            build_weight(self.spec_b(), truncation=tr),
-        )
-
-    def pair_at_constant(self, c: float) -> tuple[MetricProfile, MetricProfile]:
-        tr = self.numerics.truncation()
+        spec_a = self.spec_a()
+        spec_b = spec_a if self.kind == "isospectral_check" else self.spec_b()
         out = []
-        for spec in (self.spec_a(), self.spec_b()):
-            if spec.left_end.kind != "funnel":
-                raise ConfigError("funnel_conformal_check needs funnel left ends")
-            left = dataclasses.replace(spec.left_end, funnel_constant=float(c))
-            out.append(build_weight(dataclasses.replace(spec, left_end=left), truncation=tr))
+        for spec in (spec_a, spec_b):
+            if epsilon is not None:
+                spec = self._with_surgery(spec, epsilon)
+            if constant is not None:
+                if spec.left_end.kind != "funnel":
+                    raise ConfigError("funnel_conformal_check needs funnel left ends")
+                left = dataclasses.replace(spec.left_end, funnel_constant=float(constant))
+                spec = dataclasses.replace(spec, left_end=left)
+            out.append(build_weight(spec, truncation=tr))
         return out[0], out[1]
 
 
@@ -330,24 +329,36 @@ def _prefix_grid(master: Grid, profile) -> Grid:
     )
 
 
-def _pair_quantities(profile_a, profile_b, cfg: NumericsConfig, times, master: Grid | None = None):
+def solve_pair(
+    pair: tuple[MetricProfile, MetricProfile],
+    numerics: NumericsConfig,
+    master: Grid | None = None,
+):
+    """Solve the pair (A, B) and compute its relative trace, heat-invariant
+    fit and relative determinant.
+
+    Both members are solved on the prefix of ``master`` that their chart
+    covers; a pair without a master is its own (an ``n_nodes`` grid on its
+    chart).  The trace is sampled on ``numerics.time_grid()`` and fitted
+    with the configured window, order and residual threshold.  Returns
+    (sys_a, series, det); the fit is ``det.invariants``.
+    """
+    profile_a, profile_b = pair
     if (profile_b.s_min, profile_b.s_max) != (profile_a.s_min, profile_a.s_max):
         raise ValueError("pair members live on different charts")
     if master is None:
-        grid = make_grid(profile_a, cfg.n_nodes)
-    else:
-        grid = _prefix_grid(master, profile_a)
-    sys_a = solve_modes(profile_a, grid, cfg.lambda_cut)
-    sys_b = solve_modes(profile_b, grid, cfg.lambda_cut)
-    series = relative_trace_series(sys_a, sys_b, times=times)
+        master = make_grid(profile_a, numerics.n_nodes)
+    grid = _prefix_grid(master, profile_a)
+    sys_a = solve_modes(profile_a, grid, numerics.lambda_cut)
+    sys_b = solve_modes(profile_b, grid, numerics.lambda_cut)
+    series = relative_trace_series(sys_a, sys_b, times=numerics.time_grid())
     inv = fit_heat_invariants(
         series,
-        cfg.fit_k_max,
-        window=cfg.fit_window,
-        residual_threshold=cfg.fit_residual_threshold,
+        numerics.fit_k_max,
+        window=numerics.fit_window,
+        residual_threshold=numerics.fit_residual_threshold,
     )
-    det = determinant_from_series(series, inv)
-    return sys_a, sys_b, series, inv, det
+    return sys_a, series, determinant_from_series(series, inv)
 
 
 def _budget_header(det) -> str:
@@ -440,32 +451,43 @@ def _run_validate(cfg: ScenarioConfig, out: Path, report: Report, stage):
     )
 
 
-def _sweep_row(eps, pa, sys_a, series, inv, det, base_sample, base_series):
+def _sweep_row(eps, sys_a, series, det, base_sample, base_series):
     """One sweep.csv row of a solved pair, against the epsilon = 0 baseline."""
     nodes, base_weight = base_sample
     return {
         "epsilon": float(eps),
         "lambda1": spectral_gap(sys_a),
-        "weight_ratio": float(np.max(pa.weight(nodes) / base_weight)),
+        "weight_ratio": float(np.max(sys_a.profile.weight(nodes) / base_weight)),
         "rel_area": series.rel_area,
-        "invariants": inv,
+        "invariants": det.invariants,
         "log_det": det.log_determinant,
         "det": det.determinant,
         "dsup": float(np.max(np.abs(series.values - base_series.values))),
-        "residual": inv.residual,
+        "residual": det.invariants.residual,
         "budget": det.error_budget,
     }
 
 
+def _check_dsup_non_increasing(report: Report, ladder) -> None:
+    """Dsup must not grow as the surgery shrinks; ``ladder`` holds
+    (epsilon, dsup) pairs in decreasing epsilon."""
+    worst = max((b[1] - a[1] for a, b in zip(ladder, ladder[1:])), default=0.0)
+    report.add(
+        "dsup_non_increasing",
+        worst <= 1e-4,
+        value=worst,
+        tolerance=1e-4,
+        detail=f"Dsup along eps = {[e for e, _ in ladder]} (positive = violation)",
+    )
+
+
 def _run_surgery_sweep(cfg: ScenarioConfig, out: Path, report: Report, stage):
     num = cfg.numerics
-    times = num.time_grid()
     stage("baseline pair (epsilon = 0)")
-    pa0, pb0 = cfg.pair_at(0.0)
-    master = make_grid(pa0, num.n_nodes)
-    sys_a0, _, series0, inv0, det0 = _pair_quantities(pa0, pb0, num, times, master)
+    sys_a0, series0, det0 = solve_pair(cfg.pair(epsilon=0.0), num)
+    inv0 = det0.invariants
     lambda1_0 = spectral_gap(sys_a0)
-    base_sample = pa0.sample(2048)
+    base_sample = sys_a0.profile.sample(2048)
     series0.to_csv(out / "trace_baseline.csv")
     report.artifacts.append("trace_baseline.csv")
 
@@ -473,13 +495,12 @@ def _run_surgery_sweep(cfg: ScenarioConfig, out: Path, report: Report, stage):
     rows = []
     for i, eps in enumerate(cfg.epsilons):
         if eps == 0.0:
-            pa, sys_a, series, inv, det = pa0, sys_a0, series0, inv0, det0
+            sys_a, series, det = sys_a0, series0, det0
         else:
-            pa, pb = cfg.pair_at(eps)
-            sys_a, _, series, inv, det = _pair_quantities(pa, pb, num, times, master)
+            sys_a, series, det = solve_pair(cfg.pair(epsilon=eps), num, sys_a0.grid)
             series.to_csv(out / f"trace_eps_{i:02d}.csv")
             report.artifacts.append(f"trace_eps_{i:02d}.csv")
-        rows.append(_sweep_row(eps, pa, sys_a, series, inv, det, base_sample, series0))
+        rows.append(_sweep_row(eps, sys_a, series, det, base_sample, series0))
 
     k_cols = len(inv0.coefficients)
     _write_csv(
@@ -549,24 +570,13 @@ def _run_surgery_sweep(cfg: ScenarioConfig, out: Path, report: Report, stage):
     cont = [r for r in rows if r["epsilon"] in CONTINUITY_EPSILONS]
     cont.sort(key=lambda r: -r["epsilon"])
     if len(cont) == len(CONTINUITY_EPSILONS):
-        diffs = [cont[i + 1]["dsup"] - cont[i]["dsup"] for i in range(len(cont) - 1)]
-        worst = max(diffs) if diffs else 0.0
-        report.add(
-            "dsup_non_increasing",
-            worst <= 1e-4,
-            value=worst,
-            tolerance=1e-4,
-            detail="Dsup(eps) along eps = 0.4, 0.2, 0.1, 0.05 (positive = violation)",
-        )
+        _check_dsup_non_increasing(report, [(r["epsilon"], r["dsup"]) for r in cont])
 
 
 def _run_isospectral(cfg: ScenarioConfig, out: Path, report: Report, stage):
-    num = cfg.numerics
     stage("identical pair")
-    tr = num.truncation()
-    pa = build_weight(cfg.spec_a(), truncation=tr)
-    pb = build_weight(cfg.spec_a(), truncation=tr)
-    sys_a, sys_b, series, inv, det = _pair_quantities(pa, pb, num, num.time_grid())
+    _, series, det = solve_pair(cfg.pair(), cfg.numerics)
+    inv = det.invariants
     series.to_csv(out / "trace.csv")
     report.artifacts.append("trace.csv")
     stage("exactness checks")
@@ -593,10 +603,8 @@ def _run_isospectral(cfg: ScenarioConfig, out: Path, report: Report, stage):
 
 
 def _run_decay(cfg: ScenarioConfig, out: Path, report: Report, stage):
-    num = cfg.numerics
     stage("pair spectra and trace")
-    pa, pb = cfg.pair_plain()
-    sys_a, sys_b, series, inv, det = _pair_quantities(pa, pb, num, num.time_grid())
+    _, series, _ = solve_pair(cfg.pair(), cfg.numerics)
     series.to_csv(out / "trace.csv")
     report.artifacts.append("trace.csv")
     stage("long-time decay bound")
@@ -633,49 +641,34 @@ def _run_decay(cfg: ScenarioConfig, out: Path, report: Report, stage):
 
 def _run_continuity(cfg: ScenarioConfig, out: Path, report: Report, stage):
     num = cfg.numerics
-    times = num.time_grid()
     stage("baseline pair (epsilon = 0)")
-    pa0, pb0 = cfg.pair_at(0.0)
-    master = make_grid(pa0, num.n_nodes)
-    _, _, series0, _, _ = _pair_quantities(pa0, pb0, num, times, master)
+    sys_a0, series0, _ = solve_pair(cfg.pair(epsilon=0.0), num)
     stage("continuity ladder")
     eps_ladder = [e for e in cfg.epsilons if e > 0.0] or list(CONTINUITY_EPSILONS)
     eps_ladder.sort(reverse=True)
     rows = []
     for eps in eps_ladder:
-        pa, pb = cfg.pair_at(eps)
-        _, _, series, _, _ = _pair_quantities(pa, pb, num, times, master)
+        _, series, _ = solve_pair(cfg.pair(epsilon=eps), num, sys_a0.grid)
         rows.append((float(eps), float(np.max(np.abs(series.values - series0.values)))))
     _write_csv(out / "continuity.csv", "epsilon,dsup", rows)
     report.artifacts.append("continuity.csv")
     stage("monotonicity check")
-    diffs = [rows[i + 1][1] - rows[i][1] for i in range(len(rows) - 1)]
-    worst = max(diffs) if diffs else 0.0
-    report.add(
-        "dsup_non_increasing",
-        worst <= 1e-4,
-        value=worst,
-        tolerance=1e-4,
-        detail=f"Dsup along eps = {eps_ladder} (positive = violation)",
-    )
+    _check_dsup_non_increasing(report, rows)
 
 
 def _run_funnel_conformal(cfg: ScenarioConfig, out: Path, report: Report, stage):
-    num = cfg.numerics
-    times = num.time_grid()
     rows = []
     base_logdet = None
     for c in cfg.conformal_constants:
         stage(f"conformal constant c = {c}")
-        pa, pb = cfg.pair_at_constant(c)
-        _, _, series, inv, det = _pair_quantities(pa, pb, num, times)
+        _, _, det = solve_pair(cfg.pair(constant=c), cfg.numerics)
         if base_logdet is None:
             base_logdet = det.log_determinant
         rows.append(
             (
                 float(c),
-                float(inv.coefficients[0]),
-                float(inv.coefficients[1]),
+                float(det.invariants.coefficients[0]),
+                float(det.invariants.coefficients[1]),
                 det.log_determinant,
                 det.determinant,
                 *det.error_budget.values(),

@@ -10,7 +10,8 @@ a generalized symmetric tridiagonal pencil once discretized on a uniform grid
 against mass w_i, half cells at retained Neumann/cap endpoints).  Eigenvalues
 up to a cutoff are computed mode by mode with LAPACK bisection + inverse
 iteration after a diagonal congruence, and modes are enumerated up to the
-provable Rayleigh cutoff m^2 > lambda_cut * max(w).
+provable Rayleigh cutoff m^2 > lambda_cut * max(w), the maximum taken over
+the rows that the modes m >= 1 solve.
 
 ``solve_modes`` solves each mode on an Agmon window of the grid.  Every
 eigenfunction of mode m with lambda <= lambda_cut decays where
@@ -280,8 +281,10 @@ class Eigensystem:
     """Eigenvalues (<= lambda_cut) of all angular modes of one surface.
 
     mode_eigenvalues[m] holds the ascending eigenvalues of mode m; angular
-    multiplicity is 1 for m = 0 and 2 for m >= 1.  ``vectors`` (optional)
-    holds mass-orthonormal eigenfunctions on the full grid.
+    multiplicity is 1 for m = 0 and 2 for m >= 1.  ``max_weight`` is the
+    largest weight on the rows of the modes m >= 1, which sets the mode
+    cutoff.  ``vectors`` (optional) holds mass-orthonormal eigenfunctions on
+    the full grid.
     """
 
     profile: MetricProfile
@@ -305,12 +308,6 @@ class Eigensystem:
         if not parts:
             return np.empty(0)
         return np.sort(np.concatenate(parts), kind="stable")
-
-    @property
-    def count(self) -> int:
-        return sum(
-            self.multiplicity(m) * len(v) for m, v in self.mode_eigenvalues.items()
-        )
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="\n") as fh:
@@ -341,17 +338,23 @@ def solve_modes(
     if lambda_cut <= 0:
         raise ValueError("lambda_cut must be positive")
     w = profile.weight(grid.nodes)
-    max_weight = float(np.max(w))
     # Resolution capacity: the largest wavenumber admitted by the cutoff,
     # k = sqrt(lambda_cut * max w), needs a few nodes per wavelength or the
     # top of the requested window is pure discretization noise.
-    if math.sqrt(lambda_cut * max_weight) * grid.h > 0.8 * math.pi:
+    capacity = math.sqrt(lambda_cut * float(np.max(w))) * grid.h
+    if capacity > 0.8 * math.pi:
         raise ValueError(
             "lambda_cut exceeds grid resolution capacity: "
-            f"sqrt(lambda_cut * max_w) * h = {math.sqrt(lambda_cut * max_weight) * grid.h:.3f} "
+            f"sqrt(lambda_cut * max_w) * h = {capacity:.3f} "
             "> 0.8*pi (fewer than 2.5 nodes per wavelength at the cutoff); "
             "refine the grid or lower lambda_cut"
         )
+    # Every mode m >= 1 solves the rows of mode 1 (a cap end is Dirichlet for
+    # all of them), so the Rayleigh bound needs the weight on those rows only.
+    rows = _active_rows(
+        grid.n, *(_resolve_bc(bc, 1) == "neumann" for bc in (grid.bc_left, grid.bc_right))
+    )
+    max_weight = float(np.max(w[rows]))
     cutoff = mode_cutoff(lambda_cut, max_weight)
     top = cutoff if m_max is None else max(m_max, cutoff)
 

@@ -44,19 +44,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretize import Eigensystem
-from .spectral import TraceSeries, relative_trace_series
+from .spectral import TraceSeries
 
 __all__ = [
     "HeatInvariants",
     "FitResidualError",
-    "ZetaPrimeResult",
     "DeterminantResult",
     "fit_heat_invariants",
     "taylor_invariants",
-    "relative_zeta_prime_at_zero",
     "determinant_from_series",
-    "relative_determinant",
 ]
 
 EULER_GAMMA = float(np.euler_gamma)
@@ -183,30 +179,42 @@ def taylor_invariants(lam_a, lam_b, k_max: int = 5) -> HeatInvariants:
 
 
 @dataclass(frozen=True)
-class ZetaPrimeResult:
-    """zeta'(0) of a relative pair with its additive pieces and error budget.
+class DeterminantResult:
+    """Relative zeta-determinant det = exp(-zeta'(0)) of a pair (A, B).
 
-    pieces: singular_part (the a_k tau-powers), small_time_integral
-    (S(t_floor) - S(tau) minus the model integral on [t_floor, tau]),
-    large_time_integral (S(tau), exact over the kept spectra) and
-    euler_gamma_term (gamma a_1).  error_budget: small_time_truncation (the
-    model term dropped below t_floor), fit_sensitivity (the fit residual
-    times the 1/t_floor sensitivity), cutoff_leak (the trapezoid integral of
-    the recorded tail bounds over dt/t) and their total.
+    For finite spectra det = prod(lam_a) / prod(lam_b); identical spectra
+    give exactly 1.0.  pieces: singular_part (the a_k tau-powers),
+    small_time_integral (S(t_floor) - S(tau) minus the model integral on
+    [t_floor, tau]), large_time_integral (S(tau), exact over the kept
+    spectra) and euler_gamma_term (gamma a_1).  error_budget:
+    small_time_truncation (the model term dropped below t_floor),
+    fit_sensitivity (the fit residual times the 1/t_floor sensitivity),
+    cutoff_leak (the trapezoid integral of the recorded tail bounds over
+    dt/t) and their total.
     """
 
-    value: float
+    zeta_prime_zero: float
     pieces: dict
     error_budget: dict
     invariants: HeatInvariants
     t_floor: float
+    pair_id: str
+
+    @property
+    def log_determinant(self) -> float:
+        return -self.zeta_prime_zero
+
+    @property
+    def determinant(self) -> float:
+        return math.exp(-self.zeta_prime_zero)
 
 
-def relative_zeta_prime_at_zero(
+def determinant_from_series(
     series: TraceSeries,
     invariants: HeatInvariants | None = None,
-) -> ZetaPrimeResult:
-    """Evaluate zeta'(0) by the split-Mellin closed form (module docstring).
+) -> DeterminantResult:
+    """zeta'(0) and the relative determinant by the split-Mellin closed form
+    (module docstring); ``invariants`` defaults to the default fit.
 
     pre: the series carries its paired spectrum; at least two invariant
     orders beyond the Weyl term (k_max >= 2); the recorded cutoff tail bound
@@ -270,8 +278,8 @@ def relative_zeta_prime_at_zero(
         "cutoff_leak": cutoff_leak,
     }
     budget["total"] = sum(budget.values())
-    return ZetaPrimeResult(
-        value=value,
+    return DeterminantResult(
+        zeta_prime_zero=value,
         pieces={
             "singular_part": singular,
             "small_time_integral": small_int,
@@ -281,55 +289,5 @@ def relative_zeta_prime_at_zero(
         error_budget=budget,
         invariants=inv,
         t_floor=t_floor,
-    )
-
-
-@dataclass(frozen=True)
-class DeterminantResult:
-    """Relative zeta-determinant det = exp(-zeta'(0)) of a pair (A, B).
-
-    For finite spectra this is prod(lam_a) / prod(lam_b); identical spectra
-    give exactly 1.0.  log_determinant = -zeta'(0).
-    """
-
-    determinant: float
-    log_determinant: float
-    zeta_prime_zero: float
-    pieces: dict
-    error_budget: dict
-    invariants: HeatInvariants
-    pair_id: str
-
-
-def determinant_from_series(
-    series: TraceSeries,
-    invariants: HeatInvariants | None = None,
-) -> DeterminantResult:
-    """Relative determinant from an evaluable trace series."""
-    z = relative_zeta_prime_at_zero(series, invariants)
-    return DeterminantResult(
-        determinant=math.exp(-z.value),
-        log_determinant=-z.value,
-        zeta_prime_zero=z.value,
-        pieces=z.pieces,
-        error_budget=z.error_budget,
-        invariants=z.invariants,
         pair_id=series.pair_id,
     )
-
-
-def relative_determinant(
-    sys_a: Eigensystem,
-    sys_b: Eigensystem,
-    *,
-    times=None,
-    k_max: int = 3,
-    window: tuple[float, float] = DEFAULT_FIT_WINDOW,
-    residual_threshold: float = 1e-4,
-) -> DeterminantResult:
-    """Trace series + invariant fit + zeta'(0) for two solved surfaces."""
-    series = relative_trace_series(sys_a, sys_b, times=times)
-    inv = fit_heat_invariants(
-        series, k_max, window=window, residual_threshold=residual_threshold
-    )
-    return determinant_from_series(series, inv)

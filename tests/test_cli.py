@@ -138,10 +138,10 @@ def test_surgery_rewrite_requires_a_surgery_end():
         }
     )
     with pytest.raises(ConfigError, match="surgery"):
-        cfg.pair_at(0.1)
+        cfg.pair(epsilon=0.1)
 
 
-def test_pair_at_rewrites_both_members():
+def test_pair_rewrites_both_members():
     cfg = ScenarioConfig.from_dict(
         {
             "kind": "surgery_sweep",
@@ -150,7 +150,7 @@ def test_pair_at_rewrites_both_members():
             "numerics": dict(MINI_NUMERICS),
         }
     )
-    pa, pb = cfg.pair_at(0.2)
+    pa, pb = cfg.pair(epsilon=0.2)
     assert pa.spec.right_end.cap_epsilon == 0.2
     assert pb.spec.right_end.cap_epsilon == 0.2
     assert (pa.s_min, pa.s_max) == (pb.s_min, pb.s_max)

@@ -8,7 +8,7 @@ import pytest
 from scipy.linalg import eigh, eigh_tridiagonal
 
 from relspec import discretize
-from relspec.cli import ScenarioConfig
+from relspec.cli import ScenarioConfig, solve_pair
 from relspec.discretize import (
     AGMON_MARGIN,
     KERNEL_FLOOR,
@@ -21,8 +21,7 @@ from relspec.discretize import (
     solve_modes,
 )
 from relspec.geometry import build_weight, flat_cylinder
-from relspec.spectral import relative_trace_series, spectral_gap
-from relspec.zeta import relative_determinant
+from relspec.spectral import spectral_gap
 
 from conftest import funnel_cusp_spec, small_truncation
 
@@ -248,7 +247,7 @@ def shipped_pair(request, configs_dir):
     """The eps = 0 pair of a shipped sweep (funnel + filled cap, or Dirichlet
     boundary + cusp) on its N = 4000 grid at lambda_cut = 400."""
     cfg = ScenarioConfig.from_json(configs_dir / request.param)
-    profile_a, profile_b = cfg.pair_at(0.0)
+    profile_a, profile_b = cfg.pair(epsilon=0.0)
     grid = make_grid(profile_a, cfg.numerics.n_nodes)
     return profile_a, profile_b, grid, cfg.numerics.lambda_cut
 
@@ -328,10 +327,27 @@ def test_mode_zero_witness_and_empty_modes_get_the_full_grid(shipped_pair, monke
     assert window0 == (0, rows0)
     assert windows[system.m_max][0] is None  # the witness
     assert any(win[1] - win[0] < rows for win, rows in windows.values() if win is not None)
-    # above the Rayleigh cutoff the allowed set is empty
+    # above the Rayleigh cutoff the allowed set on the solved rows is empty
     w = profile.weight(grid.nodes)
+    rows = w[assemble_mode_operator(profile, system.m_max, grid, weights=w).rows]
     m2 = float(system.m_max**2)
-    assert agmon_window(w, grid.h, m2, lambda_cut) == (0, grid.n)
+    assert agmon_window(rows, grid.h, m2, lambda_cut) == (0, len(rows))
+
+
+def test_witness_is_the_rayleigh_bound_over_the_solved_rows(shipped_pair):
+    # Modes m >= 1 drop the Dirichlet endpoints, so the weight there does
+    # not enter the cutoff; every mode it no longer enumerates was empty.
+    profile, _, grid, lambda_cut = shipped_pair
+    w = profile.weight(grid.nodes)
+    rows = w[assemble_mode_operator(profile, 1, grid, weights=w).rows]
+    full_top = mode_cutoff(lambda_cut, float(np.max(w)))
+    system = solve_modes(profile, grid, lambda_cut)
+    assert system.m_max == mode_cutoff(lambda_cut, float(np.max(rows))) < full_top
+    assert len(system.mode_eigenvalues[system.m_max]) == 0
+    full = solve_modes(profile, grid, lambda_cut, m_max=full_top)
+    for m in range(system.m_max):
+        assert np.array_equal(system.mode_eigenvalues[m], full.mode_eigenvalues[m]), m
+    assert all(len(full.mode_eigenvalues[m]) == 0 for m in range(system.m_max, full_top + 1))
 
 
 def test_windowed_eigenvectors_are_mass_orthonormal_on_the_full_grid(small_pair):
@@ -360,20 +376,13 @@ def test_exactness_invariants_hold_under_windows(configs_dir):
     # identical pairs identical and swapped pairs swapped.
     cfg = ScenarioConfig.from_json(configs_dir / "point_sweep.json")
     num = cfg.numerics
-    profile_a, profile_b = cfg.pair_at(0.0)
-    grid = make_grid(profile_a, num.n_nodes)
-    sys_a = solve_modes(profile_a, grid, num.lambda_cut)
-    sys_b = solve_modes(profile_b, grid, num.lambda_cut)
+    profile_a, profile_b = cfg.pair(epsilon=0.0)
 
-    def det(x, y):
-        return relative_determinant(
-            x, y, times=num.time_grid(), k_max=num.fit_k_max, window=num.fit_window,
-            residual_threshold=num.fit_residual_threshold,
-        )
-
-    assert np.all(relative_trace_series(sys_a, sys_a, times=num.time_grid()).values == 0.0)
-    assert det(sys_a, sys_a).determinant == 1.0
-    ab, ba = det(sys_a, sys_b).log_determinant, det(sys_b, sys_a).log_determinant
+    _, same, det_aa = solve_pair((profile_a, profile_a), num)
+    assert np.all(same.values == 0.0)
+    assert det_aa.determinant == 1.0
+    ab = solve_pair((profile_a, profile_b), num)[2].log_determinant
+    ba = solve_pair((profile_b, profile_a), num)[2].log_determinant
     assert ab != 0.0 and ab == -ba
 
 

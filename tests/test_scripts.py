@@ -62,3 +62,11 @@ def test_compare_outputs_reports_shifts_and_gates_on_the_budget(tmp_path, capsys
     (change / "run" / "sweep.csv").write_text(header + "0.0,1.0,0.01\n")
     assert compare.main([str(parent), str(change)]) == 1
     assert "cannot compare" in capsys.readouterr().out
+
+
+def test_truncation_study_runs_on_a_shipped_config(capsys):
+    study = _load("truncation_study")
+    assert study.main(["--config", str(ROOT / "configs" / "point_sweep.json")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    for variant in ("baseline", "cusp x2", "cap +4", "funnel deeper"):
+        assert any(line.startswith(variant) and "log_det=" in line for line in lines), variant

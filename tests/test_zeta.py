@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from relspec.cli import ScenarioConfig, solve_pair
 from relspec.discretize import make_grid, solve_modes
 from relspec.geometry import BumpSpec, Truncation, build_weight
 from relspec.spectral import PairedSpectrum, TraceSeries, relative_trace_series
@@ -14,8 +15,6 @@ from relspec.zeta import (
     FitResidualError,
     determinant_from_series,
     fit_heat_invariants,
-    relative_determinant,
-    relative_zeta_prime_at_zero,
     taylor_invariants,
 )
 
@@ -158,9 +157,8 @@ def test_taylor_invariants_power_sums():
 def test_two_level_determinant_closed_form():
     series = TraceSeries.from_finite_spectra([2.0], [3.0])
     inv = taylor_invariants([2.0], [3.0], k_max=6)
-    z = relative_zeta_prime_at_zero(series, inv)
-    assert z.value == pytest.approx(math.log(1.5), rel=1e-8)
     det = determinant_from_series(series, inv)
+    assert det.zeta_prime_zero == pytest.approx(math.log(1.5), rel=1e-8)
     assert det.determinant == pytest.approx(2.0 / 3.0, rel=1e-8)
     assert det.log_determinant == -det.zeta_prime_zero
 
@@ -184,9 +182,9 @@ def test_zeta_prime_split_independence():
     la, lb = [1.5, 2.5, 4.0], [1.0, 3.0, 5.5]
     series = TraceSeries.from_finite_spectra(la, lb)
     inv = taylor_invariants(la, lb, k_max=6)
-    z = relative_zeta_prime_at_zero(series, inv)
+    z = determinant_from_series(series, inv)
     exact = math.log(np.prod(lb) / np.prod(la))
-    assert z.value == pytest.approx(exact, rel=1e-7)
+    assert z.zeta_prime_zero == pytest.approx(exact, rel=1e-7)
 
 
 def test_identical_finite_spectra_give_exact_unit_determinant():
@@ -203,39 +201,39 @@ def test_zeta_preconditions():
     inv = taylor_invariants(la, lb, k_max=6)
     # too few invariant orders
     with pytest.raises(ValueError, match="k = 2"):
-        relative_zeta_prime_at_zero(series, taylor_invariants(la, lb, k_max=1))
+        determinant_from_series(series, taylor_invariants(la, lb, k_max=1))
     # no evaluator (hand-built series)
     dead = synthetic_series(lambda t: 2.0 / t)
     with pytest.raises(ValueError, match="evaluator"):
-        relative_zeta_prime_at_zero(dead, inv)
+        determinant_from_series(dead, inv)
     # a kernel eigenvalue without a bitwise-equal partner: E1 diverges at 0
     kernel = paired_series([0.0, 2.0], [2.5, 3.0])
     with pytest.raises(ValueError, match=r"mode 0: eigenvalue 0\.0"):
-        relative_zeta_prime_at_zero(kernel, taylor_invariants([0.0, 2.0], [2.5, 3.0], 6))
+        determinant_from_series(kernel, taylor_invariants([0.0, 2.0], [2.5, 3.0], 6))
     # a negative round-off eigenvalue left unpaired in the longer list
     roundoff = paired_series([-1e-14, 2.0], [2.0])
     with pytest.raises(ValueError, match="mode 0: eigenvalue -1e-14"):
-        relative_zeta_prime_at_zero(roundoff, taylor_invariants([-1e-14, 2.0], [2.0], 6))
+        determinant_from_series(roundoff, taylor_invariants([-1e-14, 2.0], [2.0], 6))
     # untrusted large-time data
     polluted = TraceSeries.from_finite_spectra(la, lb)
     polluted.tail_bounds = np.full_like(polluted.times, 1.0)
     with pytest.raises(ValueError, match="tail bound"):
-        relative_zeta_prime_at_zero(polluted, inv)
+        determinant_from_series(polluted, inv)
     # trust threshold reaching the split point
     late = TraceSeries.from_finite_spectra(la, lb)
     late.t_trust_min = 2.0
     with pytest.raises(ValueError, match="trust threshold"):
-        relative_zeta_prime_at_zero(late, inv)
+        determinant_from_series(late, inv)
 
 
 def test_equal_kernel_pairs_cancel_exactly():
     # bitwise-equal kernel eigenvalues are skipped, not fed to E1(0) = inf
     same = paired_series([0.0, 2.0], [0.0, 2.0])
-    z = relative_zeta_prime_at_zero(same, taylor_invariants([0.0, 2.0], [0.0, 2.0], 6))
-    assert z.value == 0.0
+    z = determinant_from_series(same, taylor_invariants([0.0, 2.0], [0.0, 2.0], 6))
+    assert z.zeta_prime_zero == 0.0
     shifted = paired_series([0.0, 2.0], [0.0, 3.0])
-    z = relative_zeta_prime_at_zero(shifted, taylor_invariants([0.0, 2.0], [0.0, 3.0], 6))
-    assert z.value == pytest.approx(math.log(1.5), abs=1e-12)
+    z = determinant_from_series(shifted, taylor_invariants([0.0, 2.0], [0.0, 3.0], 6))
+    assert z.zeta_prime_zero == pytest.approx(math.log(1.5), abs=1e-12)
 
 
 def test_three_level_log_determinant_to_round_off():
@@ -251,14 +249,14 @@ def test_swap_negates_zeta_prime_bitwise_finite():
     for n_a, n_b in ((8, 8), (8, 5), (3, 6)):
         la = 1.0 + 4.0 * rng.random(n_a)
         lb = 1.0 + 4.0 * rng.random(n_b)
-        ab = relative_zeta_prime_at_zero(
+        ab = determinant_from_series(
             TraceSeries.from_finite_spectra(la, lb), taylor_invariants(la, lb, 6)
         )
-        ba = relative_zeta_prime_at_zero(
+        ba = determinant_from_series(
             TraceSeries.from_finite_spectra(lb, la), taylor_invariants(lb, la, 6)
         )
-        assert ab.value == -ba.value
-        assert ab.value != 0.0
+        assert ab.zeta_prime_zero == -ba.zeta_prime_zero
+        assert ab.zeta_prime_zero != 0.0
 
 
 def test_swap_negates_zeta_prime_bitwise_surface(surface_series):
@@ -279,7 +277,19 @@ def test_relative_determinant_guards_low_cutoffs(small_systems):
     # holds too few of the default samples or the tail bounds pollute it.
     sys_a, sys_b = small_systems
     with pytest.raises(ValueError, match="window"):
-        relative_determinant(sys_a, sys_b)
+        determinant_from_series(relative_trace_series(sys_a, sys_b))
+
+
+def test_default_path_is_the_scenario_pipeline(configs_dir):
+    # The library's default time grid and fit are the scenario's, so a
+    # full-resolution pair needs no arguments to reach its determinant.
+    cfg = ScenarioConfig.from_json(configs_dir / "decay.json")
+    pair = cfg.pair()
+    sys_a, series, det = solve_pair(pair, cfg.numerics)
+    sys_b = solve_modes(pair[1], sys_a.grid, cfg.numerics.lambda_cut)
+    default = determinant_from_series(relative_trace_series(sys_a, sys_b))
+    assert np.array_equal(default.invariants.coefficients, det.invariants.coefficients)
+    assert default.log_determinant == det.log_determinant
 
 
 def test_default_window_is_the_documented_one():
