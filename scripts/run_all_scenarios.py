@@ -20,13 +20,13 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 from relspec.cli import ScenarioConfig, run_scenario
 
 
-def main() -> int:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--configs", default="configs", help="directory of scenario JSON files")
     ap.add_argument("--out", default="out", help="output root for scenario artifacts")
     ap.add_argument("--skip", nargs="*", default=[],
                     help="scenario labels to skip")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     cfg_dir = pathlib.Path(args.configs)
     paths = sorted(cfg_dir.glob("*.json"))

@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Check that truncation choices do not pollute the reported quantities.
 
-Doubles the cusp truncation and deepens the funnel/cap truncations for the
-bump-vs-plain pair and reports how much the fitted heat invariants, the
-fundamental tone and the log-determinant move.  All movements should sit far
+Moves each truncation that the pair's surfaces have (a funnel end goes
+deeper, a filled-cap chart grows by 4, a cusp end doubles) and reports how
+much the fitted heat invariants, the fundamental tone and the
+log-determinant of the bump-vs-plain pair move.  All movements should sit far
 below the tolerances used by the scenario checks; run this before trusting a
 new surface family.  Every other numerics setting (time grid, fit) is the
 config's own.
@@ -48,12 +49,16 @@ def main(argv=None) -> int:
     numerics = dataclasses.replace(cfg.numerics, n_nodes=args.n_nodes, lambda_cut=args.lambda_cut)
     cfg = dataclasses.replace(cfg, numerics=numerics)
     base = numerics.truncation()
-    variants = {
-        "baseline": base,
-        "cusp x2": dataclasses.replace(base, cusp_end=2.0 * base.cusp_end),
-        "cap +4": dataclasses.replace(base, cap_end=base.cap_end + 4.0),
-        "funnel deeper": dataclasses.replace(base, funnel_depth=base.funnel_depth + 0.5),
-    }
+    # A truncation that no end of the pair reads would only repeat the baseline.
+    specs = (cfg.spec_a(), cfg.spec_b())
+    kinds = {end.kind for spec in specs for end in (spec.left_end, spec.right_end)}
+    variants = {"baseline": base}
+    if "funnel" in kinds:
+        variants["funnel deeper"] = dataclasses.replace(base, funnel_depth=base.funnel_depth + 0.5)
+    if "filled_cap" in kinds:
+        variants["cap +4"] = dataclasses.replace(base, cap_end=base.cap_end + 4.0)
+    if "cusp" in kinds:
+        variants["cusp x2"] = dataclasses.replace(base, cusp_end=2.0 * base.cusp_end)
 
     rows = {}
     for name, tr in variants.items():

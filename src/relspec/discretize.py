@@ -27,15 +27,27 @@ sum of kappa over the nodes in between) from the allowed set
 rows, which moves the kept eigenvalues by about e^{-2 AGMON_MARGIN}
 relative, far below round-off.  A window that reaches a grid end keeps that
 end's own row (a half-cell Neumann row where the end is Neumann).
+
+The eigensolves call LAPACK ``dstebz`` (bisection) and ``dstein`` (inverse
+iteration) through the function pointers that ``scipy.linalg.cython_lapack``
+exports, wrapped in ``ctypes.CFUNCTYPE``.  The routines and arguments are
+those of ``scipy.linalg.eigh_tridiagonal(select="v")``, so the results are
+bitwise the same, but the GIL is released while LAPACK runs.  That lets
+``solve_modes`` split one surface's modes across ``worker_count()`` threads
+(thread i takes the modes m = i mod the thread count) and merge them in m
+order; every mode's result is independent of the split.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import LinAlgError, cython_lapack
 
 from .geometry import MetricProfile
 
@@ -140,10 +152,15 @@ class ModeOperator:
         """The grid nodes carried as rows (Dirichlet endpoints dropped)."""
         return _active_rows(self.grid.n, self.left_active, self.right_active)
 
-    def symmetrized(self) -> tuple[np.ndarray, np.ndarray]:
-        """Diagonal congruence to an ordinary symmetric tridiagonal problem."""
-        d = self.stiff_diag / self.mass_diag
-        e = self.stiff_off / np.sqrt(self.mass_diag[:-1] * self.mass_diag[1:])
+    def symmetrized(
+        self, window: tuple[int, int] | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Diagonal congruence to an ordinary symmetric tridiagonal problem,
+        on rows [a, b) of ``window`` (every row by default)."""
+        a, b = (0, len(self.mass_diag)) if window is None else window
+        mass = self.mass_diag[a:b]
+        d = self.stiff_diag[a:b] / mass
+        e = self.stiff_off[a : b - 1] / np.sqrt(mass[:-1] * mass[1:])
         return d, e
 
 
@@ -227,6 +244,84 @@ def agmon_window(
     return a, min(b, n)
 
 
+def _lapack_routine(name: str, n_args: int):
+    """scipy's LAPACK routine ``name`` as a ctypes function.
+
+    ``scipy.linalg.cython_lapack`` exports each routine as a capsule named
+    after its C signature, in which every argument is a pointer (LP64
+    ``int``, ``double`` or ``char``).  A ``CFUNCTYPE`` call releases the GIL
+    while LAPACK runs, which the f2py wrappers behind ``scipy.linalg`` do not.
+    """
+    api = ctypes.pythonapi
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", api)
+    )
+    capsule = cython_lapack.__pyx_capi__[name]
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * n_args)(
+        get_pointer(capsule, get_name(capsule))
+    )
+
+
+_DSTEBZ = _lapack_routine("dstebz", 18)
+_DSTEIN = _lapack_routine("dstein", 13)
+
+
+def _eigh_tridiagonal(
+    d: np.ndarray, e: np.ndarray, lo: float, hi: float, with_vectors: bool
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Eigenvalues in (lo, hi] of the symmetric tridiagonal matrix with
+    diagonal ``d`` and off-diagonal ``e``, ascending, and (``with_vectors``)
+    orthonormal eigenvectors as columns.
+
+    The LAPACK calls and arguments of scipy's
+    ``eigh_tridiagonal(d, e, select="v", select_range=(lo, hi))``, so the
+    results are bitwise equal: ``dstebz`` bisection with RANGE='V' and
+    ABSTOL=0 (eps * ||T||_1), ORDER='E' for values only; ORDER='B', then
+    ``dstein`` inverse iteration and a reorder to ascending values for
+    vectors.  Every buffer LAPACK sees is held by a local name until it
+    returns.
+    """
+    d = np.ascontiguousarray(np.asarray_chkfinite(d), dtype=np.float64)
+    e = np.ascontiguousarray(np.asarray_chkfinite(e), dtype=np.float64)
+    if d.ndim != 1 or e.shape != (d.size - 1,):
+        raise ValueError("d must be 1-D and e one element shorter")
+    n = d.size
+    if n == 1:
+        if lo < d[0] <= hi:
+            return np.array([d[0]]), (np.array([[1.0]]) if with_vectors else None)
+        return np.array([]), (np.empty((1, 0)) if with_vectors else None)
+    c_int, c_double, ref = ctypes.c_int, ctypes.c_double, ctypes.byref
+    n_rows, il, iu, found, n_split, info = c_int(n), c_int(1), c_int(1), c_int(), c_int(), c_int()
+    vl, vu, abstol = c_double(lo), c_double(hi), c_double(0.0)
+    w = np.empty(n)
+    iblock = np.empty(n, dtype=np.intc)
+    isplit = np.empty(n, dtype=np.intc)
+    work = np.empty(5 * n)  # dstebz needs 4n, dstein 5n
+    iwork = np.empty(3 * n, dtype=np.intc)  # dstebz needs 3n, dstein n
+    _DSTEBZ(
+        b"V", b"B" if with_vectors else b"E", ref(n_rows), ref(vl), ref(vu), ref(il), ref(iu),
+        ref(abstol), d.ctypes.data, e.ctypes.data, ref(found), ref(n_split), w.ctypes.data,
+        iblock.ctypes.data, isplit.ctypes.data, work.ctypes.data, iwork.ctypes.data, ref(info),
+    )
+    if info.value != 0:
+        raise LinAlgError(f"dstebz failed (LAPACK info={info.value})")
+    vals = w[: found.value]
+    if not with_vectors:
+        return vals, None
+    z = np.empty((n, found.value), order="F")
+    ifail = np.empty(found.value, dtype=np.intc)
+    _DSTEIN(
+        ref(n_rows), d.ctypes.data, e.ctypes.data, ref(found), vals.ctypes.data,
+        iblock.ctypes.data, isplit.ctypes.data, z.ctypes.data, ref(n_rows), work.ctypes.data,
+        iwork.ctypes.data, ifail.ctypes.data, ref(info),
+    )
+    if info.value != 0:
+        raise LinAlgError(f"dstein: {info.value} eigenvectors failed to converge")
+    order = np.argsort(vals)
+    return vals[order], z[:, order]
+
+
 def solve_mode(
     op: ModeOperator,
     lambda_cut: float,
@@ -239,28 +334,23 @@ def solve_mode(
     ``window`` = (a, b) restricts the solve to active rows [a, b) with
     Dirichlet cuts where it stops short of the grid ends (``solve_modes``
     passes an ``agmon_window``); by default every active row is solved.
+    Only the window's rows are symmetrized.
 
     Eigenvectors (when requested) are returned on the full grid (zeros at
     dropped Dirichlet endpoints and outside the window) and are
     mass-orthonormal: u_i^T M u_j = delta_ij, which the diagonal congruence
     gives for free from LAPACK's orthonormal vectors.
     """
-    d, e = op.symmetrized()
-    a, b = (0, len(d)) if window is None else window
-    d, e = d[a:b], e[a : b - 1]
-    if with_vectors:
-        vals, vecs = eigh_tridiagonal(
-            d, e, select="v", select_range=(KERNEL_FLOOR, lambda_cut)
-        )
-        u = vecs / np.sqrt(op.mass_diag[a:b])[:, None]
-        full = np.zeros((op.grid.n, u.shape[1]))
-        lo = op.rows.start + a
-        full[lo : lo + u.shape[0], :] = u
-        return vals, full
-    vals = eigh_tridiagonal(
-        d, e, select="v", select_range=(KERNEL_FLOOR, lambda_cut), eigvals_only=True
-    )
-    return vals, None
+    a, b = (0, len(op.mass_diag)) if window is None else window
+    d, e = op.symmetrized((a, b))
+    vals, vecs = _eigh_tridiagonal(d, e, KERNEL_FLOOR, lambda_cut, with_vectors)
+    if not with_vectors:
+        return vals, None
+    u = vecs / np.sqrt(op.mass_diag[a:b])[:, None]
+    full = np.zeros((op.grid.n, u.shape[1]))
+    lo = op.rows.start + a
+    full[lo : lo + u.shape[0], :] = u
+    return vals, full
 
 
 def mode_cutoff(lambda_cut: float, max_weight: float) -> int:
@@ -270,10 +360,12 @@ def mode_cutoff(lambda_cut: float, max_weight: float) -> int:
     return int(math.floor(math.sqrt(lambda_cut * max_weight))) + 1
 
 
-# Only reader: perfbench/pass_worker.py (its ``pool_size`` record).  Mode
-# solves are serial; the benchmark refresh (ROADMAP item 6) deletes this.
 def worker_count() -> int:
-    return 1
+    """Threads that ``solve_modes`` splits one surface's modes across: the
+    CPUs this process may run on (all CPUs where the platform cannot say)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 @dataclass(eq=False)
@@ -334,6 +426,10 @@ def solve_modes(
     mode (m = top, at least mode_cutoff) is solved on the full grid as a
     runtime witness and must come back empty; a nonempty witness means the
     cutoff logic is broken and raises.
+
+    The modes run on ``worker_count()`` threads; the result is bitwise the
+    same for any thread count, and an exception raised by any mode's solve
+    propagates unchanged.
     """
     if lambda_cut <= 0:
         raise ValueError("lambda_cut must be positive")
@@ -358,18 +454,40 @@ def solve_modes(
     cutoff = mode_cutoff(lambda_cut, max_weight)
     top = cutoff if m_max is None else max(m_max, cutoff)
 
-    mode_eigenvalues: dict[int, np.ndarray] = {}
-    vectors: dict[int, np.ndarray] | None = {} if with_vectors else None
-    for m in range(top + 1):
-        op = assemble_mode_operator(profile, m, grid, weights=w)
-        window = None
-        if m < top:
-            window = agmon_window(w[op.rows], grid.h, float(m * m), lambda_cut)
-        mode_eigenvalues[m], vecs = solve_mode(
-            op, lambda_cut, with_vectors=with_vectors, window=window
-        )
-        if with_vectors:
-            vectors[m] = vecs
+    # Thread i solves the modes m = i (mod threads) in one task, since a
+    # hand-off per mode would take the GIL back each time; the LAPACK calls
+    # run without it.  The parts merge in m order, and the first failed part
+    # re-raises its exception here.
+    threads = min(worker_count(), top + 1)
+    parts: list = [None] * threads
+
+    def solve_residue(first: int) -> None:
+        part = {}
+        try:
+            for m in range(first, top + 1, threads):
+                op = assemble_mode_operator(profile, m, grid, weights=w)
+                window = None
+                if m < top:
+                    window = agmon_window(w[op.rows], grid.h, float(m * m), lambda_cut)
+                part[m] = solve_mode(op, lambda_cut, with_vectors=with_vectors, window=window)
+        except BaseException as exc:
+            part = exc
+        parts[first] = part
+
+    if threads == 1:
+        solve_residue(0)
+    else:
+        helpers = [threading.Thread(target=solve_residue, args=(i,)) for i in range(threads)]
+        for helper in helpers:
+            helper.start()
+        for helper in helpers:
+            helper.join()
+    for part in parts:
+        if isinstance(part, BaseException):
+            raise part
+    solved = {m: parts[m % threads][m] for m in range(top + 1)}
+    mode_eigenvalues = {m: vals for m, (vals, _) in solved.items()}
+    vectors = {m: vecs for m, (_, vecs) in solved.items()} if with_vectors else None
     if len(mode_eigenvalues[top]) != 0:
         raise RuntimeError(
             f"mode cutoff violated: mode {top} has eigenvalues below "

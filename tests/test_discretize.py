@@ -2,6 +2,9 @@
 from __future__ import annotations
 
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -397,3 +400,122 @@ def test_assemble_accepts_presampled_weights():
         assemble_mode_operator(prof, 3, grid, weights=np.where(w > w[100], w, -1.0))
     with pytest.raises(ValueError, match="grid nodes"):
         assemble_mode_operator(prof, 3, grid, weights=w[1:])
+
+
+# ----------------------------------------------------------------------------
+# the LAPACK binding and the per-surface thread split
+# ----------------------------------------------------------------------------
+
+def _same_array(x, y):
+    return x.dtype == y.dtype and x.shape == y.shape and np.array_equal(x, y)
+
+
+def _assert_binding_matches_scipy(d, e, lo, hi):
+    ref_vals = eigh_tridiagonal(d, e, select="v", select_range=(lo, hi), eigvals_only=True)
+    vals, vecs = discretize._eigh_tridiagonal(d, e, lo, hi, False)
+    assert _same_array(vals, ref_vals) and vecs is None
+    ref_vals, ref_vecs = eigh_tridiagonal(d, e, select="v", select_range=(lo, hi))
+    vals, vecs = discretize._eigh_tridiagonal(d, e, lo, hi, True)
+    assert _same_array(vals, ref_vals) and _same_array(vecs, ref_vecs)
+    return vals
+
+
+def test_lapack_binding_is_bitwise_scipy(shipped_pair):
+    profile, _, grid, lambda_cut = shipped_pair
+    w = profile.weight(grid.nodes)
+    op0 = assemble_mode_operator(profile, 0, grid, weights=w)
+    assert len(_assert_binding_matches_scipy(*op0.symmetrized(), KERNEL_FLOOR, lambda_cut)) > 10
+
+    m = 40
+    op = assemble_mode_operator(profile, m, grid, weights=w)
+    window = agmon_window(w[op.rows], grid.h, float(m * m), lambda_cut)
+    assert window[1] - window[0] < len(op.mass_diag)
+    assert len(_assert_binding_matches_scipy(*op.symmetrized(window), KERNEL_FLOOR, lambda_cut))
+
+    top = mode_cutoff(lambda_cut, float(np.max(w)))
+    witness = assemble_mode_operator(profile, top, grid, weights=w)
+    assert len(_assert_binding_matches_scipy(*witness.symmetrized(), KERNEL_FLOOR, lambda_cut)) == 0
+
+
+def test_lapack_binding_one_row_and_bad_input():
+    one, none = np.array([2.5]), np.empty(0)
+    assert len(_assert_binding_matches_scipy(one, none, 0.0, 3.0)) == 1
+    assert len(_assert_binding_matches_scipy(one, none, 2.5, 3.0)) == 0  # (lo, hi] is open at lo
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        discretize._eigh_tridiagonal(np.array([1.0, np.nan]), np.array([0.5]), 0.0, 3.0, False)
+    with pytest.raises(ValueError, match="one element shorter"):
+        discretize._eigh_tridiagonal(np.ones(3), np.ones(3), 0.0, 3.0, False)
+
+
+def test_solve_modes_is_bitwise_independent_of_the_thread_count(small_pair, monkeypatch):
+    # Five threads oversubscribe the CPUs, and a short switch interval makes
+    # them interleave as often as the interpreter allows.
+    profile, _ = small_pair
+    grid = make_grid(profile, 900)
+    systems = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for threads in (1, 2, 5):
+            monkeypatch.setattr(discretize, "worker_count", lambda threads=threads: threads)
+            systems.append(solve_modes(profile, grid, 25.0, with_vectors=True))
+    finally:
+        sys.setswitchinterval(interval)
+    one = systems[0]
+    assert one.m_max > 5
+    for other in systems[1:]:
+        assert other.m_max == one.m_max and other.max_weight == one.max_weight
+        assert list(other.mode_eigenvalues) == list(range(one.m_max + 1))
+        for m in one.mode_eigenvalues:
+            assert _same_array(one.mode_eigenvalues[m], other.mode_eigenvalues[m]), m
+            assert _same_array(one.vectors[m], other.vectors[m]), m
+
+
+def test_a_failing_mode_solve_surfaces_unchanged(small_pair, monkeypatch):
+    profile, _ = small_pair
+    grid = make_grid(profile, 900)
+    error = ArithmeticError("mode 3 failed")
+    solve = discretize.solve_mode
+
+    def failing(op, cut, **kwargs):
+        if op.m == 3:
+            raise error
+        return solve(op, cut, **kwargs)
+
+    monkeypatch.setattr(discretize, "solve_mode", failing)
+    for threads in (1, 2):  # with two, mode 3 fails on the second thread
+        monkeypatch.setattr(discretize, "worker_count", lambda threads=threads: threads)
+        with pytest.raises(ArithmeticError) as caught:
+            solve_modes(profile, grid, 25.0)
+        assert caught.value is error
+
+
+def test_lapack_call_releases_the_gil():
+    # Bisection for every eigenvalue of a random 450 x 450 tridiagonal matrix
+    # takes about 0.1 s.  A GIL held through it would stall this thread for
+    # the whole call; released, this loop keeps spinning.
+    rng = np.random.default_rng(7)
+    d, e = rng.standard_normal(450), rng.standard_normal(449)
+    done = threading.Event()
+    took = []
+
+    def solve():
+        try:
+            t0 = time.perf_counter()
+            discretize._eigh_tridiagonal(d, e, -100.0, 100.0, False)
+            took.append(time.perf_counter() - t0)
+        finally:
+            done.set()
+
+    worker = threading.Thread(target=solve)
+    last = time.perf_counter()
+    deadline = last + 60.0
+    stall = 0.0
+    worker.start()
+    while not done.is_set() and last < deadline:
+        now = time.perf_counter()
+        stall, last = max(stall, now - last), now
+    worker.join(timeout=60.0)
+    assert not worker.is_alive() and len(took) == 1
+    assert took[0] > 0.02
+    assert stall < 0.5 * took[0]

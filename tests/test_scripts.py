@@ -7,6 +7,7 @@ that uses a removed name fails here instead of at its next use.
 from __future__ import annotations
 
 import importlib.util
+import shutil
 import sys
 
 import pytest
@@ -65,8 +66,24 @@ def test_compare_outputs_reports_shifts_and_gates_on_the_budget(tmp_path, capsys
 
 
 def test_truncation_study_runs_on_a_shipped_config(capsys):
+    # Only the truncations that the pair's ends read are varied.
     study = _load("truncation_study")
-    assert study.main(["--config", str(ROOT / "configs" / "point_sweep.json")]) == 0
+    for config, variants in (
+        ("point_sweep.json", ("funnel deeper", "cap +4")),  # funnel + filled cap
+        ("boundary_sweep.json", ("cusp x2",)),  # Dirichlet boundary + cusp
+    ):
+        assert study.main(["--config", str(ROOT / "configs" / config)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        shown = [line[:14].strip() for line in lines if "log_det=" in line]
+        assert shown == ["baseline", *variants], config
+
+
+def test_run_all_scenarios_on_one_config(tmp_path, capsys):
+    runner = _load("run_all_scenarios")
+    configs = tmp_path / "configs"
+    configs.mkdir()
+    shutil.copy(ROOT / "configs" / "isospectral.json", configs)
+    code = runner.main(["--configs", str(configs), "--out", str(tmp_path / "out")])
+    assert code == 0
     lines = capsys.readouterr().out.splitlines()
-    for variant in ("baseline", "cusp x2", "cap +4", "funnel deeper"):
-        assert any(line.startswith(variant) and "log_det=" in line for line in lines), variant
+    assert any(line.startswith("PASS  isospectral") for line in lines)
