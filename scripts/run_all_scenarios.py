@@ -5,7 +5,8 @@ Usage::
 
     python3 scripts/run_all_scenarios.py [--configs DIR] [--out DIR] [--skip LABEL ...]
 
-Exit status is 0 when every scenario passes, 1 otherwise.  Individual
+Exit status is 0 when every scenario passes, 1 otherwise; a config that does
+not load prints ``CONFIG <file>: <error>`` and counts as a failure.  Individual
 scenario artifacts land under ``<out>/<label>/``.
 """
 from __future__ import annotations
@@ -17,7 +18,7 @@ import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from relspec.cli import ScenarioConfig, run_scenario
+from relspec.cli import ConfigError, ScenarioConfig, run_scenario
 
 
 def main(argv=None) -> int:
@@ -36,7 +37,12 @@ def main(argv=None) -> int:
 
     failures = 0
     for path in paths:
-        cfg = ScenarioConfig.from_json(path)
+        try:
+            cfg = ScenarioConfig.from_json(path)
+        except ConfigError as exc:
+            print(f"CONFIG {path.name}: {exc}")
+            failures += 1
+            continue
         if cfg.label in args.skip:
             print(f"SKIP  {cfg.label}")
             continue

@@ -6,8 +6,8 @@ deeper, a filled-cap chart grows by 4, a cusp end doubles) and reports how
 much the fitted heat invariants, the fundamental tone and the
 log-determinant of the bump-vs-plain pair move.  All movements should sit far
 below the tolerances used by the scenario checks; run this before trusting a
-new surface family.  Every other numerics setting (time grid, fit) is the
-config's own.
+new surface family.  The fit order and window are the config's own; the
+time grid is the library's default (``spectral.default_time_grid``).
 
 Usage::
 
@@ -23,7 +23,7 @@ import sys
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from relspec import build_weight, spectral_gap
-from relspec.cli import ScenarioConfig, solve_pair
+from relspec.cli import NumericsConfig, ScenarioConfig, solve_pair
 from relspec.geometry import Truncation
 
 
@@ -41,8 +41,8 @@ def pair_quantities(cfg: ScenarioConfig, tr: Truncation):
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--config", default="configs/point_sweep.json")
-    ap.add_argument("--n-nodes", type=int, default=4000)
-    ap.add_argument("--lambda-cut", type=float, default=400.0)
+    ap.add_argument("--n-nodes", type=int, default=NumericsConfig.n_nodes)
+    ap.add_argument("--lambda-cut", type=float, default=NumericsConfig.lambda_cut)
     args = ap.parse_args(argv)
 
     cfg = ScenarioConfig.from_json(pathlib.Path(args.config))

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import io
 import json
 import math
 import sys
@@ -28,6 +29,7 @@ import numpy as np
 
 from .discretize import Grid, make_grid, solve_modes
 from .geometry import (
+    DEFAULT_TRUNCATION,
     MetricProfile,
     SurfaceSpec,
     Truncation,
@@ -37,16 +39,12 @@ from .geometry import (
 )
 from .oracle import low_eigenvalues_2d, make_grid_2d, mode_sum_reference
 from .spectral import (
-    DEFAULT_T_MAX,
-    DEFAULT_T_MIN,
-    DEFAULT_T_POINTS,
-    default_time_grid,
     kernel_value,
     offdiag_l2_integral,
     relative_trace_series,
     spectral_gap,
 )
-from .zeta import determinant_from_series, fit_heat_invariants
+from .zeta import DEFAULT_FIT_WINDOW, determinant_from_series, fit_heat_invariants
 
 SCENARIO_KINDS = (
     "validate",
@@ -59,6 +57,9 @@ SCENARIO_KINDS = (
 )
 
 CONTINUITY_EPSILONS = (0.4, 0.2, 0.1, 0.05)
+
+# Times of the off-diagonal Gaussian functional sup_t [log I(t) + d^2/(8t)].
+OFFDIAG_TIMES = tuple(float(t) for t in np.geomspace(0.05, 1.0, 9))
 
 
 class ConfigError(ValueError):
@@ -77,51 +78,52 @@ def _from_mapping(cls, data: dict, where: str):
 
 @dataclass(frozen=True)
 class NumericsConfig:
-    """Discretization, truncation, time-grid, fit and zeta parameters.
+    """Discretization, truncation, fit and off-diagonal probe parameters.
 
-    Every field has a working default; configs override selectively.
+    Every field has a working default; configs override selectively.  The
+    time grid, fit residual threshold, oracle resolution and off-diagonal
+    times are the library's own constants.
     """
 
     n_nodes: int = 4000
     lambda_cut: float = 400.0
-    funnel_depth: float = 1.0
-    cusp_end: float = 40.0
-    cap_end: float = 14.0
-    boundary_depth: float = 1.0
-    cap_tip_radius: float = 0.01
-    t_min: float = DEFAULT_T_MIN
-    t_max: float = DEFAULT_T_MAX
-    t_points: int = DEFAULT_T_POINTS
+    funnel_depth: float = DEFAULT_TRUNCATION.funnel_depth
+    cusp_end: float = DEFAULT_TRUNCATION.cusp_end
+    cap_end: float = DEFAULT_TRUNCATION.cap_end
     fit_k_max: int = 3
-    fit_window_lo: float = 0.05
-    fit_window_hi: float = 0.15
-    fit_residual_threshold: float = 1e-4
-    oracle_n_s: int = 400
-    oracle_n_theta: int = 64
-    oracle_count: int = 20
-    offdiag_t_lo: float = 0.05
-    offdiag_t_hi: float = 1.0
-    offdiag_t_points: int = 9
+    fit_window_lo: float = DEFAULT_FIT_WINDOW[0]
+    fit_window_hi: float = DEFAULT_FIT_WINDOW[1]
     offdiag_y_s: float = 1.0
     offdiag_y_theta: float = 0.0
     offdiag_y2_s: float = 3.0
     offdiag_y2_theta: float = 2.0
 
+    def __post_init__(self):
+        # JSON keeps bool, int and float apart, and parses NaN and Infinity.
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            is_int = f.type == "int"
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, int if is_int else (int, float))
+                or (isinstance(value, float) and not math.isfinite(value))
+            ):
+                want = "an int" if is_int else "a finite number"
+                raise ConfigError(f"numerics.{f.name} must be {want}, got {value!r}")
+
     def truncation(self) -> Truncation:
         return Truncation(
-            funnel_depth=self.funnel_depth,
-            cusp_end=self.cusp_end,
-            cap_end=self.cap_end,
-            boundary_depth=self.boundary_depth,
-            cap_tip_radius=self.cap_tip_radius,
+            funnel_depth=self.funnel_depth, cusp_end=self.cusp_end, cap_end=self.cap_end
         )
-
-    def time_grid(self) -> np.ndarray:
-        return default_time_grid(self.t_min, self.t_max, self.t_points)
 
     @property
     def fit_window(self) -> tuple[float, float]:
         return (self.fit_window_lo, self.fit_window_hi)
+
+    @property
+    def offdiag_points(self) -> tuple[tuple[float, float], tuple[float, float]]:
+        """The kernel's probe points y and y2, each as (s, theta)."""
+        return (self.offdiag_y_s, self.offdiag_y_theta), (self.offdiag_y2_s, self.offdiag_y2_theta)
 
 
 def _default_epsilons() -> tuple[float, ...]:
@@ -339,9 +341,9 @@ def solve_pair(
 
     Both members are solved on the prefix of ``master`` that their chart
     covers; a pair without a master is its own (an ``n_nodes`` grid on its
-    chart).  The trace is sampled on ``numerics.time_grid()`` and fitted
-    with the configured window, order and residual threshold.  Returns
-    (sys_a, series, det); the fit is ``det.invariants``.
+    chart).  The trace is sampled on the default time grid and fitted with
+    the configured window and order.  Returns (sys_a, series, det); the fit
+    is ``det.invariants``.
     """
     profile_a, profile_b = pair
     if (profile_b.s_min, profile_b.s_max) != (profile_a.s_min, profile_a.s_max):
@@ -351,13 +353,8 @@ def solve_pair(
     grid = _prefix_grid(master, profile_a)
     sys_a = solve_modes(profile_a, grid, numerics.lambda_cut)
     sys_b = solve_modes(profile_b, grid, numerics.lambda_cut)
-    series = relative_trace_series(sys_a, sys_b, times=numerics.time_grid())
-    inv = fit_heat_invariants(
-        series,
-        numerics.fit_k_max,
-        window=numerics.fit_window,
-        residual_threshold=numerics.fit_residual_threshold,
-    )
+    series = relative_trace_series(sys_a, sys_b)
+    inv = fit_heat_invariants(series, numerics.fit_k_max, window=numerics.fit_window)
     return sys_a, series, determinant_from_series(series, inv)
 
 
@@ -413,9 +410,9 @@ def _run_validate(cfg: ScenarioConfig, out: Path, report: Report, stage):
 
     stage("2D oracle agreement")
     profile = build_weight(cfg.spec_a(), truncation=num.truncation())
-    grid2 = make_grid_2d(profile, num.oracle_n_s, num.oracle_n_theta)
-    two_d = low_eigenvalues_2d(profile, grid2, num.oracle_count)
-    mode_sum = mode_sum_reference(profile, grid2, num.oracle_count)
+    grid2 = make_grid_2d(profile)
+    two_d = low_eigenvalues_2d(profile, grid2)
+    mode_sum = mode_sum_reference(profile, grid2)
     rel2 = float(np.max(np.abs(two_d - mode_sum) / mode_sum))
     report.add(
         "oracle_2d_vs_mode_sum",
@@ -423,7 +420,7 @@ def _run_validate(cfg: ScenarioConfig, out: Path, report: Report, stage):
         value=rel2,
         tolerance=1e-3,
         detail=(
-            f"first {num.oracle_count} eigenvalues, {num.oracle_n_s}x{num.oracle_n_theta} "
+            f"first {len(two_d)} eigenvalues, {len(grid2.s_nodes)}x{grid2.n_theta} "
             "five-point pencil vs angular-symbol mode sum (same discrete operator)"
         ),
     )
@@ -439,7 +436,7 @@ def _run_validate(cfg: ScenarioConfig, out: Path, report: Report, stage):
 
     stage("angular refinement stability")
     m0_coarse = mode_sum_reference(profile, grid2, 5)
-    grid2_fine = make_grid_2d(profile, num.oracle_n_s, 2 * num.oracle_n_theta)
+    grid2_fine = make_grid_2d(profile, len(grid2.s_nodes), 2 * grid2.n_theta)
     m0_fine = mode_sum_reference(profile, grid2_fine, 5)
     drift = float(np.max(np.abs(m0_fine - m0_coarse) / m0_coarse))
     report.add(
@@ -690,14 +687,12 @@ def _run_funnel_conformal(cfg: ScenarioConfig, out: Path, report: Report, stage)
 def _offdiag_sup(profile, num: NumericsConfig, n_nodes):
     grid = make_grid(profile, n_nodes)
     sys = solve_modes(profile, grid, num.lambda_cut, with_vectors=True)
-    tgrid = np.geomspace(num.offdiag_t_lo, num.offdiag_t_hi, num.offdiag_t_points)
-    y = (num.offdiag_y_s, num.offdiag_y_theta)
-    y2 = (num.offdiag_y2_s, num.offdiag_y2_theta)
+    y, y2 = num.offdiag_points
     sup = -math.inf
     rows = []
     dist = None
-    for t in tgrid:
-        res = offdiag_l2_integral(sys, float(t), y=y, y2=y2)
+    for t in OFFDIAG_TIMES:
+        res = offdiag_l2_integral(sys, t, y=y, y2=y2)
         dist = res.pair_distance
         val = math.log(abs(res.value)) + dist**2 / (8.0 * t)
         rows.append((float(t), res.value, val))
@@ -732,19 +727,10 @@ def _run_offdiag(cfg: ScenarioConfig, out: Path, report: Report, stage):
         detail=f"sup changes {sup!r} -> {sup_fine!r} under 1.5x radial refinement",
     )
     stage("semigroup identity")
-    t_mid = 0.5 * (num.offdiag_t_lo + num.offdiag_t_hi)
-    res = offdiag_l2_integral(
-        sys,
-        t_mid,
-        y=(num.offdiag_y_s, num.offdiag_y_theta),
-        y2=(num.offdiag_y2_s, num.offdiag_y2_theta),
-    )
-    direct = kernel_value(
-        sys,
-        2.0 * t_mid,
-        (num.offdiag_y_s, num.offdiag_y_theta),
-        (num.offdiag_y2_s, num.offdiag_y2_theta),
-    )
+    t_mid = 0.5 * (OFFDIAG_TIMES[0] + OFFDIAG_TIMES[-1])
+    y, y2 = num.offdiag_points
+    res = offdiag_l2_integral(sys, t_mid, y=y, y2=y2)
+    direct = kernel_value(sys, 2.0 * t_mid, y, y2)
     rel = abs(res.value - direct) / max(abs(direct), 1e-300)
     report.add(
         "semigroup_identity",
@@ -864,10 +850,19 @@ def main(argv=None) -> int:
     if not path.exists():
         print(f"no summary.json under {args.dir}", file=sys.stderr)
         return 2
-    with open(path) as fh:
-        data = json.load(fh)
-    _print_report(data)
-    return 0 if data.get("passed") else 1
+    # Render in full before printing, so a malformed summary prints nothing
+    # but the reason.
+    text = io.StringIO()
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+        _print_report(data, text)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        reason = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+        print(f"not a relspec summary: {path}: {reason}", file=sys.stderr)
+        return 2
+    sys.stdout.write(text.getvalue())
+    return 0 if data["passed"] else 1
 
 
 if __name__ == "__main__":

@@ -439,9 +439,6 @@ class MetricProfile:
     s_max: float
     bc_left: str
     bc_right: str
-    core_extent: tuple[float, float]
-    left_extent: tuple[float, float]
-    right_extent: tuple[float, float]
     truncation_note: dict
     breakpoints: tuple[float, ...]
     flat_length: float | None = None
@@ -563,9 +560,6 @@ def build_weight(spec: SurfaceSpec, truncation: Truncation | None = None) -> Met
             s_max=s_max,
             bc_left="dirichlet",
             bc_right=bc_right,
-            core_extent=(s_core_l, s_core_r),
-            left_extent=(s_tip, s_core_l),
-            right_extent=(s_core_r, s_max),
             truncation_note=note,
             breakpoints=tuple(sorted(breakpoints)),
             _fn=fn,
@@ -606,9 +600,6 @@ def build_weight(spec: SurfaceSpec, truncation: Truncation | None = None) -> Met
         s_max=s_max,
         bc_left="dirichlet",
         bc_right="dirichlet",
-        core_extent=(core_l, core_r),
-        left_extent=(s_min, core_l),
-        right_extent=(core_r, s_max),
         truncation_note=note,
         breakpoints=tuple(sorted(breakpoints)),
         _fn=fn,
@@ -631,9 +622,6 @@ def flat_cylinder(length: float = math.pi, bump: BumpSpec | None = None) -> Metr
         s_max=length,
         bc_left="dirichlet",
         bc_right="dirichlet",
-        core_extent=(0.0, length),
-        left_extent=(0.0, 0.0),
-        right_extent=(length, length),
         truncation_note={"flat": True},
         breakpoints=breakpoints,
         flat_length=length,

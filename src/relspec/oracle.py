@@ -35,6 +35,8 @@ __all__ = [
 
 _EXACT_PATH_MAX = 20  # spectra shorter than this use rational arithmetic
 _EIGSH_SEED = 12345
+_EIGSH_SHIFT = -0.05  # below the spectrum, so shift-invert finds the lowest
+_EIGSH_RESIDUAL_TOL = 1e-8
 
 
 def finite_matrix_relative_det(lam_a, lam_b) -> float:
@@ -152,15 +154,13 @@ def low_eigenvalues_2d(
     profile: MetricProfile,
     grid: Grid2D,
     count: int = 20,
-    *,
-    sigma: float = -0.05,
-    residual_tol: float = 1e-8,
 ) -> np.ndarray:
     """First ``count`` eigenvalues of the five-point pencil, ascending.
 
-    Shift-invert Lanczos around sigma (below the spectrum) with a fixed,
-    seeded start vector; every returned pair is verified to satisfy
-    ||A v - lam W v|| <= residual_tol * ||A v|| and non-convergence raises.
+    Shift-invert Lanczos around _EIGSH_SHIFT (below the spectrum) with a
+    fixed, seeded start vector; every returned pair is verified to satisfy
+    ||A v - lam W v|| <= _EIGSH_RESIDUAL_TOL * ||A v|| and non-convergence
+    raises.
 
     pre: count <= 50 (this is a low-spectrum cross-check, not a production
     eigensolver); a bump, when present, must span at least 8 radial nodes.
@@ -179,18 +179,18 @@ def low_eigenvalues_2d(
     n = A.shape[0]
     if count >= n - 1:
         raise ValueError("count exceeds the oracle grid size")
-    lu = splu((A - sigma * W).tocsc())
+    lu = splu((A - _EIGSH_SHIFT * W).tocsc())
     op = LinearOperator(A.shape, matvec=lu.solve)
     v0 = np.random.default_rng(_EIGSH_SEED).standard_normal(n)
-    vals, vecs = eigsh(A, k=count, M=W, sigma=sigma, OPinv=op, v0=v0)
+    vals, vecs = eigsh(A, k=count, M=W, sigma=_EIGSH_SHIFT, OPinv=op, v0=v0)
     order = np.argsort(vals)
     vals, vecs = vals[order], vecs[:, order]
     for lam, v in zip(vals, vecs.T):
         av = A @ v
         res = float(np.linalg.norm(av - lam * (W @ v)))
-        if res > residual_tol * max(float(np.linalg.norm(av)), 1e-30):
+        if res > _EIGSH_RESIDUAL_TOL * max(float(np.linalg.norm(av)), 1e-30):
             raise RuntimeError(
-                f"2D eigenpair residual {res:.3e} exceeds {residual_tol:.1e} "
+                f"2D eigenpair residual {res:.3e} exceeds {_EIGSH_RESIDUAL_TOL:.1e} "
                 f"at lam={lam:.6g}; Lanczos did not converge"
             )
     return vals

@@ -48,13 +48,9 @@ DEFAULT_T_MAX = 20.0
 DEFAULT_T_POINTS = 112
 
 
-def default_time_grid(
-    t_min: float = DEFAULT_T_MIN, t_max: float = DEFAULT_T_MAX, n: int = DEFAULT_T_POINTS
-) -> np.ndarray:
+def default_time_grid() -> np.ndarray:
     """The standard logarithmic time grid (112 points on [0.05, 20])."""
-    if not (0 < t_min < t_max):
-        raise ValueError("need 0 < t_min < t_max")
-    return np.geomspace(t_min, t_max, n)
+    return np.geomspace(DEFAULT_T_MIN, DEFAULT_T_MAX, DEFAULT_T_POINTS)
 
 
 def heat_trace(sys, t):
@@ -300,12 +296,9 @@ def _trust_threshold(rel_area: float, lambda_cut: float, ref: float) -> float:
     return float(probe[idx])
 
 
-def relative_trace_series(
-    sys_a: Eigensystem,
-    sys_b: Eigensystem,
-    times=None,
-) -> TraceSeries:
-    """Relative heat trace E(t) of two eigensystems on a shared chart.
+def relative_trace_series(sys_a: Eigensystem, sys_b: Eigensystem) -> TraceSeries:
+    """Relative heat trace E(t) of two eigensystems on a shared chart, sampled
+    on the default time grid.
 
     pre: the systems were solved on the same grid family with the same cutoff
     and mode range, and their profiles agree on the end regions (so the
@@ -317,7 +310,7 @@ def relative_trace_series(
         raise ValueError("eigensystems have different cutoffs")
     if sys_a.m_max != sys_b.m_max:
         raise ValueError("eigensystems have different mode ranges")
-    tgrid = default_time_grid() if times is None else np.asarray(times, dtype=float)
+    tgrid = default_time_grid()
     rel_area = relative_area(sys_a.profile, sys_b.profile)
     pairs = []
     for m in range(max(sys_a.m_max, sys_b.m_max) + 1):
@@ -432,8 +425,8 @@ def offdiag_l2_integral(
     sys: Eigensystem,
     t: float,
     *,
+    y,
     region=None,
-    y=(None, 0.0),
     y2=None,
 ) -> OffdiagResult:
     """Integrate K(t, x, y) K(t, x, y2) over region x S^1 against dA = w ds dtheta.
@@ -461,8 +454,6 @@ def offdiag_l2_integral(
         raise ValueError("t must be positive")
     nodes = sys.grid.nodes
     s_y, th_y = y
-    if s_y is None:
-        s_y = 0.5 * (nodes[0] + nodes[-1])
     if y2 is None:
         s_y2, th_y2 = s_y, th_y
     else:

@@ -67,6 +67,9 @@ SPLIT_TAU = 1.0  # the Mellin split point tau of the module docstring
 # default time grid.
 DEFAULT_FIT_WINDOW = (0.05, 0.15)
 
+# Largest misfit of the fitted model, relative to max |t E(t)| on the window.
+FIT_RESIDUAL_THRESHOLD = 1e-4
+
 
 class FitResidualError(RuntimeError):
     """The polynomial model cannot represent the data at the required residual."""
@@ -97,7 +100,6 @@ def fit_heat_invariants(
     k_max: int = 3,
     *,
     window: tuple[float, float] = DEFAULT_FIT_WINDOW,
-    residual_threshold: float = 1e-4,
 ) -> HeatInvariants:
     """Least-squares fit of t E(t) by sum_{k<=k_max} a_k t^k on the window.
 
@@ -106,7 +108,7 @@ def fit_heat_invariants(
     threshold over the window (a window floor pushed into cutoff-limited
     times raises).  An identically zero series short-circuits to exact zero
     coefficients.  Raises FitResidualError when the relative misfit exceeds
-    residual_threshold.
+    FIT_RESIDUAL_THRESHOLD.
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
@@ -123,11 +125,11 @@ def fit_heat_invariants(
     y = t * series.values[mask]
     scale = float(np.max(np.abs(y)))
     pollution = float(np.max(t * series.tail_bounds[mask]))
-    if scale > 0.0 and pollution > 0.5 * residual_threshold * scale:
+    if scale > 0.0 and pollution > 0.5 * FIT_RESIDUAL_THRESHOLD * scale:
         raise ValueError(
             f"window floor {lo} is cutoff-limited: tail bounds pollute t E(t) by "
             f"{pollution / scale:.2e} of scale, above half the residual threshold "
-            f"{residual_threshold:.1e}; raise the window floor or the cutoff"
+            f"{FIT_RESIDUAL_THRESHOLD:.1e}; raise the window floor or the cutoff"
         )
     if scale == 0.0:
         return HeatInvariants(
@@ -142,10 +144,10 @@ def fit_heat_invariants(
     b, *_ = np.linalg.lstsq(V, y, rcond=None)
     fit = V @ b
     residual = float(np.max(np.abs(fit - y)) / scale)
-    if residual > residual_threshold:
+    if residual > FIT_RESIDUAL_THRESHOLD:
         raise FitResidualError(
             f"heat-invariant fit residual {residual:.3e} exceeds "
-            f"{residual_threshold:.1e} on window {window} "
+            f"{FIT_RESIDUAL_THRESHOLD:.1e} on window {window} "
             "(widen the model or move the window)"
         )
     coeffs = tuple(float(bk / hi**k) for k, bk in enumerate(b))

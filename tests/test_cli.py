@@ -107,8 +107,44 @@ def test_config_rejects_unknown_keys():
         ScenarioConfig.from_dict(
             {"kind": "validate", "numerics": {"workers": 2}}
         )
+    # numerics keys that nothing set; their values are now library constants
+    for key in (
+        "boundary_depth", "cap_tip_radius", "t_min", "t_max", "t_points",
+        "fit_residual_threshold", "oracle_n_s", "oracle_n_theta", "oracle_count",
+        "offdiag_t_lo", "offdiag_t_hi", "offdiag_t_points",
+    ):
+        with pytest.raises(ConfigError, match="unknown keys"):
+            ScenarioConfig.from_dict({"kind": "validate", "numerics": {key: 1.0}})
     with pytest.raises(ConfigError, match="unknown keys"):
         ScenarioConfig.from_dict({"kind": "validate", "seed": 1})
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("n_nodes", 600.5),
+        ("n_nodes", True),
+        ("fit_k_max", 3.0),
+        ("lambda_cut", float("nan")),
+        ("cap_end", float("inf")),
+        ("offdiag_y_s", False),
+        ("fit_window_lo", "0.05"),
+    ],
+)
+def test_config_rejects_mistyped_or_non_finite_numerics(tmp_path, capsys, key, value):
+    data = mini_isospectral_dict()
+    data["numerics"][key] = value
+    with pytest.raises(ConfigError, match=f"numerics.{key} must be"):
+        ScenarioConfig.from_dict(data)
+    assert main(["run", str(write_config(tmp_path, data)), "--out", str(tmp_path / "out")]) == 2
+    assert f"numerics.{key}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_accepts_an_int_for_a_float_key():
+    data = mini_isospectral_dict()
+    data["numerics"]["lambda_cut"] = 25
+    assert ScenarioConfig.from_dict(data).numerics.lambda_cut == 25
 
 
 def test_config_rejects_unknown_kind():
@@ -298,6 +334,20 @@ def test_cli_config_errors_exit_two(tmp_path, capsys):
     assert main(["validate", str(unknown)]) == 2
     assert main(["report", str(tmp_path)]) == 2  # no summary.json here
     capsys.readouterr()
+
+
+def test_cli_report_rejects_a_broken_summary(tmp_path, capsys):
+    summary = tmp_path / "summary.json"
+    summary.write_text("{not json")
+    assert main(["report", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"not a relspec summary: {summary}: ")
+    assert captured.out == ""
+    summary.write_text("{}")
+    assert main(["report", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"not a relspec summary: {summary}: missing key 'passed'\n"
+    assert captured.out == ""
 
 
 def test_cli_bad_arguments_exit_two(capsys):

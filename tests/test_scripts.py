@@ -87,3 +87,19 @@ def test_run_all_scenarios_on_one_config(tmp_path, capsys):
     assert code == 0
     lines = capsys.readouterr().out.splitlines()
     assert any(line.startswith("PASS  isospectral") for line in lines)
+
+
+def test_run_all_scenarios_reports_a_bad_config_and_runs_the_rest(tmp_path, capsys):
+    runner = _load("run_all_scenarios")
+    configs = tmp_path / "configs"
+    configs.mkdir()
+    # sorts before isospectral.json, so the good config runs after the bad one
+    (configs / "a_stale.json").write_text(
+        '{"kind": "validate", "numerics": {"t_max": 30.0}}'
+    )
+    shutil.copy(ROOT / "configs" / "isospectral.json", configs)
+    code = runner.main(["--configs", str(configs), "--out", str(tmp_path / "out")])
+    assert code == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("CONFIG a_stale.json: numerics: unknown keys ['t_max']")
+    assert any(line.startswith("PASS  isospectral") for line in lines[1:])

@@ -75,13 +75,11 @@ def test_tail_bounds_decay_and_vanish():
     assert np.all(relative_trace_tail_bound(0.0, 50.0, t) == 0.0)
 
 
-def test_default_time_grid_endpoints_and_validation():
-    t = default_time_grid(0.05, 20.0, 112)
+def test_default_time_grid_endpoints():
+    t = default_time_grid()
     assert len(t) == 112
     assert t[0] == pytest.approx(0.05, rel=1e-15)
     assert t[-1] == pytest.approx(20.0, rel=1e-15)
-    with pytest.raises(ValueError):
-        default_time_grid(1.0, 0.5)
 
 
 # ----------------------------------------------------------------------------
@@ -126,10 +124,9 @@ def test_relative_trace_triangle_identity(small_systems, small_pair):
     spec_c = funnel_cusp_spec(BumpSpec(center=0.35, radius=0.09, amplitude=-0.2))
     prof_c = build_weight(spec_c, truncation=small_truncation())
     sys_c = solve_modes(prof_c, make_grid(prof_c, 900), 25.0)
-    t = np.geomspace(0.05, 10.0, 25)
-    e_ab = relative_trace_series(sys_a, sys_b, t).values
-    e_bc = relative_trace_series(sys_b, sys_c, t).values
-    e_ac = relative_trace_series(sys_a, sys_c, t).values
+    e_ab = relative_trace_series(sys_a, sys_b).values
+    e_bc = relative_trace_series(sys_b, sys_c).values
+    e_ac = relative_trace_series(sys_a, sys_c).values
     assert np.max(np.abs(e_ab + e_bc - e_ac)) < 1e-12
 
 

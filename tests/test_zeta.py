@@ -67,8 +67,7 @@ def surface_series():
     b = build_weight(funnel_cap_spec(0.3), truncation=tr)
     grid = make_grid(a, 4000)
     sys_a, sys_b = solve_modes(a, grid, 400.0), solve_modes(b, grid, 400.0)
-    times = np.geomspace(0.05, 20.0, 112)
-    return relative_trace_series(sys_a, sys_b, times), relative_trace_series(sys_b, sys_a, times)
+    return relative_trace_series(sys_a, sys_b), relative_trace_series(sys_b, sys_a)
 
 
 # ----------------------------------------------------------------------------
