@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Compare the CSV artifacts of two scenario output trees, column by column.
+"""Compare the CSV artifacts and check tables of two scenario output trees.
 
 Usage::
 
@@ -9,19 +9,24 @@ The trees are what ``scripts/run_all_scenarios.py --out DIR`` writes, run
 once on each of two versions of the code.  For every CSV present under both
 (matched by relative path) the script prints "identical" when the files are
 byte-equal; otherwise it prints, for each column that moved, the largest
-relative shift |new - old| / max(|old|, |new|) over its rows.  Header
-comments of the form ``# key=value`` count as one-row columns.  For a table
-with ``log_det`` and ``budget_total`` columns it also prints the largest
-|delta log_det| / parent budget_total over its rows: a shift that reaches
-the parent's own error budget is not a refinement inside it.
+relative shift |new - old| / max(|old|, |new|) over its rows, or "changed"
+for a column with a changed non-numeric cell.  Header comments of the form
+``# key=value`` count as one-row columns.  For a table with ``log_det`` and
+``budget_total`` columns it also prints the largest |delta log_det| /
+parent budget_total over its rows: a shift that reaches the parent's own
+error budget is not a refinement inside it.  For every ``summary.json``
+under both it prints "checks identical" when the check tables agree in
+name, passed, value and tolerance; otherwise each check that moved.
 
-Exit status is 1 when that ratio reaches 1 in any table, or when two CSVs
-cannot be compared row by row (different columns or row counts); otherwise
-0.  The script only reads files.
+Exit status is 1 when that ratio reaches 1 in any table, when two CSVs
+cannot be compared row by row (different columns or row counts), or when a
+check that passes in the parent does not pass (fails or is absent) in the
+change; otherwise 0.  The script only reads files.
 """
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import pathlib
 import sys
@@ -53,15 +58,17 @@ def _number(cell: str) -> float | None:
         return None
 
 
-def relative_shift(old: list[str], new: list[str]) -> float:
-    """Largest |new - old| / max(|old|, |new|) over the cells; a changed
-    non-numeric or non-finite cell counts as an infinite shift."""
+def relative_shift(old: list[str], new: list[str]) -> float | None:
+    """Largest |new - old| / max(|old|, |new|) over the cells; None when a
+    changed cell is not a number, inf when it is not finite."""
     worst = 0.0
     for a, b in zip(old, new):
         if a == b:
             continue
         x, y = _number(a), _number(b)
-        if x is None or y is None or not (math.isfinite(x) and math.isfinite(y)):
+        if x is None or y is None:
+            return None
+        if not (math.isfinite(x) and math.isfinite(y)):
             return math.inf
         scale = max(abs(x), abs(y))
         if scale > 0.0:
@@ -80,17 +87,57 @@ def budget_ratio(old: dict[str, list[str]], new: dict[str, list[str]]) -> tuple[
     return largest, worst
 
 
-def compare_trees(parent: pathlib.Path, change: pathlib.Path) -> tuple[list[str], bool]:
-    """Report lines for every CSV under both trees, and whether any table
-    failed (budget ratio >= 1, or not comparable)."""
+CHECK_FIELDS = ("passed", "value", "tolerance")
+
+
+def read_checks(path: pathlib.Path) -> dict[str, tuple]:
+    """Check name -> (passed, value, tolerance) of a summary.json."""
+    checks = json.loads(path.read_text())["checks"]
+    return {c["name"]: tuple(c[k] for k in CHECK_FIELDS) for c in checks}
+
+
+def _describe(check: tuple | None) -> str:
+    if check is None:
+        return "absent"
+    passed, value, tolerance = check
+    return f"{'pass' if passed else 'fail'} value={value!r} tolerance={tolerance!r}"
+
+
+def compare_checks(old: dict[str, tuple], new: dict[str, tuple]) -> tuple[list[str], bool]:
+    """One line per check that moved, and whether a check that passes in
+    the parent does not pass in the change.  Values compare by repr, so a
+    NaN equals itself."""
     lines: list[str] = []
     failed = False
-    old_paths = {p.relative_to(parent) for p in parent.rglob("*.csv")}
-    new_paths = {p.relative_to(change) for p in change.rglob("*.csv")}
+    for name in [*old, *(n for n in new if n not in old)]:
+        a, b = old.get(name), new.get(name)
+        if repr(a) == repr(b):
+            continue
+        regressed = a is not None and a[0] and not (b is not None and b[0])
+        failed = failed or regressed
+        verdict = " (FAIL)" if regressed else ""
+        lines.append(f"  {name}: {_describe(a)} -> {_describe(b)}{verdict}")
+    return lines, failed
+
+
+def _paired(parent: pathlib.Path, change: pathlib.Path, pattern: str, lines: list[str]):
+    """Relative paths matching ``pattern`` under both trees; a path under
+    only one of them adds a line."""
+    old_paths = {p.relative_to(parent) for p in parent.rglob(pattern)}
+    new_paths = {p.relative_to(change) for p in change.rglob(pattern)}
     for rel in sorted(old_paths ^ new_paths):
         side = "parent" if rel in old_paths else "change"
         lines.append(f"{rel}: only in the {side} tree")
-    for rel in sorted(old_paths & new_paths):
+    return sorted(old_paths & new_paths)
+
+
+def compare_trees(parent: pathlib.Path, change: pathlib.Path) -> tuple[list[str], bool]:
+    """Report lines for every CSV and summary.json under both trees, and
+    whether anything failed (budget ratio >= 1, tables not comparable, or a
+    passing check lost)."""
+    lines: list[str] = []
+    failed = False
+    for rel in _paired(parent, change, "*.csv", lines):
         a, b = parent / rel, change / rel
         if a.read_bytes() == b.read_bytes():
             lines.append(f"{rel}: identical")
@@ -103,7 +150,9 @@ def compare_trees(parent: pathlib.Path, change: pathlib.Path) -> tuple[list[str]
         lines.append(f"{rel}:")
         for name in old:
             shift = relative_shift(old[name], new[name])
-            if shift > 0.0:
+            if shift is None:
+                lines.append(f"  {name:32s} changed")
+            elif shift > 0.0:
                 lines.append(f"  {name:32s} max rel shift {shift:.2e}")
         if "log_det" in old and "budget_total" in old:
             shift, ratio = budget_ratio(old, new)
@@ -113,6 +162,10 @@ def compare_trees(parent: pathlib.Path, change: pathlib.Path) -> tuple[list[str]
                 f"max |d log_det| / parent budget_total = {ratio:.2e} ({verdict})"
             )
             failed = failed or ratio >= 1.0
+    for rel in _paired(parent, change, "summary.json", lines):
+        moved, lost = compare_checks(read_checks(parent / rel), read_checks(change / rel))
+        lines.extend([f"{rel}: checks identical"] if not moved else [f"{rel}:", *moved])
+        failed = failed or lost
     return lines, failed
 
 

@@ -30,21 +30,29 @@ import numpy as np
 from .discretize import Grid, make_grid, solve_modes
 from .geometry import (
     DEFAULT_TRUNCATION,
+    BumpSpec,
+    EndModel,
     MetricProfile,
     SurfaceSpec,
     Truncation,
-    _spec_from_dict,
     build_weight,
     flat_cylinder,
 )
 from .oracle import low_eigenvalues_2d, make_grid_2d, mode_sum_reference
 from .spectral import (
+    default_time_grid,
     kernel_value,
     offdiag_l2_integral,
     relative_trace_series,
     spectral_gap,
 )
-from .zeta import DEFAULT_FIT_WINDOW, determinant_from_series, fit_heat_invariants
+from .zeta import (
+    DEFAULT_FIT_K_MAX,
+    DEFAULT_FIT_WINDOW,
+    determinant_from_series,
+    fit_heat_invariants,
+    min_fit_samples,
+)
 
 SCENARIO_KINDS = (
     "validate",
@@ -67,13 +75,39 @@ class ConfigError(ValueError):
 
 
 def _from_mapping(cls, data: dict, where: str):
+    """``cls(**data)`` for the config object at key path ``where``; every
+    error names that path."""
     if not isinstance(data, dict):
         raise ConfigError(f"{where}: expected an object, got {type(data).__name__}")
     names = {f.name for f in dataclasses.fields(cls)}
     unknown = set(data) - names
     if unknown:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}; known: {sorted(names)}")
-    return cls(**data)
+    try:
+        return cls(**data)
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _with_surgery(spec: SurfaceSpec, epsilon: float) -> SurfaceSpec:
+    if spec.right_end.kind == "filled_cap":
+        right = dataclasses.replace(spec.right_end, cap_epsilon=float(epsilon))
+        return dataclasses.replace(spec, right_end=right)
+    if spec.left_end.kind == "dirichlet_boundary":
+        return dataclasses.replace(spec, boundary_surgery_epsilon=float(epsilon))
+    raise ConfigError(
+        "surface has neither a filled_cap end nor a dirichlet_boundary end; "
+        "there is no surgery parameter to sweep"
+    )
+
+
+def _with_funnel_constant(spec: SurfaceSpec, constant: float) -> SurfaceSpec:
+    if spec.left_end.kind != "funnel":
+        raise ConfigError("funnel_conformal_check needs funnel left ends")
+    left = dataclasses.replace(spec.left_end, funnel_constant=float(constant))
+    return dataclasses.replace(spec, left_end=left)
 
 
 @dataclass(frozen=True)
@@ -82,7 +116,8 @@ class NumericsConfig:
 
     Every field has a working default; configs override selectively.  The
     time grid, fit residual threshold, oracle resolution and off-diagonal
-    times are the library's own constants.
+    times are the library's own constants.  Construction checks the types
+    and every range that the numerics alone decide, without solving.
     """
 
     n_nodes: int = 4000
@@ -90,7 +125,7 @@ class NumericsConfig:
     funnel_depth: float = DEFAULT_TRUNCATION.funnel_depth
     cusp_end: float = DEFAULT_TRUNCATION.cusp_end
     cap_end: float = DEFAULT_TRUNCATION.cap_end
-    fit_k_max: int = 3
+    fit_k_max: int = DEFAULT_FIT_K_MAX
     fit_window_lo: float = DEFAULT_FIT_WINDOW[0]
     fit_window_hi: float = DEFAULT_FIT_WINDOW[1]
     offdiag_y_s: float = 1.0
@@ -110,6 +145,27 @@ class NumericsConfig:
             ):
                 want = "an int" if is_int else "a finite number"
                 raise ConfigError(f"numerics.{f.name} must be {want}, got {value!r}")
+        lo, hi = self.fit_window
+        for name, ok, want in (
+            ("n_nodes", self.n_nodes >= 8, "at least 8"),
+            ("lambda_cut", self.lambda_cut > 0.0, "positive"),
+            ("fit_k_max", self.fit_k_max >= 2, "at least 2 (the determinant needs a_0..a_2)"),
+            ("fit_window_lo", 0.0 < lo < hi, "positive and below numerics.fit_window_hi"),
+        ):
+            if not ok:
+                raise ConfigError(f"numerics.{name} must be {want}, got {getattr(self, name)!r}")
+        try:
+            self.truncation()
+        except ValueError as exc:  # Truncation names the field, which is the key
+            raise ConfigError(f"numerics.{exc}") from exc
+        t = default_time_grid()
+        n = int(np.count_nonzero((t >= lo) & (t <= hi)))
+        if n < min_fit_samples(self.fit_k_max):
+            raise ConfigError(
+                f"numerics.fit_window_lo, fit_window_hi: the window ({lo!r}, {hi!r}) holds "
+                f"{n} samples of the default time grid; fit_k_max = {self.fit_k_max} "
+                f"needs at least {min_fit_samples(self.fit_k_max)}"
+            )
 
     def truncation(self) -> Truncation:
         return Truncation(
@@ -138,6 +194,8 @@ class ScenarioConfig:
     carries the bump, B is the plain reference); sweep scenarios rewrite the
     surgery parameter of *both* members per grid point, so the pair stays
     relatively compact and its invariants are the quantity under test.
+    Construction builds every surface spec the scenario will solve (no
+    weight is evaluated), so an unusable value fails here, naming its key.
     """
 
     kind: str
@@ -155,10 +213,34 @@ class ScenarioConfig:
             raise ConfigError(f"unknown scenario kind {self.kind!r}; one of {SCENARIO_KINDS}")
         if not self.label:
             object.__setattr__(self, "label", self.kind)
-        object.__setattr__(self, "epsilons", tuple(float(e) for e in self.epsilons))
-        object.__setattr__(
-            self, "conformal_constants", tuple(float(c) for c in self.conformal_constants)
-        )
+        for name in ("epsilons", "conformal_constants"):
+            values = getattr(self, name)
+            if not isinstance(values, (list, tuple)) or any(
+                isinstance(v, bool) or not isinstance(v, (int, float)) for v in values
+            ):
+                raise ConfigError(f"{name} must be a list of numbers, got {values!r}")
+            object.__setattr__(self, name, tuple(float(v) for v in values))
+        self._check_surfaces()
+
+    def _check_surfaces(self) -> None:
+        specs = [("surface_a", self.spec_a())]
+        if self.kind not in ("validate", "isospectral_check", "offdiag_check"):
+            specs.append(("surface_b", self.spec_b()))
+        if self.kind in ("surgery_sweep", "continuity_check"):
+            key, values, rewrite = "epsilons", (0.0, *self.epsilons), _with_surgery
+        elif self.kind == "funnel_conformal_check":
+            key, values = "conformal_constants", self.conformal_constants
+            rewrite = _with_funnel_constant
+        else:
+            return
+        for value in values:
+            for where, spec in specs:
+                try:
+                    if not math.isfinite(value):
+                        raise ValueError("not a finite number")
+                    rewrite(spec, value)
+                except ValueError as exc:
+                    raise ConfigError(f"{key} value {value!r} on {where}: {exc}") from exc
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
@@ -202,21 +284,15 @@ class ScenarioConfig:
     def _spec(self, d: dict, where: str) -> SurfaceSpec:
         if not d:
             raise ConfigError(f"{where} is empty; scenario {self.kind} needs a surface spec")
-        try:
-            return _spec_from_dict(d)
-        except (TypeError, ValueError, KeyError) as exc:
-            raise ConfigError(f"{where}: {exc}") from exc
-
-    def _with_surgery(self, spec: SurfaceSpec, epsilon: float) -> SurfaceSpec:
-        if spec.right_end.kind == "filled_cap":
-            right = dataclasses.replace(spec.right_end, cap_epsilon=float(epsilon))
-            return dataclasses.replace(spec, right_end=right)
-        if spec.left_end.kind == "dirichlet_boundary":
-            return dataclasses.replace(spec, boundary_surgery_epsilon=float(epsilon))
-        raise ConfigError(
-            "surface has neither a filled_cap end nor a dirichlet_boundary end; "
-            "there is no surgery parameter to sweep"
-        )
+        if not isinstance(d, dict):
+            raise ConfigError(f"{where}: expected an object, got {type(d).__name__}")
+        d = dict(d)
+        for key in ("left_end", "right_end"):
+            if key in d:
+                d[key] = _from_mapping(EndModel, d[key], f"{where}.{key}")
+        if d.get("bump") is not None:
+            d["bump"] = _from_mapping(BumpSpec, d["bump"], f"{where}.bump")
+        return _from_mapping(SurfaceSpec, d, where)
 
     def pair(
         self, *, epsilon: float | None = None, constant: float | None = None
@@ -233,12 +309,9 @@ class ScenarioConfig:
         out = []
         for spec in (spec_a, spec_b):
             if epsilon is not None:
-                spec = self._with_surgery(spec, epsilon)
+                spec = _with_surgery(spec, epsilon)
             if constant is not None:
-                if spec.left_end.kind != "funnel":
-                    raise ConfigError("funnel_conformal_check needs funnel left ends")
-                left = dataclasses.replace(spec.left_end, funnel_constant=float(constant))
-                spec = dataclasses.replace(spec, left_end=left)
+                spec = _with_funnel_constant(spec, constant)
             out.append(build_weight(spec, truncation=tr))
         return out[0], out[1]
 
@@ -831,9 +904,6 @@ def main(argv=None) -> int:
     if args.verb in ("run", "validate"):
         try:
             cfg = ScenarioConfig.from_json(args.config)
-            cfg.spec_a()
-            if cfg.kind not in ("validate", "isospectral_check", "offdiag_check"):
-                cfg.spec_b()
         except ConfigError as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 2

@@ -110,22 +110,11 @@ class Grid:
         )
 
 
-def make_grid(
-    profile: MetricProfile,
-    n_nodes: int,
-    *,
-    bc_left: str | None = None,
-    bc_right: str | None = None,
-) -> Grid:
-    """Uniform n_nodes grid spanning the profile chart (endpoints included).
-    Boundary conditions default to the profile's own (overridable for
-    experiments, e.g. Neumann reference problems)."""
+def make_grid(profile: MetricProfile, n_nodes: int) -> Grid:
+    """Uniform n_nodes grid spanning the profile chart (endpoints included),
+    with the profile's boundary conditions."""
     nodes = np.linspace(profile.s_min, profile.s_max, n_nodes)
-    return Grid(
-        nodes=nodes,
-        bc_left=bc_left if bc_left is not None else profile.bc_left,
-        bc_right=bc_right if bc_right is not None else profile.bc_right,
-    )
+    return Grid(nodes=nodes, bc_left=profile.bc_left, bc_right=profile.bc_right)
 
 
 def _resolve_bc(bc: str, m: int) -> str:

@@ -24,7 +24,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
+from numbers import Real
 
 import numpy as np
 
@@ -44,7 +45,6 @@ __all__ = [
     "flat_cylinder",
     "relative_area",
     "line_distance",
-    "profile_from_dict",
 ]
 
 # Point surgery factors equal 1 exactly for r = e^{-s} >= 1/2.
@@ -188,6 +188,15 @@ def cap_tip_constant(epsilon: float) -> float:
 END_KINDS = ("funnel", "cusp", "dirichlet_boundary", "filled_cap")
 
 
+def _require_finite(obj, *names: str) -> None:
+    """Each named field of ``obj`` is a finite real number (not a bool);
+    otherwise ValueError naming the field."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
+            raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class BumpSpec:
     """Compactly supported log-weight bump: log w += amplitude * (1-u^2)^3,
@@ -198,8 +207,9 @@ class BumpSpec:
     amplitude: float
 
     def __post_init__(self):
+        _require_finite(self, "center", "radius", "amplitude")
         if not self.radius > 0.0:
-            raise ValueError("bump radius must be positive")
+            raise ValueError(f"radius must be positive, got {self.radius!r}")
 
     @property
     def support(self) -> tuple[float, float]:
@@ -222,29 +232,23 @@ class EndModel:
         weight bitwise.
     f_value
         constant log-weight next to a dirichlet_boundary end.
-    chart_extent
-        chart interval this end occupies, filled in when a surface is built
-        (None on hand-written specs).
     """
 
     kind: str
     funnel_constant: float = 0.0
     cap_epsilon: float | None = None
     f_value: float = 0.0
-    chart_extent: tuple[float, float] | None = None
 
     def __post_init__(self):
         if self.kind not in END_KINDS:
             raise ValueError(f"unknown end kind {self.kind!r}; expected one of {END_KINDS}")
-        if self.chart_extent is not None:
-            lo, hi = self.chart_extent
-            if not lo < hi:
-                raise ValueError("chart_extent must be an increasing interval")
+        _require_finite(self, "funnel_constant", "f_value")
         if self.kind == "filled_cap":
             if self.cap_epsilon is None:
                 raise ValueError("filled_cap end needs cap_epsilon")
+            _require_finite(self, "cap_epsilon")
             if not 0.0 <= self.cap_epsilon <= 1.0:
-                raise ValueError("cap_epsilon must be in [0, 1]")
+                raise ValueError(f"cap_epsilon must be in [0, 1], got {self.cap_epsilon!r}")
         elif self.cap_epsilon is not None:
             raise ValueError(f"cap_epsilon only applies to filled_cap ends, not {self.kind!r}")
         if self.funnel_constant != 0.0 and self.kind != "funnel":
@@ -273,35 +277,17 @@ class SurfaceSpec:
             raise ValueError("left end must be a funnel or a dirichlet_boundary")
         if self.right_end.kind not in ("cusp", "filled_cap"):
             raise ValueError("right end must be a cusp or a filled_cap")
+        _require_finite(self, "core_length")
         if not self.core_length > 0.0:
-            raise ValueError("core_length must be positive")
+            raise ValueError(f"core_length must be positive, got {self.core_length!r}")
         if self.boundary_surgery_epsilon is not None:
+            _require_finite(self, "boundary_surgery_epsilon")
             if self.left_end.kind != "dirichlet_boundary":
                 raise ValueError("boundary surgery needs a dirichlet_boundary left end")
             if self.right_end.kind == "filled_cap":
                 raise ValueError("boundary surgery together with a filled_cap end is not supported")
             if self.boundary_surgery_epsilon < 0.0:
                 raise ValueError("boundary_surgery_epsilon must be nonnegative")
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        return d
-
-
-def _end_from_dict(d: dict) -> EndModel:
-    d = dict(d)
-    if d.get("chart_extent") is not None:
-        d["chart_extent"] = tuple(d["chart_extent"])
-    return EndModel(**d)
-
-
-def _spec_from_dict(d: dict) -> SurfaceSpec:
-    d = dict(d)
-    d["left_end"] = _end_from_dict(d["left_end"])
-    d["right_end"] = _end_from_dict(d["right_end"])
-    if d.get("bump") is not None:
-        d["bump"] = BumpSpec(**d["bump"])
-    return SurfaceSpec(**d)
 
 
 @dataclass(frozen=True)
@@ -330,10 +316,12 @@ class Truncation:
     cap_tip_radius: float = 0.01
 
     def __post_init__(self):
-        if not (self.funnel_depth > 0 and self.boundary_depth > 0):
-            raise ValueError("truncation depths must be positive")
-        if not (self.cusp_end > 2.0 and self.cap_end > 2.0):
-            raise ValueError("end truncations must exceed the core region")
+        # depths are positive; cusp_end and cap_end lie beyond the core region
+        for name, floor in (
+            ("funnel_depth", 0), ("boundary_depth", 0), ("cusp_end", 2), ("cap_end", 2)
+        ):
+            if not getattr(self, name) > floor:
+                raise ValueError(f"{name} must exceed {floor}, got {getattr(self, name)!r}")
         if not 0.0 < self.cap_tip_radius <= 0.1:
             raise ValueError("cap_tip_radius must lie in (0, 0.1]")
 
@@ -427,8 +415,10 @@ class _FlatWeight:
 class MetricProfile:
     """A fully resolved surface: chart, weight callable, boundary conditions.
 
-    ``weight`` evaluates w(s) (vectorized); rebuilding from ``to_dict`` gives
-    a bitwise-identical weight.  ``bc_left``/``bc_right`` are 'dirichlet',
+    ``weight`` evaluates w(s) (vectorized); two builds from the same spec and
+    truncation (or the same flat cylinder) give bitwise the same weight and
+    label.  ``spec`` is None on a flat cylinder; ``bump`` is the surface's
+    log-weight bump either way.  ``bc_left``/``bc_right`` are 'dirichlet',
     'neumann' or 'cap' ('cap' resolves per Fourier mode at discretization
     time: Neumann for m = 0, Dirichlet otherwise).
     """
@@ -439,9 +429,8 @@ class MetricProfile:
     s_max: float
     bc_left: str
     bc_right: str
-    truncation_note: dict
     breakpoints: tuple[float, ...]
-    flat_length: float | None = None
+    bump: BumpSpec | None
     _fn: object = field(repr=False, default=None)
     _area: float | None = field(repr=False, default=None)
 
@@ -461,23 +450,16 @@ class MetricProfile:
 
     def to_dict(self) -> dict:
         if self.spec is None:
-            d: dict = {"flat_length": self.flat_length}
-            if self._fn.bump is not None:
-                d["bump"] = asdict(self._fn.bump)
+            d: dict = {"flat_length": self.s_max}
+            if self.bump is not None:
+                d["bump"] = asdict(self.bump)
             return d
-        return {"spec": self.spec.to_dict(), "truncation": asdict(self.truncation)}
+        return {"spec": asdict(self.spec), "truncation": asdict(self.truncation)}
 
     @property
     def label(self) -> str:
         payload = json.dumps(self.to_dict(), sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()[:12]
-
-
-def profile_from_dict(d: dict) -> MetricProfile:
-    if "flat_length" in d:
-        bump = BumpSpec(**d["bump"]) if d.get("bump") else None
-        return flat_cylinder(d["flat_length"], bump=bump)
-    return build_weight(_spec_from_dict(d["spec"]), truncation=Truncation(**d["truncation"]))
 
 
 def _require_disjoint(bump: BumpSpec, lo: float, hi: float, what: str) -> None:
@@ -508,7 +490,6 @@ def build_weight(spec: SurfaceSpec, truncation: Truncation | None = None) -> Met
     """
     tr = truncation if truncation is not None else DEFAULT_TRUNCATION
     left, right = spec.left_end, spec.right_end
-    note: dict = {}
     if left.kind == "funnel":
         s_core_r = SURGERY_S_THRESHOLD
         s_core_l = s_core_r - spec.core_length
@@ -530,38 +511,22 @@ def build_weight(spec: SurfaceSpec, truncation: Truncation | None = None) -> Met
                 1.0 / tr.cap_tip_radius
             )
             s_max = min(s_max, s_star)
-            note["cap_truncation_s"] = s_max
-            note["cap_tip_metric_radius"] = tr.cap_tip_radius
         fn = _CapChartWeight(s_tip, s_core_l, left.funnel_constant, spec.bump, cap_eps)
-        bc_right = "cap" if right.kind == "filled_cap" else "dirichlet"
-        note.update(
-            funnel_truncation_s=s_tip,
-            funnel_depth=tr.funnel_depth,
-            right_truncation_s=s_max,
-            right_bc="m=0 Neumann / m>0 Dirichlet at the cap chart edge"
-            if bc_right == "cap"
-            else "Dirichlet at the cusp truncation",
-        )
         breakpoints = [s_core_l, s_core_r]
         if cap_eps is not None and cap_eps > 0.0:
             # the surgery cutoff sigma transitions on r in [1/4, 1/2]
             breakpoints.append(math.log(4.0))
         if spec.bump is not None:
             breakpoints.extend(spec.bump.support)
-        spec = replace(
-            spec,
-            left_end=replace(left, chart_extent=(s_tip, s_core_l)),
-            right_end=replace(right, chart_extent=(s_core_r, s_max)),
-        )
         return MetricProfile(
             spec=spec,
             truncation=tr,
             s_min=s_tip,
             s_max=s_max,
             bc_left="dirichlet",
-            bc_right=bc_right,
-            truncation_note=note,
+            bc_right="cap" if right.kind == "filled_cap" else "dirichlet",
             breakpoints=tuple(sorted(breakpoints)),
+            bump=spec.bump,
             _fn=fn,
         )
 
@@ -574,25 +539,14 @@ def build_weight(spec: SurfaceSpec, truncation: Truncation | None = None) -> Met
     if core_r >= s_max:
         raise ValueError("core_length runs into the cusp truncation")
     eps = spec.boundary_surgery_epsilon
-    if eps is not None:
-        s_min = _COLLAR_TIP * math.exp(-tr.boundary_depth)
-        note["collar_truncation_r"] = s_min
-        note["family_rule"] = "common chart for all boundary-surgery parameters"
-    else:
-        s_min = 0.0
+    s_min = _COLLAR_TIP * math.exp(-tr.boundary_depth) if eps is not None else 0.0
     fn = _BoundaryChartWeight(left.f_value, spec.bump, eps)
-    note.update(right_truncation_s=s_max, right_bc="Dirichlet at the cusp truncation")
     breakpoints = [_COLLAR_EDGE, _BLEND_EDGE, core_r]
     if eps is not None:
         # the boundary-surgery gate transitions on r in [1/4, 1/2]
         breakpoints.extend(p for p in (0.25, 0.5) if p > s_min)
     if spec.bump is not None:
         breakpoints.extend(spec.bump.support)
-    spec = replace(
-        spec,
-        left_end=replace(left, chart_extent=(s_min, core_l)),
-        right_end=replace(right, chart_extent=(core_r, s_max)),
-    )
     return MetricProfile(
         spec=spec,
         truncation=tr,
@@ -600,8 +554,8 @@ def build_weight(spec: SurfaceSpec, truncation: Truncation | None = None) -> Met
         s_max=s_max,
         bc_left="dirichlet",
         bc_right="dirichlet",
-        truncation_note=note,
         breakpoints=tuple(sorted(breakpoints)),
+        bump=spec.bump,
         _fn=fn,
     )
 
@@ -622,9 +576,8 @@ def flat_cylinder(length: float = math.pi, bump: BumpSpec | None = None) -> Metr
         s_max=length,
         bc_left="dirichlet",
         bc_right="dirichlet",
-        truncation_note={"flat": True},
         breakpoints=breakpoints,
-        flat_length=length,
+        bump=bump,
         _fn=_FlatWeight(bump),
     )
 

@@ -33,6 +33,7 @@ __all__ = [
     "mode_sum_reference",
 ]
 
+ORACLE_EIGENVALUES = 20  # eigenvalues the 2D cross-check compares by default
 _EXACT_PATH_MAX = 20  # spectra shorter than this use rational arithmetic
 _EIGSH_SEED = 12345
 _EIGSH_SHIFT = -0.05  # below the spectrum, so shift-invert finds the lowest
@@ -153,7 +154,7 @@ def _assemble_2d(profile: MetricProfile, grid: Grid2D):
 def low_eigenvalues_2d(
     profile: MetricProfile,
     grid: Grid2D,
-    count: int = 20,
+    count: int = ORACLE_EIGENVALUES,
 ) -> np.ndarray:
     """First ``count`` eigenvalues of the five-point pencil, ascending.
 
@@ -169,7 +170,7 @@ def low_eigenvalues_2d(
         raise ValueError("the 2D oracle is limited to the first 50 eigenvalues")
     if count < 1:
         raise ValueError("count must be positive")
-    bump = profile.spec.bump if profile.spec is not None else profile._fn.bump
+    bump = profile.bump
     if bump is not None and 2.0 * bump.radius / grid.h_s < 8.0:
         raise ValueError(
             f"bump of radius {bump.radius} spans fewer than 8 radial nodes at "
@@ -205,7 +206,7 @@ def angular_symbol(m: int, n_theta: int) -> float:
 def mode_sum_reference(
     profile: MetricProfile,
     grid: Grid2D,
-    count: int = 20,
+    count: int = ORACLE_EIGENVALUES,
 ) -> np.ndarray:
     """The same discrete spectrum as the five-point pencil, by angular
     diagonalization: the theta circulant factors into modes m = 0..n_theta/2

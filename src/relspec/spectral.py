@@ -7,8 +7,8 @@ The relative heat trace of a surgery pair (A, B) sharing one truncated chart,
 is evaluated mode by mode with the two spectra paired inside each angular
 mode, so that identical surfaces give exactly 0.0 and nearby surfaces cancel
 their common ultraviolet bulk before anything is summed.  Heat kernels are
-reassembled from the mode eigenfunctions when pointwise or windowed-L2
-quantities are needed.
+reassembled from the mode eigenfunctions when pointwise values or their
+off-diagonal L2 products are needed.
 """
 
 from __future__ import annotations
@@ -190,7 +190,7 @@ class TraceSeries:
     at which that estimate drops below 1e-6 of the series scale -- samples
     below it are cutoff-limited.  ``spectrum`` keeps the paired spectra, so
     ``evaluate`` recomputes E at arbitrary times and zeta'(0) integrates E
-    exactly (both unavailable on instances read back from CSV).
+    exactly.
     """
 
     times: np.ndarray = field(repr=False)
@@ -216,7 +216,7 @@ class TraceSeries:
 
     def evaluate(self, t):
         if self.spectrum is None:
-            raise ValueError("series has no spectrum evaluator (was it read from CSV?)")
+            raise ValueError("series has no spectrum evaluator")
         return self.spectrum.heat_trace(t)
 
     def to_csv(self, path) -> None:
@@ -231,34 +231,6 @@ class TraceSeries:
             # shortest round-trip decimal form rather than "np.float64(...)"
             for t, v, b in zip(self.times, self.values, self.tail_bounds):
                 fh.write(f"{float(t)!r},{float(v)!r},{float(b)!r}\n")
-
-    @classmethod
-    def from_csv(cls, path) -> "TraceSeries":
-        meta = {}
-        rows = []
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                if line.startswith("#"):
-                    key, _, val = line[1:].strip().partition("=")
-                    meta[key.strip()] = val.strip()
-                elif line.startswith("t,"):
-                    continue
-                else:
-                    rows.append([float(x) for x in line.split(",")])
-        data = np.asarray(rows)
-        return cls(
-            times=data[:, 0],
-            values=data[:, 1],
-            tail_bounds=data[:, 2],
-            pair_id=meta.get("pair_id", "unknown"),
-            rel_area=float(meta.get("rel_area", "nan")),
-            gap_a=float(meta.get("gap_a", "nan")),
-            gap_b=float(meta.get("gap_b", "nan")),
-            t_trust_min=float(meta.get("t_trust_min", "nan")),
-        )
 
     @classmethod
     def from_finite_spectra(cls, lam_a, lam_b, times=None) -> "TraceSeries":
@@ -339,7 +311,7 @@ def relative_trace_series(sys_a: Eigensystem, sys_b: Eigensystem) -> TraceSeries
 
 
 # ----------------------------------------------------------------------------
-# pointwise kernel and windowed off-diagonal integrals
+# pointwise kernel and off-diagonal integrals
 # ----------------------------------------------------------------------------
 
 def _require_vectors(sys: Eigensystem) -> None:
@@ -359,8 +331,8 @@ def _angular_factor(m: int, dtheta: float) -> float:
     1/(2 pi) for m = 0 and cos(m dtheta)/pi for m >= 1 (the cos cos + sin sin
     pair summed).  The same number is int_{S^1} phi_m(theta - theta_y)
     phi_m(theta - theta_y2) dtheta for the angular parts phi_0 = 1/(2 pi),
-    phi_m(u) = cos(m u)/pi of a kernel column, so the kernel and its windowed
-    L2 products use one rule."""
+    phi_m(u) = cos(m u)/pi of a kernel column, so the kernel and its L2
+    products use one rule."""
     return 1.0 / (2.0 * math.pi) if m == 0 else math.cos(m * dtheta) / math.pi
 
 
@@ -393,57 +365,35 @@ def kernel_value(sys: Eigensystem, t: float, y, y2=None) -> float:
 
 @dataclass(frozen=True)
 class OffdiagResult:
-    """A windowed kernel-product integral
+    """The kernel-product integral
 
-        I(t) = int_{region x S^1} K(t, x, y) K(t, x, y2) dA(x),
+        I(t) = int K(t, x, y) K(t, x, y2) dA(x)
 
-    with the chart distances that control its decay: region_distance from y
-    to the integration window (0 when y lies inside) and pair_distance
-    between the two base circles.  value takes the angular integral in
-    closed form, as a per-mode radial sum (see offdiag_l2_integral).  Over the
-    full chart the semigroup property collapses I(t) to K(2t, y, y2).
+    over the whole chart, which the semigroup property collapses to
+    K(2t, y, y2), and pair_distance, the distance between the two base
+    circles that controls its decay.  value takes the angular integral in
+    closed form, as a per-mode radial sum (see offdiag_l2_integral).
     """
 
     value: float
-    t: float
-    region: tuple[float, float]
-    y: tuple[float, float]
-    y2: tuple[float, float]
-    region_distance: float
     pair_distance: float
-    tail_fraction: float
 
 
-def _region_distance(sys: Eigensystem, s_y: float, lo: float, hi: float) -> float:
-    if lo <= s_y <= hi:
-        return 0.0
-    edge = lo if s_y < lo else hi
-    return line_distance(sys.profile, s_y, edge)
+def offdiag_l2_integral(sys: Eigensystem, t: float, *, y, y2=None) -> OffdiagResult:
+    """Integrate K(t, x, y) K(t, x, y2) over the chart against dA = w ds dtheta.
 
-
-def offdiag_l2_integral(
-    sys: Eigensystem,
-    t: float,
-    *,
-    y,
-    region=None,
-    y2=None,
-) -> OffdiagResult:
-    """Integrate K(t, x, y) K(t, x, y2) over region x S^1 against dA = w ds dtheta.
-
-    region is an s-interval (None = the whole chart); y = (s, theta) with s
-    snapped to the nearest node.  Both kernel columns expand in the angular
-    modes, which are orthogonal on S^1, so the angular integral is exact and
-    leaves one radial sum per mode:
+    y = (s, theta) with s snapped to the nearest node (y2 defaults to y).
+    Both kernel columns expand in the angular modes, which are orthogonal on
+    S^1, so the angular integral is exact and leaves one radial sum per mode:
 
         I(t) = sum_m c_m(theta_y - theta_y2) sum_i w_i cell_i r_m^y(s_i) r_m^y2(s_i),
 
     with r_m^y(s) = sum_j e^{-lam_j t} u_j(s) u_j(s_y) the radial factor of
     the column through y, c_m the angular factor of kernel_value, and the
-    lumped cells of the eigenbasis restricted to the region (so the full-chart
-    case reproduces K(2t, y, y2) to round-off).
-    Modes are added in ascending m, and each radial sum is symmetric in its
-    two columns, so swapping y and y2 gives bitwise the same value.
+    lumped cells of the eigenbasis (so I(t) reproduces K(2t, y, y2) to
+    round-off).  Modes are added in ascending m, and each radial sum is
+    symmetric in its two columns, so swapping y and y2 gives bitwise the same
+    value.
 
     pre: t large enough that the spectral cutoff is invisible -- the estimated
     cutoff remainder of Tr e^{-t Delta} must stay below 1e-6 of the trace
@@ -472,19 +422,11 @@ def offdiag_l2_integral(
             f"t={t} too small for the cutoff {sys.lambda_cut}: kernel tail fraction "
             f"{tail_fraction:.3e} > 1e-6 (smallest usable t ~ {t_min:.4g})"
         )
-    if region is None:
-        lo, hi = float(nodes[0]), float(nodes[-1])
-    else:
-        lo, hi = region
-        if not (nodes[0] - 1e-12 <= lo < hi <= nodes[-1] + 1e-12):
-            raise ValueError("region must be an increasing interval inside the chart")
     i_y, i_y2 = _snap(sys, s_y), _snap(sys, s_y2)
 
     h = sys.grid.h
-    mask = (nodes >= lo - 1e-12) & (nodes <= hi + 1e-12)
     cell = np.full(len(nodes), h)
     cell[0] = cell[-1] = h / 2.0
-    cell[~mask] = 0.0
     radial_weights = sys.profile.weight(nodes) * cell
 
     dth = th_y - th_y2
@@ -500,11 +442,5 @@ def offdiag_l2_integral(
         value += _angular_factor(m, dth) * float(np.dot(radial_weights, r_y * r_y2))
     return OffdiagResult(
         value=value,
-        t=t,
-        region=(lo, hi),
-        y=(float(nodes[i_y]), float(th_y)),
-        y2=(float(nodes[i_y2]), float(th_y2)),
-        region_distance=_region_distance(sys, float(nodes[i_y]), lo, hi),
         pair_distance=line_distance(sys.profile, float(nodes[i_y]), float(nodes[i_y2])),
-        tail_fraction=tail_fraction,
     )

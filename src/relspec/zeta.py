@@ -51,6 +51,7 @@ __all__ = [
     "FitResidualError",
     "DeterminantResult",
     "fit_heat_invariants",
+    "min_fit_samples",
     "taylor_invariants",
     "determinant_from_series",
 ]
@@ -66,6 +67,8 @@ SPLIT_TAU = 1.0  # the Mellin split point tau of the module docstring
 # coefficients; and the window must still hold >= 3(K+1) samples of the
 # default time grid.
 DEFAULT_FIT_WINDOW = (0.05, 0.15)
+# Highest power K of the default fit t E(t) ~ sum_{k<=K} a_k t^k.
+DEFAULT_FIT_K_MAX = 3
 
 # Largest misfit of the fitted model, relative to max |t E(t)| on the window.
 FIT_RESIDUAL_THRESHOLD = 1e-4
@@ -95,9 +98,14 @@ class HeatInvariants:
         return len(self.coefficients) - 1
 
 
+def min_fit_samples(k_max: int) -> int:
+    """Samples a fit of order k_max needs inside its window: 3 (k_max + 1)."""
+    return 3 * (k_max + 1)
+
+
 def fit_heat_invariants(
     series: TraceSeries,
-    k_max: int = 3,
+    k_max: int = DEFAULT_FIT_K_MAX,
     *,
     window: tuple[float, float] = DEFAULT_FIT_WINDOW,
 ) -> HeatInvariants:
@@ -117,9 +125,9 @@ def fit_heat_invariants(
         raise ValueError("window must be an increasing positive interval")
     mask = (series.times >= lo) & (series.times <= hi)
     n = int(np.count_nonzero(mask))
-    if n < 3 * (k_max + 1):
+    if n < min_fit_samples(k_max):
         raise ValueError(
-            f"only {n} samples in window {window}; need at least {3 * (k_max + 1)}"
+            f"only {n} samples in window {window}; need at least {min_fit_samples(k_max)}"
         )
     t = series.times[mask]
     y = t * series.values[mask]
@@ -185,22 +193,16 @@ class DeterminantResult:
     """Relative zeta-determinant det = exp(-zeta'(0)) of a pair (A, B).
 
     For finite spectra det = prod(lam_a) / prod(lam_b); identical spectra
-    give exactly 1.0.  pieces: singular_part (the a_k tau-powers),
-    small_time_integral (S(t_floor) - S(tau) minus the model integral on
-    [t_floor, tau]), large_time_integral (S(tau), exact over the kept
-    spectra) and euler_gamma_term (gamma a_1).  error_budget:
-    small_time_truncation (the model term dropped below t_floor),
+    give exactly 1.0.  error_budget, with t_floor the trust floor of the
+    series: small_time_truncation (the model term dropped below t_floor),
     fit_sensitivity (the fit residual times the 1/t_floor sensitivity),
     cutoff_leak (the trapezoid integral of the recorded tail bounds over
     dt/t) and their total.
     """
 
     zeta_prime_zero: float
-    pieces: dict
     error_budget: dict
     invariants: HeatInvariants
-    t_floor: float
-    pair_id: str
 
     @property
     def log_determinant(self) -> float:
@@ -282,14 +284,6 @@ def determinant_from_series(
     budget["total"] = sum(budget.values())
     return DeterminantResult(
         zeta_prime_zero=value,
-        pieces={
-            "singular_part": singular,
-            "small_time_integral": small_int,
-            "large_time_integral": large_int,
-            "euler_gamma_term": euler_term,
-        },
         error_budget=budget,
         invariants=inv,
-        t_floor=t_floor,
-        pair_id=series.pair_id,
     )

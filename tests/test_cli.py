@@ -1,14 +1,22 @@
 """Config parsing, the scenario runner, and the command-line interface."""
 from __future__ import annotations
 
+import contextlib
 import importlib.metadata
+import io
 import json
+import math
 import os
+import pathlib
+import re
 import shutil
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relspec.cli import (
     ConfigError,
@@ -17,6 +25,8 @@ from relspec.cli import (
     main,
     run_scenario,
 )
+
+from conftest import ROOT
 
 MINI_SURFACE = {
     "left_end": {"kind": "funnel"},
@@ -141,6 +151,28 @@ def test_config_rejects_mistyped_or_non_finite_numerics(tmp_path, capsys, key, v
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("n_nodes", 7, "numerics.n_nodes must be at least 8"),
+        ("lambda_cut", 0.0, "numerics.lambda_cut must be positive"),
+        ("funnel_depth", -1.0, "numerics.funnel_depth must exceed 0"),
+        ("cusp_end", 2.0, "numerics.cusp_end must exceed 2"),
+        ("cap_end", 1.0, "numerics.cap_end must exceed 2"),
+        ("fit_k_max", 1, "numerics.fit_k_max must be at least 2"),
+        ("fit_window_lo", 0.0, "numerics.fit_window_lo must be positive and below"),
+        ("fit_window_lo", 0.2, "numerics.fit_window_lo must be positive and below"),
+        # the default window (0.05, 0.15) holds 21 samples; K = 7 needs 24
+        ("fit_k_max", 7, "holds 21 samples of the default time grid; fit_k_max = 7 needs"),
+    ],
+)
+def test_config_rejects_numerics_out_of_range(key, value, message):
+    data = mini_isospectral_dict()
+    data["numerics"][key] = value
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        ScenarioConfig.from_dict(data)
+
+
 def test_config_accepts_an_int_for_a_float_key():
     data = mini_isospectral_dict()
     data["numerics"]["lambda_cut"] = 25
@@ -153,25 +185,24 @@ def test_config_rejects_unknown_kind():
 
 
 def test_config_label_defaults_to_kind():
-    cfg = ScenarioConfig.from_dict({"kind": "validate"})
+    cfg = ScenarioConfig.from_dict({"kind": "validate", "surface_a": MINI_SURFACE})
     assert cfg.label == "validate"
 
 
 def test_surgery_rewrite_requires_a_surgery_end():
+    cusp_surface = {
+        "left_end": {"kind": "funnel"},
+        "right_end": {"kind": "cusp"},
+        "core_length": 0.45,
+    }
+    # a sweep over such a surface fails at load
+    with pytest.raises(ConfigError, match="surgery"):
+        ScenarioConfig.from_dict(
+            {"kind": "surgery_sweep", "surface_a": cusp_surface, "surface_b": cusp_surface}
+        )
+    # and so does a rewrite asked of another kind
     cfg = ScenarioConfig.from_dict(
-        {
-            "kind": "surgery_sweep",
-            "surface_a": {
-                "left_end": {"kind": "funnel"},
-                "right_end": {"kind": "cusp"},
-                "core_length": 0.45,
-            },
-            "surface_b": {
-                "left_end": {"kind": "funnel"},
-                "right_end": {"kind": "cusp"},
-                "core_length": 0.45,
-            },
-        }
+        {"kind": "decay_check", "surface_a": cusp_surface, "surface_b": cusp_surface}
     )
     with pytest.raises(ConfigError, match="surgery"):
         cfg.pair(epsilon=0.1)
@@ -190,6 +221,93 @@ def test_pair_rewrites_both_members():
     assert pa.spec.right_end.cap_epsilon == 0.2
     assert pb.spec.right_end.cap_epsilon == 0.2
     assert (pa.s_min, pa.s_max) == (pb.s_min, pb.s_max)
+
+
+CONFIGS = ROOT / "configs"
+
+
+def shipped_config(name):
+    return json.loads((CONFIGS / name).read_text())
+
+
+def _cusp_right_ends(data):
+    for key in ("surface_a", "surface_b"):
+        data[key]["right_end"] = {"kind": "cusp"}
+
+
+def _boundary_left_ends(data):
+    for key in ("surface_a", "surface_b"):
+        data[key]["left_end"] = {"kind": "dirichlet_boundary"}
+
+
+@pytest.mark.parametrize(
+    "name, mutate, key",
+    [
+        ("point_sweep.json", lambda d: d.update(epsilons=[0.0, 5.0]), "epsilons"),
+        ("point_sweep.json", lambda d: d.update(epsilons=[0.0, math.nan]), "epsilons value nan"),
+        ("point_sweep.json", _cusp_right_ends, "epsilons"),
+        ("funnel_conformal.json", _boundary_left_ends, "conformal_constants"),
+        ("point_sweep.json", lambda d: d["surface_a"]["bump"].update(amplitude=math.nan),
+         "surface_a.bump: amplitude"),
+        ("point_sweep.json", lambda d: d.update(numerics={"fit_window_hi": 0.07}),
+         "fit_window_hi"),
+    ],
+    ids=["epsilon-above-1", "epsilon-nan", "no-surgery-end", "no-funnel-end",
+         "bump-amplitude-nan", "fit-window-too-short"],
+)
+def test_unusable_shipped_config_exits_two_before_any_solve(tmp_path, capsys, name, mutate, key):
+    data = shipped_config(name)
+    mutate(data)
+    out = tmp_path / "out"
+    assert main(["run", str(write_config(tmp_path, data)), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and key in err
+    assert not out.exists()  # no summary.json, nothing solved
+
+
+def _leaf_paths(node, path=()):
+    """Key paths of every scalar in a config, list elements included."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _leaf_paths(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _leaf_paths(value, path + (i,))
+    else:
+        yield path
+
+
+SHIPPED_LEAVES = [
+    (path.name, leaf)
+    for path in sorted(CONFIGS.glob("*.json"))
+    for leaf in _leaf_paths(json.loads(path.read_text()))
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    case=st.sampled_from(SHIPPED_LEAVES),
+    bad=st.sampled_from([math.nan, math.inf, -math.inf, 0, -1.0, 1.5, "x", True, None]),
+)
+def test_validate_exits_zero_or_names_the_mutated_key(case, bad):
+    # One field of a shipped config set to NaN, an infinity, 0, a negative
+    # number, an epsilon above 1 or the wrong type: validate accepts it or
+    # exits 2 naming the key, and never raises.
+    name, leaf = case
+    data = shipped_config(name)
+    node = data
+    for key in leaf[:-1]:
+        node = node[key]
+    node[leaf[-1]] = bad
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_config(pathlib.Path(tmp), data)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["validate", str(path)])
+    assert code in (0, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert [k for k in leaf if isinstance(k, str)][-1] in err.getvalue()
 
 
 # ----------------------------------------------------------------------------
@@ -243,30 +361,26 @@ def test_reruns_are_byte_identical(mini_run, tmp_path):
     assert first == second
 
 
+def unresolved_sweep_dict(label):
+    """A sweep that loads but whose cutoff the grid cannot resolve: the
+    first solve raises."""
+    return {
+        "kind": "surgery_sweep",
+        "label": label,
+        "surface_a": MINI_SURFACE,
+        "surface_b": {k: v for k, v in MINI_SURFACE.items() if k != "bump"},
+        "epsilons": [0.0, 0.1],
+        "numerics": dict(MINI_NUMERICS, lambda_cut=1e6),
+    }
+
+
 def test_component_failure_leaves_marker_and_fails(tmp_path):
-    cfg = ScenarioConfig.from_dict(
-        {
-            "kind": "surgery_sweep",
-            "label": "no-surgery-end",
-            "surface_a": {
-                "left_end": {"kind": "funnel"},
-                "right_end": {"kind": "cusp"},
-                "core_length": 0.45,
-            },
-            "surface_b": {
-                "left_end": {"kind": "funnel"},
-                "right_end": {"kind": "cusp"},
-                "core_length": 0.45,
-            },
-            "epsilons": [0.0, 0.1],
-            "numerics": dict(MINI_NUMERICS),
-        }
-    )
+    cfg = ScenarioConfig.from_dict(unresolved_sweep_dict("unresolved"))
     out = tmp_path / "broken"
     report = run_scenario(cfg, out)
     assert not report.passed
     assert report.failed_stage == "baseline pair (epsilon = 0)"
-    assert "ConfigError" in report.error
+    assert "resolution capacity" in report.error
     marker = (out / "FAILED").read_text()
     assert "stage:" in marker and "Traceback" in marker
     data = json.loads((out / "summary.json").read_text())
@@ -290,23 +404,7 @@ def test_cli_run_exit_zero_and_report_verb(tmp_path, capsys):
 
 
 def test_cli_run_exit_one_on_failure(tmp_path, capsys):
-    data = {
-        "kind": "surgery_sweep",
-        "label": "cli-broken",
-        "surface_a": {
-            "left_end": {"kind": "funnel"},
-            "right_end": {"kind": "cusp"},
-            "core_length": 0.45,
-        },
-        "surface_b": {
-            "left_end": {"kind": "funnel"},
-            "right_end": {"kind": "cusp"},
-            "core_length": 0.45,
-        },
-        "epsilons": [0.0, 0.1],
-        "numerics": dict(MINI_NUMERICS),
-    }
-    cfg_path = write_config(tmp_path, data)
+    cfg_path = write_config(tmp_path, unresolved_sweep_dict("cli-broken"))
     out = tmp_path / "out"
     assert main(["run", str(cfg_path), "--out", str(out)]) == 1
     stdout = capsys.readouterr().out

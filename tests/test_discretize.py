@@ -212,8 +212,7 @@ def test_grid_nodes_are_write_protected():
 
 def test_make_grid_bc_override_and_cap_resolution():
     flat = flat_cylinder()
-    grid = make_grid(flat, 64, bc_left="neumann", bc_right="cap")
-    assert grid.bc_left == "neumann" and grid.bc_right == "cap"
+    grid = Grid(nodes=np.linspace(flat.s_min, flat.s_max, 64), bc_left="neumann", bc_right="cap")
     op0 = assemble_mode_operator(flat, 0, grid)
     op2 = assemble_mode_operator(flat, 2, grid)
     assert op0.right_active is True  # cap -> Neumann for m = 0
@@ -227,7 +226,9 @@ def test_neumann_kernel_is_dropped_and_gap_is_positive():
     # spectral gap is the first cosine/angular mode at exactly 1.  A modest
     # grid keeps ||T|| (hence the absolute eigenvalue round-off) small.
     flat = flat_cylinder()
-    grid = make_grid(flat, 400, bc_left="neumann", bc_right="neumann")
+    grid = Grid(
+        nodes=np.linspace(flat.s_min, flat.s_max, 400), bc_left="neumann", bc_right="neumann"
+    )
     sys = solve_modes(flat, grid, 10.0)
     gap = spectral_gap(sys)
     assert gap == pytest.approx(1.0, rel=1e-4)

@@ -24,7 +24,6 @@ from relspec.geometry import (
     flat_cylinder,
     line_distance,
     plateau_cutoff,
-    profile_from_dict,
     relative_area,
     smooth01,
     surgery_factor_boundary,
@@ -199,13 +198,10 @@ def test_cap_weight_deep_asymptote_matches_tip_constant():
 def test_cap_truncation_stops_at_requested_metric_radius():
     tr = Truncation(funnel_depth=0.8, cusp_end=6.0, cap_end=14.0, cap_tip_radius=0.01)
     prof = build_weight(funnel_cap_spec(0.3), truncation=tr)
-    note = prof.truncation_note
-    assert note["cap_tip_metric_radius"] == 0.01
-    s_star = note["cap_truncation_s"]
-    assert prof.s_max == s_star
-    # metric radius at the truncation point: sqrt(c) e^{-s*} = requested radius
-    got = math.sqrt(cap_tip_constant(0.3)) * math.exp(-s_star)
-    assert got == pytest.approx(0.01, rel=1e-12)
+    assert prof.s_max < tr.cap_end  # the tip radius, not cap_end, cuts the chart
+    # metric radius at the truncation point: sqrt(c) e^{-s_max} = requested radius
+    got = math.sqrt(cap_tip_constant(0.3)) * math.exp(-prof.s_max)
+    assert got == pytest.approx(tr.cap_tip_radius, rel=1e-12)
 
 
 # ----------------------------------------------------------------------------
@@ -248,6 +244,34 @@ def test_end_model_validation():
         EndModel(kind="cusp", f_value=0.1)
 
 
+@pytest.mark.parametrize(
+    "make, field",
+    [
+        (lambda v: BumpSpec(center=v, radius=0.1, amplitude=0.2), "center"),
+        (lambda v: BumpSpec(center=0.3, radius=v, amplitude=0.2), "radius"),
+        (lambda v: BumpSpec(center=0.3, radius=0.1, amplitude=v), "amplitude"),
+        (lambda v: EndModel(kind="funnel", funnel_constant=v), "funnel_constant"),
+        (lambda v: EndModel(kind="filled_cap", cap_epsilon=v), "cap_epsilon"),
+        (lambda v: EndModel(kind="dirichlet_boundary", f_value=v), "f_value"),
+        (
+            lambda v: SurfaceSpec(EndModel(kind="funnel"), EndModel(kind="cusp"), core_length=v),
+            "core_length",
+        ),
+        (
+            lambda v: SurfaceSpec(
+                EndModel(kind="dirichlet_boundary"), EndModel(kind="cusp"),
+                boundary_surgery_epsilon=v,
+            ),
+            "boundary_surgery_epsilon",
+        ),
+    ],
+)
+def test_geometry_specs_reject_non_numbers_by_field_name(make, field):
+    for bad in (math.nan, math.inf, -math.inf, "0.3", True):
+        with pytest.raises(ValueError, match=field):
+            make(bad)
+
+
 def test_surface_spec_validation():
     funnel = EndModel(kind="funnel")
     cusp = EndModel(kind="cusp")
@@ -282,7 +306,7 @@ def test_core_must_fit_left_of_the_surgery_threshold():
 
 
 # ----------------------------------------------------------------------------
-# serialization
+# rebuilds and labels
 # ----------------------------------------------------------------------------
 
 @pytest.mark.parametrize(
@@ -307,8 +331,14 @@ def test_core_must_fit_left_of_the_surgery_threshold():
     ids=["flat", "flat-bump", "funnel-cap", "boundary-surgery"],
 )
 def test_profile_roundtrips_bitwise(make):
+    # Rebuilding from the profile's own spec and truncation (or length and
+    # bump) gives bitwise the same surface and label.
     prof = make()
-    clone = profile_from_dict(prof.to_dict())
+    if prof.spec is None:
+        clone = flat_cylinder(prof.s_max, bump=prof.bump)
+    else:
+        clone = build_weight(prof.spec, truncation=prof.truncation)
+    assert clone.spec == prof.spec and clone.bump == prof.bump
     assert clone.s_min == prof.s_min
     assert clone.s_max == prof.s_max
     assert clone.bc_left == prof.bc_left

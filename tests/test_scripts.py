@@ -7,6 +7,7 @@ that uses a removed name fails here instead of at its next use.
 from __future__ import annotations
 
 import importlib.util
+import json
 import shutil
 import sys
 
@@ -63,6 +64,37 @@ def test_compare_outputs_reports_shifts_and_gates_on_the_budget(tmp_path, capsys
     (change / "run" / "sweep.csv").write_text(header + "0.0,1.0,0.01\n")
     assert compare.main([str(parent), str(change)]) == 1
     assert "cannot compare" in capsys.readouterr().out
+
+    # a changed non-numeric cell is reported as changed, not as a shift
+    (change / "run" / "sweep.csv").write_text(
+        "# gap=0.5\n# pair_id=b\nepsilon,log_det,budget_total\n0.0,1.0,0.01\n0.1,2.0,0.001\n"
+    )
+    (parent / "run" / "sweep.csv").write_text(
+        "# gap=0.5\n# pair_id=a\nepsilon,log_det,budget_total\n0.0,1.0,0.01\n0.1,2.0,0.001\n"
+    )
+    assert compare.main([str(parent), str(change)]) == 0
+    out = capsys.readouterr().out
+    assert "# pair_id" in out and "changed" in out and "inf" not in out
+
+    # summary check tables: identical, moved, and a lost pass
+    def summary(root, *checks):
+        rows = [dict(zip(("name", "passed", "value", "tolerance", "detail"), c)) for c in checks]
+        (root / "run" / "summary.json").write_text(json.dumps({"checks": rows}))
+
+    summary(parent, ("gap", True, 0.5, 1.0, "a"), ("drift", True, float("nan"), None, ""))
+    summary(change, ("gap", True, 0.5, 1.0, "b"), ("drift", True, float("nan"), None, ""))
+    assert compare.main([str(parent), str(change)]) == 0
+    assert "run/summary.json: checks identical" in capsys.readouterr().out
+    summary(change, ("gap", True, 0.6, 1.0, ""), ("drift", True, float("nan"), None, ""))
+    assert compare.main([str(parent), str(change)]) == 0
+    out = capsys.readouterr().out
+    assert "  gap: pass value=0.5 tolerance=1.0 -> pass value=0.6 tolerance=1.0\n" in out
+    assert "drift" not in out
+    summary(change, ("gap", False, 1.5, 1.0, ""))
+    assert compare.main([str(parent), str(change)]) == 1
+    out = capsys.readouterr().out
+    assert "gap: pass value=0.5 tolerance=1.0 -> fail value=1.5 tolerance=1.0 (FAIL)" in out
+    assert "drift: pass value=nan tolerance=None -> absent (FAIL)" in out
 
 
 def test_truncation_study_runs_on_a_shipped_config(capsys):
