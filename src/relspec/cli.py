@@ -194,8 +194,9 @@ class ScenarioConfig:
     carries the bump, B is the plain reference); sweep scenarios rewrite the
     surgery parameter of *both* members per grid point, so the pair stays
     relatively compact and its invariants are the quantity under test.
-    Construction builds every surface spec the scenario will solve (no
-    weight is evaluated), so an unusable value fails here, naming its key.
+    Construction builds every surface profile the scenario will solve, chart
+    layout included (no weight is evaluated), so an unusable value fails
+    here, naming its key.
     """
 
     kind: str
@@ -211,6 +212,13 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.kind not in SCENARIO_KINDS:
             raise ConfigError(f"unknown scenario kind {self.kind!r}; one of {SCENARIO_KINDS}")
+        for name, types, want in (
+            ("label", str, "a string"),
+            ("notes", str, "a string"),
+            ("output_dir", (str, type(None)), "a string or null"),
+        ):
+            if not isinstance(getattr(self, name), types):
+                raise ConfigError(f"{name} must be {want}, got {getattr(self, name)!r}")
         if not self.label:
             object.__setattr__(self, "label", self.kind)
         for name in ("epsilons", "conformal_constants"):
@@ -223,24 +231,18 @@ class ScenarioConfig:
         self._check_surfaces()
 
     def _check_surfaces(self) -> None:
-        specs = [("surface_a", self.spec_a())]
+        members = ["surface_a"]
         if self.kind not in ("validate", "isospectral_check", "offdiag_check"):
-            specs.append(("surface_b", self.spec_b()))
+            members.append("surface_b")
         if self.kind in ("surgery_sweep", "continuity_check"):
-            key, values, rewrite = "epsilons", (0.0, *self.epsilons), _with_surgery
+            points = [{"epsilon": value} for value in (0.0, *self.epsilons)]
         elif self.kind == "funnel_conformal_check":
-            key, values = "conformal_constants", self.conformal_constants
-            rewrite = _with_funnel_constant
+            points = [{"constant": value} for value in self.conformal_constants]
         else:
-            return
-        for value in values:
-            for where, spec in specs:
-                try:
-                    if not math.isfinite(value):
-                        raise ValueError("not a finite number")
-                    rewrite(spec, value)
-                except ValueError as exc:
-                    raise ConfigError(f"{key} value {value!r} on {where}: {exc}") from exc
+            points = [{}]
+        for point in points:
+            for where in members:
+                self.member(where, **point)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
@@ -294,26 +296,43 @@ class ScenarioConfig:
             d["bump"] = _from_mapping(BumpSpec, d["bump"], f"{where}.bump")
         return _from_mapping(SurfaceSpec, d, where)
 
+    def member(
+        self, where: str, *, epsilon: float | None = None, constant: float | None = None
+    ) -> MetricProfile:
+        """The profile of member ``where`` ('surface_a' or 'surface_b').
+
+        ``epsilon`` rewrites the surgery parameter and ``constant`` the
+        funnel's conformal constant.  An unusable value, a chart layout that
+        does not fit included, raises a ConfigError naming its key.
+        """
+        spec = self._spec(getattr(self, where), where)
+        for key, value, rewrite in (
+            ("epsilons", epsilon, _with_surgery),
+            ("conformal_constants", constant, _with_funnel_constant),
+        ):
+            if value is None:
+                continue
+            try:
+                if not math.isfinite(value):
+                    raise ValueError("not a finite number")
+                spec = rewrite(spec, value)
+            except ValueError as exc:
+                raise ConfigError(f"{key} value {value!r} on {where}: {exc}") from exc
+        try:
+            return build_weight(spec, truncation=self.numerics.truncation())
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from exc
+
     def pair(
         self, *, epsilon: float | None = None, constant: float | None = None
     ) -> tuple[MetricProfile, MetricProfile]:
-        """The (A, B) profiles of the scenario.
-
-        ``epsilon`` rewrites the surgery parameter and ``constant`` the
-        funnel's conformal constant, in both members.  The isospectral check
-        compares A against itself.
-        """
-        tr = self.numerics.truncation()
-        spec_a = self.spec_a()
-        spec_b = spec_a if self.kind == "isospectral_check" else self.spec_b()
-        out = []
-        for spec in (spec_a, spec_b):
-            if epsilon is not None:
-                spec = _with_surgery(spec, epsilon)
-            if constant is not None:
-                spec = _with_funnel_constant(spec, constant)
-            out.append(build_weight(spec, truncation=tr))
-        return out[0], out[1]
+        """The (A, B) profiles of the scenario, each rewritten as ``member``
+        rewrites it.  The isospectral check compares A against itself."""
+        b = "surface_a" if self.kind == "isospectral_check" else "surface_b"
+        return (
+            self.member("surface_a", epsilon=epsilon, constant=constant),
+            self.member(b, epsilon=epsilon, constant=constant),
+        )
 
 
 # ----------------------------------------------------------------------------
@@ -482,7 +501,7 @@ def _run_validate(cfg: ScenarioConfig, out: Path, report: Report, stage):
     )
 
     stage("2D oracle agreement")
-    profile = build_weight(cfg.spec_a(), truncation=num.truncation())
+    profile = cfg.member("surface_a")
     grid2 = make_grid_2d(profile)
     two_d = low_eigenvalues_2d(profile, grid2)
     mode_sum = mode_sum_reference(profile, grid2)
@@ -775,7 +794,7 @@ def _offdiag_sup(profile, num: NumericsConfig, n_nodes):
 
 def _run_offdiag(cfg: ScenarioConfig, out: Path, report: Report, stage):
     num = cfg.numerics
-    profile = build_weight(cfg.spec_a(), truncation=num.truncation())
+    profile = cfg.member("surface_a")
     stage("off-diagonal integrals")
     sys, sup, rows, dist = _offdiag_sup(profile, num, num.n_nodes)
     sup = float(sup)

@@ -7,13 +7,19 @@ into, for each angular mode m,
 
 a generalized symmetric tridiagonal pencil once discretized on a uniform grid
 (second-order stencil, lumped cell masses: interior rows (-1, 2, -1)/h^2
-against mass w_i, half cells at retained Neumann/cap endpoints).  Eigenvalues
-up to a cutoff are computed mode by mode with LAPACK bisection + inverse
-iteration after a diagonal congruence, and modes are enumerated up to the
-provable Rayleigh cutoff m^2 > lambda_cut * max(w), the maximum taken over
-the rows that the modes m >= 1 solve.
+against mass w_i).  Eigenvalues up to a cutoff are computed mode by mode with
+LAPACK bisection + inverse iteration after a diagonal congruence, and modes
+are enumerated up to the provable Rayleigh cutoff m^2 > lambda_cut * max(w),
+the maximum taken over the rows that the modes m >= 1 solve.
 
-``solve_modes`` solves each mode on an Agmon window of the grid.  Every
+Each mode's problem lives on one range of grid rows [lo, hi).
+``mode_rows`` gives the rows a mode carries: every node but a Dirichlet
+end's, where a 'cap' end is Neumann for m = 0 and Dirichlet otherwise.  The
+pencil is assembled on its range only.  A row has a half cell only where the
+range reaches a Neumann grid end; a range that stops short of a grid end is
+cut by a Dirichlet row.
+
+``solve_modes`` narrows each mode's rows to its Agmon window.  Every
 eigenfunction of mode m with lambda <= lambda_cut decays where
 m^2 > lambda_cut * w_i: across such a node the three-point stencil shrinks it
 by at least the factor e^{-kappa_i}, with the exact per-step rate
@@ -23,10 +29,9 @@ by at least the factor e^{-kappa_i}, with the exact per-step rate
 (the continuum rate h sqrt(q) overstates it once h sqrt(q) is not small).
 The window is the contiguous run of rows whose discrete Agmon distance (the
 sum of kappa over the nodes in between) from the allowed set
-{lambda_cut w_i >= m^2} is at most ``AGMON_MARGIN``; it is cut by Dirichlet
-rows, which moves the kept eigenvalues by about e^{-2 AGMON_MARGIN}
-relative, far below round-off.  A window that reaches a grid end keeps that
-end's own row (a half-cell Neumann row where the end is Neumann).
+{lambda_cut w_i >= m^2} is at most ``AGMON_MARGIN``; its Dirichlet cuts move
+the kept eigenvalues by about e^{-2 AGMON_MARGIN} relative, far below
+round-off.
 
 The eigensolves call LAPACK ``dstebz`` (bisection) and ``dstein`` (inverse
 iteration) through the function pointers that ``scipy.linalg.cython_lapack``
@@ -56,6 +61,7 @@ __all__ = [
     "ModeOperator",
     "Eigensystem",
     "make_grid",
+    "mode_rows",
     "assemble_mode_operator",
     "agmon_window",
     "solve_mode",
@@ -72,7 +78,7 @@ AGMON_MARGIN = 20.0  # discrete Agmon distance kept past the allowed set per mod
 class Grid:
     """Uniform grid on a profile chart with end boundary conditions.
 
-    'cap' is resolved per mode when operators are assembled: Neumann for
+    'cap' is resolved per mode by ``mode_rows``: Neumann for
     m = 0 (no flux through the smooth tip closure), Dirichlet for m != 0
     (those modes decay like e^{-m s} down the tip, so the far truncation
     error is ~ e^{-2 m s_max}).
@@ -117,44 +123,29 @@ def make_grid(profile: MetricProfile, n_nodes: int) -> Grid:
     return Grid(nodes=nodes, bc_left=profile.bc_left, bc_right=profile.bc_right)
 
 
-def _resolve_bc(bc: str, m: int) -> str:
-    if bc == "cap":
-        return "neumann" if m == 0 else "dirichlet"
-    return bc
+def mode_rows(grid: Grid, m: int) -> tuple[int, int]:
+    """Grid rows [lo, hi) that mode m carries: every node but a Dirichlet
+    end's, with a 'cap' end Neumann for m = 0 and Dirichlet otherwise."""
+    if m < 0:
+        raise ValueError("mode index must be nonnegative")
+    keep_left = grid.bc_left == "neumann" or (grid.bc_left == "cap" and m == 0)
+    keep_right = grid.bc_right == "neumann" or (grid.bc_right == "cap" and m == 0)
+    return (0 if keep_left else 1), (grid.n if keep_right else grid.n - 1)
 
 
 @dataclass(frozen=True)
 class ModeOperator:
-    """Generalized tridiagonal pencil (stiffness, mass) for one angular mode,
-    on the active nodes (Dirichlet endpoints dropped)."""
+    """Mode m's pencil on grid rows [lo, hi): the lumped ``mass`` and the
+    symmetric tridiagonal (d, e) that the congruence by mass^{-1/2} turns
+    the stiffness into."""
 
     grid: Grid
     m: int
-    stiff_diag: np.ndarray = field(repr=False)
-    stiff_off: np.ndarray = field(repr=False)
-    mass_diag: np.ndarray = field(repr=False)
-    left_active: bool
-    right_active: bool
-
-    @property
-    def rows(self) -> slice:
-        """The grid nodes carried as rows (Dirichlet endpoints dropped)."""
-        return _active_rows(self.grid.n, self.left_active, self.right_active)
-
-    def symmetrized(
-        self, window: tuple[int, int] | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Diagonal congruence to an ordinary symmetric tridiagonal problem,
-        on rows [a, b) of ``window`` (every row by default)."""
-        a, b = (0, len(self.mass_diag)) if window is None else window
-        mass = self.mass_diag[a:b]
-        d = self.stiff_diag[a:b] / mass
-        e = self.stiff_off[a : b - 1] / np.sqrt(mass[:-1] * mass[1:])
-        return d, e
-
-
-def _active_rows(n: int, left_active: bool, right_active: bool) -> slice:
-    return slice(0 if left_active else 1, n if right_active else n - 1)
+    lo: int
+    hi: int
+    d: np.ndarray = field(repr=False)
+    e: np.ndarray = field(repr=False)
+    mass: np.ndarray = field(repr=False)
 
 
 def assemble_mode_operator(
@@ -164,8 +155,11 @@ def assemble_mode_operator(
     *,
     m2_value: float | None = None,
     weights: np.ndarray | None = None,
+    rows: tuple[int, int] | None = None,
 ) -> ModeOperator:
-    """Assemble the pencil for mode m on the grid.
+    """Assemble the pencil for mode m on grid rows ``rows`` = (lo, hi),
+    ``mode_rows(grid, m)`` by default; a narrower range is cut by Dirichlet
+    rows.
 
     ``m2_value`` replaces the exact angular symbol m^2 (used for
     discretization-matched comparisons against 2D stencils, where the
@@ -173,8 +167,10 @@ def assemble_mode_operator(
     ``weights`` is the profile's weight already sampled on ``grid.nodes``;
     callers assembling many modes of one surface pass it to sample once.
     """
-    if m < 0:
-        raise ValueError("mode index must be nonnegative")
+    carried = mode_rows(grid, m)
+    lo, hi = carried if rows is None else rows
+    if not carried[0] <= lo < hi <= carried[1]:
+        raise ValueError(f"rows [{lo}, {hi}) must lie within mode {m}'s rows {carried}")
     h = grid.h
     w = profile.weight(grid.nodes) if weights is None else weights
     if w.shape != grid.nodes.shape:
@@ -182,38 +178,24 @@ def assemble_mode_operator(
     if np.any(~np.isfinite(w)) or np.any(w <= 0.0):
         raise ValueError("weight must be positive and finite on the grid")
     m2 = float(m * m) if m2_value is None else float(m2_value)
-    bcl = _resolve_bc(grid.bc_left, m)
-    bcr = _resolve_bc(grid.bc_right, m)
-    left_active = bcl == "neumann"
-    right_active = bcr == "neumann"
-    rows = _active_rows(grid.n, left_active, right_active)
-    n_active = rows.stop - rows.start
-    cell = np.full(n_active, h)
-    deg = np.full(n_active, 2.0)
-    if left_active:
+    cell = np.full(hi - lo, h)
+    deg = np.full(hi - lo, 2.0)
+    if lo == 0:
         cell[0] = h / 2.0
         deg[0] = 1.0
-    if right_active:
+    if hi == grid.n:
         cell[-1] = h / 2.0
         deg[-1] = 1.0
-    stiff_diag = deg / h + m2 * cell
-    stiff_off = np.full(n_active - 1, -1.0 / h)
-    mass_diag = w[rows] * cell
-    return ModeOperator(
-        grid=grid,
-        m=m,
-        stiff_diag=stiff_diag,
-        stiff_off=stiff_off,
-        mass_diag=mass_diag,
-        left_active=left_active,
-        right_active=right_active,
-    )
+    mass = w[lo:hi] * cell
+    d = (deg / h + m2 * cell) / mass
+    e = np.full(hi - lo - 1, -1.0 / h) / np.sqrt(mass[:-1] * mass[1:])
+    return ModeOperator(grid=grid, m=m, lo=lo, hi=hi, d=d, e=e, mass=mass)
 
 
 def agmon_window(
     weights: np.ndarray, h: float, m2: float, lambda_cut: float
 ) -> tuple[int, int]:
-    """Rows [a, b) of ``weights`` (one mode's active rows) within discrete
+    """Rows [a, b) of ``weights`` (one mode's rows) within discrete
     Agmon distance ``AGMON_MARGIN`` of the allowed set {lambda_cut w >= m2}.
 
     The distance of a row from the allowed set is the sum of the per-step
@@ -312,33 +294,20 @@ def _eigh_tridiagonal(
 
 
 def solve_mode(
-    op: ModeOperator,
-    lambda_cut: float,
-    *,
-    with_vectors: bool = False,
-    window: tuple[int, int] | None = None,
+    op: ModeOperator, lambda_cut: float, *, with_vectors: bool = False
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """All eigenvalues of the pencil in (KERNEL_FLOOR, lambda_cut], ascending.
 
-    ``window`` = (a, b) restricts the solve to active rows [a, b) with
-    Dirichlet cuts where it stops short of the grid ends (``solve_modes``
-    passes an ``agmon_window``); by default every active row is solved.
-    Only the window's rows are symmetrized.
-
-    Eigenvectors (when requested) are returned on the full grid (zeros at
-    dropped Dirichlet endpoints and outside the window) and are
-    mass-orthonormal: u_i^T M u_j = delta_ij, which the diagonal congruence
-    gives for free from LAPACK's orthonormal vectors.
+    Eigenvectors (when requested) are returned on the full grid, zero
+    outside rows [op.lo, op.hi), and are mass-orthonormal:
+    u_i^T M u_j = delta_ij, which the diagonal congruence gives for free
+    from LAPACK's orthonormal vectors.
     """
-    a, b = (0, len(op.mass_diag)) if window is None else window
-    d, e = op.symmetrized((a, b))
-    vals, vecs = _eigh_tridiagonal(d, e, KERNEL_FLOOR, lambda_cut, with_vectors)
+    vals, vecs = _eigh_tridiagonal(op.d, op.e, KERNEL_FLOOR, lambda_cut, with_vectors)
     if not with_vectors:
         return vals, None
-    u = vecs / np.sqrt(op.mass_diag[a:b])[:, None]
-    full = np.zeros((op.grid.n, u.shape[1]))
-    lo = op.rows.start + a
-    full[lo : lo + u.shape[0], :] = u
+    full = np.zeros((op.grid.n, vecs.shape[1]))
+    full[op.lo : op.hi, :] = vecs / np.sqrt(op.mass)[:, None]
     return vals, full
 
 
@@ -403,18 +372,17 @@ def solve_modes(
     grid: Grid,
     lambda_cut: float,
     *,
-    m_max: int | None = None,
     with_vectors: bool = False,
 ) -> Eigensystem:
     """Solve every angular mode up to the cutoff (inclusive witness mode).
 
-    Each mode m < top is solved on its ``agmon_window``: the rows within
-    discrete Agmon distance ``AGMON_MARGIN`` of {lambda_cut w >= m^2}, cut by
-    Dirichlet rows.  Mode 0 (whose allowed set is every row) and any mode
-    with an empty allowed set get the full grid.  The first provably empty
-    mode (m = top, at least mode_cutoff) is solved on the full grid as a
-    runtime witness and must come back empty; a nonempty witness means the
-    cutoff logic is broken and raises.
+    Each mode m < top is solved on the ``agmon_window`` of its
+    ``mode_rows``: the rows within discrete Agmon distance ``AGMON_MARGIN``
+    of {lambda_cut w >= m^2}, cut by Dirichlet rows.  Mode 0 (whose allowed
+    set is every row) and any mode with an empty allowed set keep all of
+    their rows.  The first provably empty mode (m = top = mode_cutoff) is
+    solved on all of its rows as a runtime witness and must come back empty;
+    a nonempty witness means the cutoff logic is broken and raises.
 
     The modes run on ``worker_count()`` threads; the result is bitwise the
     same for any thread count, and an exception raised by any mode's solve
@@ -434,14 +402,12 @@ def solve_modes(
             "> 0.8*pi (fewer than 2.5 nodes per wavelength at the cutoff); "
             "refine the grid or lower lambda_cut"
         )
-    # Every mode m >= 1 solves the rows of mode 1 (a cap end is Dirichlet for
-    # all of them), so the Rayleigh bound needs the weight on those rows only.
-    rows = _active_rows(
-        grid.n, *(_resolve_bc(bc, 1) == "neumann" for bc in (grid.bc_left, grid.bc_right))
-    )
-    max_weight = float(np.max(w[rows]))
-    cutoff = mode_cutoff(lambda_cut, max_weight)
-    top = cutoff if m_max is None else max(m_max, cutoff)
+    # Every mode m >= 1 solves within the rows of mode 1 (a cap end is
+    # Dirichlet for all of them), so the Rayleigh bound needs the weight on
+    # those rows only.
+    lo, hi = mode_rows(grid, 1)
+    max_weight = float(np.max(w[lo:hi]))
+    top = mode_cutoff(lambda_cut, max_weight)
 
     # Thread i solves the modes m = i (mod threads) in one task, since a
     # hand-off per mode would take the GIL back each time; the LAPACK calls
@@ -454,11 +420,12 @@ def solve_modes(
         part = {}
         try:
             for m in range(first, top + 1, threads):
-                op = assemble_mode_operator(profile, m, grid, weights=w)
-                window = None
+                lo, hi = mode_rows(grid, m)
                 if m < top:
-                    window = agmon_window(w[op.rows], grid.h, float(m * m), lambda_cut)
-                part[m] = solve_mode(op, lambda_cut, with_vectors=with_vectors, window=window)
+                    a, b = agmon_window(w[lo:hi], grid.h, float(m * m), lambda_cut)
+                    lo, hi = lo + a, lo + b
+                op = assemble_mode_operator(profile, m, grid, weights=w, rows=(lo, hi))
+                part[m] = solve_mode(op, lambda_cut, with_vectors=with_vectors)
         except BaseException as exc:
             part = exc
         parts[first] = part

@@ -466,8 +466,9 @@ def _require_disjoint(bump: BumpSpec, lo: float, hi: float, what: str) -> None:
     blo, bhi = bump.support
     if not (lo < blo and bhi < hi):
         raise ValueError(
-            f"bump support [{blo:.6g}, {bhi:.6g}] must lie strictly inside the "
-            f"{what} ({lo:.6g}, {hi:.6g}); it would overlap an end or surgery region"
+            f"bump support [center - radius, center + radius] = [{blo:.6g}, {bhi:.6g}] "
+            f"must lie strictly inside the {what} ({lo:.6g}, {hi:.6g}); it would "
+            "overlap an end or surgery region"
         )
 
 

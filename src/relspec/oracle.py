@@ -108,11 +108,11 @@ def make_grid_2d(profile: MetricProfile, n_s: int = 400, n_theta: int = 64) -> G
 def _active_slice(grid: Grid2D) -> tuple[int, int, bool, bool]:
     # A cap edge is kept (Neumann for every theta); the m != 0 components
     # there sit at ~ e^{-2 m s_max} and cannot move the low spectrum.
-    left_active = grid.bc_left in ("neumann", "cap")
-    right_active = grid.bc_right in ("neumann", "cap")
-    lo = 0 if left_active else 1
-    hi = grid.n_s if right_active else grid.n_s - 1
-    return lo, hi, left_active, right_active
+    keep_left = grid.bc_left in ("neumann", "cap")
+    keep_right = grid.bc_right in ("neumann", "cap")
+    lo = 0 if keep_left else 1
+    hi = grid.n_s if keep_right else grid.n_s - 1
+    return lo, hi, keep_left, keep_right
 
 
 def _assemble_2d(profile: MetricProfile, grid: Grid2D):
@@ -121,17 +121,17 @@ def _assemble_2d(profile: MetricProfile, grid: Grid2D):
     on lumped cells -- the exact tensor product of the 1D assembly."""
     h = grid.h_s
     ht = grid.h_theta
-    lo, hi, left_active, right_active = _active_slice(grid)
+    lo, hi, keep_left, keep_right = _active_slice(grid)
     n_act = hi - lo
     w = profile.weight(grid.s_nodes)
     if np.any(~np.isfinite(w)) or np.any(w <= 0.0):
         raise ValueError("weight must be positive and finite on the grid")
     cell = np.full(n_act, h)
     deg = np.full(n_act, 2.0)
-    if left_active:
+    if keep_left:
         cell[0] = h / 2.0
         deg[0] = 1.0
-    if right_active:
+    if keep_right:
         cell[-1] = h / 2.0
         deg[-1] = 1.0
     K_s = sp.diags(

@@ -83,15 +83,13 @@ class HeatInvariants:
     """Coefficients a_0..a_K of the small-time model t E(t) ~ sum a_k t^k.
 
     a_0 is the relative Weyl term (relative area / 4 pi); residual is the
-    maximum misfit of the model over the window, relative to ``scale`` =
+    maximum misfit of the model over the fit window, relative to ``scale`` =
     max |t E(t)| there.
     """
 
     coefficients: tuple[float, ...]
-    window: tuple[float, float]
     residual: float
     scale: float
-    n_points: int
 
     @property
     def k_max(self) -> int:
@@ -140,13 +138,7 @@ def fit_heat_invariants(
             f"{FIT_RESIDUAL_THRESHOLD:.1e}; raise the window floor or the cutoff"
         )
     if scale == 0.0:
-        return HeatInvariants(
-            coefficients=(0.0,) * (k_max + 1),
-            window=window,
-            residual=0.0,
-            scale=0.0,
-            n_points=n,
-        )
+        return HeatInvariants(coefficients=(0.0,) * (k_max + 1), residual=0.0, scale=0.0)
     x = t / hi
     V = np.vander(x, k_max + 1, increasing=True)
     b, *_ = np.linalg.lstsq(V, y, rcond=None)
@@ -159,9 +151,7 @@ def fit_heat_invariants(
             "(widen the model or move the window)"
         )
     coeffs = tuple(float(bk / hi**k) for k, bk in enumerate(b))
-    return HeatInvariants(
-        coefficients=coeffs, window=window, residual=residual, scale=scale, n_points=n
-    )
+    return HeatInvariants(coefficients=coeffs, residual=residual, scale=scale)
 
 
 def taylor_invariants(lam_a, lam_b, k_max: int = 5) -> HeatInvariants:
@@ -181,10 +171,8 @@ def taylor_invariants(lam_a, lam_b, k_max: int = 5) -> HeatInvariants:
         coeffs.append((-1.0) ** (k - 1) * (pa - pb) / math.factorial(j))
     return HeatInvariants(
         coefficients=tuple(coeffs),
-        window=(0.0, 0.0),
         residual=0.0,
         scale=float(np.max(np.abs(coeffs))) if any(coeffs) else 0.0,
-        n_points=0,
     )
 
 

@@ -251,18 +251,49 @@ def _boundary_left_ends(data):
          "surface_a.bump: amplitude"),
         ("point_sweep.json", lambda d: d.update(numerics={"fit_window_hi": 0.07}),
          "fit_window_hi"),
+        # chart layouts that only a built surface shows
+        ("point_sweep.json", lambda d: d["surface_a"]["bump"].update(center=0),
+         "surface_a: bump support [center - radius, center + radius]"),
+        ("point_sweep.json", lambda d: d["surface_a"].update(core_length=0.7),
+         "surface_a: core_length 0.7 leaves no room for the funnel"),
     ],
     ids=["epsilon-above-1", "epsilon-nan", "no-surgery-end", "no-funnel-end",
-         "bump-amplitude-nan", "fit-window-too-short"],
+         "bump-amplitude-nan", "fit-window-too-short", "bump-outside-core",
+         "no-room-for-funnel"],
 )
 def test_unusable_shipped_config_exits_two_before_any_solve(tmp_path, capsys, name, mutate, key):
     data = shipped_config(name)
     mutate(data)
+    path = write_config(tmp_path, data)
     out = tmp_path / "out"
-    assert main(["run", str(write_config(tmp_path, data)), "--out", str(out)]) == 2
+    assert main(["run", str(path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and key in err
     assert not out.exists()  # no summary.json, nothing solved
+    assert main(["validate", str(path)]) == 2
+    assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("label", 0, "label must be a string, got 0"),
+        ("notes", ["a"], "notes must be a string, got ['a']"),
+        ("output_dir", [1], "output_dir must be a string or null, got [1]"),
+    ],
+)
+def test_validate_rejects_non_string_text_keys(tmp_path, capsys, key, value, message):
+    data = shipped_config("point_sweep.json")
+    data[key] = value
+    assert main(["validate", str(write_config(tmp_path, data))]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def test_validate_accepts_a_null_output_dir(tmp_path, capsys):
+    data = shipped_config("point_sweep.json")
+    data["output_dir"] = None
+    assert main(["validate", str(write_config(tmp_path, data))]) == 0
+    assert json.loads(capsys.readouterr().out)["output_dir"] is None
 
 
 def _leaf_paths(node, path=()):

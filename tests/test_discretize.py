@@ -20,6 +20,7 @@ from relspec.discretize import (
     assemble_mode_operator,
     make_grid,
     mode_cutoff,
+    mode_rows,
     solve_mode,
     solve_modes,
 )
@@ -110,21 +111,33 @@ def test_eigenvectors_are_mass_orthonormal():
     # Dirichlet rows are present as exact zeros on the full grid
     assert np.all(vecs[0] == 0.0) and np.all(vecs[-1] == 0.0)
     mass = np.zeros(grid.n)
-    lo = 0 if op.left_active else 1
-    mass[lo : lo + len(op.mass_diag)] = op.mass_diag
+    mass[op.lo : op.hi] = op.mass
     gram = vecs.T @ (mass[:, None] * vecs)
     assert np.max(np.abs(gram - np.eye(len(vals)))) < 1e-8
 
 
 def test_tridiagonal_pencil_matches_dense_generalized_solver():
+    # The dense pencil comes from the stencil itself: stiffness deg/h + m^2 cell
+    # on the diagonal and -1/h off it, mass w cell, with a half cell (and
+    # degree 1) on a kept Neumann end row.
     prof = build_weight(funnel_cusp_spec(), truncation=small_truncation())
-    grid = make_grid(prof, 300)
-    op = assemble_mode_operator(prof, 2, grid)
-    stiff = np.diag(op.stiff_diag) + np.diag(op.stiff_off, 1) + np.diag(op.stiff_off, -1)
-    dense = eigh(stiff, np.diag(op.mass_diag), eigvals_only=True)
-    vals, _ = solve_mode(op, 60.0)
-    assert len(vals) > 3
-    assert vals == pytest.approx(dense[: len(vals)], rel=1e-10)
+    n, m = 300, 2
+    w = prof.weight(np.linspace(prof.s_min, prof.s_max, n))
+    for bc in ("dirichlet", "neumann"):
+        grid = Grid(nodes=np.linspace(prof.s_min, prof.s_max, n), bc_left=bc, bc_right=bc)
+        h = grid.h
+        lo, hi = (1, n - 1) if bc == "dirichlet" else (0, n)
+        cell, deg = np.full(hi - lo, h), np.full(hi - lo, 2.0)
+        if bc == "neumann":
+            cell[[0, -1]], deg[[0, -1]] = h / 2.0, 1.0
+        off = np.full(hi - lo - 1, -1.0 / h)
+        stiff = np.diag(deg / h + m * m * cell) + np.diag(off, 1) + np.diag(off, -1)
+        dense = eigh(stiff, np.diag(w[lo:hi] * cell), eigvals_only=True)
+        op = assemble_mode_operator(prof, m, grid)
+        assert (op.lo, op.hi) == (lo, hi)
+        vals, _ = solve_mode(op, 60.0)
+        assert len(vals) > 3
+        assert vals == pytest.approx(dense[: len(vals)], rel=1e-10), bc
 
 
 def test_rayleigh_lower_bound_per_mode():
@@ -213,11 +226,14 @@ def test_grid_nodes_are_write_protected():
 def test_make_grid_bc_override_and_cap_resolution():
     flat = flat_cylinder()
     grid = Grid(nodes=np.linspace(flat.s_min, flat.s_max, 64), bc_left="neumann", bc_right="cap")
+    assert mode_rows(grid, 0) == (0, 64)  # cap -> Neumann for m = 0
+    assert mode_rows(grid, 2) == (0, 63)  # cap -> Dirichlet for m >= 1
     op0 = assemble_mode_operator(flat, 0, grid)
     op2 = assemble_mode_operator(flat, 2, grid)
-    assert op0.right_active is True  # cap -> Neumann for m = 0
-    assert op2.right_active is False  # cap -> Dirichlet for m >= 1
-    assert op0.left_active is True and op2.left_active is True
+    assert (op0.lo, op0.hi) == (0, 64) and (op2.lo, op2.hi) == (0, 63)
+    # a half cell on each kept Neumann end row, a full one next to a cut
+    assert op0.mass[0] == op0.mass[-1] == grid.h / 2.0
+    assert op2.mass[0] == grid.h / 2.0 and op2.mass[-1] == grid.h
 
 
 def test_neumann_kernel_is_dropped_and_gap_is_positive():
@@ -239,6 +255,14 @@ def test_negative_mode_rejected():
     grid = make_grid(flat, 64)
     with pytest.raises(ValueError):
         assemble_mode_operator(flat, -1, grid)
+
+
+def test_rows_outside_the_mode_rejected():
+    flat = flat_cylinder()
+    grid = make_grid(flat, 64)
+    for rows in ((0, 10), (5, 64), (10, 10)):  # Dirichlet end rows, empty range
+        with pytest.raises(ValueError, match="must lie within"):
+            assemble_mode_operator(flat, 1, grid, rows=rows)
 
 
 
@@ -271,8 +295,8 @@ def test_window_truncation_is_at_round_off(shipped_pair):
     shortened = 0
     for m in range(top):
         op = assemble_mode_operator(profile, m, grid, weights=w)
-        d, e = op.symmetrized()
-        a, b = agmon_window(w[op.rows], grid.h, float(m * m), lambda_cut)
+        d, e = op.d, op.e
+        a, b = agmon_window(w[op.lo : op.hi], grid.h, float(m * m), lambda_cut)
         shortened += (b - a) < len(d)
         full = eigh_tridiagonal(d, e, select="v", select_range=rng, eigvals_only=True, tol=1e-300)
         cut = eigh_tridiagonal(
@@ -293,7 +317,8 @@ def test_window_cuts_lie_beyond_the_agmon_margin(shipped_pair):
     top = mode_cutoff(lambda_cut, float(np.max(w)))
     cuts = 0
     for m in range(top):
-        rows = w[assemble_mode_operator(profile, m, grid, weights=w).rows]
+        lo, hi = mode_rows(grid, m)
+        rows = w[lo:hi]
         m2 = float(m * m)
         a, b = agmon_window(rows, grid.h, m2, lambda_cut)
         allowed = np.flatnonzero(lambda_cut * rows >= m2)
@@ -316,42 +341,66 @@ def test_window_cuts_lie_beyond_the_agmon_margin(shipped_pair):
     assert cuts > 0
 
 
-def test_mode_zero_witness_and_empty_modes_get_the_full_grid(shipped_pair, monkeypatch):
-    profile, _, grid, lambda_cut = shipped_pair
-    windows = {}
+def _solved_operators(profile, grid, lambda_cut, monkeypatch):
+    """The system ``solve_modes`` returns and the operator it solved per mode."""
+    ops = {}
     solve = discretize.solve_mode
 
     def recording(op, cut, **kwargs):
-        windows[op.m] = (kwargs["window"], len(op.mass_diag))
+        ops[op.m] = op
         return solve(op, cut, **kwargs)
 
     monkeypatch.setattr(discretize, "solve_mode", recording)
-    system = solve_modes(profile, grid, lambda_cut)
-    window0, rows0 = windows[0]
-    assert window0 == (0, rows0)
-    assert windows[system.m_max][0] is None  # the witness
-    assert any(win[1] - win[0] < rows for win, rows in windows.values() if win is not None)
+    return solve_modes(profile, grid, lambda_cut), ops
+
+
+def test_mode_zero_witness_and_empty_modes_get_the_full_grid(shipped_pair, monkeypatch):
+    profile, _, grid, lambda_cut = shipped_pair
+    system, ops = _solved_operators(profile, grid, lambda_cut, monkeypatch)
+    top = system.m_max
+    assert (ops[0].lo, ops[0].hi) == mode_rows(grid, 0)
+    assert (ops[top].lo, ops[top].hi) == mode_rows(grid, top)  # the witness
+    assert any((op.lo, op.hi) != mode_rows(grid, m) for m, op in ops.items())  # windowed
     # above the Rayleigh cutoff the allowed set on the solved rows is empty
     w = profile.weight(grid.nodes)
-    rows = w[assemble_mode_operator(profile, system.m_max, grid, weights=w).rows]
-    m2 = float(system.m_max**2)
-    assert agmon_window(rows, grid.h, m2, lambda_cut) == (0, len(rows))
+    lo, hi = mode_rows(grid, top)
+    assert agmon_window(w[lo:hi], grid.h, float(top**2), lambda_cut) == (0, hi - lo)
+
+
+def test_windowed_operators_are_slices_of_the_full_row_operators(shipped_pair, monkeypatch):
+    # Assembling on the window alone gives bitwise the rows of the full-row
+    # pencil: only a Neumann grid end row has a half cell, and the window
+    # keeps one only where it reaches that end.
+    profile, _, grid, lambda_cut = shipped_pair
+    system, ops = _solved_operators(profile, grid, lambda_cut, monkeypatch)
+    w = profile.weight(grid.nodes)
+    assert sorted(ops) == list(range(system.m_max + 1))
+    for m, op in ops.items():
+        lo, hi = mode_rows(grid, m)
+        a, b = (0, hi - lo)
+        if m < system.m_max:
+            a, b = agmon_window(w[lo:hi], grid.h, float(m * m), lambda_cut)
+        assert (op.lo, op.hi) == (lo + a, lo + b), m
+        full = assemble_mode_operator(profile, m, grid, weights=w)
+        assert (full.lo, full.hi) == (lo, hi)
+        assert np.array_equal(op.d, full.d[a:b]), m
+        assert np.array_equal(op.e, full.e[a : b - 1]), m
+        assert np.array_equal(op.mass, full.mass[a:b]), m
 
 
 def test_witness_is_the_rayleigh_bound_over_the_solved_rows(shipped_pair):
     # Modes m >= 1 drop the Dirichlet endpoints, so the weight there does
-    # not enter the cutoff; every mode it no longer enumerates was empty.
+    # not enter the cutoff; every mode it no longer enumerates is empty.
     profile, _, grid, lambda_cut = shipped_pair
     w = profile.weight(grid.nodes)
-    rows = w[assemble_mode_operator(profile, 1, grid, weights=w).rows]
+    lo, hi = mode_rows(grid, 1)
     full_top = mode_cutoff(lambda_cut, float(np.max(w)))
     system = solve_modes(profile, grid, lambda_cut)
-    assert system.m_max == mode_cutoff(lambda_cut, float(np.max(rows))) < full_top
+    assert system.m_max == mode_cutoff(lambda_cut, float(np.max(w[lo:hi]))) < full_top
     assert len(system.mode_eigenvalues[system.m_max]) == 0
-    full = solve_modes(profile, grid, lambda_cut, m_max=full_top)
-    for m in range(system.m_max):
-        assert np.array_equal(system.mode_eigenvalues[m], full.mode_eigenvalues[m]), m
-    assert all(len(full.mode_eigenvalues[m]) == 0 for m in range(system.m_max, full_top + 1))
+    for m in range(system.m_max, full_top + 1):
+        vals, _ = solve_mode(assemble_mode_operator(profile, m, grid, weights=w), lambda_cut)
+        assert len(vals) == 0, m
 
 
 def test_windowed_eigenvectors_are_mass_orthonormal_on_the_full_grid(small_pair):
@@ -362,14 +411,13 @@ def test_windowed_eigenvectors_are_mass_orthonormal_on_the_full_grid(small_pair)
     shortened = 0
     for m in range(system.m_max):
         op = assemble_mode_operator(profile, m, grid)
-        a, b = agmon_window(w[op.rows], grid.h, float(m * m), 25.0)
-        shortened += (b - a) < len(op.mass_diag)
+        a, b = agmon_window(w[op.lo : op.hi], grid.h, float(m * m), 25.0)
+        shortened += (b - a) < op.hi - op.lo
         vecs = system.vectors[m]
         assert vecs.shape == (grid.n, len(system.mode_eigenvalues[m]))
-        lo = op.rows.start
-        assert np.all(vecs[: lo + a] == 0.0) and np.all(vecs[lo + b :] == 0.0)
+        assert np.all(vecs[: op.lo + a] == 0.0) and np.all(vecs[op.lo + b :] == 0.0)
         mass = np.zeros(grid.n)
-        mass[op.rows] = op.mass_diag
+        mass[op.lo : op.hi] = op.mass
         gram = vecs.T @ (mass[:, None] * vecs)
         assert np.all(np.abs(gram - np.eye(vecs.shape[1])) < 1e-8), m
     assert shortened > 0
@@ -396,7 +444,7 @@ def test_assemble_accepts_presampled_weights():
     w = prof.weight(grid.nodes)
     sampled = assemble_mode_operator(prof, 3, grid)
     given = assemble_mode_operator(prof, 3, grid, weights=w)
-    assert np.array_equal(sampled.mass_diag, given.mass_diag)
+    assert np.array_equal(sampled.mass, given.mass)
     with pytest.raises(ValueError, match="positive"):
         assemble_mode_operator(prof, 3, grid, weights=np.where(w > w[100], w, -1.0))
     with pytest.raises(ValueError, match="grid nodes"):
@@ -425,17 +473,18 @@ def test_lapack_binding_is_bitwise_scipy(shipped_pair):
     profile, _, grid, lambda_cut = shipped_pair
     w = profile.weight(grid.nodes)
     op0 = assemble_mode_operator(profile, 0, grid, weights=w)
-    assert len(_assert_binding_matches_scipy(*op0.symmetrized(), KERNEL_FLOOR, lambda_cut)) > 10
+    assert len(_assert_binding_matches_scipy(op0.d, op0.e, KERNEL_FLOOR, lambda_cut)) > 10
 
     m = 40
-    op = assemble_mode_operator(profile, m, grid, weights=w)
-    window = agmon_window(w[op.rows], grid.h, float(m * m), lambda_cut)
-    assert window[1] - window[0] < len(op.mass_diag)
-    assert len(_assert_binding_matches_scipy(*op.symmetrized(window), KERNEL_FLOOR, lambda_cut))
+    lo, hi = mode_rows(grid, m)
+    a, b = agmon_window(w[lo:hi], grid.h, float(m * m), lambda_cut)
+    assert b - a < hi - lo
+    op = assemble_mode_operator(profile, m, grid, weights=w, rows=(lo + a, lo + b))
+    assert len(_assert_binding_matches_scipy(op.d, op.e, KERNEL_FLOOR, lambda_cut))
 
     top = mode_cutoff(lambda_cut, float(np.max(w)))
     witness = assemble_mode_operator(profile, top, grid, weights=w)
-    assert len(_assert_binding_matches_scipy(*witness.symmetrized(), KERNEL_FLOOR, lambda_cut)) == 0
+    assert len(_assert_binding_matches_scipy(witness.d, witness.e, KERNEL_FLOOR, lambda_cut)) == 0
 
 
 def test_lapack_binding_one_row_and_bad_input():
