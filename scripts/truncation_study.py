@@ -22,14 +22,12 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from relspec import build_weight, spectral_gap
+from relspec import spectral_gap
 from relspec.cli import NumericsConfig, ScenarioConfig, solve_pair
-from relspec.geometry import Truncation
 
 
-def pair_quantities(cfg: ScenarioConfig, tr: Truncation):
-    pair = (build_weight(cfg.spec_a(), tr), build_weight(cfg.spec_b(), tr))
-    sys_a, _, det = solve_pair(pair, cfg.numerics)
+def pair_quantities(cfg: ScenarioConfig):
+    sys_a, _, det = solve_pair(cfg.pair(), cfg.numerics)
     return {
         "lambda1": spectral_gap(sys_a),
         "a0": det.invariants.coefficients[0],
@@ -48,21 +46,21 @@ def main(argv=None) -> int:
     cfg = ScenarioConfig.from_json(pathlib.Path(args.config))
     numerics = dataclasses.replace(cfg.numerics, n_nodes=args.n_nodes, lambda_cut=args.lambda_cut)
     cfg = dataclasses.replace(cfg, numerics=numerics)
-    base = numerics.truncation()
     # A truncation that no end of the pair reads would only repeat the baseline.
-    specs = (cfg.spec_a(), cfg.spec_b())
-    kinds = {end.kind for spec in specs for end in (spec.left_end, spec.right_end)}
-    variants = {"baseline": base}
+    kinds = {end.kind for p in cfg.pair() for end in (p.spec.left_end, p.spec.right_end)}
+    variants = {"baseline": numerics}
     if "funnel" in kinds:
-        variants["funnel deeper"] = dataclasses.replace(base, funnel_depth=base.funnel_depth + 0.5)
+        variants["funnel deeper"] = dataclasses.replace(
+            numerics, funnel_depth=numerics.funnel_depth + 0.5
+        )
     if "filled_cap" in kinds:
-        variants["cap +4"] = dataclasses.replace(base, cap_end=base.cap_end + 4.0)
+        variants["cap +4"] = dataclasses.replace(numerics, cap_end=numerics.cap_end + 4.0)
     if "cusp" in kinds:
-        variants["cusp x2"] = dataclasses.replace(base, cusp_end=2.0 * base.cusp_end)
+        variants["cusp x2"] = dataclasses.replace(numerics, cusp_end=2.0 * numerics.cusp_end)
 
     rows = {}
-    for name, tr in variants.items():
-        rows[name] = pair_quantities(cfg, tr)
+    for name, variant in variants.items():
+        rows[name] = pair_quantities(dataclasses.replace(cfg, numerics=variant))
         q = rows[name]
         print(f"{name:14s} lambda1={q['lambda1']:.10f} a0={q['a0']:+.8e} "
               f"a1={q['a1']:+.8e} log_det={q['log_det']:+.8e}")

@@ -38,7 +38,6 @@ from .geometry import (
     build_weight,
     flat_cylinder,
 )
-from .oracle import low_eigenvalues_2d, make_grid_2d, mode_sum_reference
 from .spectral import (
     default_time_grid,
     kernel_value,
@@ -195,8 +194,9 @@ class ScenarioConfig:
     surgery parameter of *both* members per grid point, so the pair stays
     relatively compact and its invariants are the quantity under test.
     Construction builds every surface profile the scenario will solve, chart
-    layout included (no weight is evaluated), so an unusable value fails
-    here, naming its key.
+    layout included (no weight is evaluated), and an offdiag_check's probe
+    points against that chart, so an unusable value fails here, naming its
+    key.
     """
 
     kind: str
@@ -242,7 +242,19 @@ class ScenarioConfig:
             points = [{}]
         for point in points:
             for where in members:
-                self.member(where, **point)
+                profile = self.member(where, **point)
+                if self.kind == "offdiag_check":
+                    self._check_probe_points(profile)
+
+    def _check_probe_points(self, profile: MetricProfile) -> None:
+        """The off-diagonal probe circles must lie on the chart they snap to."""
+        for key in ("offdiag_y_s", "offdiag_y2_s"):
+            s = getattr(self.numerics, key)
+            if not profile.s_min - 1e-12 <= s <= profile.s_max + 1e-12:
+                raise ConfigError(
+                    f"numerics.{key} = {s!r} lies outside the chart "
+                    f"[{profile.s_min!r}, {profile.s_max!r}] of surface_a"
+                )
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
@@ -276,12 +288,6 @@ class ScenarioConfig:
         return cls.from_dict(data)
 
     # -- resolved surfaces ---------------------------------------------------
-
-    def spec_a(self) -> SurfaceSpec:
-        return self._spec(self.surface_a, "surface_a")
-
-    def spec_b(self) -> SurfaceSpec:
-        return self._spec(self.surface_b, "surface_b")
 
     def _spec(self, d: dict, where: str) -> SurfaceSpec:
         if not d:
@@ -469,6 +475,9 @@ def _flat_reference(count: int) -> list[float]:
 # ----------------------------------------------------------------------------
 
 def _run_validate(cfg: ScenarioConfig, out: Path, report: Report, stage):
+    # The 2D oracle needs scipy.sparse, which no other scenario loads.
+    from .oracle import low_eigenvalues_2d, make_grid_2d, mode_sum_reference
+
     num = cfg.numerics
 
     stage("flat-cylinder spectrum")

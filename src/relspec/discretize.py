@@ -35,9 +35,14 @@ round-off.
 
 The eigensolves call LAPACK ``dstebz`` (bisection) and ``dstein`` (inverse
 iteration) through the function pointers that ``scipy.linalg.cython_lapack``
-exports, wrapped in ``ctypes.CFUNCTYPE``.  The routines and arguments are
-those of ``scipy.linalg.eigh_tridiagonal(select="v")``, so the results are
-bitwise the same, but the GIL is released while LAPACK runs.  That lets
+exports, wrapped in ``ctypes.CFUNCTYPE``.  That extension module is loaded
+from its file in scipy's install, under its own name, without importing the
+``scipy.linalg`` package (which would load scipy's array-API layer and
+numpy.f2py, numpy.testing and numpy.ma with it, several times the start-up
+of everything else); a later ``import scipy.linalg`` gets the same module.
+The routines and arguments are those of
+``scipy.linalg.eigh_tridiagonal(select="v")``, so the results are bitwise
+the same, but the GIL is released while LAPACK runs.  That lets
 ``solve_modes`` split one surface's modes across ``worker_count()`` threads
 (thread i takes the modes m = i mod the thread count) and merge them in m
 order; every mode's result is independent of the split.
@@ -46,13 +51,18 @@ order; every mode's result is independent of the split.
 from __future__ import annotations
 
 import ctypes
+import importlib.util
 import math
 import os
+import sys
 import threading
 from dataclasses import dataclass, field
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from pathlib import Path
 
 import numpy as np
-from scipy.linalg import LinAlgError, cython_lapack
+import scipy
+from numpy.linalg import LinAlgError
 
 from .geometry import MetricProfile
 
@@ -215,6 +225,34 @@ def agmon_window(
     return a, min(b, n)
 
 
+def _cython_lapack():
+    """The module ``scipy.linalg.cython_lapack``: the one already imported,
+    else loaded under its real name from its extension file in scipy's
+    ``linalg`` folder, without importing that package.  An install without
+    the file there gets the module by the package import.
+
+    The extension enters itself in ``sys.modules`` as it loads.  That entry
+    is taken out again: a later ``import scipy.linalg`` then loads the
+    submodule the regular way, so the package gets its ``cython_lapack``
+    attribute, and the extension hands back this same module object.
+    """
+    name = "scipy.linalg.cython_lapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    folder = Path(scipy.__file__).parent / "linalg"
+    for suffix in EXTENSION_SUFFIXES:
+        path = folder / ("cython_lapack" + suffix)
+        if path.is_file():
+            spec = importlib.util.spec_from_loader(name, ExtensionFileLoader(name, str(path)))
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            sys.modules.pop(name, None)
+            return module
+    from scipy.linalg import cython_lapack
+
+    return cython_lapack
+
+
 def _lapack_routine(name: str, n_args: int):
     """scipy's LAPACK routine ``name`` as a ctypes function.
 
@@ -228,12 +266,13 @@ def _lapack_routine(name: str, n_args: int):
     get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
         ("PyCapsule_GetPointer", api)
     )
-    capsule = cython_lapack.__pyx_capi__[name]
+    capsule = _LAPACK.__pyx_capi__[name]
     return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * n_args)(
         get_pointer(capsule, get_name(capsule))
     )
 
 
+_LAPACK = _cython_lapack()
 _DSTEBZ = _lapack_routine("dstebz", 18)
 _DSTEIN = _lapack_routine("dstein", 13)
 

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import exp1
 
 from .discretize import Eigensystem
 from .geometry import line_distance, relative_area
@@ -155,30 +154,95 @@ class PairedSpectrum:
         Bitwise-equal pairs inside a mode are skipped, so identical spectra
         give exactly 0.0 even when they carry a kernel.  Any other eigenvalue
         at or below KERNEL_TOL makes the integral diverge (E1(0) = inf) and
-        raises ValueError naming the mode.
+        raises ValueError naming the mode.  E1 runs once over the arguments
+        of every mode; each mode's terms are then summed on their own.
         """
         if not x > 0:
             raise ValueError("E1 sums need a positive lower limit")
-        total = 0.0
-        for m, mult, va, vb in self.modes:
+        parts, counts = [], []
+        for _, _, va, vb in self.modes:
             k = min(len(va), len(vb))
             differ = va[:k] != vb[:k]
-            pa, pb = va[:k][differ], vb[:k][differ]
-            ta, tb = va[k:], vb[k:]
-            for vals in (pa, pb, ta, tb):
-                low = vals[vals <= KERNEL_TOL]
-                if len(low):
-                    raise ValueError(
-                        f"mode {m}: eigenvalue {float(low[0])!r} <= {KERNEL_TOL:g} has no "
-                        "bitwise-equal partner to cancel it; E1 diverges at 0"
-                    )
-            term = float((exp1(pa * x) - exp1(pb * x)).sum()) if len(pa) else 0.0
-            if len(ta):
-                term += float(exp1(ta * x).sum())
-            if len(tb):
-                term -= float(exp1(tb * x).sum())
+            parts += [va[:k][differ], vb[:k][differ], va[k:], vb[k:]]
+            counts.append((len(parts[-4]), len(va) - k, len(vb) - k))
+        if not parts:
+            return 0.0
+        args = np.concatenate(parts)
+        low = np.flatnonzero(args <= KERNEL_TOL)
+        if low.size:
+            part = int(np.searchsorted(np.cumsum([len(p) for p in parts]), low[0], side="right"))
+            raise ValueError(
+                f"mode {self.modes[part // 4][0]}: eigenvalue {float(args[low[0]])!r} <= "
+                f"{KERNEL_TOL:g} has no bitwise-equal partner to cancel it; E1 diverges at 0"
+            )
+        e1 = _exp1(args * x)
+        total, i = 0.0, 0
+        for (_, mult, _, _), (n, na, nb) in zip(self.modes, counts):
+            term = float((e1[i : i + n] - e1[i + n : i + 2 * n]).sum()) if n else 0.0
+            i += 2 * n
+            if na:
+                term += float(e1[i : i + na].sum())
+            if nb:
+                term -= float(e1[i + na : i + na + nb].sum())
+            i += na + nb
             total += mult * term
         return total
+
+
+# Euler's gamma as E1XB spells it, one ulp below numpy.euler_gamma.
+_E1XB_GAMMA = 0.5772156649015328
+
+
+def _exp1(x: np.ndarray) -> np.ndarray:
+    """The exponential integral E1(x) = int_x^inf e^{-t} dt/t of every
+    element of ``x`` (all positive), by routine E1XB of Zhang & Jin,
+    *Computation of Special Functions* (1996), which scipy.special.exp1 runs:
+
+    * x <= 1: E1 = -gamma - ln x + x sum_{k>=0} r_k, r_0 = 1,
+      r_k = -r_{k-1} k x / (k + 1)^2, stopped per element at the first k
+      with |r_k| <= 1e-15 |partial sum|, or after k = 25;
+    * x > 1: E1 = e^{-x} / (x + t_1) with the continued fraction
+      t_k = k / (1 + k / (x + t_{k+1})), t_{m+1} = 0, m = 20 + floor(80 / x).
+
+    Every element takes the same arithmetic steps wherever it sits in ``x``,
+    so one call over a concatenation equals separate calls on its parts.
+    The continued fraction runs on the arguments sorted by m, so step k
+    updates the prefix with m >= k and the work is sum m.
+    """
+    x = np.asarray(x, dtype=float)
+    flat = x.ravel()
+    out = np.empty(flat.shape)
+
+    small = flat <= 1.0
+    xs = flat[small]
+    series = np.empty(xs.shape)
+    live = np.arange(xs.size)
+    xl, r, acc = xs, np.ones(xs.size), np.ones(xs.size)
+    for k in range(1, 26):
+        r = -r * k * xl / (k + 1.0) ** 2
+        acc = acc + r
+        done = np.abs(r) <= np.abs(acc) * 1e-15
+        if done.any():
+            series[live[done]] = acc[done]
+            keep = ~done
+            live, xl, r, acc = live[keep], xl[keep], r[keep], acc[keep]
+    series[live] = acc
+    out[small] = -_E1XB_GAMMA - np.log(xs) + xs * series
+
+    xb = flat[~small]
+    m = 20 + (80.0 / xb).astype(np.intp)
+    order = np.argsort(-m, kind="stable")
+    xb = xb[order]
+    # at_least[k] = number of arguments with m >= k, a prefix of the order
+    at_least = np.cumsum(np.bincount(m)[::-1])[::-1]
+    t0 = np.zeros(xb.size)
+    for k in range(len(at_least) - 1, 0, -1):
+        n = at_least[k]
+        t0[:n] = k / (1.0 + k / (xb[:n] + t0[:n]))
+    big = np.empty(xb.size)
+    big[order] = np.exp(-xb) * (1.0 / (xb + t0))
+    out[~small] = big
+    return out.reshape(x.shape)
 
 
 @dataclass(eq=False)

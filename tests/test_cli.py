@@ -94,8 +94,7 @@ def test_all_repo_configs_parse(configs_dir):
     paths = sorted(configs_dir.glob("*.json"))
     assert len(paths) >= 7
     for path in paths:
-        cfg = ScenarioConfig.from_json(path)
-        cfg.spec_a()  # resolvable surface
+        ScenarioConfig.from_json(path)  # load builds every member surface
 
 
 def test_config_rejects_unknown_keys():
@@ -256,10 +255,14 @@ def _boundary_left_ends(data):
          "surface_a: bump support [center - radius, center + radius]"),
         ("point_sweep.json", lambda d: d["surface_a"].update(core_length=0.7),
          "surface_a: core_length 0.7 leaves no room for the funnel"),
+        ("offdiag.json", lambda d: d.update(numerics={"offdiag_y2_s": 500.0}),
+         "numerics.offdiag_y2_s = 500.0 lies outside the chart [0.0, "),
+        ("offdiag.json", lambda d: d.update(numerics={"offdiag_y_s": -0.5}),
+         "numerics.offdiag_y_s = -0.5 lies outside the chart"),
     ],
     ids=["epsilon-above-1", "epsilon-nan", "no-surgery-end", "no-funnel-end",
          "bump-amplitude-nan", "fit-window-too-short", "bump-outside-core",
-         "no-room-for-funnel"],
+         "no-room-for-funnel", "probe-beyond-chart", "probe-before-chart"],
 )
 def test_unusable_shipped_config_exits_two_before_any_solve(tmp_path, capsys, name, mutate, key):
     data = shipped_config(name)
@@ -557,3 +560,67 @@ def test_module_entry_point(tmp_path, repo_root):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["label"] == "module"
+
+
+# ----------------------------------------------------------------------------
+# start-up: what importing the command line loads
+# ----------------------------------------------------------------------------
+
+_STARTUP_PROBE = """
+import ctypes, json, sys
+
+import relspec.cli
+from relspec import discretize
+
+loaded = [m for m in ("scipy.linalg", "scipy.special", "scipy.sparse", "numpy.f2py")
+          if m in sys.modules]
+bound = {name: ctypes.cast(routine, ctypes.c_void_p).value
+         for name, routine in (("dstebz", discretize._DSTEBZ), ("dstein", discretize._DSTEIN))}
+
+import scipy.linalg
+from scipy.linalg import cython_lapack
+
+api = ctypes.pythonapi
+get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
+get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", api)
+)
+capsules = {name: cython_lapack.__pyx_capi__[name] for name in bound}
+print(json.dumps({
+    "loaded": loaded,
+    "bound": bound,
+    "package": {name: get_pointer(c, get_name(c)) for name, c in capsules.items()},
+    "reused": (
+        discretize._LAPACK is cython_lapack is scipy.linalg.cython_lapack
+        is sys.modules["scipy.linalg.cython_lapack"]
+    ),
+}))
+"""
+
+
+@pytest.fixture(scope="module")
+def startup_probe(repo_root):
+    """What a fresh interpreter holds after ``import relspec.cli``, and how
+    a later ``import scipy.linalg`` meets the LAPACK module loaded then."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _STARTUP_PROBE],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=checkout_env(repo_root),
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_importing_the_cli_loads_no_heavy_scipy_or_numpy_subpackage(startup_probe):
+    assert startup_probe["loaded"] == []
+
+
+def test_lapack_file_route_binds_scipy_linalg_routines(startup_probe):
+    assert startup_probe["bound"] == startup_probe["package"]
+    assert all(startup_probe["bound"].values())
+
+
+def test_later_scipy_linalg_import_reuses_the_loaded_lapack_module(startup_probe):
+    assert startup_probe["reused"] is True

@@ -497,6 +497,17 @@ def test_lapack_binding_one_row_and_bad_input():
         discretize._eigh_tridiagonal(np.ones(3), np.ones(3), 0.0, 3.0, False)
 
 
+def test_lapack_module_falls_back_to_the_package_import(monkeypatch):
+    # With no sys.modules entry and no extension file to load, the lookup
+    # takes the package import and still ends at scipy.linalg's module.
+    from scipy.linalg import cython_lapack
+
+    assert discretize._cython_lapack() is cython_lapack is discretize._LAPACK
+    monkeypatch.setattr(discretize, "EXTENSION_SUFFIXES", [])
+    monkeypatch.delitem(sys.modules, "scipy.linalg.cython_lapack")
+    assert discretize._cython_lapack() is cython_lapack
+
+
 def test_solve_modes_is_bitwise_independent_of_the_thread_count(small_pair, monkeypatch):
     # Five threads oversubscribe the CPUs, and a short switch interval makes
     # them interleave as often as the interpreter allows.

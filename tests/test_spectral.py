@@ -10,7 +10,9 @@ import pytest
 from relspec.discretize import Eigensystem, Grid, make_grid, solve_modes
 from relspec.geometry import BumpSpec, build_weight, flat_cylinder
 from relspec.spectral import (
+    PairedSpectrum,
     TraceSeries,
+    _exp1,
     default_time_grid,
     heat_trace,
     heat_trace_tail_bound,
@@ -298,3 +300,75 @@ def test_offdiag_requires_vectors(small_systems):
     sys_a, _ = small_systems
     with pytest.raises(ValueError, match="vectors"):
         offdiag_l2_integral(sys_a, 1.0, y=(0.35, 0.0))
+
+
+# ----------------------------------------------------------------------------
+# the exponential integral behind the relative zeta-determinant
+# ----------------------------------------------------------------------------
+
+def _log_uniform(lo, hi, n, seed):
+    x = np.exp(np.random.default_rng(seed).uniform(math.log(lo), math.log(hi), n))
+    return np.concatenate(([lo, hi], x))
+
+
+@pytest.mark.parametrize("lo, hi", [(1e-6, 1.0), (1.0, 10.0), (10.0, 700.0)])
+def test_exp1_matches_scipy_to_round_off(lo, hi):
+    # scipy.special.exp1 runs the same routine (E1XB); only the last-bit
+    # rounding of numpy's log and exp may differ.  On [10, 700] E1 stays
+    # above the subnormal range (E1(700) ~ 1.4e-307).
+    from scipy.special import exp1
+
+    x = _log_uniform(lo, hi, 20000, seed=int(hi))
+    got, want = _exp1(x), exp1(x)
+    assert np.all(want > 0.0) and np.all(np.isfinite(want))
+    assert float(np.max(np.abs(got - want) / want)) <= 2e-15
+    assert _exp1(np.array([1.0]))[0] == pytest.approx(0.21938393439552027, rel=2e-15)
+
+
+def test_exp1_of_a_concatenation_is_bitwise_its_parts():
+    x = _log_uniform(1e-6, 700.0, 6000, seed=5)
+    whole = _exp1(x)
+    parts = np.split(x, [1, 1, 7, 8, 3000, 5999])  # an empty and one-element part
+    assert np.array_equal(np.concatenate([_exp1(p) for p in parts]), whole)
+    order = np.random.default_rng(6).permutation(x.size)
+    assert np.array_equal(_exp1(x[order]), whole[order])
+    assert _exp1(np.empty(0)).shape == (0,)
+
+
+def test_e1_sum_matches_scipy_mode_by_mode(small_systems):
+    from scipy.special import exp1
+
+    spectrum = relative_trace_series(*small_systems).spectrum
+    for x in (0.01, 0.3, 1.0):
+        want = 0.0
+        for _, mult, va, vb in spectrum.modes:
+            k = min(len(va), len(vb))
+            want += mult * (
+                float((exp1(va[:k] * x) - exp1(vb[:k] * x)).sum())
+                + float(exp1(va[k:] * x).sum())
+                - float(exp1(vb[k:] * x).sum())
+            )
+        assert spectrum.e1_sum(x) == pytest.approx(want, rel=1e-12, abs=1e-14)
+
+
+def test_e1_sum_is_exact_for_identical_and_swapped_pairs(small_systems):
+    spectrum = relative_trace_series(*small_systems).spectrum
+    swapped = PairedSpectrum(tuple((m, n, vb, va) for m, n, va, vb in spectrum.modes))
+    same = PairedSpectrum(tuple((m, n, va, va) for m, n, va, _ in spectrum.modes))
+    for x in (0.01, 1.0):
+        assert spectrum.e1_sum(x) != 0.0
+        assert swapped.e1_sum(x) == -spectrum.e1_sum(x)
+        assert same.e1_sum(x) == 0.0
+
+
+def test_e1_sum_names_the_mode_of_an_unpartnered_kernel_eigenvalue():
+    kernel = PairedSpectrum(
+        (
+            (0, 1, np.array([0.0, 2.0]), np.array([0.0, 2.5])),  # paired: skipped
+            (3, 2, np.array([1.0, 4.0]), np.array([1e-12, 1.0, 4.0])),
+        )
+    )
+    with pytest.raises(ValueError, match=r"mode 3: eigenvalue 1e-12 <= 1e-10"):
+        kernel.e1_sum(0.5)
+    with pytest.raises(ValueError, match="positive lower limit"):
+        kernel.e1_sum(0.0)
