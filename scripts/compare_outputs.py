@@ -19,9 +19,11 @@ under both it prints "checks identical" when the check tables agree in
 name, passed, value and tolerance; otherwise each check that moved.
 
 Exit status is 1 when that ratio reaches 1 in any table, when two CSVs
-cannot be compared row by row (different columns or row counts), or when a
-check that passes in the parent does not pass (fails or is absent) in the
-change; otherwise 0.  The script only reads files.
+cannot be compared row by row (different columns or row counts), when a CSV
+or ``summary.json`` of the parent tree is missing from the change tree (a
+lost artifact), or when a check that passes in the parent does not pass
+(fails or is absent) in the change; otherwise 0.  A file only in the change
+tree is reported and does not fail.  The script only reads files.
 """
 from __future__ import annotations
 
@@ -121,23 +123,25 @@ def compare_checks(old: dict[str, tuple], new: dict[str, tuple]) -> tuple[list[s
 
 
 def _paired(parent: pathlib.Path, change: pathlib.Path, pattern: str, lines: list[str]):
-    """Relative paths matching ``pattern`` under both trees; a path under
+    """Relative paths matching ``pattern`` under both trees, and whether a
+    path is under the parent tree only (lost in the change); a path under
     only one of them adds a line."""
     old_paths = {p.relative_to(parent) for p in parent.rglob(pattern)}
     new_paths = {p.relative_to(change) for p in change.rglob(pattern)}
     for rel in sorted(old_paths ^ new_paths):
+        verdict = " (FAIL)" if rel in old_paths else ""
         side = "parent" if rel in old_paths else "change"
-        lines.append(f"{rel}: only in the {side} tree")
-    return sorted(old_paths & new_paths)
+        lines.append(f"{rel}: only in the {side} tree{verdict}")
+    return sorted(old_paths & new_paths), bool(old_paths - new_paths)
 
 
 def compare_trees(parent: pathlib.Path, change: pathlib.Path) -> tuple[list[str], bool]:
     """Report lines for every CSV and summary.json under both trees, and
-    whether anything failed (budget ratio >= 1, tables not comparable, or a
-    passing check lost)."""
+    whether anything failed (budget ratio >= 1, tables not comparable, a
+    file of the parent tree lost, or a passing check lost)."""
     lines: list[str] = []
-    failed = False
-    for rel in _paired(parent, change, "*.csv", lines):
+    csvs, failed = _paired(parent, change, "*.csv", lines)
+    for rel in csvs:
         a, b = parent / rel, change / rel
         if a.read_bytes() == b.read_bytes():
             lines.append(f"{rel}: identical")
@@ -162,7 +166,9 @@ def compare_trees(parent: pathlib.Path, change: pathlib.Path) -> tuple[list[str]
                 f"max |d log_det| / parent budget_total = {ratio:.2e} ({verdict})"
             )
             failed = failed or ratio >= 1.0
-    for rel in _paired(parent, change, "summary.json", lines):
+    summaries, lost = _paired(parent, change, "summary.json", lines)
+    failed = failed or lost
+    for rel in summaries:
         moved, lost = compare_checks(read_checks(parent / rel), read_checks(change / rel))
         lines.extend([f"{rel}: checks identical"] if not moved else [f"{rel}:", *moved])
         failed = failed or lost

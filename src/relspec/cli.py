@@ -193,10 +193,10 @@ class ScenarioConfig:
     carries the bump, B is the plain reference); sweep scenarios rewrite the
     surgery parameter of *both* members per grid point, so the pair stays
     relatively compact and its invariants are the quantity under test.
-    Construction builds every surface profile the scenario will solve, chart
-    layout included (no weight is evaluated), and an offdiag_check's probe
-    points against that chart, so an unusable value fails here, naming its
-    key.
+    Construction builds the pair of every point the run solves (``points``),
+    or the lone surface_a of validate and offdiag_check, chart layout
+    included (no weight is evaluated), and an offdiag_check's probe points
+    against that chart, so an unusable value fails here, naming its key.
     """
 
     kind: str
@@ -231,20 +231,12 @@ class ScenarioConfig:
         self._check_surfaces()
 
     def _check_surfaces(self) -> None:
-        members = ["surface_a"]
-        if self.kind not in ("validate", "isospectral_check", "offdiag_check"):
-            members.append("surface_b")
-        if self.kind in ("surgery_sweep", "continuity_check"):
-            points = [{"epsilon": value} for value in (0.0, *self.epsilons)]
-        elif self.kind == "funnel_conformal_check":
-            points = [{"constant": value} for value in self.conformal_constants]
-        else:
-            points = [{}]
-        for point in points:
-            for where in members:
-                profile = self.member(where, **point)
-                if self.kind == "offdiag_check":
-                    self._check_probe_points(profile)
+        if self.kind in ("validate", "offdiag_check"):
+            profile = self.member("surface_a")
+            if self.kind == "offdiag_check":
+                self._check_probe_points(profile)
+        for point in self.points():
+            self.pair(**point)
 
     def _check_probe_points(self, profile: MetricProfile) -> None:
         """The off-diagonal probe circles must lie on the chart they snap to."""
@@ -288,6 +280,33 @@ class ScenarioConfig:
         return cls.from_dict(data)
 
     # -- resolved surfaces ---------------------------------------------------
+
+    def points(self) -> list[dict]:
+        """The pairs the scenario solves, in run order, as ``pair()`` keywords.
+
+        A surgery sweep solves epsilon 0 and then each ``epsilons`` value; a
+        continuity check epsilon 0 and then the nonzero ``epsilons`` in
+        decreasing order (load rejects negative ones, so these are the
+        positive ones); a conformal check each ``conformal_constants``
+        value; the other pair kinds their one pair; validate and
+        offdiag_check none.  A family with no member to compare raises a
+        ConfigError naming its key.
+        """
+        if self.kind in ("validate", "offdiag_check"):
+            return []
+        if self.kind == "funnel_conformal_check":
+            key, family = "conformal_constants", [{"constant": c} for c in self.conformal_constants]
+        elif self.kind == "surgery_sweep":
+            key, family = "epsilons", [{"epsilon": e} for e in self.epsilons]
+        elif self.kind == "continuity_check":
+            ladder = sorted((e for e in self.epsilons if e != 0.0), reverse=True)
+            key, family = "epsilons", [{"epsilon": e} for e in ladder]
+        else:
+            return [{}]
+        if not family:
+            need = "a positive value" if self.kind == "continuity_check" else "a value"
+            raise ConfigError(f"{key} = {list(getattr(self, key))!r}: a {self.kind} needs {need}")
+        return family if key == "conformal_constants" else [{"epsilon": 0.0}, *family]
 
     def _spec(self, d: dict, where: str) -> SurfaceSpec:
         if not d:
@@ -456,6 +475,26 @@ def solve_pair(
     return sys_a, series, determinant_from_series(series, inv)
 
 
+def _solve_points(cfg: ScenarioConfig, stage) -> list:
+    """``solve_pair`` of every point of ``cfg.points()``, in order.
+
+    Each distinct point is solved once, in a stage of its own ("pair
+    epsilon = 0.4", "pair constant = 0.2" or "pair"), and a repeated point
+    reuses that result.  Every pair after the first is solved on the first
+    pair's grid, so the family shares its node positions.
+    """
+    points = cfg.points()
+    solved: dict = {}
+    master = None
+    for point in points:
+        key = tuple(point.items())
+        if key not in solved:
+            stage(" ".join(["pair", *(f"{name} = {value}" for name, value in key)]))
+            solved[key] = solve_pair(cfg.pair(**point), cfg.numerics, master)
+            master = solved[key][0].grid if master is None else master
+    return [solved[tuple(point.items())] for point in points]
+
+
 def _budget_header(det) -> str:
     """CSV columns for the error-budget terms of a determinant, in budget order."""
     return ",".join(f"budget_{name}" for name in det.error_budget)
@@ -549,23 +588,6 @@ def _run_validate(cfg: ScenarioConfig, out: Path, report: Report, stage):
     )
 
 
-def _sweep_row(eps, sys_a, series, det, base_sample, base_series):
-    """One sweep.csv row of a solved pair, against the epsilon = 0 baseline."""
-    nodes, base_weight = base_sample
-    return {
-        "epsilon": float(eps),
-        "lambda1": spectral_gap(sys_a),
-        "weight_ratio": float(np.max(sys_a.profile.weight(nodes) / base_weight)),
-        "rel_area": series.rel_area,
-        "invariants": det.invariants,
-        "log_det": det.log_determinant,
-        "det": det.determinant,
-        "dsup": float(np.max(np.abs(series.values - base_series.values))),
-        "residual": det.invariants.residual,
-        "budget": det.error_budget,
-    }
-
-
 def _check_dsup_non_increasing(report: Report, ladder) -> None:
     """Dsup must not grow as the surgery shrinks; ``ladder`` holds
     (epsilon, dsup) pairs in decreasing epsilon."""
@@ -580,54 +602,44 @@ def _check_dsup_non_increasing(report: Report, ladder) -> None:
 
 
 def _run_surgery_sweep(cfg: ScenarioConfig, out: Path, report: Report, stage):
-    num = cfg.numerics
-    stage("baseline pair (epsilon = 0)")
-    sys_a0, series0, det0 = solve_pair(cfg.pair(epsilon=0.0), num)
+    (sys_a0, series0, det0), *solved = _solve_points(cfg, stage)
     inv0 = det0.invariants
-    lambda1_0 = spectral_gap(sys_a0)
-    base_sample = sys_a0.profile.sample(2048)
+    nodes, base_weight = sys_a0.profile.sample(2048)
+
+    stage("sweep table")
     series0.to_csv(out / "trace_baseline.csv")
     report.artifacts.append("trace_baseline.csv")
-
-    stage("epsilon sweep")
     rows = []
-    for i, eps in enumerate(cfg.epsilons):
-        if eps == 0.0:
-            sys_a, series, det = sys_a0, series0, det0
-        else:
-            sys_a, series, det = solve_pair(cfg.pair(epsilon=eps), num, sys_a0.grid)
+    for i, (eps, (sys_a, series, det)) in enumerate(zip(cfg.epsilons, solved)):
+        if series is not series0:  # epsilon 0 is the baseline, trace_baseline.csv
             series.to_csv(out / f"trace_eps_{i:02d}.csv")
             report.artifacts.append(f"trace_eps_{i:02d}.csv")
-        rows.append(_sweep_row(eps, sys_a, series, det, base_sample, series0))
-
-    k_cols = len(inv0.coefficients)
-    _write_csv(
-        out / "sweep.csv",
+        rows.append((
+            eps,
+            spectral_gap(sys_a),
+            float(np.max(sys_a.profile.weight(nodes) / base_weight)),
+            series.rel_area,
+            *[float(c) for c in det.invariants.coefficients],
+            det.invariants.residual,
+            det.log_determinant,
+            det.determinant,
+            float(np.max(np.abs(series.values - series0.values))),
+            *det.error_budget.values(),
+        ))
+    header = (
         "epsilon,lambda1,weight_ratio,rel_area,"
-        + ",".join(f"a{k}" for k in range(k_cols))
+        + ",".join(f"a{k}" for k in range(len(inv0.coefficients)))
         + ",fit_residual,log_det,det,dsup,"
-        + _budget_header(det0),
-        [
-            (
-                r["epsilon"],
-                r["lambda1"],
-                r["weight_ratio"],
-                r["rel_area"],
-                *[float(c) for c in r["invariants"].coefficients],
-                r["residual"],
-                r["log_det"],
-                r["det"],
-                r["dsup"],
-                *r["budget"].values(),
-            )
-            for r in rows
-        ],
+        + _budget_header(det0)
     )
+    _write_csv(out / "sweep.csv", header, rows)
     report.artifacts.append("sweep.csv")
 
     stage("sweep checks")
-    big_c = max(r["weight_ratio"] for r in rows)
-    min_l1 = min(r["lambda1"] for r in rows)
+    col = dict(zip(header.split(","), zip(*rows)))  # the table's columns, by name
+    big_c = max(col["weight_ratio"])
+    min_l1 = min(col["lambda1"])
+    lambda1_0 = spectral_gap(sys_a0)
     report.add(
         "gap_lower_bound",
         min_l1 >= lambda1_0 / big_c,
@@ -635,13 +647,7 @@ def _run_surgery_sweep(cfg: ScenarioConfig, out: Path, report: Report, stage):
         tolerance=lambda1_0 / big_c,
         detail=f"min_eps lambda1 vs lambda1(0)/C, C = max weight ratio = {big_c!r}",
     )
-    drift01 = max(
-        max(
-            abs(r["invariants"].coefficients[k] - inv0.coefficients[k])
-            for r in rows
-        )
-        for k in (0, 1)
-    )
+    drift01 = max(abs(a - inv0.coefficients[k]) for k in (0, 1) for a in col[f"a{k}"])
     report.add(
         "invariant_drift_a0_a1",
         drift01 <= 5e-3,
@@ -649,7 +655,7 @@ def _run_surgery_sweep(cfg: ScenarioConfig, out: Path, report: Report, stage):
         tolerance=5e-3,
         detail="max |a_k(eps) - a_k(0)|, k in {0, 1}",
     )
-    a0_err = max(abs(r["invariants"].coefficients[0] - r["rel_area"] / (4.0 * math.pi)) for r in rows)
+    a0_err = max(abs(a0 - area / (4.0 * math.pi)) for a0, area in zip(col["a0"], col["rel_area"]))
     report.add(
         "a0_matches_relative_area",
         a0_err <= 1e-3,
@@ -657,7 +663,7 @@ def _run_surgery_sweep(cfg: ScenarioConfig, out: Path, report: Report, stage):
         tolerance=1e-3,
         detail="max |a_0 - rel_area/(4 pi)| over the grid",
     )
-    det_drift = max(abs(r["log_det"] - det0.log_determinant) for r in rows)
+    det_drift = max(abs(v - det0.log_determinant) for v in col["log_det"])
     report.add(
         "determinant_invariance",
         det_drift <= 1e-2,
@@ -665,15 +671,14 @@ def _run_surgery_sweep(cfg: ScenarioConfig, out: Path, report: Report, stage):
         tolerance=1e-2,
         detail="max |log det(eps) - log det(0)|",
     )
-    cont = [r for r in rows if r["epsilon"] in CONTINUITY_EPSILONS]
-    cont.sort(key=lambda r: -r["epsilon"])
-    if len(cont) == len(CONTINUITY_EPSILONS):
-        _check_dsup_non_increasing(report, [(r["epsilon"], r["dsup"]) for r in cont])
+    ladder = [(e, d) for e, d in zip(col["epsilon"], col["dsup"]) if e in CONTINUITY_EPSILONS]
+    ladder.sort(key=lambda row: -row[0])
+    if len(ladder) == len(CONTINUITY_EPSILONS):
+        _check_dsup_non_increasing(report, ladder)
 
 
 def _run_isospectral(cfg: ScenarioConfig, out: Path, report: Report, stage):
-    stage("identical pair")
-    _, series, det = solve_pair(cfg.pair(), cfg.numerics)
+    [(_, series, det)] = _solve_points(cfg, stage)
     inv = det.invariants
     series.to_csv(out / "trace.csv")
     report.artifacts.append("trace.csv")
@@ -701,8 +706,7 @@ def _run_isospectral(cfg: ScenarioConfig, out: Path, report: Report, stage):
 
 
 def _run_decay(cfg: ScenarioConfig, out: Path, report: Report, stage):
-    stage("pair spectra and trace")
-    _, series, _ = solve_pair(cfg.pair(), cfg.numerics)
+    [(_, series, _)] = _solve_points(cfg, stage)
     series.to_csv(out / "trace.csv")
     report.artifacts.append("trace.csv")
     stage("long-time decay bound")
@@ -738,16 +742,12 @@ def _run_decay(cfg: ScenarioConfig, out: Path, report: Report, stage):
 
 
 def _run_continuity(cfg: ScenarioConfig, out: Path, report: Report, stage):
-    num = cfg.numerics
-    stage("baseline pair (epsilon = 0)")
-    sys_a0, series0, _ = solve_pair(cfg.pair(epsilon=0.0), num)
-    stage("continuity ladder")
-    eps_ladder = [e for e in cfg.epsilons if e > 0.0] or list(CONTINUITY_EPSILONS)
-    eps_ladder.sort(reverse=True)
-    rows = []
-    for eps in eps_ladder:
-        _, series, _ = solve_pair(cfg.pair(epsilon=eps), num, sys_a0.grid)
-        rows.append((float(eps), float(np.max(np.abs(series.values - series0.values)))))
+    (_, series0, _), *ladder = _solve_points(cfg, stage)
+    rows = [
+        (point["epsilon"], float(np.max(np.abs(series.values - series0.values))))
+        for point, (_, series, _) in zip(cfg.points()[1:], ladder)
+    ]
+    stage("continuity table")
     _write_csv(out / "continuity.csv", "epsilon,dsup", rows)
     report.artifacts.append("continuity.csv")
     stage("monotonicity check")
@@ -755,27 +755,26 @@ def _run_continuity(cfg: ScenarioConfig, out: Path, report: Report, stage):
 
 
 def _run_funnel_conformal(cfg: ScenarioConfig, out: Path, report: Report, stage):
-    rows = []
-    base_logdet = None
-    for c in cfg.conformal_constants:
-        stage(f"conformal constant c = {c}")
-        _, _, det = solve_pair(cfg.pair(constant=c), cfg.numerics)
-        if base_logdet is None:
-            base_logdet = det.log_determinant
-        rows.append(
+    dets = [det for _, _, det in _solve_points(cfg, stage)]
+    stage("conformal table")
+    _write_csv(
+        out / "conformal.csv",
+        "c,a0,a1,log_det,det," + _budget_header(dets[0]),
+        [
             (
-                float(c),
+                c,
                 float(det.invariants.coefficients[0]),
                 float(det.invariants.coefficients[1]),
                 det.log_determinant,
                 det.determinant,
                 *det.error_budget.values(),
             )
-        )
-    _write_csv(out / "conformal.csv", "c,a0,a1,log_det,det," + _budget_header(det), rows)
+            for c, det in zip(cfg.conformal_constants, dets)
+        ],
+    )
     report.artifacts.append("conformal.csv")
     stage("determinant invariance check")
-    drift = max(abs(r[3] - base_logdet) for r in rows)
+    drift = max(abs(det.log_determinant - dets[0].log_determinant) for det in dets)
     report.add(
         "determinant_invariance_conformal",
         drift <= 1e-2,

@@ -265,7 +265,7 @@ class TraceSeries:
     gap_a: float
     gap_b: float
     t_trust_min: float
-    spectrum: PairedSpectrum | None = field(repr=False, default=None)
+    spectrum: PairedSpectrum = field(repr=False)
 
     def __post_init__(self):
         if not (len(self.times) == len(self.values) == len(self.tail_bounds)):
@@ -279,8 +279,6 @@ class TraceSeries:
         return min(self.gap_a, self.gap_b)
 
     def evaluate(self, t):
-        if self.spectrum is None:
-            raise ValueError("series has no spectrum evaluator")
         return self.spectrum.heat_trace(t)
 
     def to_csv(self, path) -> None:

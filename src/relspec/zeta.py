@@ -208,15 +208,12 @@ def determinant_from_series(
     """zeta'(0) and the relative determinant by the split-Mellin closed form
     (module docstring); ``invariants`` defaults to the default fit.
 
-    pre: the series carries its paired spectrum; at least two invariant
-    orders beyond the Weyl term (k_max >= 2); the recorded cutoff tail bound
-    at the last sample is below 1e-8 of the series scale (otherwise the
-    large-time data cannot be trusted and this raises); no eigenvalue at or
-    below the kernel threshold lacks a bitwise-equal partner (E1 diverges
-    at 0; raises naming the mode).
+    pre: at least two invariant orders beyond the Weyl term (k_max >= 2);
+    the recorded cutoff tail bound at the last sample is below 1e-8 of the
+    series scale (otherwise the large-time data cannot be trusted and this
+    raises); no eigenvalue at or below the kernel threshold lacks a
+    bitwise-equal partner (E1 diverges at 0; raises naming the mode).
     """
-    if series.spectrum is None:
-        raise ValueError("series has no spectrum evaluator; zeta'(0) needs the paired spectra")
     inv = fit_heat_invariants(series) if invariants is None else invariants
     if inv.k_max < 2:
         raise ValueError("need invariants through k = 2 (a_0, a_1, a_2) at least")

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from relspec import cli
 from relspec.cli import (
     ConfigError,
     NumericsConfig,
@@ -259,10 +260,21 @@ def _boundary_left_ends(data):
          "numerics.offdiag_y2_s = 500.0 lies outside the chart [0.0, "),
         ("offdiag.json", lambda d: d.update(numerics={"offdiag_y_s": -0.5}),
          "numerics.offdiag_y_s = -0.5 lies outside the chart"),
+        # families with no member to compare
+        ("funnel_conformal.json", lambda d: d.update(conformal_constants=[]),
+         "conformal_constants = []: a funnel_conformal_check needs a value"),
+        ("point_sweep.json", lambda d: d.update(epsilons=[]),
+         "epsilons = []: a surgery_sweep needs a value"),
+        ("continuity.json", lambda d: d.update(epsilons=[]),
+         "epsilons = []: a continuity_check needs a positive value"),
+        ("continuity.json", lambda d: d.update(epsilons=[0.0]),
+         "epsilons = [0.0]: a continuity_check needs a positive value"),
     ],
     ids=["epsilon-above-1", "epsilon-nan", "no-surgery-end", "no-funnel-end",
          "bump-amplitude-nan", "fit-window-too-short", "bump-outside-core",
-         "no-room-for-funnel", "probe-beyond-chart", "probe-before-chart"],
+         "no-room-for-funnel", "probe-beyond-chart", "probe-before-chart",
+         "no-conformal-constant", "no-sweep-epsilon", "no-continuity-epsilon",
+         "baseline-only-continuity"],
 )
 def test_unusable_shipped_config_exits_two_before_any_solve(tmp_path, capsys, name, mutate, key):
     data = shipped_config(name)
@@ -413,13 +425,93 @@ def test_component_failure_leaves_marker_and_fails(tmp_path):
     out = tmp_path / "broken"
     report = run_scenario(cfg, out)
     assert not report.passed
-    assert report.failed_stage == "baseline pair (epsilon = 0)"
+    assert report.failed_stage == "pair epsilon = 0.0"
     assert "resolution capacity" in report.error
     marker = (out / "FAILED").read_text()
     assert "stage:" in marker and "Traceback" in marker
     data = json.loads((out / "summary.json").read_text())
     assert data["passed"] is False
     assert data["failed_stage"] == report.failed_stage
+
+
+MINI_PLAIN = {k: v for k, v in MINI_SURFACE.items() if k != "bump"}
+
+# The mini chart with a cutoff the heat-invariant fit can use, so that every
+# pair kind solves all of its pairs.
+MINI_PAIR_NUMERICS = dict(MINI_NUMERICS, n_nodes=800, lambda_cut=400.0)
+
+# One mini config per pair kind; each family repeats or reorders a point.
+MINI_PAIR_KINDS = {
+    "surgery_sweep": {"epsilons": [0.0, 0.2]},
+    "isospectral_check": {},
+    "decay_check": {},
+    "continuity_check": {"epsilons": [0.1, 0.0, 0.2]},
+    "funnel_conformal_check": {"conformal_constants": [0.0, 0.2, 0.0]},
+}
+
+
+def mini_pair_dict(kind, **extra):
+    return {
+        "kind": kind,
+        "surface_a": MINI_SURFACE,
+        "surface_b": MINI_PLAIN,
+        "numerics": dict(MINI_PAIR_NUMERICS),
+        **extra,
+    }
+
+
+def record_solves(monkeypatch):
+    """Replace cli.solve_pair by a pass-through that records each call's
+    member specs, master grid and solved grid."""
+    calls = []
+    solve = cli.solve_pair
+
+    def recorder(pair, numerics, master=None):
+        result = solve(pair, numerics, master)
+        calls.append((tuple(p.spec for p in pair), master, result[0].grid))
+        return result
+
+    monkeypatch.setattr(cli, "solve_pair", recorder)
+    return calls
+
+
+@pytest.mark.parametrize("kind", sorted(MINI_PAIR_KINDS))
+def test_a_run_solves_each_distinct_point_once_on_the_first_grid(tmp_path, monkeypatch, kind):
+    cfg = ScenarioConfig.from_dict(mini_pair_dict(kind, **MINI_PAIR_KINDS[kind]))
+    calls = record_solves(monkeypatch)
+    assert run_scenario(cfg, tmp_path).failed_stage is None
+    points = cfg.points()
+    distinct = [p for i, p in enumerate(points) if p not in points[:i]]
+    assert [specs for specs, _, _ in calls] == [
+        tuple(m.spec for m in cfg.pair(**p)) for p in distinct
+    ]
+    assert calls[0][1] is None
+    assert all(master is calls[0][2] for _, master, _ in calls[1:])
+
+
+def test_points_list_each_family_in_run_order():
+    def points(kind):
+        return ScenarioConfig.from_dict(mini_pair_dict(kind, **MINI_PAIR_KINDS[kind])).points()
+
+    assert points("surgery_sweep") == [{"epsilon": e} for e in (0.0, 0.0, 0.2)]
+    assert points("continuity_check") == [{"epsilon": e} for e in (0.0, 0.2, 0.1)]
+    assert points("funnel_conformal_check") == [{"constant": c} for c in (0.0, 0.2, 0.0)]
+    assert points("isospectral_check") == points("decay_check") == [{}]
+    validate = ScenarioConfig.from_dict({"kind": "validate", "surface_a": MINI_SURFACE})
+    assert validate.points() == []
+
+
+def test_a_repeated_epsilon_is_solved_once_and_written_twice(tmp_path, monkeypatch):
+    cfg = ScenarioConfig.from_dict(mini_pair_dict("surgery_sweep", epsilons=[0.0, 0.1, 0.1]))
+    calls = record_solves(monkeypatch)
+    report = run_scenario(cfg, tmp_path)
+    assert report.failed_stage is None
+    assert len(calls) == 2
+    assert (tmp_path / "trace_eps_01.csv").read_bytes() == (
+        tmp_path / "trace_eps_02.csv"
+    ).read_bytes()
+    assert not (tmp_path / "trace_eps_00.csv").exists()  # epsilon 0 is trace_baseline.csv
+    assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 1 + 3
 
 
 # ----------------------------------------------------------------------------

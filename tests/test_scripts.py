@@ -76,6 +76,16 @@ def test_compare_outputs_reports_shifts_and_gates_on_the_budget(tmp_path, capsys
     out = capsys.readouterr().out
     assert "# pair_id" in out and "changed" in out and "inf" not in out
 
+    # a CSV lost from the change tree fails; one only in the change does not
+    (change / "run" / "new.csv").write_text("t,value\n0.1,2.0\n")
+    assert compare.main([str(parent), str(change)]) == 0
+    assert "run/new.csv: only in the change tree\n" in capsys.readouterr().out
+    (change / "run" / "new.csv").unlink()
+    (change / "run" / "same.csv").unlink()
+    assert compare.main([str(parent), str(change)]) == 1
+    assert "run/same.csv: only in the parent tree (FAIL)" in capsys.readouterr().out
+    (change / "run" / "same.csv").write_text("t,value\n0.1,2.0\n")
+
     # summary check tables: identical, moved, and a lost pass
     def summary(root, *checks):
         rows = [dict(zip(("name", "passed", "value", "tolerance", "detail"), c)) for c in checks]

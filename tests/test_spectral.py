@@ -177,6 +177,7 @@ def test_trace_series_csv_roundtrip_is_bitwise(tmp_path, small_systems):
 
 def test_trace_series_validates_inputs():
     t = np.array([1.0, 2.0, 3.0])
+    spectrum = PairedSpectrum(((0, 1, np.array([2.0]), np.array([3.0])),))
     with pytest.raises(ValueError):
         TraceSeries(
             times=t,
@@ -187,10 +188,24 @@ def test_trace_series_validates_inputs():
             gap_a=1.0,
             gap_b=1.0,
             t_trust_min=0.0,
+            spectrum=spectrum,
         )
     with pytest.raises(ValueError):
         TraceSeries(
             times=np.array([1.0, 1.0, 2.0]),
+            values=np.zeros(3),
+            tail_bounds=np.zeros(3),
+            pair_id="x",
+            rel_area=0.0,
+            gap_a=1.0,
+            gap_b=1.0,
+            t_trust_min=0.0,
+            spectrum=spectrum,
+        )
+    # every series carries the paired spectra that evaluate and zeta'(0) read
+    with pytest.raises(TypeError, match="spectrum"):
+        TraceSeries(
+            times=t,
             values=np.zeros(3),
             tail_bounds=np.zeros(3),
             pair_id="x",

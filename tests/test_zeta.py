@@ -22,7 +22,8 @@ from conftest import funnel_cap_spec
 
 
 def synthetic_series(values_of_t, times=None, tail_bounds=None, rel_area=0.0):
-    """A TraceSeries wrapping an explicit function of t (no evaluator)."""
+    """A TraceSeries wrapping an explicit function of t, for the fit alone
+    (its paired spectrum is empty)."""
     t = np.geomspace(0.05, 20.0, 112) if times is None else np.asarray(times, float)
     vals = values_of_t(t)
     tails = np.zeros_like(t) if tail_bounds is None else np.asarray(tail_bounds, float)
@@ -35,6 +36,7 @@ def synthetic_series(values_of_t, times=None, tail_bounds=None, rel_area=0.0):
         gap_a=1.0,
         gap_b=1.0,
         t_trust_min=0.0,
+        spectrum=PairedSpectrum(()),
     )
 
 
@@ -201,10 +203,6 @@ def test_zeta_preconditions():
     # too few invariant orders
     with pytest.raises(ValueError, match="k = 2"):
         determinant_from_series(series, taylor_invariants(la, lb, k_max=1))
-    # no evaluator (hand-built series)
-    dead = synthetic_series(lambda t: 2.0 / t)
-    with pytest.raises(ValueError, match="evaluator"):
-        determinant_from_series(dead, inv)
     # a kernel eigenvalue without a bitwise-equal partner: E1 diverges at 0
     kernel = paired_series([0.0, 2.0], [2.5, 3.0])
     with pytest.raises(ValueError, match=r"mode 0: eigenvalue 0\.0"):
