@@ -42,10 +42,18 @@ numpy.f2py, numpy.testing and numpy.ma with it, several times the start-up
 of everything else); a later ``import scipy.linalg`` gets the same module.
 The routines and arguments are those of
 ``scipy.linalg.eigh_tridiagonal(select="v")``, so the results are bitwise
-the same, but the GIL is released while LAPACK runs.  That lets
-``solve_modes`` split one surface's modes across ``worker_count()`` threads
-(thread i takes the modes m = i mod the thread count) and merge them in m
-order; every mode's result is independent of the split.
+the same, but the GIL is released while LAPACK runs.  The extension loads
+scipy's OpenBLAS, which would start a BLAS worker thread that busy-waits
+beside the first solves; it is loaded with ``OPENBLAS_NUM_THREADS=1`` unless
+the user set that variable, since relspec runs its LAPACK calls on threads
+of its own.
+
+Those threads are a ``ModeQueue``: a pool of ``worker_count()`` threads
+that takes the (surface, m) tasks of a whole list of surfaces first in,
+first out (the surfaces in list order, ascending m within each), with no
+barrier between surfaces; a surface's modes are merged in m order when its
+result is taken.  ``solve_modes`` is its one-surface case.  Every mode's
+result is independent of the thread that solved it.
 """
 
 from __future__ import annotations
@@ -75,6 +83,7 @@ __all__ = [
     "assemble_mode_operator",
     "agmon_window",
     "solve_mode",
+    "ModeQueue",
     "solve_modes",
     "mode_cutoff",
 ]
@@ -176,6 +185,8 @@ def assemble_mode_operator(
     five-point angular symbol (4/h^2) sin^2(m h / 2) is substituted).
     ``weights`` is the profile's weight already sampled on ``grid.nodes``;
     callers assembling many modes of one surface pass it to sample once.
+    The weight must be positive and finite on the assembled rows; the
+    solvers check it on the whole grid once per surface.
     """
     carried = mode_rows(grid, m)
     lo, hi = carried if rows is None else rows
@@ -185,8 +196,9 @@ def assemble_mode_operator(
     w = profile.weight(grid.nodes) if weights is None else weights
     if w.shape != grid.nodes.shape:
         raise ValueError("weights must be sampled on the grid nodes")
+    w = w[lo:hi]
     if np.any(~np.isfinite(w)) or np.any(w <= 0.0):
-        raise ValueError("weight must be positive and finite on the grid")
+        raise ValueError(f"weight must be positive and finite on rows [{lo}, {hi})")
     m2 = float(m * m) if m2_value is None else float(m2_value)
     cell = np.full(hi - lo, h)
     deg = np.full(hi - lo, 2.0)
@@ -196,7 +208,7 @@ def assemble_mode_operator(
     if hi == grid.n:
         cell[-1] = h / 2.0
         deg[-1] = 1.0
-    mass = w[lo:hi] * cell
+    mass = w * cell
     d = (deg / h + m2 * cell) / mass
     e = np.full(hi - lo - 1, -1.0 / h) / np.sqrt(mass[:-1] * mass[1:])
     return ModeOperator(grid=grid, m=m, lo=lo, hi=hi, d=d, e=e, mass=mass)
@@ -235,22 +247,35 @@ def _cython_lapack():
     is taken out again: a later ``import scipy.linalg`` then loads the
     submodule the regular way, so the package gets its ``cython_lapack``
     attribute, and the extension hands back this same module object.
+
+    Loading the extension file (``module_from_spec``, where the shared
+    library is opened) loads scipy's OpenBLAS.  Its worker thread would
+    busy-wait for about 0.05 s of CPU beside the first mode solves, so the
+    load runs with ``OPENBLAS_NUM_THREADS=1`` when that variable is unset,
+    and the environment is restored afterwards.
     """
     name = "scipy.linalg.cython_lapack"
     if name in sys.modules:
         return sys.modules[name]
-    folder = Path(scipy.__file__).parent / "linalg"
-    for suffix in EXTENSION_SUFFIXES:
-        path = folder / ("cython_lapack" + suffix)
-        if path.is_file():
-            spec = importlib.util.spec_from_loader(name, ExtensionFileLoader(name, str(path)))
-            module = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(module)
-            sys.modules.pop(name, None)
-            return module
-    from scipy.linalg import cython_lapack
+    preset = "OPENBLAS_NUM_THREADS" in os.environ
+    if not preset:
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        folder = Path(scipy.__file__).parent / "linalg"
+        for suffix in EXTENSION_SUFFIXES:
+            path = folder / ("cython_lapack" + suffix)
+            if path.is_file():
+                spec = importlib.util.spec_from_loader(name, ExtensionFileLoader(name, str(path)))
+                module = importlib.util.module_from_spec(spec)
+                spec.loader.exec_module(module)
+                sys.modules.pop(name, None)
+                return module
+        from scipy.linalg import cython_lapack
 
-    return cython_lapack
+        return cython_lapack
+    finally:
+        if not preset:
+            os.environ.pop("OPENBLAS_NUM_THREADS", None)
 
 
 def _lapack_routine(name: str, n_args: int):
@@ -318,7 +343,7 @@ def _eigh_tridiagonal(
         raise LinAlgError(f"dstebz failed (LAPACK info={info.value})")
     vals = w[: found.value]
     if not with_vectors:
-        return vals, None
+        return vals.copy(), None  # a kept spectrum need not hold the n-row buffer
     z = np.empty((n, found.value), order="F")
     ifail = np.empty(found.value, dtype=np.intc)
     _DSTEIN(
@@ -358,8 +383,8 @@ def mode_cutoff(lambda_cut: float, max_weight: float) -> int:
 
 
 def worker_count() -> int:
-    """Threads that ``solve_modes`` splits one surface's modes across: the
-    CPUs this process may run on (all CPUs where the platform cannot say)."""
+    """Threads that a ``ModeQueue`` solves modes on: the CPUs this process
+    may run on (all CPUs where the platform cannot say)."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -406,30 +431,12 @@ class Eigensystem:
                     fh.write(f"{m},{j},{self.multiplicity(m)},{float(lam)!r}\n")
 
 
-def solve_modes(
-    profile: MetricProfile,
-    grid: Grid,
-    lambda_cut: float,
-    *,
-    with_vectors: bool = False,
-) -> Eigensystem:
-    """Solve every angular mode up to the cutoff (inclusive witness mode).
-
-    Each mode m < top is solved on the ``agmon_window`` of its
-    ``mode_rows``: the rows within discrete Agmon distance ``AGMON_MARGIN``
-    of {lambda_cut w >= m^2}, cut by Dirichlet rows.  Mode 0 (whose allowed
-    set is every row) and any mode with an empty allowed set keep all of
-    their rows.  The first provably empty mode (m = top = mode_cutoff) is
-    solved on all of its rows as a runtime witness and must come back empty;
-    a nonempty witness means the cutoff logic is broken and raises.
-
-    The modes run on ``worker_count()`` threads; the result is bitwise the
-    same for any thread count, and an exception raised by any mode's solve
-    propagates unchanged.
-    """
-    if lambda_cut <= 0:
-        raise ValueError("lambda_cut must be positive")
+def _set_up(profile: MetricProfile, grid: Grid, lambda_cut: float):
+    """A surface's weight on the grid, its Rayleigh bound and its witness
+    mode, after checking the weight and the grid's resolution capacity."""
     w = profile.weight(grid.nodes)
+    if np.any(~np.isfinite(w)) or np.any(w <= 0.0):
+        raise ValueError("weight must be positive and finite on the grid")
     # Resolution capacity: the largest wavenumber admitted by the cutoff,
     # k = sqrt(lambda_cut * max w), needs a few nodes per wavelength or the
     # top of the requested window is pure discretization noise.
@@ -446,54 +453,177 @@ def solve_modes(
     # those rows only.
     lo, hi = mode_rows(grid, 1)
     max_weight = float(np.max(w[lo:hi]))
-    top = mode_cutoff(lambda_cut, max_weight)
+    return w, max_weight, mode_cutoff(lambda_cut, max_weight)
 
-    # Thread i solves the modes m = i (mod threads) in one task, since a
-    # hand-off per mode would take the GIL back each time; the LAPACK calls
-    # run without it.  The parts merge in m order, and the first failed part
-    # re-raises its exception here.
-    threads = min(worker_count(), top + 1)
-    parts: list = [None] * threads
 
-    def solve_residue(first: int) -> None:
-        part = {}
+def _solve_one(profile, grid, w, m, top, lambda_cut, with_vectors):
+    """Mode m on the ``agmon_window`` of its rows; the witness mode (m =
+    top) on all of them."""
+    lo, hi = mode_rows(grid, m)
+    if m < top:
+        a, b = agmon_window(w[lo:hi], grid.h, float(m * m), lambda_cut)
+        lo, hi = lo + a, lo + b
+    op = assemble_mode_operator(profile, m, grid, weights=w, rows=(lo, hi))
+    return solve_mode(op, lambda_cut, with_vectors=with_vectors)
+
+
+@dataclass(eq=False)
+class _Pending:
+    """A set-up surface: its Rayleigh bound, the outcome of each mode m
+    (``solve_mode``'s result or the exception it raised) and the number of
+    modes still unsolved."""
+
+    max_weight: float
+    modes: list
+    unsolved: int
+
+
+class ModeQueue:
+    """Every angular mode of a list of surfaces, solved on one set of
+    ``worker_count()`` threads.
+
+    ``surfaces`` holds (profile, grid) pairs.  The tasks are (surface, m):
+    the surfaces in list order and, within each, m = 0 .. witness in
+    ascending order, which is close to largest first.  The threads take
+    them one at a time with no barrier between surfaces; the thread that
+    takes a surface's first task sets the surface up (weight check,
+    capacity guard, witness mode).  ``result(i)`` waits for surface i's
+    last mode and merges its modes in m order.  An exception raised by a
+    surface's set-up, a mode solve (the lowest failing m) or the witness
+    check belongs to that surface alone: ``result`` raises it unchanged.
+
+    The tasks are not ``concurrent.futures`` futures: a future per mode
+    costs about 14 us of held GIL and 1.6 kB, and on a sweep of about a
+    thousand modes that made the run 6% slower and 1.7 MB larger.
+
+    Use it as a context manager: entering starts the threads, and leaving,
+    normally or by an exception, stops handing out tasks and joins every
+    thread before it returns.
+    """
+
+    def __init__(self, surfaces, lambda_cut: float, *, with_vectors: bool = False):
+        if lambda_cut <= 0:
+            raise ValueError("lambda_cut must be positive")
+        self._surfaces = list(surfaces)
+        self._lambda_cut = lambda_cut
+        self._with_vectors = with_vectors
+        # per surface: its set-up error or its _Pending, once set up
+        self._states: list = [None] * len(self._surfaces)
+        self._done = [threading.Event() for _ in self._surfaces]
+        self._lock = threading.Lock()  # guards _tasks and every _Pending
+        self._tasks = self._stream()
+        self._threads: list[threading.Thread] = []
+        self._running = False
+
+    def __enter__(self) -> "ModeQueue":
+        self._running = True
         try:
-            for m in range(first, top + 1, threads):
-                lo, hi = mode_rows(grid, m)
-                if m < top:
-                    a, b = agmon_window(w[lo:hi], grid.h, float(m * m), lambda_cut)
-                    lo, hi = lo + a, lo + b
-                op = assemble_mode_operator(profile, m, grid, weights=w, rows=(lo, hi))
-                part[m] = solve_mode(op, lambda_cut, with_vectors=with_vectors)
-        except BaseException as exc:
-            part = exc
-        parts[first] = part
+            for _ in range(worker_count()):
+                thread = threading.Thread(target=self._work)
+                thread.start()
+                self._threads.append(thread)
+        except BaseException:
+            self.__exit__(None, None, None)
+            raise
+        return self
 
-    if threads == 1:
-        solve_residue(0)
-    else:
-        helpers = [threading.Thread(target=solve_residue, args=(i,)) for i in range(threads)]
-        for helper in helpers:
-            helper.start()
-        for helper in helpers:
-            helper.join()
-    for part in parts:
-        if isinstance(part, BaseException):
-            raise part
-    solved = {m: parts[m % threads][m] for m in range(top + 1)}
-    mode_eigenvalues = {m: vals for m, (vals, _) in solved.items()}
-    vectors = {m: vecs for m, (_, vecs) in solved.items()} if with_vectors else None
-    if len(mode_eigenvalues[top]) != 0:
-        raise RuntimeError(
-            f"mode cutoff violated: mode {top} has eigenvalues below "
-            f"{lambda_cut} (max weight {max_weight:.6g})"
+    def __exit__(self, *exc_info) -> None:
+        with self._lock:
+            self._tasks = iter(())
+        for thread in self._threads:
+            thread.join()
+        self._running = False
+
+    def result(self, index: int) -> Eigensystem:
+        """Surface ``index``'s system, once its last mode is solved."""
+        done = self._done[index]
+        if not (done.is_set() or self._running):
+            raise RuntimeError("the mode queue is not running")
+        done.wait()
+        state = self._states[index]
+        if isinstance(state, BaseException):
+            raise state
+        for outcome in state.modes:
+            if isinstance(outcome, BaseException):
+                raise outcome
+        top = len(state.modes) - 1
+        if len(state.modes[top][0]) != 0:
+            raise RuntimeError(
+                f"mode cutoff violated: mode {top} has eigenvalues below "
+                f"{self._lambda_cut} (max weight {state.max_weight:.6g})"
+            )
+        profile, grid = self._surfaces[index]
+        return Eigensystem(
+            profile=profile,
+            grid=grid,
+            lambda_cut=float(self._lambda_cut),
+            m_max=top,
+            max_weight=state.max_weight,
+            mode_eigenvalues={m: vals for m, (vals, _) in enumerate(state.modes)},
+            vectors=(
+                {m: vecs for m, (_, vecs) in enumerate(state.modes)}
+                if self._with_vectors
+                else None
+            ),
         )
-    return Eigensystem(
-        profile=profile,
-        grid=grid,
-        lambda_cut=float(lambda_cut),
-        m_max=top,
-        max_weight=max_weight,
-        mode_eigenvalues=mode_eigenvalues,
-        vectors=vectors,
-    )
+
+    def _stream(self):
+        """The tasks (surface index, m, weight) in queue order; each surface
+        is set up when its first task is taken."""
+        for i, (profile, grid) in enumerate(self._surfaces):
+            try:
+                w, max_weight, top = _set_up(profile, grid, self._lambda_cut)
+            except BaseException as exc:
+                self._states[i] = exc
+                self._done[i].set()
+                continue
+            self._states[i] = _Pending(max_weight, [None] * (top + 1), top + 1)
+            for m in range(top + 1):
+                yield i, m, w
+
+    def _work(self) -> None:
+        while True:
+            with self._lock:
+                task = next(self._tasks, None)
+            if task is None:
+                return
+            i, m, w = task
+            state, (profile, grid) = self._states[i], self._surfaces[i]
+            top = len(state.modes) - 1
+            try:
+                outcome = _solve_one(
+                    profile, grid, w, m, top, self._lambda_cut, self._with_vectors
+                )
+            except BaseException as exc:
+                outcome = exc
+            with self._lock:
+                state.modes[m] = outcome
+                state.unsolved -= 1
+                if state.unsolved == 0:
+                    self._done[i].set()
+
+
+def solve_modes(
+    profile: MetricProfile,
+    grid: Grid,
+    lambda_cut: float,
+    *,
+    with_vectors: bool = False,
+) -> Eigensystem:
+    """Solve every angular mode up to the cutoff (inclusive witness mode):
+    the one-surface case of ``ModeQueue``.
+
+    Each mode m < top is solved on the ``agmon_window`` of its
+    ``mode_rows``: the rows within discrete Agmon distance ``AGMON_MARGIN``
+    of {lambda_cut w >= m^2}, cut by Dirichlet rows.  Mode 0 (whose allowed
+    set is every row) and any mode with an empty allowed set keep all of
+    their rows.  The first provably empty mode (m = top = mode_cutoff) is
+    solved on all of its rows as a runtime witness and must come back empty;
+    a nonempty witness means the cutoff logic is broken and raises.
+
+    The modes run on a ``ModeQueue`` of ``worker_count()`` threads; the
+    result is bitwise the same for any thread count, and an exception raised
+    by a mode's solve (the lowest failing m) propagates unchanged.
+    """
+    with ModeQueue([(profile, grid)], lambda_cut, with_vectors=with_vectors) as queue:
+        return queue.result(0)

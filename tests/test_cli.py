@@ -13,12 +13,14 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import threading
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relspec import cli
+from relspec import cli, discretize
 from relspec.cli import (
     ConfigError,
     NumericsConfig,
@@ -461,32 +463,37 @@ def mini_pair_dict(kind, **extra):
 
 
 def record_solves(monkeypatch):
-    """Replace cli.solve_pair by a pass-through that records each call's
-    member specs, master grid and solved grid."""
-    calls = []
-    solve = cli.solve_pair
+    """Replace the ModeQueue that cli builds by a pass-through that records,
+    for each queue, every pair's member specs and the grids of A and B."""
+    queues = []
+    make = cli.ModeQueue
 
-    def recorder(pair, numerics, master=None):
-        result = solve(pair, numerics, master)
-        calls.append((tuple(p.spec for p in pair), master, result[0].grid))
-        return result
+    def recorder(surfaces, lambda_cut, **kwargs):
+        queues.append([
+            ((a.spec, b.spec), grid_a, grid_b)
+            for (a, grid_a), (b, grid_b) in zip(surfaces[::2], surfaces[1::2])
+        ])
+        return make(surfaces, lambda_cut, **kwargs)
 
-    monkeypatch.setattr(cli, "solve_pair", recorder)
-    return calls
+    monkeypatch.setattr(cli, "ModeQueue", recorder)
+    return queues
 
 
 @pytest.mark.parametrize("kind", sorted(MINI_PAIR_KINDS))
 def test_a_run_solves_each_distinct_point_once_on_the_first_grid(tmp_path, monkeypatch, kind):
     cfg = ScenarioConfig.from_dict(mini_pair_dict(kind, **MINI_PAIR_KINDS[kind]))
-    calls = record_solves(monkeypatch)
+    queues = record_solves(monkeypatch)
     assert run_scenario(cfg, tmp_path).failed_stage is None
     points = cfg.points()
     distinct = [p for i, p in enumerate(points) if p not in points[:i]]
-    assert [specs for specs, _, _ in calls] == [
+    [pairs] = queues
+    assert [specs for specs, _, _ in pairs] == [
         tuple(m.spec for m in cfg.pair(**p)) for p in distinct
     ]
-    assert calls[0][1] is None
-    assert all(master is calls[0][2] for _, master, _ in calls[1:])
+    first = pairs[0][1]
+    assert first.n == cfg.numerics.n_nodes
+    for _, grid_a, grid_b in pairs:
+        assert grid_b is grid_a and np.array_equal(grid_a.nodes, first.nodes[: grid_a.n])
 
 
 def test_points_list_each_family_in_run_order():
@@ -503,15 +510,59 @@ def test_points_list_each_family_in_run_order():
 
 def test_a_repeated_epsilon_is_solved_once_and_written_twice(tmp_path, monkeypatch):
     cfg = ScenarioConfig.from_dict(mini_pair_dict("surgery_sweep", epsilons=[0.0, 0.1, 0.1]))
-    calls = record_solves(monkeypatch)
+    queues = record_solves(monkeypatch)
     report = run_scenario(cfg, tmp_path)
     assert report.failed_stage is None
-    assert len(calls) == 2
+    [pairs] = queues
+    assert len(pairs) == 2
     assert (tmp_path / "trace_eps_01.csv").read_bytes() == (
         tmp_path / "trace_eps_02.csv"
     ).read_bytes()
     assert not (tmp_path / "trace_eps_00.csv").exists()  # epsilon 0 is trace_baseline.csv
     assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 1 + 3
+
+
+def test_a_surface_failing_in_the_second_pair_fails_that_pairs_stage(tmp_path, monkeypatch):
+    # Every member is queued before the first pair is taken; the error still
+    # surfaces in the stage of the pair that owns the surface.
+    cfg = ScenarioConfig.from_dict(mini_pair_dict("surgery_sweep", epsilons=[0.0, 0.2]))
+    target = cfg.pair(epsilon=0.2)[1].spec
+    error = ArithmeticError("member B at epsilon 0.2 failed")
+    assemble = discretize.assemble_mode_operator
+
+    def failing(profile, m, grid, **kwargs):
+        if profile.spec == target and m == 1:
+            raise error
+        return assemble(profile, m, grid, **kwargs)
+
+    monkeypatch.setattr(discretize, "assemble_mode_operator", failing)
+    before = threading.active_count()
+    report = run_scenario(cfg, tmp_path)
+    assert threading.active_count() == before
+    assert report.failed_stage == "pair epsilon = 0.2"
+    assert report.error == f"ArithmeticError: {error}"
+
+
+def test_a_chart_mismatch_is_raised_after_its_pair_is_opened():
+    cfg = ScenarioConfig.from_dict(mini_pair_dict("surgery_sweep", epsilons=[0.0, 0.2]))
+    baseline, shrunk = cfg.pair(epsilon=0.0), cfg.pair(epsilon=0.2)
+    mixed = (shrunk[0], baseline[1])
+    assert mixed[0].s_max != mixed[1].s_max
+    opened = []
+    with pytest.raises(ValueError, match="different charts"):
+        cli._solve_pairs([baseline, mixed, shrunk], cfg.numerics, opened=opened.append)
+    assert opened == [0, 1]
+
+
+def test_a_run_leaves_no_thread_behind(tmp_path):
+    for label, cfg in (
+        ("passing", ScenarioConfig.from_dict(mini_pair_dict("surgery_sweep", epsilons=[0.0, 0.2]))),
+        ("failing", ScenarioConfig.from_dict(unresolved_sweep_dict("unresolved"))),
+    ):
+        before = threading.active_count()
+        report = run_scenario(cfg, tmp_path / label)
+        assert report.passed is (label == "passing")
+        assert threading.active_count() == before, label
 
 
 # ----------------------------------------------------------------------------
@@ -716,3 +767,43 @@ def test_lapack_file_route_binds_scipy_linalg_routines(startup_probe):
 
 def test_later_scipy_linalg_import_reuses_the_loaded_lapack_module(startup_probe):
     assert startup_probe["reused"] is True
+
+
+_OPENBLAS_PROBE = """
+import json, os
+
+import numpy, scipy
+
+before = len(os.listdir("/proc/self/task"))
+import relspec.cli
+
+print(json.dumps({
+    "added": len(os.listdir("/proc/self/task")) - before,
+    "value": os.environ.get("OPENBLAS_NUM_THREADS"),
+}))
+"""
+
+
+def openblas_probe(repo_root, preset):
+    """Native threads that ``import relspec.cli`` adds after numpy and
+    scipy, and OPENBLAS_NUM_THREADS afterwards, with the variable unset or
+    preset to ``preset``."""
+    env = checkout_env(repo_root)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    proc = subprocess.run(
+        [sys.executable, "-c", _OPENBLAS_PROBE],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="counts threads in /proc/self/task")
+def test_loading_lapack_starts_no_blas_thread_and_keeps_the_environment(repo_root):
+    assert openblas_probe(repo_root, None) == {"added": 0, "value": None}
+    assert openblas_probe(repo_root, "3")["value"] == "3"

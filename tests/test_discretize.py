@@ -1,6 +1,7 @@
 """Mode-by-mode discretization: convergence order, orthonormality, cutoffs."""
 from __future__ import annotations
 
+import dataclasses
 import math
 import sys
 import threading
@@ -16,6 +17,7 @@ from relspec.discretize import (
     AGMON_MARGIN,
     KERNEL_FLOOR,
     Grid,
+    ModeQueue,
     agmon_window,
     assemble_mode_operator,
     make_grid,
@@ -544,11 +546,86 @@ def test_a_failing_mode_solve_surfaces_unchanged(small_pair, monkeypatch):
         return solve(op, cut, **kwargs)
 
     monkeypatch.setattr(discretize, "solve_mode", failing)
-    for threads in (1, 2):  # with two, mode 3 fails on the second thread
+    for threads in (1, 2):  # with two, mode 3 fails beside another mode
         monkeypatch.setattr(discretize, "worker_count", lambda threads=threads: threads)
         with pytest.raises(ArithmeticError) as caught:
             solve_modes(profile, grid, 25.0)
         assert caught.value is error
+
+
+def _queue_surfaces(small_pair):
+    """Three surfaces of different sizes: the small pair on one grid, and
+    the bump member on a coarser one."""
+    profile_a, profile_b = small_pair
+    grid, coarse = make_grid(profile_a, 900), make_grid(profile_a, 600)
+    return [(profile_a, grid), (profile_b, grid), (profile_a, coarse)]
+
+
+@pytest.mark.parametrize("with_vectors", [False, True])
+def test_a_queue_solves_each_surface_bitwise_as_solve_modes_alone(
+    small_pair, monkeypatch, with_vectors
+):
+    surfaces = _queue_surfaces(small_pair)
+    alone = [solve_modes(p, g, 25.0, with_vectors=with_vectors) for p, g in surfaces]
+    for threads in (1, 2, 3):
+        monkeypatch.setattr(discretize, "worker_count", lambda threads=threads: threads)
+        with ModeQueue(surfaces, 25.0, with_vectors=with_vectors) as queue:
+            together = [queue.result(i) for i in range(len(surfaces))]
+        for one, other in zip(alone, together):
+            assert other.grid is one.grid and other.profile is one.profile
+            assert other.m_max == one.m_max and other.max_weight == one.max_weight
+            assert list(other.mode_eigenvalues) == list(range(one.m_max + 1))
+            for m in one.mode_eigenvalues:
+                assert _same_array(one.mode_eigenvalues[m], other.mode_eigenvalues[m]), m
+                if with_vectors:
+                    assert _same_array(one.vectors[m], other.vectors[m]), m
+                else:
+                    assert other.vectors is None
+
+
+def test_a_failing_surface_fails_alone_and_the_queue_joins_its_threads(
+    small_pair, monkeypatch
+):
+    fine_a, fine_b, coarse = _queue_surfaces(small_pair)
+    # A weight that is zero only at node 0, a Dirichlet end outside every
+    # mode's rows: no assembled operator sees it, only the surface's set-up.
+    profile_b, grid = fine_b
+    fn = profile_b.weight
+    zero_at_left = dataclasses.replace(
+        profile_b, _fn=lambda s: np.where(s <= profile_b.s_min, 0.0, fn(s))
+    )
+    bad = (zero_at_left, grid)
+    assert bad[0].weight(grid.nodes)[0] == 0.0 and mode_rows(grid, 0)[0] == 1
+    surfaces = [fine_a, coarse, bad, fine_b]  # the failing surfaces in the middle
+    error = ArithmeticError("mode 2 of the coarse surface failed")
+    solve = discretize.solve_mode
+
+    def failing(op, cut, **kwargs):
+        if op.m == 2 and op.grid is coarse[1]:
+            raise error
+        return solve(op, cut, **kwargs)
+
+    monkeypatch.setattr(discretize, "solve_mode", failing)
+    monkeypatch.setattr(discretize, "worker_count", lambda: 2)
+    before = threading.active_count()
+    with ModeQueue(surfaces, 25.0) as queue:
+        first, last = queue.result(0), queue.result(3)
+        with pytest.raises(ArithmeticError) as caught:
+            queue.result(1)
+        with pytest.raises(ValueError, match="positive and finite"):
+            queue.result(2)
+    assert caught.value is error
+    with pytest.raises(ValueError, match="positive and finite"):
+        solve_modes(*bad, 25.0)
+    assert threading.active_count() == before
+    assert first.m_max > 5 and last.m_max > 5
+    # an error leaving the block stops the queue before every surface is solved
+    with pytest.raises(KeyError):
+        with ModeQueue(surfaces, 25.0) as queue:
+            raise KeyError("leave at once")
+    assert threading.active_count() == before
+    with pytest.raises(RuntimeError, match="not running"):
+        ModeQueue(surfaces, 25.0).result(0)
 
 
 def test_lapack_call_releases_the_gil():
