@@ -24,10 +24,14 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from relspec import spectral_gap
 from relspec.cli import NumericsConfig, ScenarioConfig, solve_pair
+from relspec.geometry import build_weight
 
 
-def pair_quantities(cfg: ScenarioConfig):
-    sys_a, _, det = solve_pair(cfg.pair(), cfg.numerics)
+def pair_quantities(pair, numerics: NumericsConfig):
+    """The configured pair rebuilt with the truncation of ``numerics`` and
+    solved with its grid, cutoff and fit."""
+    pair = tuple(build_weight(p.spec, truncation=numerics.truncation()) for p in pair)
+    sys_a, _, det = solve_pair(pair, numerics)
     return {
         "lambda1": spectral_gap(sys_a),
         "a0": det.invariants.coefficients[0],
@@ -45,9 +49,11 @@ def main(argv=None) -> int:
 
     cfg = ScenarioConfig.from_json(pathlib.Path(args.config))
     numerics = dataclasses.replace(cfg.numerics, n_nodes=args.n_nodes, lambda_cut=args.lambda_cut)
-    cfg = dataclasses.replace(cfg, numerics=numerics)
+    # The config's own pair, not its family: a variant's grid need only
+    # resolve this pair, which the solve itself checks.
+    pair = cfg.pair()
     # A truncation that no end of the pair reads would only repeat the baseline.
-    kinds = {end.kind for p in cfg.pair() for end in (p.spec.left_end, p.spec.right_end)}
+    kinds = {end.kind for p in pair for end in (p.spec.left_end, p.spec.right_end)}
     variants = {"baseline": numerics}
     if "funnel" in kinds:
         variants["funnel deeper"] = dataclasses.replace(
@@ -60,7 +66,7 @@ def main(argv=None) -> int:
 
     rows = {}
     for name, variant in variants.items():
-        rows[name] = pair_quantities(dataclasses.replace(cfg, numerics=variant))
+        rows[name] = pair_quantities(pair, variant)
         q = rows[name]
         print(f"{name:14s} lambda1={q['lambda1']:.10f} a0={q['a0']:+.8e} "
               f"a1={q['a1']:+.8e} log_det={q['log_det']:+.8e}")

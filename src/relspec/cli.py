@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .discretize import Grid, ModeQueue, make_grid, solve_modes
+from .discretize import Grid, ModeQueue, check_resolution, make_grid, solve_modes
 from .geometry import (
     DEFAULT_TRUNCATION,
     BumpSpec,
@@ -181,6 +181,10 @@ class NumericsConfig:
         return (self.offdiag_y_s, self.offdiag_y_theta), (self.offdiag_y2_s, self.offdiag_y2_theta)
 
 
+# The config key of each ``ScenarioConfig.points()`` keyword.
+_POINT_KEYS = {"epsilon": "epsilons", "constant": "conformal_constants"}
+
+
 def _default_epsilons() -> tuple[float, ...]:
     return tuple(k / 20.0 for k in range(21))
 
@@ -195,8 +199,11 @@ class ScenarioConfig:
     relatively compact and its invariants are the quantity under test.
     Construction builds the pair of every point the run solves (``points``),
     or the lone surface_a of validate and offdiag_check, chart layout
-    included (no weight is evaluated), and an offdiag_check's probe points
-    against that chart, so an unusable value fails here, naming its key.
+    included, and checks an offdiag_check's probe points against that
+    chart.  It samples the weight of every member that the run solves (an
+    offdiag_check's surface_a at both resolutions) on the grid it is solved
+    on, and checks that the grid resolves the cutoff.  So an unusable value
+    fails here, naming its key.
     """
 
     kind: str
@@ -231,12 +238,31 @@ class ScenarioConfig:
         self._check_surfaces()
 
     def _check_surfaces(self) -> None:
+        num, names, surfaces = self.numerics, [], []
         if self.kind in ("validate", "offdiag_check"):
             profile = self.member("surface_a")
             if self.kind == "offdiag_check":
                 self._check_probe_points(profile)
-        for point in self.points():
-            self.pair(**point)
+                surfaces = _offdiag_surfaces(profile, num)
+                names = ["surface_a"] * len(surfaces)
+        keys = dict.fromkeys(tuple(point.items()) for point in self.points())
+        if keys:
+            pairs = [self.pair(**dict(key)) for key in keys]
+            surfaces, _ = _pair_surfaces(pairs, num.n_nodes)
+            b = "surface_a" if self.kind == "isospectral_check" else "surface_b"
+            names = [
+                "".join([where, *(f" at {_POINT_KEYS[k]} value {v!r}" for k, v in key)])
+                for key in keys
+                for where in ("surface_a", b)
+            ]
+        for where, (profile, grid) in zip(names, surfaces):
+            try:
+                check_resolution(profile.weight(grid.nodes), grid.h, num.lambda_cut)
+            except ValueError as exc:
+                raise ConfigError(
+                    f"numerics.n_nodes = {num.n_nodes!r}, numerics.lambda_cut = "
+                    f"{num.lambda_cut!r}: on the {grid.n}-node grid of {where}, {exc}"
+                ) from exc
 
     def _check_probe_points(self, profile: MetricProfile) -> None:
         """The off-diagonal probe circles must lie on the chart they snap to."""
@@ -448,6 +474,26 @@ def _prefix_grid(master: Grid, profile) -> Grid:
     )
 
 
+def _pair_surfaces(pairs, n_nodes: int):
+    """The (profile, grid) surfaces that ``_solve_pairs`` queues for
+    ``pairs``: A and B of each pair on the prefix of the first pair's
+    ``n_nodes`` grid that their chart covers.  They stop before the first
+    pair whose members live on different charts, or whose chart is not a
+    prefix of the first one; that error comes back as the second item
+    (None if every pair fits)."""
+    master = make_grid(pairs[0][0], n_nodes)
+    surfaces = []
+    for profile_a, profile_b in pairs:
+        try:
+            if (profile_b.s_min, profile_b.s_max) != (profile_a.s_min, profile_a.s_max):
+                raise ValueError("pair members live on different charts")
+            grid = _prefix_grid(master, profile_a)
+        except ValueError as exc:
+            return surfaces, exc  # the run stops at this pair, so later ones need no solve
+        surfaces += [(profile_a, grid), (profile_b, grid)]
+    return surfaces, None
+
+
 def solve_pair(
     pair: tuple[MetricProfile, MetricProfile],
     numerics: NumericsConfig,
@@ -472,17 +518,7 @@ def _solve_pairs(pairs, numerics: NumericsConfig, opened=None) -> list:
     ``opened(i)`` is called before pair i is taken, so an error of that
     pair, a chart mismatch included, is raised after it.
     """
-    master = make_grid(pairs[0][0], numerics.n_nodes)
-    surfaces, mismatch = [], None
-    for profile_a, profile_b in pairs:
-        try:
-            if (profile_b.s_min, profile_b.s_max) != (profile_a.s_min, profile_a.s_max):
-                raise ValueError("pair members live on different charts")
-            grid = _prefix_grid(master, profile_a)
-        except ValueError as exc:
-            mismatch = exc  # the run stops at this pair, so later ones need no solve
-            break
-        surfaces += [(profile_a, grid), (profile_b, grid)]
+    surfaces, mismatch = _pair_surfaces(pairs, numerics.n_nodes)
     results = []
     with ModeQueue(surfaces, numerics.lambda_cut) as queue:
         for i in range(len(pairs)):
@@ -802,9 +838,13 @@ def _run_funnel_conformal(cfg: ScenarioConfig, out: Path, report: Report, stage)
     )
 
 
-def _offdiag_sup(profile, num: NumericsConfig, n_nodes):
-    grid = make_grid(profile, n_nodes)
-    sys = solve_modes(profile, grid, num.lambda_cut, with_vectors=True)
+def _offdiag_surfaces(profile, num: NumericsConfig) -> list:
+    """The (profile, grid) surfaces of an off-diagonal check: surface_a on
+    ``n_nodes`` and on ``n_nodes * 3 // 2`` nodes."""
+    return [(profile, make_grid(profile, n)) for n in (num.n_nodes, num.n_nodes * 3 // 2)]
+
+
+def _offdiag_sup(sys, num: NumericsConfig):
     y, y2 = num.offdiag_points
     sup = -math.inf
     rows = []
@@ -815,26 +855,30 @@ def _offdiag_sup(profile, num: NumericsConfig, n_nodes):
         val = math.log(abs(res.value)) + dist**2 / (8.0 * t)
         rows.append((float(t), res.value, val))
         sup = max(sup, val)
-    return sys, sup, rows, dist
+    return sup, rows, dist
 
 
 def _run_offdiag(cfg: ScenarioConfig, out: Path, report: Report, stage):
+    """Both resolutions go on one ``ModeQueue``: the ``n_nodes`` integrals
+    run on this thread while the queue's threads solve the refined grid."""
     num = cfg.numerics
     profile = cfg.member("surface_a")
     stage("off-diagonal integrals")
-    sys, sup, rows, dist = _offdiag_sup(profile, num, num.n_nodes)
-    sup = float(sup)
-    _write_csv(out / "offdiag.csv", "t,integral,log_plus_gaussian", rows)
-    report.artifacts.append("offdiag.csv")
-    report.add(
-        "gaussian_functional_finite",
-        math.isfinite(sup),
-        value=sup,
-        tolerance=None,
-        detail=f"sup_t [log I(t) + d^2/(8t)], d={dist!r}",
-    )
-    stage("refinement stability")
-    _, sup_fine, _, _ = _offdiag_sup(profile, num, int(num.n_nodes * 3 // 2))
+    with ModeQueue(_offdiag_surfaces(profile, num), num.lambda_cut, with_vectors=True) as queue:
+        sys = queue.result(0)
+        sup, rows, dist = _offdiag_sup(sys, num)
+        sup = float(sup)
+        _write_csv(out / "offdiag.csv", "t,integral,log_plus_gaussian", rows)
+        report.artifacts.append("offdiag.csv")
+        report.add(
+            "gaussian_functional_finite",
+            math.isfinite(sup),
+            value=sup,
+            tolerance=None,
+            detail=f"sup_t [log I(t) + d^2/(8t)], d={dist!r}",
+        )
+        stage("refinement stability")
+        sup_fine, _, _ = _offdiag_sup(queue.result(1), num)
     sup_fine = float(sup_fine)
     change = abs(sup_fine - sup) / max(abs(sup), 1e-12)
     report.add(

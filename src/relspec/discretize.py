@@ -31,7 +31,8 @@ The window is the contiguous run of rows whose discrete Agmon distance (the
 sum of kappa over the nodes in between) from the allowed set
 {lambda_cut w_i >= m^2} is at most ``AGMON_MARGIN``; its Dirichlet cuts move
 the kept eigenvalues by about e^{-2 AGMON_MARGIN} relative, far below
-round-off.
+round-off.  ``Eigensystem.rows`` records each mode's solved rows, and a
+mode's eigenvectors are kept on those rows only: they vanish elsewhere.
 
 The eigensolves call LAPACK ``dstebz`` (bisection) and ``dstein`` (inverse
 iteration) through the function pointers that ``scipy.linalg.cython_lapack``
@@ -83,6 +84,7 @@ __all__ = [
     "assemble_mode_operator",
     "agmon_window",
     "solve_mode",
+    "check_resolution",
     "ModeQueue",
     "solve_modes",
     "mode_cutoff",
@@ -314,8 +316,9 @@ def _eigh_tridiagonal(
     results are bitwise equal: ``dstebz`` bisection with RANGE='V' and
     ABSTOL=0 (eps * ||T||_1), ORDER='E' for values only; ORDER='B', then
     ``dstein`` inverse iteration and a reorder to ascending values for
-    vectors.  Every buffer LAPACK sees is held by a local name until it
-    returns.
+    vectors.  Values that come back strictly ascending (always so for one
+    block) need no reorder, and ``dstein``'s own buffer is returned.  Every
+    buffer LAPACK sees is held by a local name until it returns.
     """
     d = np.ascontiguousarray(np.asarray_chkfinite(d), dtype=np.float64)
     e = np.ascontiguousarray(np.asarray_chkfinite(e), dtype=np.float64)
@@ -353,6 +356,8 @@ def _eigh_tridiagonal(
     )
     if info.value != 0:
         raise LinAlgError(f"dstein: {info.value} eigenvectors failed to converge")
+    if np.all(vals[1:] > vals[:-1]):  # one block, or blocks already in order
+        return vals.copy(), z
     order = np.argsort(vals)
     return vals[order], z[:, order]
 
@@ -362,17 +367,17 @@ def solve_mode(
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """All eigenvalues of the pencil in (KERNEL_FLOOR, lambda_cut], ascending.
 
-    Eigenvectors (when requested) are returned on the full grid, zero
-    outside rows [op.lo, op.hi), and are mass-orthonormal:
+    Eigenvectors (when requested) come back on the pencil's rows only, an
+    (op.hi - op.lo, k) array whose row i is grid row op.lo + i; they vanish
+    on every other grid row.  They are mass-orthonormal,
     u_i^T M u_j = delta_ij, which the diagonal congruence gives for free
-    from LAPACK's orthonormal vectors.
+    from LAPACK's orthonormal vectors: those are scaled by mass^{-1/2} in
+    place.
     """
     vals, vecs = _eigh_tridiagonal(op.d, op.e, KERNEL_FLOOR, lambda_cut, with_vectors)
-    if not with_vectors:
-        return vals, None
-    full = np.zeros((op.grid.n, vecs.shape[1]))
-    full[op.lo : op.hi, :] = vecs / np.sqrt(op.mass)[:, None]
-    return vals, full
+    if with_vectors:
+        vecs /= np.sqrt(op.mass)[:, None]
+    return vals, vecs
 
 
 def mode_cutoff(lambda_cut: float, max_weight: float) -> int:
@@ -397,8 +402,10 @@ class Eigensystem:
     mode_eigenvalues[m] holds the ascending eigenvalues of mode m; angular
     multiplicity is 1 for m = 0 and 2 for m >= 1.  ``max_weight`` is the
     largest weight on the rows of the modes m >= 1, which sets the mode
-    cutoff.  ``vectors`` (optional) holds mass-orthonormal eigenfunctions on
-    the full grid.
+    cutoff.  rows[m] = (lo, hi) is the range of grid rows that mode m was
+    solved on.  ``vectors`` (optional) holds mode m's mass-orthonormal
+    eigenfunctions on those rows only, as an (hi - lo, k) array; they
+    vanish on every other grid row.
     """
 
     profile: MetricProfile
@@ -407,6 +414,7 @@ class Eigensystem:
     m_max: int
     max_weight: float
     mode_eigenvalues: dict[int, np.ndarray] = field(repr=False)
+    rows: dict[int, tuple[int, int]] = field(repr=False)
     vectors: dict[int, np.ndarray] | None = field(repr=False, default=None)
 
     def multiplicity(self, m: int) -> int:
@@ -431,16 +439,16 @@ class Eigensystem:
                     fh.write(f"{m},{j},{self.multiplicity(m)},{float(lam)!r}\n")
 
 
-def _set_up(profile: MetricProfile, grid: Grid, lambda_cut: float):
-    """A surface's weight on the grid, its Rayleigh bound and its witness
-    mode, after checking the weight and the grid's resolution capacity."""
-    w = profile.weight(grid.nodes)
-    if np.any(~np.isfinite(w)) or np.any(w <= 0.0):
-        raise ValueError("weight must be positive and finite on the grid")
-    # Resolution capacity: the largest wavenumber admitted by the cutoff,
-    # k = sqrt(lambda_cut * max w), needs a few nodes per wavelength or the
-    # top of the requested window is pure discretization noise.
-    capacity = math.sqrt(lambda_cut * float(np.max(w))) * grid.h
+def check_resolution(weights: np.ndarray, h: float, lambda_cut: float) -> None:
+    """Raise ValueError unless a grid of spacing ``h`` with the weight
+    ``weights`` on its nodes resolves the cutoff.
+
+    The largest wavenumber admitted by the cutoff, k = sqrt(lambda_cut *
+    max w), needs a few nodes per wavelength or the top of the requested
+    window is pure discretization noise: the capacity k h may not exceed
+    0.8 pi (2.5 nodes per wavelength).
+    """
+    capacity = math.sqrt(lambda_cut * float(np.max(weights))) * h
     if capacity > 0.8 * math.pi:
         raise ValueError(
             "lambda_cut exceeds grid resolution capacity: "
@@ -448,6 +456,15 @@ def _set_up(profile: MetricProfile, grid: Grid, lambda_cut: float):
             "> 0.8*pi (fewer than 2.5 nodes per wavelength at the cutoff); "
             "refine the grid or lower lambda_cut"
         )
+
+
+def _set_up(profile: MetricProfile, grid: Grid, lambda_cut: float):
+    """A surface's weight on the grid, its Rayleigh bound and its witness
+    mode, after checking the weight and the grid's resolution capacity."""
+    w = profile.weight(grid.nodes)
+    if np.any(~np.isfinite(w)) or np.any(w <= 0.0):
+        raise ValueError("weight must be positive and finite on the grid")
+    check_resolution(w, grid.h, lambda_cut)
     # Every mode m >= 1 solves within the rows of mode 1 (a cap end is
     # Dirichlet for all of them), so the Rayleigh bound needs the weight on
     # those rows only.
@@ -458,19 +475,20 @@ def _set_up(profile: MetricProfile, grid: Grid, lambda_cut: float):
 
 def _solve_one(profile, grid, w, m, top, lambda_cut, with_vectors):
     """Mode m on the ``agmon_window`` of its rows; the witness mode (m =
-    top) on all of them."""
+    top) on all of them.  Returns the solved rows and ``solve_mode``'s
+    result."""
     lo, hi = mode_rows(grid, m)
     if m < top:
         a, b = agmon_window(w[lo:hi], grid.h, float(m * m), lambda_cut)
         lo, hi = lo + a, lo + b
     op = assemble_mode_operator(profile, m, grid, weights=w, rows=(lo, hi))
-    return solve_mode(op, lambda_cut, with_vectors=with_vectors)
+    return (lo, hi), *solve_mode(op, lambda_cut, with_vectors=with_vectors)
 
 
 @dataclass(eq=False)
 class _Pending:
     """A set-up surface: its Rayleigh bound, the outcome of each mode m
-    (``solve_mode``'s result or the exception it raised) and the number of
+    (``_solve_one``'s result or the exception it raised) and the number of
     modes still unsolved."""
 
     max_weight: float
@@ -547,7 +565,7 @@ class ModeQueue:
             if isinstance(outcome, BaseException):
                 raise outcome
         top = len(state.modes) - 1
-        if len(state.modes[top][0]) != 0:
+        if len(state.modes[top][1]) != 0:
             raise RuntimeError(
                 f"mode cutoff violated: mode {top} has eigenvalues below "
                 f"{self._lambda_cut} (max weight {state.max_weight:.6g})"
@@ -559,9 +577,10 @@ class ModeQueue:
             lambda_cut=float(self._lambda_cut),
             m_max=top,
             max_weight=state.max_weight,
-            mode_eigenvalues={m: vals for m, (vals, _) in enumerate(state.modes)},
+            mode_eigenvalues={m: vals for m, (_, vals, _) in enumerate(state.modes)},
+            rows={m: rows for m, (rows, _, _) in enumerate(state.modes)},
             vectors=(
-                {m: vecs for m, (_, vecs) in enumerate(state.modes)}
+                {m: vecs for m, (_, _, vecs) in enumerate(state.modes)}
                 if self._with_vectors
                 else None
             ),

@@ -403,7 +403,9 @@ def kernel_value(sys: Eigensystem, t: float, y, y2=None) -> float:
 
     y = (s, theta); the radial coordinate snaps to the nearest grid node.
     Each mode's radial sum is weighted by its angular factor
-    (_angular_factor).
+    (_angular_factor).  Mode m is read on its solved rows ``sys.rows[m]``;
+    its eigenvectors vanish on every other row, so a mode whose rows miss
+    either snapped node contributes nothing and is skipped.
     """
     _require_vectors(sys)
     if y2 is None:
@@ -417,10 +419,11 @@ def kernel_value(sys: Eigensystem, t: float, y, y2=None) -> float:
     dth = th_y - th_y2
     for m in sorted(sys.mode_eigenvalues):
         lam = sys.mode_eigenvalues[m]
-        if len(lam) == 0:
+        lo, hi = sys.rows[m]
+        if len(lam) == 0 or not (lo <= i_y < hi and lo <= i_y2 < hi):
             continue
         U = sys.vectors[m]
-        radial = float(np.dot(np.exp(-lam * t), U[i_y, :] * U[i_y2, :]))
+        radial = float(np.dot(np.exp(-lam * t), U[i_y - lo, :] * U[i_y2 - lo, :]))
         total += _angular_factor(m, dth) * radial
     return total
 
@@ -453,9 +456,11 @@ def offdiag_l2_integral(sys: Eigensystem, t: float, *, y, y2=None) -> OffdiagRes
     with r_m^y(s) = sum_j e^{-lam_j t} u_j(s) u_j(s_y) the radial factor of
     the column through y, c_m the angular factor of kernel_value, and the
     lumped cells of the eigenbasis (so I(t) reproduces K(2t, y, y2) to
-    round-off).  Modes are added in ascending m, and each radial sum is
-    symmetric in its two columns, so swapping y and y2 gives bitwise the same
-    value.
+    round-off).  The sum over i runs over mode m's solved rows
+    ``sys.rows[m]`` only, where its eigenvectors live; a mode whose rows miss
+    either snapped node has r_m^y = 0 or r_m^y2 = 0 and is skipped.  Modes
+    are added in ascending m, and each radial sum is symmetric in its two
+    columns, so swapping y and y2 gives bitwise the same value.
 
     pre: t large enough that the spectral cutoff is invisible -- the estimated
     cutoff remainder of Tr e^{-t Delta} must stay below 1e-6 of the trace
@@ -495,13 +500,14 @@ def offdiag_l2_integral(sys: Eigensystem, t: float, *, y, y2=None) -> OffdiagRes
     value = 0.0
     for m in sorted(sys.mode_eigenvalues):
         lam = sys.mode_eigenvalues[m]
-        if len(lam) == 0:
+        lo, hi = sys.rows[m]
+        if len(lam) == 0 or not (lo <= i_y < hi and lo <= i_y2 < hi):
             continue
         U = sys.vectors[m]
         decay = np.exp(-lam * t)
-        r_y = U @ (decay * U[i_y, :])
-        r_y2 = U @ (decay * U[i_y2, :])
-        value += _angular_factor(m, dth) * float(np.dot(radial_weights, r_y * r_y2))
+        r_y = U @ (decay * U[i_y - lo, :])
+        r_y2 = U @ (decay * U[i_y2 - lo, :])
+        value += _angular_factor(m, dth) * float(np.dot(radial_weights[lo:hi], r_y * r_y2))
     return OffdiagResult(
         value=value,
         pair_distance=line_distance(sys.profile, float(nodes[i_y]), float(nodes[i_y2])),

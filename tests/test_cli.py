@@ -262,6 +262,17 @@ def _boundary_left_ends(data):
          "numerics.offdiag_y2_s = 500.0 lies outside the chart [0.0, "),
         ("offdiag.json", lambda d: d.update(numerics={"offdiag_y_s": -0.5}),
          "numerics.offdiag_y_s = -0.5 lies outside the chart"),
+        # grids that cannot resolve the cutoff, which only the sampled weight shows
+        ("point_sweep.json", lambda d: d.update(numerics={"n_nodes": 200}),
+         "numerics.n_nodes = 200, numerics.lambda_cut = 400.0: on the 200-node grid of "
+         "surface_a at epsilons value 0.0, lambda_cut exceeds grid resolution capacity"),
+        ("offdiag.json", lambda d: d.update(numerics={"n_nodes": 300}),
+         "numerics.n_nodes = 300, numerics.lambda_cut = 400.0: on the 300-node grid of "
+         "surface_a, lambda_cut exceeds"),
+        ("isospectral.json", lambda d: d.update(numerics={"lambda_cut": 1e6}),
+         "numerics.lambda_cut = 1000000.0: on the 4000-node grid of surface_a, lambda_cut"),
+        ("funnel_conformal.json", lambda d: d.update(conformal_constants=[0.0, 1.5]),
+         "on the 5000-node grid of surface_a at conformal_constants value 1.5, lambda_cut"),
         # families with no member to compare
         ("funnel_conformal.json", lambda d: d.update(conformal_constants=[]),
          "conformal_constants = []: a funnel_conformal_check needs a value"),
@@ -275,6 +286,8 @@ def _boundary_left_ends(data):
     ids=["epsilon-above-1", "epsilon-nan", "no-surgery-end", "no-funnel-end",
          "bump-amplitude-nan", "fit-window-too-short", "bump-outside-core",
          "no-room-for-funnel", "probe-beyond-chart", "probe-before-chart",
+         "sweep-grid-too-coarse", "kernel-grid-too-coarse", "cutoff-too-high",
+         "conformal-weight-too-large",
          "no-conformal-constant", "no-sweep-epsilon", "no-continuity-epsilon",
          "baseline-only-continuity"],
 )
@@ -409,26 +422,39 @@ def test_reruns_are_byte_identical(mini_run, tmp_path):
     assert first == second
 
 
-def unresolved_sweep_dict(label):
-    """A sweep that loads but whose cutoff the grid cannot resolve: the
-    first solve raises."""
+def light_sweep_dict(label):
+    """A sweep that loads and solves in a fraction of a second."""
     return {
         "kind": "surgery_sweep",
         "label": label,
         "surface_a": MINI_SURFACE,
         "surface_b": {k: v for k, v in MINI_SURFACE.items() if k != "bump"},
         "epsilons": [0.0, 0.1],
-        "numerics": dict(MINI_NUMERICS, lambda_cut=1e6),
+        "numerics": dict(MINI_NUMERICS),
     }
 
 
-def test_component_failure_leaves_marker_and_fails(tmp_path):
-    cfg = ScenarioConfig.from_dict(unresolved_sweep_dict("unresolved"))
+TRACE_FAILURE = "ArithmeticError: relative trace failed"
+
+
+def fail_relative_traces(monkeypatch):
+    """Make every pair's relative trace raise: a run then fails in the stage
+    of its first pair, after that pair's members are solved."""
+
+    def failing(sys_a, sys_b):
+        raise ArithmeticError("relative trace failed")
+
+    monkeypatch.setattr(cli, "relative_trace_series", failing)
+
+
+def test_component_failure_leaves_marker_and_fails(tmp_path, monkeypatch):
+    cfg = ScenarioConfig.from_dict(light_sweep_dict("broken"))
+    fail_relative_traces(monkeypatch)
     out = tmp_path / "broken"
     report = run_scenario(cfg, out)
     assert not report.passed
     assert report.failed_stage == "pair epsilon = 0.0"
-    assert "resolution capacity" in report.error
+    assert report.error == TRACE_FAILURE
     marker = (out / "FAILED").read_text()
     assert "stage:" in marker and "Traceback" in marker
     data = json.loads((out / "summary.json").read_text())
@@ -554,15 +580,71 @@ def test_a_chart_mismatch_is_raised_after_its_pair_is_opened():
     assert opened == [0, 1]
 
 
-def test_a_run_leaves_no_thread_behind(tmp_path):
+def test_a_run_leaves_no_thread_behind(tmp_path, monkeypatch):
     for label, cfg in (
         ("passing", ScenarioConfig.from_dict(mini_pair_dict("surgery_sweep", epsilons=[0.0, 0.2]))),
-        ("failing", ScenarioConfig.from_dict(unresolved_sweep_dict("unresolved"))),
+        ("failing", ScenarioConfig.from_dict(light_sweep_dict("broken"))),
     ):
+        if label == "failing":
+            fail_relative_traces(monkeypatch)
         before = threading.active_count()
         report = run_scenario(cfg, tmp_path / label)
         assert report.passed is (label == "passing")
         assert threading.active_count() == before, label
+
+
+def light_offdiag_dict():
+    """The shipped off-diagonal check on a 400-node grid."""
+    data = shipped_config("offdiag.json")
+    data["numerics"] = {"n_nodes": 400}
+    return data
+
+
+def test_an_offdiag_run_solves_both_resolutions_on_one_queue(tmp_path, monkeypatch):
+    cfg = ScenarioConfig.from_dict(light_offdiag_dict())
+    queues = []
+    make = cli.ModeQueue
+
+    def recorder(surfaces, lambda_cut, **kwargs):
+        queues.append((surfaces, kwargs))
+        return make(surfaces, lambda_cut, **kwargs)
+
+    monkeypatch.setattr(cli, "ModeQueue", recorder)
+    before = threading.active_count()
+    report = run_scenario(cfg, tmp_path)
+    assert threading.active_count() == before
+    assert report.passed
+    [(surfaces, kwargs)] = queues
+    assert kwargs == {"with_vectors": True}
+    assert [grid.n for _, grid in surfaces] == [400, 600]
+    assert all(profile.spec == cfg.member("surface_a").spec for profile, _ in surfaces)
+
+
+def test_a_failing_refined_offdiag_surface_fails_refinement_stability(tmp_path, monkeypatch):
+    # The n_nodes integrals are finished and written before the refined
+    # surface's error is taken from the queue.
+    cfg = ScenarioConfig.from_dict(light_offdiag_dict())
+    passing = run_scenario(cfg, tmp_path / "passing")
+    error = ArithmeticError("a mode of the refined surface failed")
+    solve = discretize.solve_mode
+
+    def failing(op, cut, **kwargs):
+        if op.grid.n == 600 and op.m == 1:
+            raise error
+        return solve(op, cut, **kwargs)
+
+    monkeypatch.setattr(discretize, "solve_mode", failing)
+    before = threading.active_count()
+    report = run_scenario(cfg, tmp_path / "failing")
+    assert threading.active_count() == before
+    assert report.failed_stage == "refinement stability"
+    assert report.error == f"ArithmeticError: {error}"
+    assert [c.to_dict() for c in report.checks] == [passing.checks[0].to_dict()]
+    assert passing.checks[0].name == "gaussian_functional_finite"
+    assert (tmp_path / "failing" / "offdiag.csv").read_bytes() == (
+        tmp_path / "passing" / "offdiag.csv"
+    ).read_bytes()
+    assert sorted(report.artifacts) == ["FAILED", "offdiag.csv"]
 
 
 # ----------------------------------------------------------------------------
@@ -580,8 +662,9 @@ def test_cli_run_exit_zero_and_report_verb(tmp_path, capsys):
     assert "[PASS]" in stdout and "determinant_exactly_one" in stdout
 
 
-def test_cli_run_exit_one_on_failure(tmp_path, capsys):
-    cfg_path = write_config(tmp_path, unresolved_sweep_dict("cli-broken"))
+def test_cli_run_exit_one_on_failure(tmp_path, capsys, monkeypatch):
+    cfg_path = write_config(tmp_path, light_sweep_dict("cli-broken"))
+    fail_relative_traces(monkeypatch)
     out = tmp_path / "out"
     assert main(["run", str(cfg_path), "--out", str(out)]) == 1
     stdout = capsys.readouterr().out

@@ -109,12 +109,10 @@ def test_eigenvectors_are_mass_orthonormal():
     grid = make_grid(prof, 400)
     op = assemble_mode_operator(prof, 1, grid)
     vals, vecs = solve_mode(op, 40.0, with_vectors=True)
-    assert vecs.shape == (grid.n, len(vals))
-    # Dirichlet rows are present as exact zeros on the full grid
-    assert np.all(vecs[0] == 0.0) and np.all(vecs[-1] == 0.0)
-    mass = np.zeros(grid.n)
-    mass[op.lo : op.hi] = op.mass
-    gram = vecs.T @ (mass[:, None] * vecs)
+    # the vectors live on the pencil's rows, which leave out both Dirichlet ends
+    assert (op.lo, op.hi) == (1, grid.n - 1)
+    assert vecs.shape == (op.hi - op.lo, len(vals))
+    gram = vecs.T @ (op.mass[:, None] * vecs)
     assert np.max(np.abs(gram - np.eye(len(vals)))) < 1e-8
 
 
@@ -405,21 +403,23 @@ def test_witness_is_the_rayleigh_bound_over_the_solved_rows(shipped_pair):
         assert len(vals) == 0, m
 
 
-def test_windowed_eigenvectors_are_mass_orthonormal_on_the_full_grid(small_pair):
+def test_windowed_eigenvectors_are_mass_orthonormal_on_their_rows(small_pair):
     profile, _ = small_pair
     grid = make_grid(profile, 900)
     system = solve_modes(profile, grid, 25.0, with_vectors=True)
+    assert system.rows == solve_modes(profile, grid, 25.0).rows
+    assert system.rows[system.m_max] == mode_rows(grid, system.m_max)  # the witness
     w = profile.weight(grid.nodes)
     shortened = 0
     for m in range(system.m_max):
-        op = assemble_mode_operator(profile, m, grid)
-        a, b = agmon_window(w[op.lo : op.hi], grid.h, float(m * m), 25.0)
-        shortened += (b - a) < op.hi - op.lo
+        carried = mode_rows(grid, m)
+        a, b = agmon_window(w[carried[0] : carried[1]], grid.h, float(m * m), 25.0)
+        shortened += (b - a) < carried[1] - carried[0]
+        lo, hi = system.rows[m]
+        assert (lo, hi) == (carried[0] + a, carried[0] + b)
         vecs = system.vectors[m]
-        assert vecs.shape == (grid.n, len(system.mode_eigenvalues[m]))
-        assert np.all(vecs[: op.lo + a] == 0.0) and np.all(vecs[op.lo + b :] == 0.0)
-        mass = np.zeros(grid.n)
-        mass[op.lo : op.hi] = op.mass
+        assert vecs.shape == (hi - lo, len(system.mode_eigenvalues[m]))
+        mass = assemble_mode_operator(profile, m, grid, rows=(lo, hi)).mass
         gram = vecs.T @ (mass[:, None] * vecs)
         assert np.all(np.abs(gram - np.eye(vecs.shape[1])) < 1e-8), m
     assert shortened > 0
@@ -489,6 +489,16 @@ def test_lapack_binding_is_bitwise_scipy(shipped_pair):
     assert len(_assert_binding_matches_scipy(witness.d, witness.e, KERNEL_FLOOR, lambda_cut)) == 0
 
 
+def test_lapack_binding_reorders_split_blocks():
+    # A zero off-diagonal splits the matrix into two blocks; ORDER='B' lists
+    # the upper block's eigenvalues (near 5 and 6) before the lower block's
+    # (near 1 and 2), so the values and vectors must still be reordered.
+    d, e = np.array([5.0, 6.0, 1.0, 2.0]), np.array([0.1, 0.0, 0.1])
+    vals = _assert_binding_matches_scipy(d, e, 0.0, 10.0)
+    assert len(vals) == 4 and np.all(np.diff(vals) > 0.0)
+    assert vals[0] < 1.5 and vals[-1] > 5.5
+
+
 def test_lapack_binding_one_row_and_bad_input():
     one, none = np.array([2.5]), np.empty(0)
     assert len(_assert_binding_matches_scipy(one, none, 0.0, 3.0)) == 1
@@ -529,6 +539,7 @@ def test_solve_modes_is_bitwise_independent_of_the_thread_count(small_pair, monk
     for other in systems[1:]:
         assert other.m_max == one.m_max and other.max_weight == one.max_weight
         assert list(other.mode_eigenvalues) == list(range(one.m_max + 1))
+        assert other.rows == one.rows
         for m in one.mode_eigenvalues:
             assert _same_array(one.mode_eigenvalues[m], other.mode_eigenvalues[m]), m
             assert _same_array(one.vectors[m], other.vectors[m]), m
@@ -575,6 +586,7 @@ def test_a_queue_solves_each_surface_bitwise_as_solve_modes_alone(
             assert other.grid is one.grid and other.profile is one.profile
             assert other.m_max == one.m_max and other.max_weight == one.max_weight
             assert list(other.mode_eigenvalues) == list(range(one.m_max + 1))
+            assert other.rows == one.rows
             for m in one.mode_eigenvalues:
                 assert _same_array(one.mode_eigenvalues[m], other.mode_eigenvalues[m]), m
                 if with_vectors:

@@ -251,6 +251,14 @@ def test_kernel_value_symmetry(vector_system):
     assert kernel_value(vector_system, 1.0, y) > 0.0
 
 
+def _padded(sys, m):
+    """Mode m's eigenvectors zero-padded from its solved rows to the grid."""
+    lo, hi = sys.rows[m]
+    full = np.zeros((sys.grid.n, sys.vectors[m].shape[1]))
+    full[lo:hi] = sys.vectors[m]
+    return full
+
+
 def _trapezoid_offdiag(sys, t, y, y2, n_theta):
     """Brute-force reference: both kernel columns sampled on an n_theta-point
     angular grid and multiplied pointwise before integrating."""
@@ -265,7 +273,7 @@ def _trapezoid_offdiag(sys, t, y, y2, n_theta):
     for m, lam in sys.mode_eigenvalues.items():
         if len(lam) == 0:
             continue
-        U = sys.vectors[m]
+        U = _padded(sys, m)
         decay = np.exp(-lam * t)
         col_a = U @ (decay * U[i_y, :])
         col_b = U @ (decay * U[i_y2, :])
@@ -292,6 +300,30 @@ def test_offdiag_integral_matches_trapezoid_reference(vector_system, n_theta):
     res = offdiag_l2_integral(vector_system, 1.0, y=y, y2=y2)
     expected = _trapezoid_offdiag(vector_system, 1.0, y, y2, n_theta)
     assert res.value == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "y, y2", [((1.5, 0.4), (0.3, 1.1)), ((4.0, 0.2), (5.5, 2.0)), ((1.5, 0.4), None)]
+)
+def test_probes_outside_a_modes_rows_match_zero_padded_vectors(vector_system, y, y2):
+    # Probe circles in the cusp lie outside the rows of the high modes, which
+    # are evanescent there; the system read on the full grid, its vectors
+    # zero-padded, is the reference.
+    sys = vector_system
+    i_y = int(np.argmin(np.abs(sys.grid.nodes - y[0])))
+    inside = [lo <= i_y < hi for m, (lo, hi) in sys.rows.items() if len(sys.mode_eigenvalues[m])]
+    assert any(inside) and not all(inside)
+    padded = replace(
+        sys,
+        rows={m: (0, sys.grid.n) for m in sys.rows},
+        vectors={m: _padded(sys, m) for m in sys.vectors},
+    )
+    for t in (1.0, 2.0):
+        assert kernel_value(sys, t, y, y2) == kernel_value(padded, t, y, y2)
+        got = offdiag_l2_integral(sys, t, y=y, y2=y2)
+        want = offdiag_l2_integral(padded, t, y=y, y2=y2)
+        assert got.value == pytest.approx(want.value, rel=1e-13, abs=0.0)
+        assert got.pair_distance == want.pair_distance
 
 
 @pytest.mark.parametrize("y, y2", [((0.35, 0.0), (0.9, 1.3)), ((0.5, 1.0), (0.9, -0.3))])
