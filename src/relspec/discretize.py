@@ -33,6 +33,11 @@ sum of kappa over the nodes in between) from the allowed set
 the kept eigenvalues by about e^{-2 AGMON_MARGIN} relative, far below
 round-off.  ``Eigensystem.rows`` records each mode's solved rows, and a
 mode's eigenvectors are kept on those rows only: they vanish elsewhere.
+A mode's set-up costs O(window), not O(N): each surface keeps one running
+maximum of lambda_cut * w from its last row backwards, on which one
+``searchsorted`` finds a mode's last allowed row; the Agmon sum then runs
+from the mode's first row only until it passes the right margin, and the
+pencil is assembled on the window's rows alone.
 
 The eigensolves call LAPACK ``dstebz`` (bisection) and ``dstein`` (inverse
 iteration) through the function pointers that ``scipy.linalg.cython_lapack``
@@ -199,44 +204,87 @@ def assemble_mode_operator(
     if w.shape != grid.nodes.shape:
         raise ValueError("weights must be sampled on the grid nodes")
     w = w[lo:hi]
-    if np.any(~np.isfinite(w)) or np.any(w <= 0.0):
+    if not (w.min() > 0.0 and w.max() < math.inf):  # a NaN fails the first test
         raise ValueError(f"weight must be positive and finite on rows [{lo}, {hi})")
     m2 = float(m * m) if m2_value is None else float(m2_value)
-    cell = np.full(hi - lo, h)
-    deg = np.full(hi - lo, 2.0)
+    # Interior rows have a cell h and the stencil (-1, 2, -1)/h; a row at a
+    # Neumann grid end has a half cell and one neighbour, and is patched.
+    mass = w * h
+    d = (2.0 / h + m2 * h) / mass
+    end_row = 1.0 / h + m2 * (h / 2.0)
     if lo == 0:
-        cell[0] = h / 2.0
-        deg[0] = 1.0
+        mass[0] = w[0] * (h / 2.0)
+        d[0] = end_row / mass[0]
     if hi == grid.n:
-        cell[-1] = h / 2.0
-        deg[-1] = 1.0
-    mass = w * cell
-    d = (deg / h + m2 * cell) / mass
-    e = np.full(hi - lo - 1, -1.0 / h) / np.sqrt(mass[:-1] * mass[1:])
+        mass[-1] = w[-1] * (h / 2.0)
+        d[-1] = end_row / mass[-1]
+    e = (-1.0 / h) / np.sqrt(mass[:-1] * mass[1:])
     return ModeOperator(grid=grid, m=m, lo=lo, hi=hi, d=d, e=e, mass=mass)
 
 
 def agmon_window(
-    weights: np.ndarray, h: float, m2: float, lambda_cut: float
+    weights: np.ndarray,
+    h: float,
+    m2: float,
+    lambda_cut: float,
+    *,
+    envelope: np.ndarray | None = None,
 ) -> tuple[int, int]:
-    """Rows [a, b) of ``weights`` (one mode's rows) within discrete
-    Agmon distance ``AGMON_MARGIN`` of the allowed set {lambda_cut w >= m2}.
+    """Rows [a, b) of ``weights`` (one mode's rows, positive) within
+    discrete Agmon distance ``AGMON_MARGIN`` of the allowed set
+    {lambda_cut w >= m2}.
 
     The distance of a row from the allowed set is the sum of the per-step
     rates acosh(1 + h^2 max(m2 - lambda_cut w_i, 0) / 2) over the rows
     strictly between them, so the first dropped row on each side lies more
-    than ``AGMON_MARGIN`` away.  An empty allowed set returns every row.
+    than ``AGMON_MARGIN`` away.  An empty allowed set returns every row, and
+    so does m2 <= 0, whose allowed set is every row.
+
+    The work is O(b), not O(len(weights)).  The last allowed row comes from
+    one ``searchsorted`` on ``envelope``, the running maximum of
+    lambda_cut * weights taken from the last row backwards (envelope[k] =
+    max(lambda_cut * weights[-1 - k:]), ascending); it is computed here when
+    not given, and callers windowing many modes of one surface pass it.  The
+    rates are then summed left to right from row 0, in chunks that each
+    carry the sum on, so every partial sum is bitwise that of one ``cumsum``
+    over all rows; the sum stops at the first row past the right margin.
     """
-    q = m2 - lambda_cut * weights
-    allowed = np.flatnonzero(q <= 0.0)
     n = len(weights)
-    if allowed.size == 0:
+    if m2 <= 0.0:
         return 0, n
-    dist = np.cumsum(np.arccosh(1.0 + 0.5 * h * h * np.maximum(q, 0.0)))
-    first, last = int(allowed[0]), int(allowed[-1])
-    a = 0 if first == 0 else int(np.searchsorted(dist, dist[first - 1] - AGMON_MARGIN))
-    b = int(np.searchsorted(dist, dist[last] + AGMON_MARGIN, side="right")) + 1
-    return a, min(b, n)
+    if envelope is None:
+        envelope = _envelope(weights, lambda_cut)
+    last = n - 1 - int(envelope.searchsorted(m2))
+    if last < 0:
+        return 0, n
+    step = 0.5 * h * h
+    # The first chunk reaches past the right margin on nearly every mode of
+    # the shipped sweeps; each later chunk doubles the rows summed.
+    start, stop, carried = 0, min(n, 3 * last + 96), 0.0
+    while True:
+        q = m2 - lambda_cut * weights[start:stop]
+        if start == 0:
+            first = 0 if q[0] <= 0.0 else int(np.argmax(q <= 0.0))
+        # the rates acosh(1 + h^2 max(q, 0) / 2) and their running sum, in q
+        rate = np.maximum(q, 0.0, out=q)
+        rate *= step
+        rate += 1.0
+        np.arccosh(rate, out=rate)
+        rate[0] += carried
+        dist = np.add.accumulate(rate, out=rate)
+        if start == 0:
+            a = 0 if first == 0 else int(dist.searchsorted(dist[first - 1] - AGMON_MARGIN))
+            limit = dist[last] + AGMON_MARGIN
+        kept = int(dist.searchsorted(limit, side="right"))
+        if kept < stop - start or stop == n:
+            return a, min(start + kept + 1, n)
+        start, stop, carried = stop, min(n, 2 * stop), dist[-1]
+
+
+def _envelope(weights: np.ndarray, lambda_cut: float) -> np.ndarray:
+    """``agmon_window``'s envelope: the running maximum of lambda_cut *
+    weights from the last row backwards."""
+    return np.maximum.accumulate(lambda_cut * weights[::-1])
 
 
 def _cython_lapack():
@@ -459,8 +507,9 @@ def check_resolution(weights: np.ndarray, h: float, lambda_cut: float) -> None:
 
 
 def _set_up(profile: MetricProfile, grid: Grid, lambda_cut: float):
-    """A surface's weight on the grid, its Rayleigh bound and its witness
-    mode, after checking the weight and the grid's resolution capacity."""
+    """A surface's weight on the grid, its Rayleigh bound, its witness mode
+    and the ``agmon_window`` envelope of the modes m >= 1, after checking
+    the weight and the grid's resolution capacity."""
     w = profile.weight(grid.nodes)
     if np.any(~np.isfinite(w)) or np.any(w <= 0.0):
         raise ValueError("weight must be positive and finite on the grid")
@@ -470,16 +519,17 @@ def _set_up(profile: MetricProfile, grid: Grid, lambda_cut: float):
     # those rows only.
     lo, hi = mode_rows(grid, 1)
     max_weight = float(np.max(w[lo:hi]))
-    return w, max_weight, mode_cutoff(lambda_cut, max_weight)
+    return w, max_weight, mode_cutoff(lambda_cut, max_weight), _envelope(w[lo:hi], lambda_cut)
 
 
-def _solve_one(profile, grid, w, m, top, lambda_cut, with_vectors):
+def _solve_one(profile, grid, w, envelope, m, top, lambda_cut, with_vectors):
     """Mode m on the ``agmon_window`` of its rows; the witness mode (m =
-    top) on all of them.  Returns the solved rows and ``solve_mode``'s
-    result."""
+    top) on all of them.  ``envelope`` is the one of the modes m >= 1, whose
+    rows are all the same; mode 0 (m^2 = 0) keeps its rows without reading
+    it.  Returns the solved rows and ``solve_mode``'s result."""
     lo, hi = mode_rows(grid, m)
     if m < top:
-        a, b = agmon_window(w[lo:hi], grid.h, float(m * m), lambda_cut)
+        a, b = agmon_window(w[lo:hi], grid.h, float(m * m), lambda_cut, envelope=envelope)
         lo, hi = lo + a, lo + b
     op = assemble_mode_operator(profile, m, grid, weights=w, rows=(lo, hi))
     return (lo, hi), *solve_mode(op, lambda_cut, with_vectors=with_vectors)
@@ -505,10 +555,11 @@ class ModeQueue:
     ascending order, which is close to largest first.  The threads take
     them one at a time with no barrier between surfaces; the thread that
     takes a surface's first task sets the surface up (weight check,
-    capacity guard, witness mode).  ``result(i)`` waits for surface i's
-    last mode and merges its modes in m order.  An exception raised by a
-    surface's set-up, a mode solve (the lowest failing m) or the witness
-    check belongs to that surface alone: ``result`` raises it unchanged.
+    capacity guard, witness mode, Agmon envelope).  ``result(i)`` waits for
+    surface i's last mode and merges its modes in m order.  An exception
+    raised by a surface's set-up, a mode solve (the lowest failing m) or the
+    witness check belongs to that surface alone: ``result`` raises it
+    unchanged.
 
     The tasks are not ``concurrent.futures`` futures: a future per mode
     costs about 14 us of held GIL and 1.6 kB, and on a sweep of about a
@@ -520,8 +571,8 @@ class ModeQueue:
     """
 
     def __init__(self, surfaces, lambda_cut: float, *, with_vectors: bool = False):
-        if lambda_cut <= 0:
-            raise ValueError("lambda_cut must be positive")
+        if not (math.isfinite(lambda_cut) and lambda_cut > 0):
+            raise ValueError(f"lambda_cut must be positive and finite, got {lambda_cut!r}")
         self._surfaces = list(surfaces)
         self._lambda_cut = lambda_cut
         self._with_vectors = with_vectors
@@ -587,18 +638,18 @@ class ModeQueue:
         )
 
     def _stream(self):
-        """The tasks (surface index, m, weight) in queue order; each surface
-        is set up when its first task is taken."""
+        """The tasks (surface index, m, weight, envelope) in queue order;
+        each surface is set up when its first task is taken."""
         for i, (profile, grid) in enumerate(self._surfaces):
             try:
-                w, max_weight, top = _set_up(profile, grid, self._lambda_cut)
+                w, max_weight, top, envelope = _set_up(profile, grid, self._lambda_cut)
             except BaseException as exc:
                 self._states[i] = exc
                 self._done[i].set()
                 continue
             self._states[i] = _Pending(max_weight, [None] * (top + 1), top + 1)
             for m in range(top + 1):
-                yield i, m, w
+                yield i, m, w, envelope
 
     def _work(self) -> None:
         while True:
@@ -606,12 +657,12 @@ class ModeQueue:
                 task = next(self._tasks, None)
             if task is None:
                 return
-            i, m, w = task
+            i, m, w, envelope = task
             state, (profile, grid) = self._states[i], self._surfaces[i]
             top = len(state.modes) - 1
             try:
                 outcome = _solve_one(
-                    profile, grid, w, m, top, self._lambda_cut, self._with_vectors
+                    profile, grid, w, envelope, m, top, self._lambda_cut, self._with_vectors
                 )
             except BaseException as exc:
                 outcome = exc

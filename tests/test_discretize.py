@@ -3,15 +3,18 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 import sys
 import threading
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import eigh, eigh_tridiagonal
 
-from relspec import discretize
+from relspec import cli, discretize
 from relspec.cli import ScenarioConfig, solve_pair
 from relspec.discretize import (
     AGMON_MARGIN,
@@ -185,6 +188,17 @@ def test_resolution_guard_rejects_coarse_grids():
     grid = make_grid(flat, 16)
     with pytest.raises(ValueError, match="resolution"):
         solve_modes(flat, grid, 400.0)
+
+
+@pytest.mark.parametrize("lambda_cut", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_a_nonfinite_or_nonpositive_cutoff_is_rejected_by_name(lambda_cut):
+    flat = flat_cylinder()
+    grid = make_grid(flat, 64)
+    message = f"lambda_cut must be positive and finite, got {lambda_cut!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        solve_modes(flat, grid, lambda_cut)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ModeQueue([(flat, grid)], lambda_cut)
 
 
 def test_eigensystem_csv_roundtrip(tmp_path, flat_system):
@@ -423,6 +437,183 @@ def test_windowed_eigenvectors_are_mass_orthonormal_on_their_rows(small_pair):
         gram = vecs.T @ (mass[:, None] * vecs)
         assert np.all(np.abs(gram - np.eye(vecs.shape[1])) < 1e-8), m
     assert shortened > 0
+
+
+def _full_row_window(weights, h, m2, lambda_cut):
+    """The Agmon window from the rates and their sum over every row."""
+    q = m2 - lambda_cut * weights
+    allowed = np.flatnonzero(q <= 0.0)
+    n = len(weights)
+    if allowed.size == 0:
+        return 0, n
+    dist = np.cumsum(np.arccosh(1.0 + 0.5 * h * h * np.maximum(q, 0.0)))
+    first, last = int(allowed[0]), int(allowed[-1])
+    a = 0 if first == 0 else int(np.searchsorted(dist, dist[first - 1] - AGMON_MARGIN))
+    b = int(np.searchsorted(dist, dist[last] + AGMON_MARGIN, side="right")) + 1
+    return a, min(b, n)
+
+
+def _full_row_pencil(w, grid, m):
+    """(d, e, mass) of mode m on all of its rows, from per-row cells and
+    stencil degrees."""
+    lo, hi = mode_rows(grid, m)
+    h, m2 = grid.h, float(m * m)
+    cell, deg = np.full(hi - lo, h), np.full(hi - lo, 2.0)
+    if lo == 0:
+        cell[0], deg[0] = h / 2.0, 1.0
+    if hi == grid.n:
+        cell[-1], deg[-1] = h / 2.0, 1.0
+    mass = w[lo:hi] * cell
+    d = (deg / h + m2 * cell) / mass
+    e = np.full(hi - lo - 1, -1.0 / h) / np.sqrt(mass[:-1] * mass[1:])
+    return d, e, mass
+
+
+@st.composite
+def _window_cases(draw):
+    """Positive weights on 1 to 400 rows.  Each row below a drawn row is
+    allowed with a drawn probability, so the allowed set may start late,
+    have gaps, stop short of or reach the last row, or be empty.  The
+    forbidden rows sit a drawn depth below the allowed level, so their
+    rates range from steep to so gentle that the margin lies beyond the
+    first chunk ``agmon_window`` sums, or beyond the last row.  m2 may be 0."""
+    n = draw(st.integers(1, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    reach = rng.integers(0, n + 1)
+    p_allowed = rng.uniform(0.0, 0.6)
+    depth = 10.0 ** rng.uniform(-4.0, 0.0)
+    h = rng.uniform(0.01, 0.5)
+    lambda_cut = rng.uniform(1.0, 1e3)
+    m2 = 0.0 if rng.random() < 0.1 else rng.uniform(1.0, 1e4)
+    level = max(m2, 1.0) / lambda_cut
+    allowed = (rng.random(n) < p_allowed) & (np.arange(n) < reach)
+    weights = level * np.where(allowed, rng.uniform(1.0, 4.0, n), 1.0 - depth * rng.random(n))
+    return weights, h, m2, lambda_cut
+
+
+def _rows(pattern, forbidden=0.01):
+    """Weight 1 on the allowed rows ('+') of ``pattern`` and ``forbidden``
+    elsewhere; with h = 0.5 and m2 = lambda_cut = 100, a forbidden row's
+    rate is about 2.6 at the default."""
+    return np.array([1.0 if c == "+" else forbidden for c in pattern])
+
+
+# name: (weights, m2, what the window (a, b) is), at h = 0.5 and lambda_cut = 100
+_SHAPES = {
+    "left and right cut, a gap": (
+        _rows("-" * 20 + "++-+" + "-" * 20), 100.0, lambda a, b: 0 < a < 20 and 24 < b < 44
+    ),
+    "left cut, reaching the last row": (
+        _rows("-" * 30 + "+++"), 100.0, lambda a, b: 0 < a < 30 and b == 33
+    ),
+    "empty": (_rows("-" * 30), 100.0, lambda a, b: (a, b) == (0, 30)),
+    "m2 = 0": (_rows("-+-"), 0.0, lambda a, b: (a, b) == (0, 3)),
+    "one row, forbidden": (_rows("-"), 100.0, lambda a, b: (a, b) == (0, 1)),
+    "two rows": (_rows("+-"), 100.0, lambda a, b: (a, b) == (0, 2)),
+    "three rows": (_rows("-+-"), 100.0, lambda a, b: (a, b) == (0, 3)),
+    # the first chunk sums rows [0, 3 * last + 96), and last = 1 here
+    "a margin past the first chunk": (
+        _rows("++" + "-" * 400, forbidden=0.999), 100.0, lambda a, b: 3 * 1 + 96 < b < 402
+    ),
+}
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(case=_window_cases())
+def test_agmon_window_is_bitwise_the_full_row_window(case):
+    weights, h, m2, lambda_cut = case
+    assert agmon_window(weights, h, m2, lambda_cut) == _full_row_window(weights, h, m2, lambda_cut)
+
+
+@pytest.mark.parametrize("shape", sorted(_SHAPES))
+def test_agmon_window_of_each_shape_of_allowed_set_is_bitwise_the_full_row_window(shape):
+    # No shipped surface has a left cut.
+    weights, m2, has_shape = _SHAPES[shape]
+    a, b = agmon_window(weights, 0.5, m2, 100.0)
+    assert (a, b) == _full_row_window(weights, 0.5, m2, 100.0)
+    assert has_shape(a, b), (a, b)
+
+
+@pytest.mark.parametrize("bcs", [("neumann", "neumann"), ("neumann", "cap"), ("cap", "dirichlet")])
+def test_window_pencils_are_bitwise_slices_of_the_full_row_pencil_at_every_end(bcs):
+    # No shipped surface has a Neumann end for m >= 1, where the end row's
+    # half cell meets the m^2 term.
+    prof = build_weight(funnel_cusp_spec(), truncation=small_truncation())
+    grid = Grid(nodes=np.linspace(prof.s_min, prof.s_max, 120), bc_left=bcs[0], bc_right=bcs[1])
+    w = prof.weight(grid.nodes)
+    for m in range(4):
+        lo, hi = mode_rows(grid, m)
+        d, e, mass = _full_row_pencil(w, grid, m)
+        for a, b in [(0, hi - lo), (0, 7), (hi - lo - 7, hi - lo), (5, 12), (3, 4)]:
+            op = assemble_mode_operator(prof, m, grid, weights=w, rows=(lo + a, lo + b))
+            assert np.array_equal(op.d, d[a:b]), (m, a, b)
+            assert np.array_equal(op.e, e[a : b - 1]), (m, a, b)
+            assert np.array_equal(op.mass, mass[a:b]), (m, a, b)
+
+
+def test_windows_and_pencils_of_every_queued_surface_match_the_full_row_reference(
+    configs_dir, monkeypatch
+):
+    # Every surface a sweep or an off-diagonal check queues, through the
+    # queue's own set-up and per-mode path, with the LAPACK solve stubbed out.
+    plan = []
+    for name in ("point_sweep.json", "boundary_sweep.json"):
+        cfg = ScenarioConfig.from_json(configs_dir / name)
+        keys = dict.fromkeys(tuple(point.items()) for point in cfg.points())
+        pairs = [cfg.pair(**dict(key)) for key in keys]
+        surfaces, mismatch = cli._pair_surfaces(pairs, cfg.numerics.n_nodes)
+        assert mismatch is None
+        plan += [(surface, cfg.numerics.lambda_cut) for surface in surfaces]
+    cfg = ScenarioConfig.from_json(configs_dir / "offdiag.json")
+    surfaces = cli._offdiag_surfaces(cfg.member("surface_a"), cfg.numerics)
+    plan += [(surface, cfg.numerics.lambda_cut) for surface in surfaces]
+    monkeypatch.setattr(discretize, "solve_mode", lambda op, cut, **kwargs: (op, None))
+    windowed = 0
+    for (profile, grid), lambda_cut in plan:
+        w, _, top, envelope = discretize._set_up(profile, grid, lambda_cut)
+        for m in range(top + 1):
+            (lo, hi), op, _ = discretize._solve_one(
+                profile, grid, w, envelope, m, top, lambda_cut, False
+            )
+            c_lo, c_hi = mode_rows(grid, m)
+            a, b = 0, c_hi - c_lo
+            if m < top:
+                a, b = _full_row_window(w[c_lo:c_hi], grid.h, float(m * m), lambda_cut)
+            assert (lo, hi) == (op.lo, op.hi) == (c_lo + a, c_lo + b), m
+            windowed += (a, b) != (0, c_hi - c_lo)
+            d, e, mass = _full_row_pencil(w, grid, m)
+            assert np.array_equal(op.d, d[a:b]), m
+            assert np.array_equal(op.e, e[a : b - 1]), m
+            assert np.array_equal(op.mass, mass[a:b]), m
+    assert len(plan) > 50 and windowed > 5000
+
+
+def test_agmon_windows_work_in_proportion_to_their_rows(configs_dir, monkeypatch):
+    cfg = ScenarioConfig.from_json(configs_dir / "boundary_sweep.json")
+    profile, _ = cfg.pair(epsilon=0.0)
+    grid = make_grid(profile, cfg.numerics.n_nodes)
+    lambda_cut = cfg.numerics.lambda_cut
+    w = profile.weight(grid.nodes)
+    lo, hi = mode_rows(grid, 1)
+    top = mode_cutoff(lambda_cut, float(np.max(w[lo:hi])))
+    rates = []
+    arccosh = np.arccosh
+
+    def counting(x, *args, **kwargs):
+        rates.append(np.size(x))
+        return arccosh(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "arccosh", counting)
+    kept = 0
+    for m in range(1, top):
+        a, b = agmon_window(w[lo:hi], grid.h, float(m * m), lambda_cut)
+        kept += b - a
+    assert top > 50 and kept < (top - 1) * (hi - lo) / 5
+    assert sum(rates) <= 3 * kept
+    rates.clear()
+    lo0, hi0 = mode_rows(grid, 0)
+    assert agmon_window(w[lo0:hi0], grid.h, 0.0, lambda_cut) == (0, hi0 - lo0)
+    assert rates == []  # mode 0 keeps its rows without a rate
 
 
 def test_exactness_invariants_hold_under_windows(configs_dir):
