@@ -276,6 +276,8 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
+        if not isinstance(data, dict):
+            raise ConfigError(f"config: expected an object, got {type(data).__name__}")
         data = dict(data)
         if "numerics" in data:
             data["numerics"] = _from_mapping(NumericsConfig, data["numerics"], "numerics")

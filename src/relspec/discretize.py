@@ -40,19 +40,17 @@ from the mode's first row only until it passes the right margin, and the
 pencil is assembled on the window's rows alone.
 
 The eigensolves call LAPACK ``dstebz`` (bisection) and ``dstein`` (inverse
-iteration) through the function pointers that ``scipy.linalg.cython_lapack``
-exports, wrapped in ``ctypes.CFUNCTYPE``.  That extension module is loaded
-from its file in scipy's install, under its own name, without importing the
-``scipy.linalg`` package (which would load scipy's array-API layer and
-numpy.f2py, numpy.testing and numpy.ma with it, several times the start-up
-of everything else); a later ``import scipy.linalg`` gets the same module.
-The routines and arguments are those of
+iteration) through ``ctypes.CFUNCTYPE``, which releases the GIL while
+LAPACK runs.  The routines and arguments are those of
 ``scipy.linalg.eigh_tridiagonal(select="v")``, so the results are bitwise
-the same, but the GIL is released while LAPACK runs.  The extension loads
-scipy's OpenBLAS, which would start a BLAS worker thread that busy-waits
-beside the first solves; it is loaded with ``OPENBLAS_NUM_THREADS=1`` unless
-the user set that variable, since relspec runs its LAPACK calls on threads
-of its own.
+the same.  They are taken from the OpenBLAS that numpy has already loaded:
+numpy's OpenBLAS wheels export them as ``scipy_dstebz_64_`` and
+``scipy_dstein_64_``, with 64-bit LAPACK integers, and ``dlsym`` on the
+handle of numpy's ``linalg`` extension finds them without opening a second
+library.  Where numpy's LAPACK does not export them (numpy built on MKL,
+Accelerate or a system BLAS), they come from the function pointers that
+``scipy.linalg.cython_lapack`` exports, with C ``int`` integers; only that
+fallback imports scipy.
 
 Those threads are a ``ModeQueue``: a pool of ``worker_count()`` threads
 that takes the (surface, m) tasks of a whole list of surfaces first in,
@@ -65,18 +63,13 @@ result is independent of the thread that solved it.
 from __future__ import annotations
 
 import ctypes
-import importlib.util
 import math
 import os
-import sys
 import threading
 from dataclasses import dataclass, field
-from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
-from pathlib import Path
 
 import numpy as np
-import scipy
-from numpy.linalg import LinAlgError
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .geometry import MetricProfile
 
@@ -287,69 +280,52 @@ def _envelope(weights: np.ndarray, lambda_cut: float) -> np.ndarray:
     return np.maximum.accumulate(lambda_cut * weights[::-1])
 
 
-def _cython_lapack():
-    """The module ``scipy.linalg.cython_lapack``: the one already imported,
-    else loaded under its real name from its extension file in scipy's
-    ``linalg`` folder, without importing that package.  An install without
-    the file there gets the module by the package import.
+_LAPACK_ARGS = {"dstebz": 18, "dstein": 13}  # every argument is a pointer
 
-    The extension enters itself in ``sys.modules`` as it loads.  That entry
-    is taken out again: a later ``import scipy.linalg`` then loads the
-    submodule the regular way, so the package gets its ``cython_lapack``
-    attribute, and the extension hands back this same module object.
 
-    Loading the extension file (``module_from_spec``, where the shared
-    library is opened) loads scipy's OpenBLAS.  Its worker thread would
-    busy-wait for about 0.05 s of CPU beside the first mode solves, so the
-    load runs with ``OPENBLAS_NUM_THREADS=1`` when that variable is unset,
-    and the environment is restored afterwards.
+def _bind(addresses: list[int], int_type) -> tuple:
+    """``_DSTEBZ``, ``_DSTEIN`` and ``_LAPACK_INT`` for routines at
+    ``addresses`` that take LAPACK integers of ctypes type ``int_type``.
+    A ``CFUNCTYPE`` call releases the GIL while LAPACK runs."""
+    routines = [
+        ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * n_args)(address)
+        for address, n_args in zip(addresses, _LAPACK_ARGS.values())
+    ]
+    return (*routines, int_type)
+
+
+def _numpy_lapack() -> tuple | None:
+    """The routines in the OpenBLAS that numpy has already loaded, or None.
+
+    numpy's OpenBLAS wheels export LAPACK as ``scipy_<name>_64_``, with
+    64-bit integers.  ``dlsym`` on the handle of numpy's own ``linalg``
+    extension reaches them in the library that extension already mapped.
     """
-    name = "scipy.linalg.cython_lapack"
-    if name in sys.modules:
-        return sys.modules[name]
-    preset = "OPENBLAS_NUM_THREADS" in os.environ
-    if not preset:
-        os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    library = ctypes.CDLL(_umath_linalg.__file__)
     try:
-        folder = Path(scipy.__file__).parent / "linalg"
-        for suffix in EXTENSION_SUFFIXES:
-            path = folder / ("cython_lapack" + suffix)
-            if path.is_file():
-                spec = importlib.util.spec_from_loader(name, ExtensionFileLoader(name, str(path)))
-                module = importlib.util.module_from_spec(spec)
-                spec.loader.exec_module(module)
-                sys.modules.pop(name, None)
-                return module
-        from scipy.linalg import cython_lapack
-
-        return cython_lapack
-    finally:
-        if not preset:
-            os.environ.pop("OPENBLAS_NUM_THREADS", None)
+        found = [getattr(library, f"scipy_{name}_64_") for name in _LAPACK_ARGS]
+    except AttributeError:
+        return None
+    return _bind([ctypes.cast(f, ctypes.c_void_p).value for f in found], ctypes.c_int64)
 
 
-def _lapack_routine(name: str, n_args: int):
-    """scipy's LAPACK routine ``name`` as a ctypes function.
+def _scipy_lapack() -> tuple:
+    """The routines that ``scipy.linalg.cython_lapack`` exports, with C
+    ``int`` integers: each is a capsule named after its C signature."""
+    from scipy.linalg import cython_lapack
 
-    ``scipy.linalg.cython_lapack`` exports each routine as a capsule named
-    after its C signature, in which every argument is a pointer (LP64
-    ``int``, ``double`` or ``char``).  A ``CFUNCTYPE`` call releases the GIL
-    while LAPACK runs, which the f2py wrappers behind ``scipy.linalg`` do not.
-    """
     api = ctypes.pythonapi
     get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
     get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
         ("PyCapsule_GetPointer", api)
     )
-    capsule = _LAPACK.__pyx_capi__[name]
-    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * n_args)(
-        get_pointer(capsule, get_name(capsule))
-    )
+    capsules = [cython_lapack.__pyx_capi__[name] for name in _LAPACK_ARGS]
+    return _bind([get_pointer(c, get_name(c)) for c in capsules], ctypes.c_int)
 
 
-_LAPACK = _cython_lapack()
-_DSTEBZ = _lapack_routine("dstebz", 18)
-_DSTEIN = _lapack_routine("dstein", 13)
+# numpy's LAPACK where it exports the routines; scipy's only where it does
+# not (numpy built on MKL, Accelerate or a system BLAS).
+_DSTEBZ, _DSTEIN, _LAPACK_INT = _numpy_lapack() or _scipy_lapack()
 
 
 def _eigh_tridiagonal(
@@ -377,14 +353,14 @@ def _eigh_tridiagonal(
         if lo < d[0] <= hi:
             return np.array([d[0]]), (np.array([[1.0]]) if with_vectors else None)
         return np.array([]), (np.empty((1, 0)) if with_vectors else None)
-    c_int, c_double, ref = ctypes.c_int, ctypes.c_double, ctypes.byref
+    c_int, c_double, ref = _LAPACK_INT, ctypes.c_double, ctypes.byref
     n_rows, il, iu, found, n_split, info = c_int(n), c_int(1), c_int(1), c_int(), c_int(), c_int()
     vl, vu, abstol = c_double(lo), c_double(hi), c_double(0.0)
     w = np.empty(n)
-    iblock = np.empty(n, dtype=np.intc)
-    isplit = np.empty(n, dtype=np.intc)
+    iblock = np.empty(n, dtype=c_int)
+    isplit = np.empty(n, dtype=c_int)
     work = np.empty(5 * n)  # dstebz needs 4n, dstein 5n
-    iwork = np.empty(3 * n, dtype=np.intc)  # dstebz needs 3n, dstein n
+    iwork = np.empty(3 * n, dtype=c_int)  # dstebz needs 3n, dstein n
     _DSTEBZ(
         b"V", b"B" if with_vectors else b"E", ref(n_rows), ref(vl), ref(vu), ref(il), ref(iu),
         ref(abstol), d.ctypes.data, e.ctypes.data, ref(found), ref(n_split), w.ctypes.data,
@@ -396,7 +372,7 @@ def _eigh_tridiagonal(
     if not with_vectors:
         return vals.copy(), None  # a kept spectrum need not hold the n-row buffer
     z = np.empty((n, found.value), order="F")
-    ifail = np.empty(found.value, dtype=np.intc)
+    ifail = np.empty(found.value, dtype=c_int)
     _DSTEIN(
         ref(n_rows), d.ctypes.data, e.ctypes.data, ref(found), vals.ctypes.data,
         iblock.ctypes.data, isplit.ctypes.data, z.ctypes.data, ref(n_rows), work.ctypes.data,

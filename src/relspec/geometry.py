@@ -21,9 +21,9 @@ rebuilt profile reproduces its weight bitwise.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
+import zlib
 from dataclasses import asdict, dataclass, field
 from numbers import Real
 
@@ -458,8 +458,10 @@ class MetricProfile:
 
     @property
     def label(self) -> str:
+        """Eight hex digits, the CRC-32 of ``to_dict()`` as sorted JSON: the
+        same for the same surface in every interpreter."""
         payload = json.dumps(self.to_dict(), sort_keys=True)
-        return hashlib.sha256(payload.encode()).hexdigest()[:12]
+        return format(zlib.crc32(payload.encode()), "08x")
 
 
 def _require_disjoint(bump: BumpSpec, lo: float, hi: float, what: str) -> None:

@@ -14,6 +14,8 @@ Two oracles that share no code path with the per-mode solver:
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -21,6 +23,7 @@ from fractions import Fraction
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
+from scipy.sparse.linalg._dsolve import _superlu
 
 from .discretize import Grid, assemble_mode_operator, solve_mode
 from .geometry import MetricProfile
@@ -151,6 +154,30 @@ def _assemble_2d(profile: MetricProfile, grid: Grid2D):
     return A.tocsc(), W.tocsc()
 
 
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with scipy's OpenBLAS on one thread, and restore its
+    thread count afterwards.  A threaded BLAS sums in an order that follows
+    its thread count, so ARPACK's eigenvalues would otherwise change in
+    their last digits with the CPUs of the machine.  A scipy built on
+    another BLAS runs the block as it is."""
+    library = ctypes.CDLL(_superlu.__file__)  # linked to scipy's OpenBLAS
+    try:
+        get_threads = library.scipy_openblas_get_num_threads
+        set_threads = library.scipy_openblas_set_num_threads
+    except AttributeError:
+        yield
+        return
+    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    before = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(before)
+
+
 def low_eigenvalues_2d(
     profile: MetricProfile,
     grid: Grid2D,
@@ -180,10 +207,11 @@ def low_eigenvalues_2d(
     n = A.shape[0]
     if count >= n - 1:
         raise ValueError("count exceeds the oracle grid size")
-    lu = splu((A - _EIGSH_SHIFT * W).tocsc())
-    op = LinearOperator(A.shape, matvec=lu.solve)
     v0 = np.random.default_rng(_EIGSH_SEED).standard_normal(n)
-    vals, vecs = eigsh(A, k=count, M=W, sigma=_EIGSH_SHIFT, OPinv=op, v0=v0)
+    with _one_blas_thread():
+        lu = splu((A - _EIGSH_SHIFT * W).tocsc())
+        op = LinearOperator(A.shape, matvec=lu.solve)
+        vals, vecs = eigsh(A, k=count, M=W, sigma=_EIGSH_SHIFT, OPinv=op, v0=v0)
     order = np.argsort(vals)
     vals, vecs = vals[order], vecs[:, order]
     for lam, v in zip(vals, vecs.T):

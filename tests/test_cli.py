@@ -690,6 +690,11 @@ def test_cli_config_errors_exit_two(tmp_path, capsys):
     assert main(["validate", str(bad)]) == 2
     unknown = write_config(tmp_path, {"kind": "validate", "zzz": 1}, "unknown.json")
     assert main(["validate", str(unknown)]) == 2
+    for top, name in (([1], "list"), (42, "int"), ("abc", "str"), (None, "NoneType")):
+        capsys.readouterr()
+        not_object = write_config(tmp_path, top, "top.json")
+        assert main(["validate", str(not_object)]) == 2
+        assert f"config: expected an object, got {name}" in capsys.readouterr().err
     assert main(["report", str(tmp_path)]) == 2  # no summary.json here
     capsys.readouterr()
 
@@ -793,41 +798,19 @@ def test_module_entry_point(tmp_path, repo_root):
 # ----------------------------------------------------------------------------
 
 _STARTUP_PROBE = """
-import ctypes, json, sys
+import json, sys
 
 import relspec.cli
-from relspec import discretize
 
-loaded = [m for m in ("scipy.linalg", "scipy.special", "scipy.sparse", "numpy.f2py")
-          if m in sys.modules]
-bound = {name: ctypes.cast(routine, ctypes.c_void_p).value
-         for name, routine in (("dstebz", discretize._DSTEBZ), ("dstein", discretize._DSTEIN))}
-
-import scipy.linalg
-from scipy.linalg import cython_lapack
-
-api = ctypes.pythonapi
-get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
-get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-    ("PyCapsule_GetPointer", api)
-)
-capsules = {name: cython_lapack.__pyx_capi__[name] for name in bound}
-print(json.dumps({
-    "loaded": loaded,
-    "bound": bound,
-    "package": {name: get_pointer(c, get_name(c)) for name, c in capsules.items()},
-    "reused": (
-        discretize._LAPACK is cython_lapack is scipy.linalg.cython_lapack
-        is sys.modules["scipy.linalg.cython_lapack"]
-    ),
-}))
+print(json.dumps([
+    m for m in ("scipy", "scipy.linalg", "scipy.linalg.cython_lapack", "scipy.special",
+                "scipy.sparse", "numpy.f2py", "_hashlib")
+    if m in sys.modules
+]))
 """
 
 
-@pytest.fixture(scope="module")
-def startup_probe(repo_root):
-    """What a fresh interpreter holds after ``import relspec.cli``, and how
-    a later ``import scipy.linalg`` meets the LAPACK module loaded then."""
+def test_importing_the_cli_loads_no_heavy_scipy_or_numpy_subpackage(repo_root):
     proc = subprocess.run(
         [sys.executable, "-c", _STARTUP_PROBE],
         capture_output=True,
@@ -836,20 +819,47 @@ def startup_probe(repo_root):
         env=checkout_env(repo_root),
     )
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
+    assert json.loads(proc.stdout) == []
 
 
-def test_importing_the_cli_loads_no_heavy_scipy_or_numpy_subpackage(startup_probe):
-    assert startup_probe["loaded"] == []
+_FOOTPRINT_PROBE = """
+import json, os, sys, tempfile
+
+from relspec.cli import ScenarioConfig, run_scenario
+
+cfg = ScenarioConfig.from_dict(json.loads(sys.argv[1]))
+with tempfile.TemporaryDirectory() as out:
+    passed = run_scenario(cfg, out).passed
+with open("/proc/self/maps") as fh:
+    files = {os.path.basename(line.split()[-1]) for line in fh if "/" in line}
+print(json.dumps({
+    "passed": passed,
+    "openblas": sorted(f for f in files if "openblas" in f),
+    "libcrypto": sorted(f for f in files if "libcrypto" in f),
+    "modules": [m for m in ("scipy", "scipy.linalg.cython_lapack", "_hashlib") if m in sys.modules],
+}))
+"""
 
 
-def test_lapack_file_route_binds_scipy_linalg_routines(startup_probe):
-    assert startup_probe["bound"] == startup_probe["package"]
-    assert all(startup_probe["bound"].values())
-
-
-def test_later_scipy_linalg_import_reuses_the_loaded_lapack_module(startup_probe):
-    assert startup_probe["reused"] is True
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/maps")
+def test_a_sweep_maps_one_openblas_and_no_openssl(repo_root):
+    # The mode solves run on the LAPACK in numpy's own OpenBLAS, and the
+    # surface labels need no hashlib: a run maps no second BLAS and no
+    # libcrypto, and imports no scipy.
+    sweep = mini_pair_dict("surgery_sweep", epsilons=[0.0, 0.2])
+    proc = subprocess.run(
+        [sys.executable, "-c", _FOOTPRINT_PROBE, json.dumps(sweep)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=checkout_env(repo_root),
+    )
+    assert proc.returncode == 0, proc.stderr
+    footprint = json.loads(proc.stdout)
+    assert footprint["passed"] is True
+    assert len(footprint["openblas"]) == 1, footprint["openblas"]
+    assert footprint["libcrypto"] == []
+    assert footprint["modules"] == []
 
 
 _OPENBLAS_PROBE = """

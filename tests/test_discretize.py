@@ -1,6 +1,7 @@
 """Mode-by-mode discretization: convergence order, orthonormality, cutoffs."""
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 import math
 import re
@@ -700,15 +701,24 @@ def test_lapack_binding_one_row_and_bad_input():
         discretize._eigh_tridiagonal(np.ones(3), np.ones(3), 0.0, 3.0, False)
 
 
-def test_lapack_module_falls_back_to_the_package_import(monkeypatch):
-    # With no sys.modules entry and no extension file to load, the lookup
-    # takes the package import and still ends at scipy.linalg's module.
-    from scipy.linalg import cython_lapack
+def test_scipy_lapack_fallback_is_bitwise_the_numpy_route(shipped_pair, monkeypatch):
+    # The route an install takes when numpy's LAPACK does not export the
+    # routines: scipy.linalg.cython_lapack's, with C int integers.
+    profile, _, grid, lambda_cut = shipped_pair
+    on_numpy = solve_modes(profile, grid, lambda_cut)
+    for name, routine in zip(("_DSTEBZ", "_DSTEIN", "_LAPACK_INT"), discretize._scipy_lapack()):
+        monkeypatch.setattr(discretize, name, routine)
+    assert discretize._LAPACK_INT is ctypes.c_int
+    # The binding checks above, run through the fallback.
+    test_lapack_binding_is_bitwise_scipy(shipped_pair)
+    test_lapack_binding_reorders_split_blocks()
+    test_lapack_binding_one_row_and_bad_input()
 
-    assert discretize._cython_lapack() is cython_lapack is discretize._LAPACK
-    monkeypatch.setattr(discretize, "EXTENSION_SUFFIXES", [])
-    monkeypatch.delitem(sys.modules, "scipy.linalg.cython_lapack")
-    assert discretize._cython_lapack() is cython_lapack
+    on_scipy = solve_modes(profile, grid, lambda_cut)
+    assert on_scipy.rows == on_numpy.rows
+    assert on_scipy.mode_eigenvalues.keys() == on_numpy.mode_eigenvalues.keys()
+    for m, vals in on_numpy.mode_eigenvalues.items():
+        assert _same_array(on_scipy.mode_eigenvalues[m], vals)
 
 
 def test_solve_modes_is_bitwise_independent_of_the_thread_count(small_pair, monkeypatch):

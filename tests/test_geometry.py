@@ -7,7 +7,12 @@ change to the formulas shows up as a hard failure.
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
+import os
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -30,7 +35,7 @@ from relspec.geometry import (
     surgery_factor_point,
 )
 
-from conftest import funnel_cap_spec, funnel_cusp_spec, small_truncation
+from conftest import ROOT, funnel_cap_spec, funnel_cusp_spec, small_truncation
 
 
 # ----------------------------------------------------------------------------
@@ -429,3 +434,33 @@ def test_line_distance_rejects_points_off_the_chart():
         line_distance(flat, -0.5, 1.0)
     with pytest.raises(ValueError):
         line_distance(flat, 0.5, 4.0)
+
+
+_LABEL_PROBE = """
+import json, sys
+
+from relspec.cli import ScenarioConfig
+
+print(json.dumps([p.label for p in ScenarioConfig.from_json(sys.argv[1]).pair(epsilon=0.0)]))
+"""
+
+
+def test_profile_label_is_the_same_in_every_interpreter(configs_dir):
+    # A label derived from hash() would change with the hash seed, and the
+    # pair_id header of every CSV with it.
+    labels = []
+    for seed in ("0", "12345"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c", _LABEL_PROBE, str(configs_dir / "point_sweep.json")],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        labels.append(json.loads(proc.stdout))
+    assert labels[0] == labels[1]
+    assert all(re.fullmatch("[0-9a-f]{8}", label) for label in labels[0])
+    assert labels[0][0] != labels[0][1]

@@ -1,6 +1,7 @@
 """Cross-check oracles: exact product determinants and the 2D five-point solver."""
 from __future__ import annotations
 
+import ctypes
 from fractions import Fraction
 
 import numpy as np
@@ -91,6 +92,33 @@ def test_2d_solver_is_deterministic():
     first = low_eigenvalues_2d(flat, grid, count=6)
     second = low_eigenvalues_2d(flat, grid, count=6)
     assert np.array_equal(first, second)
+
+
+def test_2d_solver_is_bitwise_independent_of_the_blas_thread_count():
+    # A threaded OpenBLAS sums in an order that follows its thread count;
+    # the oracle runs scipy's on one thread whatever it was set to before.
+    from scipy.sparse.linalg._dsolve import _superlu
+
+    library = ctypes.CDLL(_superlu.__file__)
+    if not hasattr(library, "scipy_openblas_set_num_threads"):
+        pytest.skip("scipy is not built on its own OpenBLAS")
+    get_threads, set_threads = library.scipy_openblas_get_num_threads, library.scipy_openblas_set_num_threads
+    get_threads.restype, set_threads.argtypes = ctypes.c_int, [ctypes.c_int]
+    prof = build_weight(
+        funnel_cusp_spec(BumpSpec(center=0.35, radius=0.09, amplitude=0.3)),
+        truncation=small_truncation(),
+    )
+    grid = make_grid_2d(prof, n_s=300, n_theta=48)
+    before = get_threads()
+    runs = []
+    try:
+        for threads in (1, 2):
+            set_threads(threads)
+            runs.append(low_eigenvalues_2d(prof, grid))
+            assert get_threads() == threads
+    finally:
+        set_threads(before)
+    assert np.array_equal(runs[0], runs[1])
 
 
 def test_2d_eigenvalues_are_sorted_and_positive():
