@@ -861,12 +861,14 @@ def _offdiag_sup(sys, num: NumericsConfig):
 
 
 def _run_offdiag(cfg: ScenarioConfig, out: Path, report: Report, stage):
-    """Both resolutions go on one ``ModeQueue``: the ``n_nodes`` integrals
-    run on this thread while the queue's threads solve the refined grid."""
+    """Both resolutions go on one ``ModeQueue`` that keeps each surface's
+    ``ProbeModes`` at the two probe radii: the ``n_nodes`` integrals run on
+    this thread while the queue's threads solve the refined grid."""
     num = cfg.numerics
     profile = cfg.member("surface_a")
     stage("off-diagonal integrals")
-    with ModeQueue(_offdiag_surfaces(profile, num), num.lambda_cut, with_vectors=True) as queue:
+    y, y2 = num.offdiag_points
+    with ModeQueue(_offdiag_surfaces(profile, num), num.lambda_cut, probes=(y[0], y2[0])) as queue:
         sys = queue.result(0)
         sup, rows, dist = _offdiag_sup(sys, num)
         sup = float(sup)
@@ -892,7 +894,6 @@ def _run_offdiag(cfg: ScenarioConfig, out: Path, report: Report, stage):
     )
     stage("semigroup identity")
     t_mid = 0.5 * (OFFDIAG_TIMES[0] + OFFDIAG_TIMES[-1])
-    y, y2 = num.offdiag_points
     res = offdiag_l2_integral(sys, t_mid, y=y, y2=y2)
     direct = kernel_value(sys, 2.0 * t_mid, y, y2)
     rel = abs(res.value - direct) / max(abs(direct), 1e-300)

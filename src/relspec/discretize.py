@@ -31,8 +31,8 @@ The window is the contiguous run of rows whose discrete Agmon distance (the
 sum of kappa over the nodes in between) from the allowed set
 {lambda_cut w_i >= m^2} is at most ``AGMON_MARGIN``; its Dirichlet cuts move
 the kept eigenvalues by about e^{-2 AGMON_MARGIN} relative, far below
-round-off.  ``Eigensystem.rows`` records each mode's solved rows, and a
-mode's eigenvectors are kept on those rows only: they vanish elsewhere.
+round-off.  ``Eigensystem.rows`` records each mode's solved rows; a mode's
+eigenvectors vanish on every other row.
 A mode's set-up costs O(window), not O(N): each surface keeps one running
 maximum of lambda_cut * w from its last row backwards, on which one
 ``searchsorted`` finds a mode's last allowed row; the Agmon sum then runs
@@ -57,7 +57,16 @@ that takes the (surface, m) tasks of a whole list of surfaces first in,
 first out (the surfaces in list order, ascending m within each), with no
 barrier between surfaces; a surface's modes are merged in m order when its
 result is taken.  ``solve_modes`` is its one-surface case.  Every mode's
-result is independent of the thread that solved it.
+result is independent of the thread that solved it, and the queue holds
+numpy's OpenBLAS at one thread while it runs: ``dstein``'s level-1 BLAS
+splits long vectors across OpenBLAS threads, which would make eigenvectors
+of more than about 10,000 rows follow the machine's CPU count.
+
+No eigenvector outlives its mode's task.  The off-diagonal heat kernel
+needs a surface's eigenvectors only at two probe radii and through their
+radial Gram matrices, so a queue given ``probes`` keeps just those
+(``ProbeModes``) and drops each mode's n x k block before it takes its next
+task.
 """
 
 from __future__ import annotations
@@ -71,13 +80,15 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
 
-from .geometry import MetricProfile
+from .geometry import MetricProfile, line_distance
 
 __all__ = [
     "Grid",
     "ModeOperator",
     "Eigensystem",
+    "ProbeModes",
     "make_grid",
+    "nearest_row",
     "mode_rows",
     "assemble_mode_operator",
     "agmon_window",
@@ -140,6 +151,15 @@ def make_grid(profile: MetricProfile, n_nodes: int) -> Grid:
     with the profile's boundary conditions."""
     nodes = np.linspace(profile.s_min, profile.s_max, n_nodes)
     return Grid(nodes=nodes, bc_left=profile.bc_left, bc_right=profile.bc_right)
+
+
+def nearest_row(grid: Grid, s: float) -> int:
+    """The grid row nearest the radius ``s``, which must lie on the chart
+    (to 1e-12)."""
+    nodes = grid.nodes
+    if s < nodes[0] - 1e-12 or s > nodes[-1] + 1e-12:
+        raise ValueError(f"point s={s} outside the chart [{nodes[0]}, {nodes[-1]}]")
+    return int(np.argmin(np.abs(nodes - s)))
 
 
 def mode_rows(grid: Grid, m: int) -> tuple[int, int]:
@@ -295,23 +315,39 @@ def _bind(addresses: list[int], int_type) -> tuple:
 
 
 def _numpy_lapack() -> tuple | None:
-    """The routines in the OpenBLAS that numpy has already loaded, or None.
+    """The routines in the OpenBLAS that numpy has already loaded, and the
+    (get, set) pair of its thread count (None where it is not exported);
+    None without the routines.
 
     numpy's OpenBLAS wheels export LAPACK as ``scipy_<name>_64_``, with
-    64-bit integers.  ``dlsym`` on the handle of numpy's own ``linalg``
-    extension reaches them in the library that extension already mapped.
+    64-bit integers, and the thread count as
+    ``scipy_openblas_get/set_num_threads64_``.  ``dlsym`` on the handle of
+    numpy's own ``linalg`` extension reaches them in the library that
+    extension already mapped.
     """
     library = ctypes.CDLL(_umath_linalg.__file__)
     try:
         found = [getattr(library, f"scipy_{name}_64_") for name in _LAPACK_ARGS]
     except AttributeError:
         return None
-    return _bind([ctypes.cast(f, ctypes.c_void_p).value for f in found], ctypes.c_int64)
+    try:
+        threads = (
+            library.scipy_openblas_get_num_threads64_,
+            library.scipy_openblas_set_num_threads64_,
+        )
+    except AttributeError:
+        threads = None
+    else:
+        threads[0].argtypes, threads[0].restype = [], ctypes.c_int
+        threads[1].argtypes, threads[1].restype = [ctypes.c_int], None
+    addresses = [ctypes.cast(f, ctypes.c_void_p).value for f in found]
+    return (*_bind(addresses, ctypes.c_int64), threads)
 
 
 def _scipy_lapack() -> tuple:
     """The routines that ``scipy.linalg.cython_lapack`` exports, with C
-    ``int`` integers: each is a capsule named after its C signature."""
+    ``int`` integers: each is a capsule named after its C signature.  The
+    BLAS they call is scipy's, whose thread count is not held (None)."""
     from scipy.linalg import cython_lapack
 
     api = ctypes.pythonapi
@@ -320,12 +356,13 @@ def _scipy_lapack() -> tuple:
         ("PyCapsule_GetPointer", api)
     )
     capsules = [cython_lapack.__pyx_capi__[name] for name in _LAPACK_ARGS]
-    return _bind([get_pointer(c, get_name(c)) for c in capsules], ctypes.c_int)
+    return (*_bind([get_pointer(c, get_name(c)) for c in capsules], ctypes.c_int), None)
 
 
 # numpy's LAPACK where it exports the routines; scipy's only where it does
-# not (numpy built on MKL, Accelerate or a system BLAS).
-_DSTEBZ, _DSTEIN, _LAPACK_INT = _numpy_lapack() or _scipy_lapack()
+# not (numpy built on MKL, Accelerate or a system BLAS), and then with no
+# thread count to hold.
+_DSTEBZ, _DSTEIN, _LAPACK_INT, _BLAS_THREADS = _numpy_lapack() or _scipy_lapack()
 
 
 def _eigh_tridiagonal(
@@ -419,27 +456,50 @@ def worker_count() -> int:
     return os.cpu_count() or 1
 
 
+@dataclass(frozen=True, eq=False)
+class ProbeModes:
+    """A surface's eigenvectors as the off-diagonal heat kernel reads them:
+    at two probe rows and through each mode's radial Gram matrix.
+
+    ``rows`` = (i, i2) are the grid rows nearest the two probe radii, and
+    ``distance`` is ``line_distance`` between their circles.  For each mode
+    m with eigenvalues whose solved rows [lo, hi) hold both probe rows,
+    ``modes[m]`` = (a, b, gram): the mass-normalised eigenvectors u_j at
+    rows i and i2 (a_j = u_j(i), b_j = u_j(i2), length k) and the k x k
+    radial Gram matrix
+
+        gram[j, l] = sum_{lo <= r < hi} rw_r u_j(r) u_l(r),
+
+    with rw_r = w_r cell_r the chart's radial weight (the lumped mass of row
+    r).  Every other mode has no entry: its eigenvectors vanish at a probe.
+    """
+
+    rows: tuple[int, int]
+    distance: float
+    modes: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = field(repr=False)
+
+
 @dataclass(eq=False)
 class Eigensystem:
     """Eigenvalues (<= lambda_cut) of all angular modes of one surface.
 
     mode_eigenvalues[m] holds the ascending eigenvalues of mode m; angular
-    multiplicity is 1 for m = 0 and 2 for m >= 1.  ``max_weight`` is the
-    largest weight on the rows of the modes m >= 1, which sets the mode
-    cutoff.  rows[m] = (lo, hi) is the range of grid rows that mode m was
-    solved on.  ``vectors`` (optional) holds mode m's mass-orthonormal
-    eigenfunctions on those rows only, as an (hi - lo, k) array; they
-    vanish on every other grid row.
+    multiplicity is 1 for m = 0 and 2 for m >= 1.  rows[m] = (lo, hi) is the
+    range of grid rows that mode m was solved on.  ``probes`` (optional)
+    holds what the off-diagonal heat kernel needs of the eigenvectors.
+    ``vectors`` is always None: no eigenvector array outlives its mode's
+    solve, and the field stays only because ``perfbench/tracer.py`` reads
+    it.
     """
 
     profile: MetricProfile
     grid: Grid
     lambda_cut: float
     m_max: int
-    max_weight: float
     mode_eigenvalues: dict[int, np.ndarray] = field(repr=False)
     rows: dict[int, tuple[int, int]] = field(repr=False)
-    vectors: dict[int, np.ndarray] | None = field(repr=False, default=None)
+    probes: ProbeModes | None = field(repr=False, default=None)
+    vectors: None = field(repr=False, default=None)
 
     def multiplicity(self, m: int) -> int:
         return 1 if m == 0 else 2
@@ -482,42 +542,78 @@ def check_resolution(weights: np.ndarray, h: float, lambda_cut: float) -> None:
         )
 
 
-def _set_up(profile: MetricProfile, grid: Grid, lambda_cut: float):
-    """A surface's weight on the grid, its Rayleigh bound, its witness mode
-    and the ``agmon_window`` envelope of the modes m >= 1, after checking
-    the weight and the grid's resolution capacity."""
+def _set_up(profile: MetricProfile, grid: Grid, lambda_cut: float, probes):
+    """A surface's weight on the grid, the ``agmon_window`` envelope of its
+    modes m >= 1 and its ``_Pending`` (Rayleigh bound, witness mode, and
+    the grid rows nearest the ``probes`` radii with their distance), after
+    checking the weight, the grid's resolution capacity and the probes."""
     w = profile.weight(grid.nodes)
     if np.any(~np.isfinite(w)) or np.any(w <= 0.0):
         raise ValueError("weight must be positive and finite on the grid")
     check_resolution(w, grid.h, lambda_cut)
+    probe_rows = distance = None
+    if probes is not None:
+        probe_rows = tuple(nearest_row(grid, s) for s in probes)
+        ends = [float(grid.nodes[i]) for i in probe_rows]
+        distance = line_distance(profile, *ends)
     # Every mode m >= 1 solves within the rows of mode 1 (a cap end is
     # Dirichlet for all of them), so the Rayleigh bound needs the weight on
     # those rows only.
     lo, hi = mode_rows(grid, 1)
     max_weight = float(np.max(w[lo:hi]))
-    return w, max_weight, mode_cutoff(lambda_cut, max_weight), _envelope(w[lo:hi], lambda_cut)
+    top = mode_cutoff(lambda_cut, max_weight)
+    pending = _Pending(max_weight, probe_rows, distance, [None] * (top + 1), top + 1)
+    return w, _envelope(w[lo:hi], lambda_cut), pending
 
 
-def _solve_one(profile, grid, w, envelope, m, top, lambda_cut, with_vectors):
+# Rows per block of a radial Gram sum: one weighted copy of a whole n x k
+# eigenvector block would double the largest array a thread holds.
+_GRAM_ROWS = 512
+
+
+def _radial_gram(vecs: np.ndarray, mass: np.ndarray) -> np.ndarray:
+    """sum_r mass_r u_j(r) u_l(r) over the rows of ``vecs``, in blocks of
+    ``_GRAM_ROWS`` rows."""
+    gram = np.zeros((vecs.shape[1], vecs.shape[1]))
+    for start in range(0, len(vecs), _GRAM_ROWS):
+        block = vecs[start : start + _GRAM_ROWS]
+        gram += block.T @ (mass[start : start + _GRAM_ROWS, None] * block)
+    return gram
+
+
+def _solve_one(profile, grid, w, envelope, m, top, lambda_cut, probe_rows):
     """Mode m on the ``agmon_window`` of its rows; the witness mode (m =
     top) on all of them.  ``envelope`` is the one of the modes m >= 1, whose
     rows are all the same; mode 0 (m^2 = 0) keeps its rows without reading
-    it.  Returns the solved rows and ``solve_mode``'s result."""
+    it.  Returns the solved rows, the eigenvalues and the mode's
+    ``ProbeModes`` entry: (a, b, gram) when the rows hold both
+    ``probe_rows``, else None.  Only such a mode is solved with
+    eigenvectors, and they are dropped on return."""
     lo, hi = mode_rows(grid, m)
     if m < top:
         a, b = agmon_window(w[lo:hi], grid.h, float(m * m), lambda_cut, envelope=envelope)
         lo, hi = lo + a, lo + b
     op = assemble_mode_operator(profile, m, grid, weights=w, rows=(lo, hi))
-    return (lo, hi), *solve_mode(op, lambda_cut, with_vectors=with_vectors)
+    probed = probe_rows is not None and all(lo <= i < hi for i in probe_rows)
+    vals, vecs = solve_mode(op, lambda_cut, with_vectors=probed)
+    if not (probed and len(vals)):
+        return (lo, hi), vals, None
+    at_i, at_i2 = (vecs[i - lo].copy() for i in probe_rows)
+    # op.mass is the weight times the chart cell on each row: h, or h / 2
+    # at a grid end.
+    return (lo, hi), vals, (at_i, at_i2, _radial_gram(vecs, op.mass))
 
 
 @dataclass(eq=False)
 class _Pending:
-    """A set-up surface: its Rayleigh bound, the outcome of each mode m
+    """A set-up surface: its Rayleigh bound, its probe rows and their
+    distance (None without probes), the outcome of each mode m
     (``_solve_one``'s result or the exception it raised) and the number of
     modes still unsolved."""
 
     max_weight: float
+    probe_rows: tuple[int, int] | None
+    distance: float | None
     modes: list
     unsolved: int
 
@@ -531,27 +627,31 @@ class ModeQueue:
     ascending order, which is close to largest first.  The threads take
     them one at a time with no barrier between surfaces; the thread that
     takes a surface's first task sets the surface up (weight check,
-    capacity guard, witness mode, Agmon envelope).  ``result(i)`` waits for
-    surface i's last mode and merges its modes in m order.  An exception
-    raised by a surface's set-up, a mode solve (the lowest failing m) or the
-    witness check belongs to that surface alone: ``result`` raises it
-    unchanged.
+    capacity guard, probe rows, witness mode, Agmon envelope).  ``result(i)``
+    waits for surface i's last mode and merges its modes in m order.  An
+    exception raised by a surface's set-up, a mode solve (the lowest failing
+    m) or the witness check belongs to that surface alone: ``result`` raises
+    it unchanged.
+
+    ``probes`` = (s_y, s_y2), two radii on every surface's chart, makes each
+    system carry a ``ProbeModes`` record at the rows nearest them.
 
     The tasks are not ``concurrent.futures`` futures: a future per mode
     costs about 14 us of held GIL and 1.6 kB, and on a sweep of about a
     thousand modes that made the run 6% slower and 1.7 MB larger.
 
-    Use it as a context manager: entering starts the threads, and leaving,
-    normally or by an exception, stops handing out tasks and joins every
-    thread before it returns.
+    Use it as a context manager: entering holds numpy's OpenBLAS at one
+    thread and starts the threads, and leaving, normally or by an
+    exception, stops handing out tasks, joins every thread and restores the
+    OpenBLAS thread count before it returns.
     """
 
-    def __init__(self, surfaces, lambda_cut: float, *, with_vectors: bool = False):
+    def __init__(self, surfaces, lambda_cut: float, *, probes: tuple[float, float] | None = None):
         if not (math.isfinite(lambda_cut) and lambda_cut > 0):
             raise ValueError(f"lambda_cut must be positive and finite, got {lambda_cut!r}")
         self._surfaces = list(surfaces)
         self._lambda_cut = lambda_cut
-        self._with_vectors = with_vectors
+        self._probes = None if probes is None else tuple(float(s) for s in probes)
         # per surface: its set-up error or its _Pending, once set up
         self._states: list = [None] * len(self._surfaces)
         self._done = [threading.Event() for _ in self._surfaces]
@@ -559,10 +659,15 @@ class ModeQueue:
         self._tasks = self._stream()
         self._threads: list[threading.Thread] = []
         self._running = False
+        self._blas_threads = None  # numpy's OpenBLAS thread count on entry
 
     def __enter__(self) -> "ModeQueue":
         self._running = True
         try:
+            if _BLAS_THREADS is not None:
+                get_threads, set_threads = _BLAS_THREADS
+                self._blas_threads = get_threads()
+                set_threads(1)
             for _ in range(worker_count()):
                 thread = threading.Thread(target=self._work)
                 thread.start()
@@ -577,6 +682,9 @@ class ModeQueue:
             self._tasks = iter(())
         for thread in self._threads:
             thread.join()
+        if self._blas_threads is not None:
+            _BLAS_THREADS[1](self._blas_threads)
+            self._blas_threads = None
         self._running = False
 
     def result(self, index: int) -> Eigensystem:
@@ -598,19 +706,21 @@ class ModeQueue:
                 f"{self._lambda_cut} (max weight {state.max_weight:.6g})"
             )
         profile, grid = self._surfaces[index]
+        probes = None
+        if state.probe_rows is not None:
+            probes = ProbeModes(
+                rows=state.probe_rows,
+                distance=state.distance,
+                modes={m: kept for m, (_, _, kept) in enumerate(state.modes) if kept is not None},
+            )
         return Eigensystem(
             profile=profile,
             grid=grid,
             lambda_cut=float(self._lambda_cut),
             m_max=top,
-            max_weight=state.max_weight,
             mode_eigenvalues={m: vals for m, (_, vals, _) in enumerate(state.modes)},
             rows={m: rows for m, (rows, _, _) in enumerate(state.modes)},
-            vectors=(
-                {m: vecs for m, (_, _, vecs) in enumerate(state.modes)}
-                if self._with_vectors
-                else None
-            ),
+            probes=probes,
         )
 
     def _stream(self):
@@ -618,13 +728,14 @@ class ModeQueue:
         each surface is set up when its first task is taken."""
         for i, (profile, grid) in enumerate(self._surfaces):
             try:
-                w, max_weight, top, envelope = _set_up(profile, grid, self._lambda_cut)
+                w, envelope, self._states[i] = _set_up(
+                    profile, grid, self._lambda_cut, self._probes
+                )
             except BaseException as exc:
                 self._states[i] = exc
                 self._done[i].set()
                 continue
-            self._states[i] = _Pending(max_weight, [None] * (top + 1), top + 1)
-            for m in range(top + 1):
+            for m in range(len(self._states[i].modes)):
                 yield i, m, w, envelope
 
     def _work(self) -> None:
@@ -638,7 +749,7 @@ class ModeQueue:
             top = len(state.modes) - 1
             try:
                 outcome = _solve_one(
-                    profile, grid, w, envelope, m, top, self._lambda_cut, self._with_vectors
+                    profile, grid, w, envelope, m, top, self._lambda_cut, state.probe_rows
                 )
             except BaseException as exc:
                 outcome = exc
@@ -654,10 +765,10 @@ def solve_modes(
     grid: Grid,
     lambda_cut: float,
     *,
-    with_vectors: bool = False,
+    probes: tuple[float, float] | None = None,
 ) -> Eigensystem:
     """Solve every angular mode up to the cutoff (inclusive witness mode):
-    the one-surface case of ``ModeQueue``.
+    the one-surface case of ``ModeQueue``, with its ``probes``.
 
     Each mode m < top is solved on the ``agmon_window`` of its
     ``mode_rows``: the rows within discrete Agmon distance ``AGMON_MARGIN``
@@ -671,5 +782,5 @@ def solve_modes(
     result is bitwise the same for any thread count, and an exception raised
     by a mode's solve (the lowest failing m) propagates unchanged.
     """
-    with ModeQueue([(profile, grid)], lambda_cut, with_vectors=with_vectors) as queue:
+    with ModeQueue([(profile, grid)], lambda_cut, probes=probes) as queue:
         return queue.result(0)

@@ -590,7 +590,16 @@ def flat_cylinder(length: float = math.pi, bump: BumpSpec | None = None) -> Metr
 # ----------------------------------------------------------------------------
 
 # 8-point Gauss-Legendre rule on [-1, 1]; exact for polynomials of degree 15.
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+# The literals are bitwise numpy.polynomial.legendre.leggauss(8), written
+# out so that importing relspec loads no numpy.polynomial.
+_GL_NODES = np.array([
+    -0.9602898564975362, -0.7966664774136267, -0.525532409916329, -0.18343464249564978,
+    0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362,
+])
+_GL_WEIGHTS = np.array([
+    0.10122853629037706, 0.22238103445337443, 0.3137066458778869, 0.36268378337836166,
+    0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706,
+])
 # Two successive levels must agree to this fraction of int |f|.
 _QUAD_RTOL = 1e-13
 # Finest level: 2^_QUAD_MAX_LEVEL equal pieces per panel (the shipped

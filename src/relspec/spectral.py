@@ -7,7 +7,8 @@ The relative heat trace of a surgery pair (A, B) sharing one truncated chart,
 is evaluated mode by mode with the two spectra paired inside each angular
 mode, so that identical surfaces give exactly 0.0 and nearby surfaces cancel
 their common ultraviolet bulk before anything is summed.  Heat kernels are
-reassembled from the mode eigenfunctions when pointwise values or their
+reassembled from a system's ``ProbeModes``, the mode eigenfunctions at two
+probe rows with their radial Gram matrices, when pointwise values or their
 off-diagonal L2 products are needed.
 """
 
@@ -18,8 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discretize import Eigensystem
-from .geometry import line_distance, relative_area
+from .discretize import Eigensystem, ProbeModes, nearest_row
+from .geometry import relative_area
 
 __all__ = [
     "PairedSpectrum",
@@ -376,16 +377,21 @@ def relative_trace_series(sys_a: Eigensystem, sys_b: Eigensystem) -> TraceSeries
 # pointwise kernel and off-diagonal integrals
 # ----------------------------------------------------------------------------
 
-def _require_vectors(sys: Eigensystem) -> None:
-    if sys.vectors is None:
-        raise ValueError("eigensystem was solved without vectors; pass with_vectors=True")
-
-
-def _snap(sys: Eigensystem, s: float) -> int:
-    nodes = sys.grid.nodes
-    if s < nodes[0] - 1e-12 or s > nodes[-1] + 1e-12:
-        raise ValueError(f"point s={s} outside the chart [{nodes[0]}, {nodes[-1]}]")
-    return int(np.argmin(np.abs(nodes - s)))
+def _probe_columns(sys: Eigensystem, y, y2) -> tuple[ProbeModes, int, int]:
+    """``sys.probes`` and the index (0 or 1) of the probe row that each of
+    the radii of y and y2 snaps to; a radius that snaps elsewhere raises."""
+    probes = sys.probes
+    if probes is None:
+        raise ValueError("eigensystem was solved without probes; pass probes=(s_y, s_y2)")
+    columns = []
+    for s, _ in (y, y2):
+        row = nearest_row(sys.grid, s)
+        if row not in probes.rows:
+            raise ValueError(
+                f"point s={s} snaps to grid row {row}, not to a probe row {probes.rows}"
+            )
+        columns.append(probes.rows.index(row))
+    return probes, *columns
 
 
 def _angular_factor(m: int, dtheta: float) -> float:
@@ -399,31 +405,27 @@ def _angular_factor(m: int, dtheta: float) -> float:
 
 
 def kernel_value(sys: Eigensystem, t: float, y, y2=None) -> float:
-    """Heat kernel K(t, y, y2) reassembled from the computed modes.
+    """Heat kernel K(t, y, y2) reassembled from the computed modes,
 
-    y = (s, theta); the radial coordinate snaps to the nearest grid node.
-    Each mode's radial sum is weighted by its angular factor
-    (_angular_factor).  Mode m is read on its solved rows ``sys.rows[m]``;
-    its eigenvectors vanish on every other row, so a mode whose rows miss
-    either snapped node contributes nothing and is skipped.
+        K = sum_m c_m(theta_y - theta_y2) sum_j e^{-lam_j t} a_j b_j,
+
+    with a and b mode m's eigenvectors at the rows of y and y2 and c_m the
+    angular factor (_angular_factor).
+
+    y = (s, theta); the radial coordinate snaps to the nearest grid node,
+    which must be one of the system's probe rows.  A mode without a
+    ``ProbeModes`` entry vanishes at a probe and is skipped.
     """
-    _require_vectors(sys)
     if y2 is None:
         y2 = y
-    s_y, th_y = y
-    s_y2, th_y2 = y2
-    i_y, i_y2 = _snap(sys, s_y), _snap(sys, s_y2)
+    probes, col_y, col_y2 = _probe_columns(sys, y, y2)
     if t <= 0:
         raise ValueError("t must be positive")
     total = 0.0
-    dth = th_y - th_y2
-    for m in sorted(sys.mode_eigenvalues):
-        lam = sys.mode_eigenvalues[m]
-        lo, hi = sys.rows[m]
-        if len(lam) == 0 or not (lo <= i_y < hi and lo <= i_y2 < hi):
-            continue
-        U = sys.vectors[m]
-        radial = float(np.dot(np.exp(-lam * t), U[i_y - lo, :] * U[i_y2 - lo, :]))
+    dth = y[1] - y2[1]
+    for m in sorted(probes.modes):
+        kept = probes.modes[m]
+        radial = float(np.dot(np.exp(-sys.mode_eigenvalues[m] * t), kept[col_y] * kept[col_y2]))
         total += _angular_factor(m, dth) * radial
     return total
 
@@ -447,34 +449,33 @@ class OffdiagResult:
 def offdiag_l2_integral(sys: Eigensystem, t: float, *, y, y2=None) -> OffdiagResult:
     """Integrate K(t, x, y) K(t, x, y2) over the chart against dA = w ds dtheta.
 
-    y = (s, theta) with s snapped to the nearest node (y2 defaults to y).
-    Both kernel columns expand in the angular modes, which are orthogonal on
-    S^1, so the angular integral is exact and leaves one radial sum per mode:
+    y = (s, theta) with s snapped to the nearest node, which must be one of
+    the system's probe rows (y2 defaults to y).  Both kernel columns expand
+    in the angular modes, which are orthogonal on S^1, so the angular
+    integral is exact and leaves one radial sum per mode:
 
-        I(t) = sum_m c_m(theta_y - theta_y2) sum_i w_i cell_i r_m^y(s_i) r_m^y2(s_i),
+        I(t) = sum_m c_m(theta_y - theta_y2) sum_i rw_i r_m^y(s_i) r_m^y2(s_i),
 
     with r_m^y(s) = sum_j e^{-lam_j t} u_j(s) u_j(s_y) the radial factor of
-    the column through y, c_m the angular factor of kernel_value, and the
-    lumped cells of the eigenbasis (so I(t) reproduces K(2t, y, y2) to
-    round-off).  The sum over i runs over mode m's solved rows
-    ``sys.rows[m]`` only, where its eigenvectors live; a mode whose rows miss
-    either snapped node has r_m^y = 0 or r_m^y2 = 0 and is skipped.  Modes
-    are added in ascending m, and each radial sum is symmetric in its two
-    columns, so swapping y and y2 gives bitwise the same value.
+    the column through y, c_m the angular factor of kernel_value, and rw the
+    chart's radial weights, the lumped cells of the eigenbasis (so I(t)
+    reproduces K(2t, y, y2) to round-off).  Regrouped over the mode's radial
+    Gram matrix G (``ProbeModes``), the radial sum is p^T G p2 with
+    p_j = e^{-lam_j t} a_j, p2_j = e^{-lam_j t} b_j and a, b the
+    eigenvectors at the rows of y and y2; it is taken as the mean of
+    p^T G p2 and p2^T G p, so swapping y and y2 gives bitwise the same
+    value.  A mode whose rows miss either probe has r_m^y = 0 or r_m^y2 = 0
+    and is skipped.  Modes are added in ascending m.
 
     pre: t large enough that the spectral cutoff is invisible -- the estimated
     cutoff remainder of Tr e^{-t Delta} must stay below 1e-6 of the trace
     itself (raises otherwise, naming the smallest usable t).
     """
-    _require_vectors(sys)
+    if y2 is None:
+        y2 = y
+    probes, col_y, col_y2 = _probe_columns(sys, y, y2)
     if t <= 0:
         raise ValueError("t must be positive")
-    nodes = sys.grid.nodes
-    s_y, th_y = y
-    if y2 is None:
-        s_y2, th_y2 = s_y, th_y
-    else:
-        s_y2, th_y2 = y2
     tail = float(heat_trace_tail_bound(sys.profile.area, sys.lambda_cut, t))
     trace = heat_trace(sys, t)
     tail_fraction = 2.0 * tail / trace
@@ -489,26 +490,12 @@ def offdiag_l2_integral(sys: Eigensystem, t: float, *, y, y2=None) -> OffdiagRes
             f"t={t} too small for the cutoff {sys.lambda_cut}: kernel tail fraction "
             f"{tail_fraction:.3e} > 1e-6 (smallest usable t ~ {t_min:.4g})"
         )
-    i_y, i_y2 = _snap(sys, s_y), _snap(sys, s_y2)
-
-    h = sys.grid.h
-    cell = np.full(len(nodes), h)
-    cell[0] = cell[-1] = h / 2.0
-    radial_weights = sys.profile.weight(nodes) * cell
-
-    dth = th_y - th_y2
+    dth = y[1] - y2[1]
     value = 0.0
-    for m in sorted(sys.mode_eigenvalues):
-        lam = sys.mode_eigenvalues[m]
-        lo, hi = sys.rows[m]
-        if len(lam) == 0 or not (lo <= i_y < hi and lo <= i_y2 < hi):
-            continue
-        U = sys.vectors[m]
-        decay = np.exp(-lam * t)
-        r_y = U @ (decay * U[i_y - lo, :])
-        r_y2 = U @ (decay * U[i_y2 - lo, :])
-        value += _angular_factor(m, dth) * float(np.dot(radial_weights[lo:hi], r_y * r_y2))
-    return OffdiagResult(
-        value=value,
-        pair_distance=line_distance(sys.profile, float(nodes[i_y]), float(nodes[i_y2])),
-    )
+    for m in sorted(probes.modes):
+        kept = probes.modes[m]
+        decay = np.exp(-sys.mode_eigenvalues[m] * t)
+        p, p2, gram = decay * kept[col_y], decay * kept[col_y2], kept[2]
+        radial = 0.5 * (float(p @ gram @ p2) + float(p2 @ gram @ p))
+        value += _angular_factor(m, dth) * radial
+    return OffdiagResult(value=value, pair_distance=probes.distance if col_y != col_y2 else 0.0)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import pathlib
 import sys
 
+import numpy as np
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -23,6 +24,23 @@ from relspec.geometry import (  # noqa: E402
     build_weight,
     flat_cylinder,
 )
+
+
+def same_probes(one, other) -> bool:
+    """Two ``ProbeModes`` records (or None) with equal rows and distance and
+    bitwise equal kept arrays, dtype and shape included."""
+    if one is None or other is None:
+        return one is other
+
+    def same(x, y):
+        return x.dtype == y.dtype and x.shape == y.shape and np.array_equal(x, y)
+
+    return (
+        one.rows == other.rows
+        and one.distance == other.distance
+        and one.modes.keys() == other.modes.keys()
+        and all(same(x, y) for m in one.modes for x, y in zip(one.modes[m], other.modes[m]))
+    )
 
 
 @pytest.fixture(scope="session")

@@ -33,7 +33,7 @@ from relspec.discretize import (
 from relspec.geometry import build_weight, flat_cylinder
 from relspec.spectral import spectral_gap
 
-from conftest import funnel_cusp_spec, small_truncation
+from conftest import funnel_cusp_spec, same_probes, small_truncation
 
 
 # ----------------------------------------------------------------------------
@@ -176,9 +176,16 @@ def test_mode_cutoff_arithmetic():
     assert mode_cutoff(10.0, 2.5) == 6
 
 
+def _mode_one_max_weight(system):
+    """The largest weight on the rows of mode 1, which hold every mode
+    m >= 1: the weight of the Rayleigh bound."""
+    lo, hi = mode_rows(system.grid, 1)
+    return float(np.max(system.profile.weight(system.grid.nodes)[lo:hi]))
+
+
 def test_solve_modes_witness_mode_is_empty(flat_system):
     sys = flat_system
-    assert sys.m_max == mode_cutoff(sys.lambda_cut, sys.max_weight)
+    assert sys.m_max == mode_cutoff(sys.lambda_cut, _mode_one_max_weight(sys))
     assert len(sys.mode_eigenvalues[sys.m_max]) == 0
     # every retained eigenvalue respects the cutoff
     assert np.all(sys.eigenvalues_with_multiplicity() <= sys.lambda_cut)
@@ -421,9 +428,10 @@ def test_witness_is_the_rayleigh_bound_over_the_solved_rows(shipped_pair):
 def test_windowed_eigenvectors_are_mass_orthonormal_on_their_rows(small_pair):
     profile, _ = small_pair
     grid = make_grid(profile, 900)
-    system = solve_modes(profile, grid, 25.0, with_vectors=True)
+    system = solve_modes(profile, grid, 25.0, probes=(0.35, 0.9))
     assert system.rows == solve_modes(profile, grid, 25.0).rows
     assert system.rows[system.m_max] == mode_rows(grid, system.m_max)  # the witness
+    assert system.vectors is None
     w = profile.weight(grid.nodes)
     shortened = 0
     for m in range(system.m_max):
@@ -432,12 +440,15 @@ def test_windowed_eigenvectors_are_mass_orthonormal_on_their_rows(small_pair):
         shortened += (b - a) < carried[1] - carried[0]
         lo, hi = system.rows[m]
         assert (lo, hi) == (carried[0] + a, carried[0] + b)
-        vecs = system.vectors[m]
+        op = assemble_mode_operator(profile, m, grid, rows=(lo, hi))
+        vals, vecs = solve_mode(op, 25.0, with_vectors=True)
         assert vecs.shape == (hi - lo, len(system.mode_eigenvalues[m]))
-        mass = assemble_mode_operator(profile, m, grid, rows=(lo, hi)).mass
-        gram = vecs.T @ (mass[:, None] * vecs)
+        gram = vecs.T @ (op.mass[:, None] * vecs)
         assert np.all(np.abs(gram - np.eye(vecs.shape[1])) < 1e-8), m
-    assert shortened > 0
+        # the kept radial Gram is the same matrix, summed in row blocks
+        if m in system.probes.modes:
+            assert np.all(np.abs(system.probes.modes[m][2] - gram) < 1e-13), m
+    assert shortened > 0 and len(system.probes.modes) > 5
 
 
 def _full_row_window(weights, h, m2, lambda_cut):
@@ -571,10 +582,11 @@ def test_windows_and_pencils_of_every_queued_surface_match_the_full_row_referenc
     monkeypatch.setattr(discretize, "solve_mode", lambda op, cut, **kwargs: (op, None))
     windowed = 0
     for (profile, grid), lambda_cut in plan:
-        w, _, top, envelope = discretize._set_up(profile, grid, lambda_cut)
+        w, envelope, pending = discretize._set_up(profile, grid, lambda_cut, None)
+        top = len(pending.modes) - 1
         for m in range(top + 1):
             (lo, hi), op, _ = discretize._solve_one(
-                profile, grid, w, envelope, m, top, lambda_cut, False
+                profile, grid, w, envelope, m, top, lambda_cut, None
             )
             c_lo, c_hi = mode_rows(grid, m)
             a, b = 0, c_hi - c_lo
@@ -706,9 +718,10 @@ def test_scipy_lapack_fallback_is_bitwise_the_numpy_route(shipped_pair, monkeypa
     # routines: scipy.linalg.cython_lapack's, with C int integers.
     profile, _, grid, lambda_cut = shipped_pair
     on_numpy = solve_modes(profile, grid, lambda_cut)
-    for name, routine in zip(("_DSTEBZ", "_DSTEIN", "_LAPACK_INT"), discretize._scipy_lapack()):
+    names = ("_DSTEBZ", "_DSTEIN", "_LAPACK_INT", "_BLAS_THREADS")
+    for name, routine in zip(names, discretize._scipy_lapack(), strict=True):
         monkeypatch.setattr(discretize, name, routine)
-    assert discretize._LAPACK_INT is ctypes.c_int
+    assert discretize._LAPACK_INT is ctypes.c_int and discretize._BLAS_THREADS is None
     # The binding checks above, run through the fallback.
     test_lapack_binding_is_bitwise_scipy(shipped_pair)
     test_lapack_binding_reorders_split_blocks()
@@ -732,18 +745,44 @@ def test_solve_modes_is_bitwise_independent_of_the_thread_count(small_pair, monk
     try:
         for threads in (1, 2, 5):
             monkeypatch.setattr(discretize, "worker_count", lambda threads=threads: threads)
-            systems.append(solve_modes(profile, grid, 25.0, with_vectors=True))
+            systems.append(solve_modes(profile, grid, 25.0, probes=(0.35, 0.9)))
     finally:
         sys.setswitchinterval(interval)
     one = systems[0]
-    assert one.m_max > 5
+    assert one.m_max > 5 and len(one.probes.modes) > 5
     for other in systems[1:]:
-        assert other.m_max == one.m_max and other.max_weight == one.max_weight
+        assert other.m_max == one.m_max
+        assert other.m_max == mode_cutoff(25.0, _mode_one_max_weight(other))
         assert list(other.mode_eigenvalues) == list(range(one.m_max + 1))
         assert other.rows == one.rows
         for m in one.mode_eigenvalues:
             assert _same_array(one.mode_eigenvalues[m], other.mode_eigenvalues[m]), m
-            assert _same_array(one.vectors[m], other.vectors[m]), m
+        assert same_probes(one.probes, other.probes)
+
+
+@pytest.mark.skipif(
+    discretize._BLAS_THREADS is None, reason="numpy's LAPACK has no OpenBLAS thread count"
+)
+def test_probe_data_are_independent_of_the_blas_thread_count(small_pair):
+    # Above about 10,000 rows dstein's level-1 BLAS splits across OpenBLAS
+    # threads; a queue holds numpy's OpenBLAS at one thread while it runs,
+    # and gives the count back when it stops.
+    profile, _ = small_pair
+    grid = make_grid(profile, 12_000)
+    get_threads, set_threads = discretize._BLAS_THREADS
+    before = get_threads()
+    systems = []
+    try:
+        for preset in (1, 2):
+            set_threads(preset)
+            systems.append(solve_modes(profile, grid, 25.0, probes=(0.35, 0.9)))
+            assert get_threads() == preset
+    finally:
+        set_threads(before)
+    one, two = systems
+    assert grid.n >= 12_000 and one.rows[0][1] - one.rows[0][0] > 10_000
+    assert len(one.probes.modes[0][0]) > 1
+    assert same_probes(one.probes, two.probes)
 
 
 def test_a_failing_mode_solve_surfaces_unchanged(small_pair, monkeypatch):
@@ -773,27 +812,26 @@ def _queue_surfaces(small_pair):
     return [(profile_a, grid), (profile_b, grid), (profile_a, coarse)]
 
 
-@pytest.mark.parametrize("with_vectors", [False, True])
+@pytest.mark.parametrize("probes", [None, (0.35, 0.9)])
 def test_a_queue_solves_each_surface_bitwise_as_solve_modes_alone(
-    small_pair, monkeypatch, with_vectors
+    small_pair, monkeypatch, probes
 ):
     surfaces = _queue_surfaces(small_pair)
-    alone = [solve_modes(p, g, 25.0, with_vectors=with_vectors) for p, g in surfaces]
+    alone = [solve_modes(p, g, 25.0, probes=probes) for p, g in surfaces]
     for threads in (1, 2, 3):
         monkeypatch.setattr(discretize, "worker_count", lambda threads=threads: threads)
-        with ModeQueue(surfaces, 25.0, with_vectors=with_vectors) as queue:
+        with ModeQueue(surfaces, 25.0, probes=probes) as queue:
             together = [queue.result(i) for i in range(len(surfaces))]
         for one, other in zip(alone, together):
             assert other.grid is one.grid and other.profile is one.profile
-            assert other.m_max == one.m_max and other.max_weight == one.max_weight
+            assert other.m_max == one.m_max
+            assert other.m_max == mode_cutoff(25.0, _mode_one_max_weight(other))
             assert list(other.mode_eigenvalues) == list(range(one.m_max + 1))
             assert other.rows == one.rows
             for m in one.mode_eigenvalues:
                 assert _same_array(one.mode_eigenvalues[m], other.mode_eigenvalues[m]), m
-                if with_vectors:
-                    assert _same_array(one.vectors[m], other.vectors[m]), m
-                else:
-                    assert other.vectors is None
+            assert same_probes(one.probes, other.probes)
+            assert (other.probes is None) is (probes is None) and other.vectors is None
 
 
 def test_a_failing_surface_fails_alone_and_the_queue_joins_its_threads(

@@ -405,6 +405,17 @@ def test_relative_area_requires_matching_charts():
 # distances
 # ----------------------------------------------------------------------------
 
+def test_gauss_legendre_literals_are_bitwise_leggauss():
+    # The quadrature rule is written out so that importing relspec loads no
+    # numpy.polynomial; it must stay the rule that numpy computes.
+    from relspec import geometry
+
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    for literal, exact in ((geometry._GL_NODES, nodes), (geometry._GL_WEIGHTS, weights)):
+        assert literal.dtype == exact.dtype and literal.shape == exact.shape
+        assert np.array_equal(literal.view(np.int64), exact.view(np.int64))
+
+
 def test_line_distance_flat_is_coordinate_distance():
     flat = flat_cylinder()
     assert line_distance(flat, 0.5, 2.0) == pytest.approx(1.5, rel=1e-12)

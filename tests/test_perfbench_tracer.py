@@ -64,7 +64,7 @@ def test_tracer_spans_every_mode_solve_and_uninstalls_cleanly(small_pair):
         assert all(after[key] is value for key, value in before[name].items()), name
 
 
-def test_tracer_spans_every_mode_solve_of_a_vector_queue(small_pair):
+def test_tracer_spans_every_mode_solve_of_a_probe_queue(small_pair):
     # An off-diagonal check solves its two grids on one queue, outside
     # ``solve_modes``: the per-mode spans and the eigenvalue count still see
     # every mode of both surfaces.
@@ -76,14 +76,15 @@ def test_tracer_spans_every_mode_solve_of_a_vector_queue(small_pair):
     tracer = tracer_mod.Tracer()
     tracer.install()
     try:
-        with discretize.ModeQueue(surfaces, 25.0, with_vectors=True) as queue:
+        with discretize.ModeQueue(surfaces, 25.0, probes=(0.35, 0.9)) as queue:
             systems = [queue.result(i) for i in range(len(surfaces))]
     finally:
         tracer.uninstall()
 
     names = [span[2] for span in tracer.spans]
     modes = sum(system.m_max + 1 for system in systems)
-    assert all(system.m_max > 5 and system.vectors is not None for system in systems)
+    assert all(system.m_max > 5 and system.probes.modes for system in systems)
+    assert all(system.vectors is None for system in systems)
     assert names.count("discretize.solve_mode") == modes
     assert names.count("discretize.assemble_mode_operator") == modes
     assert names.count("discretize.solve_modes") == 0

@@ -1,17 +1,28 @@
 """Heat traces, relative traces, and off-diagonal kernel integrals."""
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from relspec.discretize import Eigensystem, Grid, make_grid, solve_modes
-from relspec.geometry import BumpSpec, build_weight, flat_cylinder
+from relspec import discretize
+from relspec.cli import OFFDIAG_TIMES, ScenarioConfig, _offdiag_surfaces
+from relspec.discretize import (
+    Grid,
+    ModeQueue,
+    assemble_mode_operator,
+    make_grid,
+    solve_mode,
+    solve_modes,
+)
+from relspec.geometry import BumpSpec, build_weight, flat_cylinder, line_distance
 from relspec.spectral import (
     PairedSpectrum,
     TraceSeries,
+    _angular_factor,
     _exp1,
     default_time_grid,
     heat_trace,
@@ -23,18 +34,30 @@ from relspec.spectral import (
     spectral_gap,
 )
 
-from conftest import funnel_cusp_spec, small_truncation
+from conftest import funnel_cusp_spec, same_probes, small_truncation
 
 
 @pytest.fixture(scope="module")
-def vector_system():
-    """Small funnel+cusp surface solved with eigenvectors retained."""
+def probe_system():
+    """The small funnel+cusp surface solved with probes at two given radii:
+    probe_system(s_y, s_y2) is its Eigensystem."""
     prof = build_weight(
         funnel_cusp_spec(BumpSpec(center=0.35, radius=0.09, amplitude=0.3)),
         truncation=small_truncation(),
     )
     grid = make_grid(prof, 800)
-    return solve_modes(prof, grid, 25.0, with_vectors=True)
+
+    @functools.lru_cache(maxsize=None)
+    def solve(s_y, s_y2):
+        return solve_modes(prof, grid, 25.0, probes=(s_y, s_y2))
+
+    return solve
+
+
+@pytest.fixture(scope="module")
+def small_vectors(probe_system):
+    """Every mode's eigenvectors of the small surface, on its solved rows."""
+    return _full_vectors(probe_system(0.35, 0.9))
 
 
 # ----------------------------------------------------------------------------
@@ -229,51 +252,107 @@ def test_finite_spectra_series():
 # pointwise kernels and off-diagonal integrals
 # ----------------------------------------------------------------------------
 
-def test_full_chart_offdiag_integral_is_semigroup_product(vector_system):
+def _full_vectors(sys):
+    """Each mode's mass-normalised eigenvectors on its solved rows, from
+    ``solve_mode`` with vectors on the pencil the system solved."""
+    w = sys.profile.weight(sys.grid.nodes)
+    vectors = {}
+    for m, rows in sys.rows.items():
+        op = assemble_mode_operator(sys.profile, m, sys.grid, weights=w, rows=rows)
+        vals, vectors[m] = solve_mode(op, sys.lambda_cut, with_vectors=True)
+        assert np.array_equal(vals, sys.mode_eigenvalues[m]), m
+    return vectors
+
+
+def _padded(sys, vectors, m):
+    """Mode m's eigenvectors zero-padded from its solved rows to the grid."""
+    lo, hi = sys.rows[m]
+    full = np.zeros((sys.grid.n, vectors[m].shape[1]))
+    full[lo:hi] = vectors[m]
+    return full
+
+
+def _rows(sys, y, y2):
+    nodes = sys.grid.nodes
+    return int(np.argmin(np.abs(nodes - y[0]))), int(np.argmin(np.abs(nodes - y2[0])))
+
+
+def _radial_weights(sys):
+    nodes = sys.grid.nodes
+    cell = np.full(len(nodes), sys.grid.h)
+    cell[0] = cell[-1] = sys.grid.h / 2.0
+    return sys.profile.weight(nodes) * cell
+
+
+def _reference_kernel(sys, vectors, t, y, y2):
+    """K(t, y, y2) from zero-padded eigenvectors on the whole grid."""
+    i_y, i_y2 = _rows(sys, y, y2)
+    total = 0.0
+    for m in sorted(sys.mode_eigenvalues):
+        lam = sys.mode_eigenvalues[m]
+        if len(lam) == 0:
+            continue
+        U = _padded(sys, vectors, m)
+        radial = float(np.dot(np.exp(-lam * t), U[i_y, :] * U[i_y2, :]))
+        total += _angular_factor(m, y[1] - y2[1]) * radial
+    return total
+
+
+def _reference_offdiag(sys, vectors, t, y, y2):
+    """I(t) as the radial sum of the two kernel columns built from the full
+    eigenvectors, sum_m c_m sum_i rw_i r_m^y(s_i) r_m^y2(s_i), zero-padded
+    to the whole grid."""
+    i_y, i_y2 = _rows(sys, y, y2)
+    rw = _radial_weights(sys)
+    value = 0.0
+    for m in sorted(sys.mode_eigenvalues):
+        lam = sys.mode_eigenvalues[m]
+        if len(lam) == 0:
+            continue
+        U = _padded(sys, vectors, m)
+        decay = np.exp(-lam * t)
+        r_y = U @ (decay * U[i_y, :])
+        r_y2 = U @ (decay * U[i_y2, :])
+        value += _angular_factor(m, y[1] - y2[1]) * float(np.dot(rw, r_y * r_y2))
+    return value
+
+
+def test_full_chart_offdiag_integral_is_semigroup_product(probe_system):
     # int K(t,x,y) K(t,x,y2) dA(x) over the whole surface = K(2t, y, y2):
     # discrete mass-orthonormality makes this exact up to round-off, which is
     # a strong joint test of eigenvectors, quadrature cells and angular sums.
     y = (0.35, 0.0)
     y2 = (0.9, 1.3)
-    res = offdiag_l2_integral(vector_system, 1.0, y=y, y2=y2)
-    expected = kernel_value(vector_system, 2.0, y, y2)
+    sys = probe_system(y[0], y2[0])
+    res = offdiag_l2_integral(sys, 1.0, y=y, y2=y2)
+    expected = kernel_value(sys, 2.0, y, y2)
     assert res.value == pytest.approx(expected, rel=1e-10)
     assert res.pair_distance > 0.0
 
 
-def test_kernel_value_symmetry(vector_system):
+def test_kernel_value_symmetry(probe_system):
     y = (0.3, 0.2)
     y2 = (1.7, 2.5)
-    k12 = kernel_value(vector_system, 1.5, y, y2)
-    k21 = kernel_value(vector_system, 1.5, y2, y)
+    sys = probe_system(y[0], y2[0])
+    k12 = kernel_value(sys, 1.5, y, y2)
+    k21 = kernel_value(sys, 1.5, y2, y)
     assert k12 == pytest.approx(k21, rel=1e-13)
     # on-diagonal values are positive
-    assert kernel_value(vector_system, 1.0, y) > 0.0
+    assert kernel_value(sys, 1.0, y) > 0.0
+    assert kernel_value(sys, 1.0, y2) > 0.0
 
 
-def _padded(sys, m):
-    """Mode m's eigenvectors zero-padded from its solved rows to the grid."""
-    lo, hi = sys.rows[m]
-    full = np.zeros((sys.grid.n, sys.vectors[m].shape[1]))
-    full[lo:hi] = sys.vectors[m]
-    return full
-
-
-def _trapezoid_offdiag(sys, t, y, y2, n_theta):
+def _trapezoid_offdiag(sys, vectors, t, y, y2, n_theta):
     """Brute-force reference: both kernel columns sampled on an n_theta-point
     angular grid and multiplied pointwise before integrating."""
-    nodes = sys.grid.nodes
-    i_y = int(np.argmin(np.abs(nodes - y[0])))
-    i_y2 = int(np.argmin(np.abs(nodes - y2[0])))
-    cell = np.full(len(nodes), sys.grid.h)
-    cell[0] = cell[-1] = sys.grid.h / 2.0
+    i_y, i_y2 = _rows(sys, y, y2)
     theta = np.arange(n_theta) * (2.0 * math.pi / n_theta)
-    field_a = np.zeros((len(nodes), n_theta))
-    field_b = np.zeros((len(nodes), n_theta))
+    field_a = np.zeros((sys.grid.n, n_theta))
+    field_b = np.zeros((sys.grid.n, n_theta))
     for m, lam in sys.mode_eigenvalues.items():
         if len(lam) == 0:
             continue
-        U = _padded(sys, m)
+        U = _padded(sys, vectors, m)
         decay = np.exp(-lam * t)
         col_a = U @ (decay * U[i_y, :])
         col_b = U @ (decay * U[i_y2, :])
@@ -285,68 +364,142 @@ def _trapezoid_offdiag(sys, t, y, y2, n_theta):
             ang_b = np.cos(m * (theta - y2[1])) / math.pi
         field_a += np.outer(col_a, ang_a)
         field_b += np.outer(col_b, ang_b)
-    weights = sys.profile.weight(nodes) * cell
-    return float((weights @ (field_a * field_b)).sum() * (2.0 * math.pi / n_theta))
+    return float((_radial_weights(sys) @ (field_a * field_b)).sum() * (2.0 * math.pi / n_theta))
 
 
 @pytest.mark.parametrize("n_theta", ["minimal", 256])
-def test_offdiag_integral_matches_trapezoid_reference(vector_system, n_theta):
+def test_offdiag_integral_matches_trapezoid_reference(probe_system, small_vectors, n_theta):
     # The closed-form angular sum against the sampled product of the two
     # kernel columns; the trapezoid rule is exact from 2 m_max + 1 points on.
-    if n_theta == "minimal":
-        n_theta = 2 * vector_system.m_max + 1
     y = (2.4, 0.7)
     y2 = (3.1, 2.3)
-    res = offdiag_l2_integral(vector_system, 1.0, y=y, y2=y2)
-    expected = _trapezoid_offdiag(vector_system, 1.0, y, y2, n_theta)
+    sys = probe_system(y[0], y2[0])
+    if n_theta == "minimal":
+        n_theta = 2 * sys.m_max + 1
+    res = offdiag_l2_integral(sys, 1.0, y=y, y2=y2)
+    expected = _trapezoid_offdiag(sys, small_vectors, 1.0, y, y2, n_theta)
     assert res.value == pytest.approx(expected, rel=1e-12)
 
 
 @pytest.mark.parametrize(
     "y, y2", [((1.5, 0.4), (0.3, 1.1)), ((4.0, 0.2), (5.5, 2.0)), ((1.5, 0.4), None)]
 )
-def test_probes_outside_a_modes_rows_match_zero_padded_vectors(vector_system, y, y2):
+def test_probes_outside_a_modes_rows_match_zero_padded_vectors(
+    probe_system, small_vectors, y, y2
+):
     # Probe circles in the cusp lie outside the rows of the high modes, which
-    # are evanescent there; the system read on the full grid, its vectors
-    # zero-padded, is the reference.
-    sys = vector_system
-    i_y = int(np.argmin(np.abs(sys.grid.nodes - y[0])))
+    # are evanescent there; the full eigenvectors zero-padded to the grid are
+    # the reference, and a mode that misses a probe keeps no entry.
+    sys = probe_system(y[0], (y if y2 is None else y2)[0])
+    i_y = _rows(sys, y, y)[0]
     inside = [lo <= i_y < hi for m, (lo, hi) in sys.rows.items() if len(sys.mode_eigenvalues[m])]
     assert any(inside) and not all(inside)
-    padded = replace(
-        sys,
-        rows={m: (0, sys.grid.n) for m in sys.rows},
-        vectors={m: _padded(sys, m) for m in sys.vectors},
-    )
+    assert len(sys.probes.modes) < len(inside)
+    pair = y if y2 is None else y2
+    ends = [float(sys.grid.nodes[i]) for i in _rows(sys, y, pair)]
+    want_distance = line_distance(sys.profile, *ends)
     for t in (1.0, 2.0):
-        assert kernel_value(sys, t, y, y2) == kernel_value(padded, t, y, y2)
+        assert kernel_value(sys, t, y, y2) == _reference_kernel(sys, small_vectors, t, y, pair)
         got = offdiag_l2_integral(sys, t, y=y, y2=y2)
-        want = offdiag_l2_integral(padded, t, y=y, y2=y2)
-        assert got.value == pytest.approx(want.value, rel=1e-13, abs=0.0)
-        assert got.pair_distance == want.pair_distance
+        want = _reference_offdiag(sys, small_vectors, t, y, pair)
+        assert got.value == pytest.approx(want, rel=1e-13, abs=0.0)
+        assert got.pair_distance == want_distance
 
 
 @pytest.mark.parametrize("y, y2", [((0.35, 0.0), (0.9, 1.3)), ((0.5, 1.0), (0.9, -0.3))])
-def test_offdiag_integral_swap_is_bitwise(vector_system, y, y2):
+def test_offdiag_integral_swap_is_bitwise(probe_system, y, y2):
+    sys = probe_system(y[0], y2[0])
     for t in (1.0, 1.5):
-        forward = offdiag_l2_integral(vector_system, t, y=y, y2=y2)
-        backward = offdiag_l2_integral(vector_system, t, y=y2, y2=y)
+        forward = offdiag_l2_integral(sys, t, y=y, y2=y2)
+        backward = offdiag_l2_integral(sys, t, y=y2, y2=y)
         assert forward.value == backward.value
+        assert forward.pair_distance == backward.pair_distance
 
 
-def test_offdiag_preconditions(vector_system):
+def test_offdiag_preconditions(probe_system):
+    sys = probe_system(0.35, 0.9)
     with pytest.raises(ValueError, match="smallest usable t"):
-        offdiag_l2_integral(vector_system, 0.05, y=(0.35, 0.0))
+        offdiag_l2_integral(sys, 0.05, y=(0.35, 0.0))
     with pytest.raises(ValueError, match="t must be positive"):
-        offdiag_l2_integral(vector_system, 0.0, y=(0.35, 0.0))
+        offdiag_l2_integral(sys, 0.0, y=(0.35, 0.0))
     with pytest.raises(ValueError, match="outside the chart"):
-        kernel_value(vector_system, 1.0, (-3.0, 0.0))
+        kernel_value(sys, 1.0, (-3.0, 0.0))
+    with pytest.raises(ValueError, match="not to a probe row"):
+        kernel_value(sys, 1.0, (0.35, 0.0), (2.0, 0.0))
+    with pytest.raises(ValueError, match="not to a probe row"):
+        offdiag_l2_integral(sys, 1.0, y=(2.0, 0.0))
+    with pytest.raises(ValueError, match="outside the chart"):
+        solve_modes(sys.profile, sys.grid, 25.0, probes=(0.35, 7.0))
 
 
-def test_offdiag_requires_vectors(small_systems):
+def test_offdiag_requires_probes(small_systems):
     sys_a, _ = small_systems
-    with pytest.raises(ValueError, match="vectors"):
+    assert sys_a.probes is None and sys_a.vectors is None
+    with pytest.raises(ValueError, match="probes"):
         offdiag_l2_integral(sys_a, 1.0, y=(0.35, 0.0))
+    with pytest.raises(ValueError, match="probes"):
+        kernel_value(sys_a, 1.0, (0.35, 0.0))
+
+
+# The reduced form on both grids of the shipped off-diagonal check.
+
+@pytest.fixture(scope="module")
+def offdiag_grids(configs_dir):
+    """The shipped off-diagonal check's two surfaces, each as (points,
+    system with probes, full eigenvectors on its solved rows)."""
+    cfg = ScenarioConfig.from_json(configs_dir / "offdiag.json")
+    num = cfg.numerics
+    y, y2 = num.offdiag_points
+    out = []
+    for profile, grid in _offdiag_surfaces(cfg.member("surface_a"), num):
+        sys = solve_modes(profile, grid, num.lambda_cut, probes=(y[0], y2[0]))
+        out.append(((y, y2), sys, _full_vectors(sys)))
+    return out
+
+
+def test_kept_probe_rows_are_bitwise_the_full_eigenvectors(offdiag_grids):
+    for (y, y2), sys, vectors in offdiag_grids:
+        probes = sys.probes
+        i, i2 = probes.rows
+        assert probes.rows == _rows(sys, y, y2)
+        assert probes.distance == line_distance(
+            sys.profile, float(sys.grid.nodes[i]), float(sys.grid.nodes[i2])
+        )
+        missed = 0
+        for m, (lo, hi) in sys.rows.items():
+            k = len(sys.mode_eigenvalues[m])
+            if not (k and lo <= i < hi and lo <= i2 < hi):
+                assert m not in probes.modes, m
+                missed += k > 0
+                continue
+            a, b, gram = probes.modes[m]
+            U = vectors[m]
+            assert np.array_equal(a, U[i - lo]) and np.array_equal(b, U[i2 - lo]), m
+            # no kept array has more than k rows
+            assert a.shape == b.shape == (k,) and gram.shape == (k, k), m
+            # the Gram matrix of a mass-orthonormal basis
+            assert np.max(np.abs(gram - np.eye(k))) < 1e-10, m
+        assert missed > 0 and len(probes.modes) > 5
+
+
+def test_offdiag_integral_is_the_full_vector_radial_sum(offdiag_grids):
+    for (y, y2), sys, vectors in offdiag_grids:
+        for t in OFFDIAG_TIMES:
+            got = offdiag_l2_integral(sys, t, y=y, y2=y2)
+            want = _reference_offdiag(sys, vectors, t, y, y2)
+            assert got.value == pytest.approx(want, rel=1e-13, abs=0.0), (sys.grid.n, t)
+            assert offdiag_l2_integral(sys, t, y=y2, y2=y).value == got.value
+            assert kernel_value(sys, t, y, y2) == _reference_kernel(sys, vectors, t, y, y2)
+
+
+def test_probe_data_are_independent_of_the_thread_count(offdiag_grids, monkeypatch):
+    surfaces = [(sys.profile, sys.grid) for _, sys, _ in offdiag_grids]
+    (y, y2), _, _ = offdiag_grids[0]
+    for threads in (1, 3):
+        monkeypatch.setattr(discretize, "worker_count", lambda threads=threads: threads)
+        with ModeQueue(surfaces, offdiag_grids[0][1].lambda_cut, probes=(y[0], y2[0])) as queue:
+            for i, (_, sys, _) in enumerate(offdiag_grids):
+                assert same_probes(queue.result(i).probes, sys.probes), (threads, i)
 
 
 # ----------------------------------------------------------------------------
