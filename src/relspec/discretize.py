@@ -37,7 +37,12 @@ A mode's set-up costs O(window), not O(N): each surface keeps one running
 maximum of lambda_cut * w from its last row backwards, on which one
 ``searchsorted`` finds a mode's last allowed row; the Agmon sum then runs
 from the mode's first row only until it passes the right margin, and the
-pencil is assembled on the window's rows alone.
+pencil is assembled on the window's rows alone.  Each surface also keeps one
+``PencilBase``, built (and its weight checked) once: the full-cell masses
+w h and the off-diagonal between every two rows, on the whole grid and
+read-only.  A mode's pencil takes views of its rows and computes only its
+diagonal, (2/h + m^2 h) / mass; a range that reaches a Neumann grid end
+copies them and patches the half-cell row.
 
 The eigensolves call LAPACK ``dstebz`` (bisection) and ``dstein`` (inverse
 iteration) through ``ctypes.CFUNCTYPE``, which releases the GIL while
@@ -50,13 +55,17 @@ handle of numpy's ``linalg`` extension finds them without opening a second
 library.  Where numpy's LAPACK does not export them (numpy built on MKL,
 Accelerate or a system BLAS), they come from the function pointers that
 ``scipy.linalg.cython_lapack`` exports, with C ``int`` integers; only that
-fallback imports scipy.
+fallback imports scipy.  A call runs on a ``_Workspace``: the buffers LAPACK
+writes, its ctypes scalars and the argument tuples of their addresses,
+made once and reused, so a call sets n, vl and vu, passes the addresses of
+d and e, and copies the eigenvalues out.
 
 Those threads are a ``ModeQueue``: a pool of ``worker_count()`` threads
 that takes the (surface, m) tasks of a whole list of surfaces first in,
 first out (the surfaces in list order, ascending m within each), with no
 barrier between surfaces; a surface's modes are merged in m order when its
-result is taken.  ``solve_modes`` is its one-surface case.  Every mode's
+result is taken.  Each thread runs its values-only solves on its own
+workspace, which lives as long as the thread.  ``solve_modes`` is its one-surface case.  Every mode's
 result is independent of the thread that solved it, and the queue holds
 numpy's OpenBLAS at one thread while it runs: ``dstein``'s level-1 BLAS
 splits long vectors across OpenBLAS threads, which would make eigenvectors
@@ -84,12 +93,14 @@ from .geometry import MetricProfile, line_distance
 
 __all__ = [
     "Grid",
+    "PencilBase",
     "ModeOperator",
     "Eigensystem",
     "ProbeModes",
     "make_grid",
     "nearest_row",
     "mode_rows",
+    "pencil_base",
     "assemble_mode_operator",
     "agmon_window",
     "solve_mode",
@@ -172,11 +183,53 @@ def mode_rows(grid: Grid, m: int) -> tuple[int, int]:
     return (0 if keep_left else 1), (grid.n if keep_right else grid.n - 1)
 
 
+@dataclass(frozen=True, eq=False)
+class PencilBase:
+    """The parts of a surface's pencils that no mode changes, on the whole
+    grid, built once by ``pencil_base`` and shared read-only by every mode.
+
+    ``mass`` = w h is each row's lumped mass with a full cell, and ``e`` the
+    off-diagonal (-1/h) / sqrt(mass_i mass_{i+1}) between rows i and i + 1.
+    A row at a Neumann grid end has a half cell instead: ``ends`` holds, for
+    the first and the last row, the half-cell mass w h / 2 and the
+    off-diagonal beside it, which a range reaching that end takes in place
+    of the full-cell entries.
+    """
+
+    grid: Grid
+    h: float
+    mass: np.ndarray = field(repr=False)
+    e: np.ndarray = field(repr=False)
+    ends: tuple[tuple[float, float], tuple[float, float]]
+
+
+def pencil_base(grid: Grid, weights: np.ndarray) -> PencilBase:
+    """The ``PencilBase`` of the weight ``weights``, sampled on
+    ``grid.nodes``, which must be positive and finite there."""
+    w = np.asarray(weights)
+    if w.shape != grid.nodes.shape:
+        raise ValueError("weights must be sampled on the grid nodes")
+    if not (w.min() > 0.0 and w.max() < math.inf):  # a NaN fails the first test
+        raise ValueError("weight must be positive and finite on the grid")
+    h = grid.h
+    mass = w * h
+    e = (-1.0 / h) / np.sqrt(mass[:-1] * mass[1:])
+    first, last = float(w[0] * (h / 2.0)), float(w[-1] * (h / 2.0))
+    ends = (
+        (first, (-1.0 / h) / math.sqrt(first * mass[1])),
+        (last, (-1.0 / h) / math.sqrt(mass[-2] * last)),
+    )
+    mass.setflags(write=False)
+    e.setflags(write=False)
+    return PencilBase(grid=grid, h=h, mass=mass, e=e, ends=ends)
+
+
 @dataclass(frozen=True)
 class ModeOperator:
     """Mode m's pencil on grid rows [lo, hi): the lumped ``mass`` and the
     symmetric tridiagonal (d, e) that the congruence by mass^{-1/2} turns
-    the stiffness into."""
+    the stiffness into.  ``mass`` and ``e`` may be read-only views of the
+    surface's ``PencilBase``."""
 
     grid: Grid
     m: int
@@ -195,6 +248,7 @@ def assemble_mode_operator(
     m2_value: float | None = None,
     weights: np.ndarray | None = None,
     rows: tuple[int, int] | None = None,
+    base: PencilBase | None = None,
 ) -> ModeOperator:
     """Assemble the pencil for mode m on grid rows ``rows`` = (lo, hi),
     ``mode_rows(grid, m)`` by default; a narrower range is cut by Dirichlet
@@ -203,35 +257,44 @@ def assemble_mode_operator(
     ``m2_value`` replaces the exact angular symbol m^2 (used for
     discretization-matched comparisons against 2D stencils, where the
     five-point angular symbol (4/h^2) sin^2(m h / 2) is substituted).
-    ``weights`` is the profile's weight already sampled on ``grid.nodes``;
-    callers assembling many modes of one surface pass it to sample once.
-    The weight must be positive and finite on the assembled rows; the
-    solvers check it on the whole grid once per surface.
+    ``base`` is the surface's ``pencil_base`` on ``grid``; callers
+    assembling many modes of one surface build it once and pass it.
+    Without it, one is built here from ``weights`` (the profile's weight
+    already sampled on ``grid.nodes``) or, without those, from the
+    profile's weight; either way the weight must be positive and finite on
+    the whole grid.
+
+    Only the diagonal depends on the mode: d = (2/h + m^2 h) / mass on
+    interior rows.  ``mass`` and ``e`` are views of the base's rows, except
+    where the range reaches a Neumann grid end, whose row has a half cell
+    and one neighbour: there they are copies with that row's mass and the
+    off-diagonal beside it patched, and d there is (1/h + m^2 h / 2) / mass.
     """
     carried = mode_rows(grid, m)
     lo, hi = carried if rows is None else rows
     if not carried[0] <= lo < hi <= carried[1]:
         raise ValueError(f"rows [{lo}, {hi}) must lie within mode {m}'s rows {carried}")
-    h = grid.h
-    w = profile.weight(grid.nodes) if weights is None else weights
-    if w.shape != grid.nodes.shape:
-        raise ValueError("weights must be sampled on the grid nodes")
-    w = w[lo:hi]
-    if not (w.min() > 0.0 and w.max() < math.inf):  # a NaN fails the first test
-        raise ValueError(f"weight must be positive and finite on rows [{lo}, {hi})")
+    if base is None:
+        base = pencil_base(grid, profile.weight(grid.nodes) if weights is None else weights)
+    elif weights is not None:
+        raise ValueError("pass weights or base, not both")
+    elif base.grid is not grid:
+        raise ValueError("base must be built on grid")
+    h = base.h
     m2 = float(m * m) if m2_value is None else float(m2_value)
-    # Interior rows have a cell h and the stencil (-1, 2, -1)/h; a row at a
-    # Neumann grid end has a half cell and one neighbour, and is patched.
-    mass = w * h
-    d = (2.0 / h + m2 * h) / mass
-    end_row = 1.0 / h + m2 * (h / 2.0)
-    if lo == 0:
-        mass[0] = w[0] * (h / 2.0)
-        d[0] = end_row / mass[0]
-    if hi == grid.n:
-        mass[-1] = w[-1] * (h / 2.0)
-        d[-1] = end_row / mass[-1]
-    e = (-1.0 / h) / np.sqrt(mass[:-1] * mass[1:])
+    mass, e = base.mass[lo:hi], base.e[lo : hi - 1]
+    d = np.divide(2.0 / h + m2 * h, mass)
+    n = len(base.mass)
+    if lo == 0 or hi == n:
+        end_row = 1.0 / h + m2 * (h / 2.0)
+        mass, e = mass.copy(), e.copy()
+        for at, reached in ((0, lo == 0), (-1, hi == n)):
+            if reached:
+                half, beside = base.ends[at]
+                mass[at] = half
+                d[at] = end_row / half
+                if len(e):
+                    e[at] = beside
     return ModeOperator(grid=grid, m=m, lo=lo, hi=hi, d=d, e=e, mass=mass)
 
 
@@ -365,8 +428,61 @@ def _scipy_lapack() -> tuple:
 _DSTEBZ, _DSTEIN, _LAPACK_INT, _BLAS_THREADS = _numpy_lapack() or _scipy_lapack()
 
 
+class _Workspace:
+    """One thread's LAPACK buffers and arguments for tridiagonal problems
+    of up to ``rows`` rows, reused call after call.
+
+    It holds ``dstebz``'s outputs ``w``, ``iblock`` and ``isplit``, the
+    ``work`` and ``iwork`` arrays both routines share, and the ctypes
+    scalars, all with the LAPACK integer type bound when it was made.  The
+    argument tuples hold the addresses of all of them, so a call sets only
+    n, vl and vu and passes the addresses of d and e.  ``fit(n)`` grows the
+    buffers for a larger problem.  A workspace is not shared between
+    threads.
+    """
+
+    def __init__(self, rows: int):
+        c_int, c_double = _LAPACK_INT, ctypes.c_double
+        self.int_type = np.dtype(c_int)
+        self.n, self.found, self.info = c_int(), c_int(), c_int()
+        self.vl, self.vu = c_double(), c_double()
+        # il, iu (unused with RANGE='V'), the split count and ABSTOL = 0
+        self._fixed = (c_int(1), c_int(1), c_int(), c_double(0.0))
+        self.rows = 0
+        self.fit(rows)
+
+    def fit(self, rows: int) -> "_Workspace":
+        """This workspace, its buffers grown to hold ``rows`` rows."""
+        if rows <= self.rows:
+            return self
+        int_type, at = self.int_type, ctypes.addressof
+        self.rows = rows
+        self.w = np.empty(rows)
+        self.iblock = np.empty(rows, dtype=int_type)
+        self.isplit = np.empty(rows, dtype=int_type)
+        self.work = np.empty(5 * rows)  # dstebz needs 4n, dstein 5n
+        self.iwork = np.empty(3 * rows, dtype=int_type)  # dstebz needs 3n, dstein n
+        il, iu, n_split, abstol = self._fixed
+        self.n_address, self.info_address = n, info = at(self.n), at(self.info)
+        found = at(self.found)
+        buffers = (self.w, self.iblock, self.isplit, self.work, self.iwork)
+        w, iblock, isplit, work, iwork = (a.ctypes.data for a in buffers)
+        # dstebz's arguments N to ABSTOL (before D and E) and M to INFO
+        self.stebz_head = (n, at(self.vl), at(self.vu), at(il), at(iu), at(abstol))
+        self.stebz_tail = (found, at(n_split), w, iblock, isplit, work, iwork, info)
+        # dstein's arguments M to ISPLIT (between E and Z) and LDZ to IWORK
+        self.stein_middle = (found, w, iblock, isplit)
+        self.stein_tail = (n, work, iwork)
+        return self
+
+
 def _eigh_tridiagonal(
-    d: np.ndarray, e: np.ndarray, lo: float, hi: float, with_vectors: bool
+    d: np.ndarray,
+    e: np.ndarray,
+    lo: float,
+    hi: float,
+    with_vectors: bool,
+    workspace: _Workspace | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Eigenvalues in (lo, hi] of the symmetric tridiagonal matrix with
     diagonal ``d`` and off-diagonal ``e``, ascending, and (``with_vectors``)
@@ -378,8 +494,11 @@ def _eigh_tridiagonal(
     ABSTOL=0 (eps * ||T||_1), ORDER='E' for values only; ORDER='B', then
     ``dstein`` inverse iteration and a reorder to ascending values for
     vectors.  Values that come back strictly ascending (always so for one
-    block) need no reorder, and ``dstein``'s own buffer is returned.  Every
-    buffer LAPACK sees is held by a local name until it returns.
+    block) need no reorder, and ``dstein``'s own buffer is returned.
+
+    LAPACK runs on ``workspace`` (grown to fit), or on a one-shot one
+    without it; d and e are read where they are, and the returned arrays
+    never alias the workspace.
     """
     d = np.ascontiguousarray(np.asarray_chkfinite(d), dtype=np.float64)
     e = np.ascontiguousarray(np.asarray_chkfinite(e), dtype=np.float64)
@@ -390,33 +509,24 @@ def _eigh_tridiagonal(
         if lo < d[0] <= hi:
             return np.array([d[0]]), (np.array([[1.0]]) if with_vectors else None)
         return np.array([]), (np.empty((1, 0)) if with_vectors else None)
-    c_int, c_double, ref = _LAPACK_INT, ctypes.c_double, ctypes.byref
-    n_rows, il, iu, found, n_split, info = c_int(n), c_int(1), c_int(1), c_int(), c_int(), c_int()
-    vl, vu, abstol = c_double(lo), c_double(hi), c_double(0.0)
-    w = np.empty(n)
-    iblock = np.empty(n, dtype=c_int)
-    isplit = np.empty(n, dtype=c_int)
-    work = np.empty(5 * n)  # dstebz needs 4n, dstein 5n
-    iwork = np.empty(3 * n, dtype=c_int)  # dstebz needs 3n, dstein n
-    _DSTEBZ(
-        b"V", b"B" if with_vectors else b"E", ref(n_rows), ref(vl), ref(vu), ref(il), ref(iu),
-        ref(abstol), d.ctypes.data, e.ctypes.data, ref(found), ref(n_split), w.ctypes.data,
-        iblock.ctypes.data, isplit.ctypes.data, work.ctypes.data, iwork.ctypes.data, ref(info),
-    )
-    if info.value != 0:
-        raise LinAlgError(f"dstebz failed (LAPACK info={info.value})")
-    vals = w[: found.value]
+    ws = _Workspace(n) if workspace is None else workspace.fit(n)
+    ws.n.value, ws.vl.value, ws.vu.value = n, lo, hi
+    d_address, e_address = d.ctypes.data, e.ctypes.data
+    job = b"B" if with_vectors else b"E"  # ORDER: by block (for dstein) or entire matrix
+    _DSTEBZ(b"V", job, *ws.stebz_head, d_address, e_address, *ws.stebz_tail)
+    if ws.info.value != 0:
+        raise LinAlgError(f"dstebz failed (LAPACK info={ws.info.value})")
+    vals = ws.w[: ws.found.value]
     if not with_vectors:
-        return vals.copy(), None  # a kept spectrum need not hold the n-row buffer
-    z = np.empty((n, found.value), order="F")
-    ifail = np.empty(found.value, dtype=c_int)
+        return vals.copy(), None
+    z = np.empty((n, len(vals)), order="F")
+    ifail = np.empty(len(vals), dtype=ws.int_type)
     _DSTEIN(
-        ref(n_rows), d.ctypes.data, e.ctypes.data, ref(found), vals.ctypes.data,
-        iblock.ctypes.data, isplit.ctypes.data, z.ctypes.data, ref(n_rows), work.ctypes.data,
-        iwork.ctypes.data, ifail.ctypes.data, ref(info),
+        ws.n_address, d_address, e_address, *ws.stein_middle, z.ctypes.data, *ws.stein_tail,
+        ifail.ctypes.data, ws.info_address,
     )
-    if info.value != 0:
-        raise LinAlgError(f"dstein: {info.value} eigenvectors failed to converge")
+    if ws.info.value != 0:
+        raise LinAlgError(f"dstein: {ws.info.value} eigenvectors failed to converge")
     if np.all(vals[1:] > vals[:-1]):  # one block, or blocks already in order
         return vals.copy(), z
     order = np.argsort(vals)
@@ -424,7 +534,11 @@ def _eigh_tridiagonal(
 
 
 def solve_mode(
-    op: ModeOperator, lambda_cut: float, *, with_vectors: bool = False
+    op: ModeOperator,
+    lambda_cut: float,
+    *,
+    with_vectors: bool = False,
+    workspace: _Workspace | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """All eigenvalues of the pencil in (KERNEL_FLOOR, lambda_cut], ascending.
 
@@ -434,8 +548,11 @@ def solve_mode(
     u_i^T M u_j = delta_ij, which the diagonal congruence gives for free
     from LAPACK's orthonormal vectors: those are scaled by mass^{-1/2} in
     place.
+
+    ``workspace`` is the calling thread's LAPACK workspace (a
+    ``ModeQueue`` worker's own); without it the solve makes a one-shot one.
     """
-    vals, vecs = _eigh_tridiagonal(op.d, op.e, KERNEL_FLOOR, lambda_cut, with_vectors)
+    vals, vecs = _eigh_tridiagonal(op.d, op.e, KERNEL_FLOOR, lambda_cut, with_vectors, workspace)
     if with_vectors:
         vecs /= np.sqrt(op.mass)[:, None]
     return vals, vecs
@@ -544,13 +661,13 @@ def check_resolution(weights: np.ndarray, h: float, lambda_cut: float) -> None:
 
 def _set_up(profile: MetricProfile, grid: Grid, lambda_cut: float, probes):
     """A surface's weight on the grid, the ``agmon_window`` envelope of its
-    modes m >= 1 and its ``_Pending`` (Rayleigh bound, witness mode, and
-    the grid rows nearest the ``probes`` radii with their distance), after
-    checking the weight, the grid's resolution capacity and the probes."""
+    modes m >= 1, its ``PencilBase`` and its ``_Pending`` (Rayleigh bound,
+    witness mode, and the grid rows nearest the ``probes`` radii with their
+    distance), after checking the weight (in ``pencil_base``), the grid's
+    resolution capacity and the probes."""
     w = profile.weight(grid.nodes)
-    if np.any(~np.isfinite(w)) or np.any(w <= 0.0):
-        raise ValueError("weight must be positive and finite on the grid")
-    check_resolution(w, grid.h, lambda_cut)
+    base = pencil_base(grid, w)
+    check_resolution(w, base.h, lambda_cut)
     probe_rows = distance = None
     if probes is not None:
         probe_rows = tuple(nearest_row(grid, s) for s in probes)
@@ -563,7 +680,7 @@ def _set_up(profile: MetricProfile, grid: Grid, lambda_cut: float, probes):
     max_weight = float(np.max(w[lo:hi]))
     top = mode_cutoff(lambda_cut, max_weight)
     pending = _Pending(max_weight, probe_rows, distance, [None] * (top + 1), top + 1)
-    return w, _envelope(w[lo:hi], lambda_cut), pending
+    return w, _envelope(w[lo:hi], lambda_cut), base, pending
 
 
 # Rows per block of a radial Gram sum: one weighted copy of a whole n x k
@@ -581,21 +698,30 @@ def _radial_gram(vecs: np.ndarray, mass: np.ndarray) -> np.ndarray:
     return gram
 
 
-def _solve_one(profile, grid, w, envelope, m, top, lambda_cut, probe_rows):
+def _solve_one(profile, base, w, envelope, m, top, lambda_cut, probe_rows, workspace):
     """Mode m on the ``agmon_window`` of its rows; the witness mode (m =
-    top) on all of them.  ``envelope`` is the one of the modes m >= 1, whose
-    rows are all the same; mode 0 (m^2 = 0) keeps its rows without reading
-    it.  Returns the solved rows, the eigenvalues and the mode's
-    ``ProbeModes`` entry: (a, b, gram) when the rows hold both
-    ``probe_rows``, else None.  Only such a mode is solved with
-    eigenvectors, and they are dropped on return."""
+    top) on all of them.  ``base`` is the surface's ``PencilBase`` and
+    ``w`` its weight on the grid; ``envelope`` is the one of the modes
+    m >= 1, whose rows are all the same; mode 0 (m^2 = 0) keeps its rows
+    without reading it.  A values-only solve runs LAPACK on ``workspace``,
+    the calling thread's.
+    Returns the solved rows, the eigenvalues and the mode's ``ProbeModes``
+    entry: (a, b, gram) when the rows hold both ``probe_rows``, else None.
+    Only such a mode is solved with eigenvectors, and they are dropped on
+    return."""
+    grid = base.grid
     lo, hi = mode_rows(grid, m)
     if m < top:
-        a, b = agmon_window(w[lo:hi], grid.h, float(m * m), lambda_cut, envelope=envelope)
+        a, b = agmon_window(w[lo:hi], base.h, float(m * m), lambda_cut, envelope=envelope)
         lo, hi = lo + a, lo + b
-    op = assemble_mode_operator(profile, m, grid, weights=w, rows=(lo, hi))
+    op = assemble_mode_operator(profile, m, grid, rows=(lo, hi), base=base)
     probed = probe_rows is not None and all(lo <= i < hi for i in probe_rows)
-    vals, vecs = solve_mode(op, lambda_cut, with_vectors=probed)
+    # A solve with eigenvectors makes a one-shot workspace, freed before its
+    # n x k block is scaled and summed: kept, the worker's would add to the
+    # memory those steps need.
+    vals, vecs = solve_mode(
+        op, lambda_cut, with_vectors=probed, workspace=None if probed else workspace
+    )
     if not (probed and len(vals)):
         return (lo, hi), vals, None
     at_i, at_i2 = (vecs[i - lo].copy() for i in probe_rows)
@@ -626,8 +752,13 @@ class ModeQueue:
     the surfaces in list order and, within each, m = 0 .. witness in
     ascending order, which is close to largest first.  The threads take
     them one at a time with no barrier between surfaces; the thread that
-    takes a surface's first task sets the surface up (weight check,
-    capacity guard, probe rows, witness mode, Agmon envelope).  ``result(i)``
+    takes a surface's first task sets the surface up (weight check and
+    ``PencilBase``, capacity guard, probe rows, witness mode, Agmon
+    envelope), and every task of the surface carries its weight, envelope
+    and base.  Each thread assembles and solves its modes through
+    ``assemble_mode_operator`` and ``solve_mode``, the values-only solves on
+    a LAPACK workspace of its own, sized to the largest grid, which the
+    thread drops when the queue stops.  ``result(i)``
     waits for surface i's last mode and merges its modes in m order.  An
     exception raised by a surface's set-up, a mode solve (the lowest failing
     m) or the witness check belongs to that surface alone: ``result`` raises
@@ -724,11 +855,11 @@ class ModeQueue:
         )
 
     def _stream(self):
-        """The tasks (surface index, m, weight, envelope) in queue order;
-        each surface is set up when its first task is taken."""
+        """The tasks (surface index, m, weight, envelope, pencil base) in
+        queue order; each surface is set up when its first task is taken."""
         for i, (profile, grid) in enumerate(self._surfaces):
             try:
-                w, envelope, self._states[i] = _set_up(
+                w, envelope, base, self._states[i] = _set_up(
                     profile, grid, self._lambda_cut, self._probes
                 )
             except BaseException as exc:
@@ -736,20 +867,24 @@ class ModeQueue:
                 self._done[i].set()
                 continue
             for m in range(len(self._states[i].modes)):
-                yield i, m, w, envelope
+                yield i, m, w, envelope, base
 
     def _work(self) -> None:
+        # This thread's LAPACK workspace, sized to the largest grid; it dies
+        # with the thread.
+        workspace = _Workspace(max((grid.n for _, grid in self._surfaces), default=1))
         while True:
             with self._lock:
                 task = next(self._tasks, None)
             if task is None:
                 return
-            i, m, w, envelope = task
-            state, (profile, grid) = self._states[i], self._surfaces[i]
+            i, m, w, envelope, base = task
+            state, profile = self._states[i], self._surfaces[i][0]
             top = len(state.modes) - 1
             try:
                 outcome = _solve_one(
-                    profile, grid, w, envelope, m, top, self._lambda_cut, state.probe_rows
+                    profile, base, w, envelope, m, top, self._lambda_cut, state.probe_rows,
+                    workspace,
                 )
             except BaseException as exc:
                 outcome = exc

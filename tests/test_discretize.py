@@ -3,11 +3,13 @@ from __future__ import annotations
 
 import ctypes
 import dataclasses
+import itertools
 import math
 import re
 import sys
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from relspec.discretize import (
     make_grid,
     mode_cutoff,
     mode_rows,
+    pencil_base,
     solve_mode,
     solve_modes,
 )
@@ -546,21 +549,57 @@ def test_agmon_window_of_each_shape_of_allowed_set_is_bitwise_the_full_row_windo
     assert has_shape(a, b), (a, b)
 
 
-@pytest.mark.parametrize("bcs", [("neumann", "neumann"), ("neumann", "cap"), ("cap", "dirichlet")])
+def _window_pencil(w, grid, m, lo, hi):
+    """(d, e, mass) of mode m on rows [lo, hi), built from the weight on
+    those rows alone, a half cell patched in on a row at a grid end."""
+    h, m2 = grid.h, float(m * m)
+    rows = w[lo:hi]
+    mass = rows * h
+    d = (2.0 / h + m2 * h) / mass
+    end_row = 1.0 / h + m2 * (h / 2.0)
+    if lo == 0:
+        mass[0] = rows[0] * (h / 2.0)
+        d[0] = end_row / mass[0]
+    if hi == grid.n:
+        mass[-1] = rows[-1] * (h / 2.0)
+        d[-1] = end_row / mass[-1]
+    return d, (-1.0 / h) / np.sqrt(mass[:-1] * mass[1:]), mass
+
+
+@pytest.mark.parametrize("bcs", list(itertools.product(("dirichlet", "neumann", "cap"), repeat=2)))
 def test_window_pencils_are_bitwise_slices_of_the_full_row_pencil_at_every_end(bcs):
     # No shipped surface has a Neumann end for m >= 1, where the end row's
-    # half cell meets the m^2 term.
+    # half cell meets the m^2 term.  Pencils from a shared base, and from
+    # weights alone, are bitwise the full-row pencil's rows and the pencil
+    # built from the window's own weights.
     prof = build_weight(funnel_cusp_spec(), truncation=small_truncation())
     grid = Grid(nodes=np.linspace(prof.s_min, prof.s_max, 120), bc_left=bcs[0], bc_right=bcs[1])
     w = prof.weight(grid.nodes)
+    base = pencil_base(grid, w)
+    for shared in (base.mass, base.e):
+        assert not shared.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            shared[0] = 1.0
+    ends = set()
     for m in range(4):
         lo, hi = mode_rows(grid, m)
         d, e, mass = _full_row_pencil(w, grid, m)
-        for a, b in [(0, hi - lo), (0, 7), (hi - lo - 7, hi - lo), (5, 12), (3, 4)]:
-            op = assemble_mode_operator(prof, m, grid, weights=w, rows=(lo + a, lo + b))
-            assert np.array_equal(op.d, d[a:b]), (m, a, b)
-            assert np.array_equal(op.e, e[a : b - 1]), (m, a, b)
-            assert np.array_equal(op.mass, mass[a:b]), (m, a, b)
+        windows = [(0, hi - lo), (0, 7), (hi - lo - 7, hi - lo), (5, 12), (3, 4)]
+        windows += [(0, 1), (0, 2), (hi - lo - 2, hi - lo), (hi - lo - 1, hi - lo)]
+        for a, b in windows:
+            rows = (lo + a, lo + b)
+            ends.update(end for end, at in (("lo", rows[0] == 0), ("hi", rows[1] == grid.n)) if at)
+            one_shot = assemble_mode_operator(prof, m, grid, weights=w, rows=rows)
+            shared = assemble_mode_operator(prof, m, grid, rows=rows, base=base)
+            references = [(d[a:b], e[a : b - 1], mass[a:b]), _window_pencil(w, grid, m, *rows)]
+            for op in (one_shot, shared):
+                for ref_d, ref_e, ref_mass in references:
+                    assert np.array_equal(op.d, ref_d), (m, a, b)
+                    assert np.array_equal(op.e, ref_e), (m, a, b)
+                    assert np.array_equal(op.mass, ref_mass), (m, a, b)
+    neumann_ends = {"lo": bcs[0] != "dirichlet", "hi": bcs[1] != "dirichlet"}
+    assert ends == {end for end, kept in neumann_ends.items() if kept}
+    assert np.array_equal(base.mass, w * grid.h)
 
 
 def test_windows_and_pencils_of_every_queued_surface_match_the_full_row_reference(
@@ -582,11 +621,11 @@ def test_windows_and_pencils_of_every_queued_surface_match_the_full_row_referenc
     monkeypatch.setattr(discretize, "solve_mode", lambda op, cut, **kwargs: (op, None))
     windowed = 0
     for (profile, grid), lambda_cut in plan:
-        w, envelope, pending = discretize._set_up(profile, grid, lambda_cut, None)
+        w, envelope, base, pending = discretize._set_up(profile, grid, lambda_cut, None)
         top = len(pending.modes) - 1
         for m in range(top + 1):
             (lo, hi), op, _ = discretize._solve_one(
-                profile, grid, w, envelope, m, top, lambda_cut, None
+                profile, base, w, envelope, m, top, lambda_cut, None, None
             )
             c_lo, c_hi = mode_rows(grid, m)
             a, b = 0, c_hi - c_lo
@@ -650,11 +689,21 @@ def test_assemble_accepts_presampled_weights():
     w = prof.weight(grid.nodes)
     sampled = assemble_mode_operator(prof, 3, grid)
     given = assemble_mode_operator(prof, 3, grid, weights=w)
-    assert np.array_equal(sampled.mass, given.mass)
+    shared = assemble_mode_operator(prof, 3, grid, base=pencil_base(grid, w))
+    for op in (given, shared):
+        assert np.array_equal(sampled.mass, op.mass) and np.array_equal(sampled.d, op.d)
+        assert np.array_equal(sampled.e, op.e)
     with pytest.raises(ValueError, match="positive"):
         assemble_mode_operator(prof, 3, grid, weights=np.where(w > w[100], w, -1.0))
+    with pytest.raises(ValueError, match="positive"):
+        pencil_base(grid, np.where(w > w[100], w, np.nan))
     with pytest.raises(ValueError, match="grid nodes"):
         assemble_mode_operator(prof, 3, grid, weights=w[1:])
+    # a base belongs to its grid, and weights do not come with it
+    with pytest.raises(ValueError, match="built on grid"):
+        assemble_mode_operator(prof, 3, make_grid(prof, 200), base=pencil_base(grid, w))
+    with pytest.raises(ValueError, match="not both"):
+        assemble_mode_operator(prof, 3, grid, weights=w, base=pencil_base(grid, w))
 
 
 # ----------------------------------------------------------------------------
@@ -711,6 +760,64 @@ def test_lapack_binding_one_row_and_bad_input():
         discretize._eigh_tridiagonal(np.array([1.0, np.nan]), np.array([0.5]), 0.0, 3.0, False)
     with pytest.raises(ValueError, match="one element shorter"):
         discretize._eigh_tridiagonal(np.ones(3), np.ones(3), 0.0, 3.0, False)
+
+
+def _workspace_buffers(workspace):
+    return [workspace.w, workspace.iblock, workspace.isplit, workspace.work, workspace.iwork]
+
+
+def test_one_workspace_solves_problems_in_turn_bitwise_as_fresh_ones(shipped_pair):
+    # A long window, a shorter one, one row, a vector solve, then a grid with
+    # more rows than the workspace holds: every result is bitwise a fresh
+    # solve's, and none shares memory with the workspace it came from.
+    profile, _, grid, lambda_cut = shipped_pair
+    w = profile.weight(grid.nodes)
+    rng = (KERNEL_FLOOR, lambda_cut)
+    ops = [assemble_mode_operator(profile, 0, grid, weights=w)]
+    lo, hi = mode_rows(grid, 40)
+    a, b = agmon_window(w[lo:hi], grid.h, 1600.0, lambda_cut)
+    ops.append(assemble_mode_operator(profile, 40, grid, weights=w, rows=(lo + a, lo + b)))
+    ops.append(assemble_mode_operator(profile, 1, grid, weights=w, rows=(lo + a, lo + a + 1)))
+    assert len(ops[0].d) > len(ops[1].d) > len(ops[2].d) == 1
+    workspace = discretize._Workspace(grid.n)
+    assert workspace.rows == grid.n
+    buffers = _workspace_buffers(workspace)
+    for op in ops:
+        vals, vecs = solve_mode(op, lambda_cut, workspace=workspace)
+        if len(op.d) > 1:
+            ref = eigh_tridiagonal(op.d, op.e, select="v", select_range=rng, eigvals_only=True)
+        else:
+            ref = solve_mode(op, lambda_cut)[0]
+        assert _same_array(vals, ref) and vecs is None
+        assert not any(np.shares_memory(vals, buf) for buf in _workspace_buffers(workspace))
+    assert len(solve_mode(ops[2], 1e-9, workspace=workspace)[0]) == 0  # one row, above the cut
+
+    vals, vecs = solve_mode(ops[1], lambda_cut, with_vectors=True, workspace=workspace)
+    ref_vals, ref_vecs = solve_mode(ops[1], lambda_cut, with_vectors=True)
+    assert len(vals) > 1 and _same_array(vals, ref_vals) and _same_array(vecs, ref_vecs)
+    for out in (vals, vecs):
+        assert not any(np.shares_memory(out, buf) for buf in _workspace_buffers(workspace))
+    # every solve so far ran on the buffers the workspace was made with
+    assert all(x is y for x, y in zip(buffers, _workspace_buffers(workspace), strict=True))
+
+    finer = make_grid(profile, grid.n + 500)
+    op = assemble_mode_operator(profile, 0, finer)
+    vals, _ = solve_mode(op, lambda_cut, workspace=workspace)
+    assert workspace.rows == len(op.d) > grid.n
+    ref = eigh_tridiagonal(op.d, op.e, select="v", select_range=rng, eigvals_only=True)
+    assert len(vals) > 10 and _same_array(vals, ref)
+    # the first solve again, on the grown buffers
+    vals, _ = solve_mode(ops[0], lambda_cut, workspace=workspace)
+    assert _same_array(vals, solve_mode(ops[0], lambda_cut)[0])
+
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        discretize._eigh_tridiagonal(
+            np.array([1.0, np.nan]), np.array([0.5]), 0.0, 3.0, False, workspace
+        )
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        discretize._eigh_tridiagonal(
+            np.array([1.0, 2.0]), np.array([np.inf]), 0.0, 3.0, False, workspace
+        )
 
 
 def test_scipy_lapack_fallback_is_bitwise_the_numpy_route(shipped_pair, monkeypatch):
@@ -818,10 +925,23 @@ def test_a_queue_solves_each_surface_bitwise_as_solve_modes_alone(
 ):
     surfaces = _queue_surfaces(small_pair)
     alone = [solve_modes(p, g, 25.0, probes=probes) for p, g in surfaces]
+    made = []
+
+    class Recorded(discretize._Workspace):
+        def __init__(self, rows):
+            super().__init__(rows)
+            made.append((sys._getframe(1).f_code.co_name, weakref.ref(self)))
+
+    monkeypatch.setattr(discretize, "_Workspace", Recorded)
     for threads in (1, 2, 3):
         monkeypatch.setattr(discretize, "worker_count", lambda threads=threads: threads)
+        made.clear()
         with ModeQueue(surfaces, 25.0, probes=probes) as queue:
             together = [queue.result(i) for i in range(len(surfaces))]
+        # one workspace per worker (and one-shot ones for the solves with
+        # eigenvectors), each gone once its thread is joined
+        assert [caller for caller, _ in made].count("_work") == threads
+        assert all(ref() is None for _, ref in made)
         for one, other in zip(alone, together):
             assert other.grid is one.grid and other.profile is one.profile
             assert other.m_max == one.m_max

@@ -91,3 +91,32 @@ def test_tracer_spans_every_mode_solve_of_a_probe_queue(small_pair):
     assert tracer.counts["discretize.eigenvalues"] == sum(
         len(vals) for system in systems for vals in system.mode_eigenvalues.values()
     )
+
+
+def test_tracer_spans_every_mode_solve_of_a_values_only_queue(small_pair):
+    # A pair run solves its members' eigenvalues on one queue, outside
+    # ``solve_modes``, each mode on its worker's workspace and its surface's
+    # shared pencil base: every mode still goes through the two traced names.
+    tracer_mod = _load_tracer()
+    discretize = sys.modules["relspec.discretize"]
+    profile_a, profile_b = small_pair
+    grid = discretize.make_grid(profile_a, 900)
+    surfaces = [(profile_a, grid), (profile_b, grid)]
+
+    tracer = tracer_mod.Tracer()
+    tracer.install()
+    try:
+        with discretize.ModeQueue(surfaces, 25.0) as queue:
+            systems = [queue.result(i) for i in range(len(surfaces))]
+    finally:
+        tracer.uninstall()
+
+    names = [span[2] for span in tracer.spans]
+    modes = sum(system.m_max + 1 for system in systems)
+    assert all(system.m_max > 5 and system.probes is None for system in systems)
+    assert names.count("discretize.solve_mode") == modes
+    assert names.count("discretize.assemble_mode_operator") == modes
+    assert names.count("discretize.solve_modes") == 0
+    assert tracer.counts["discretize.eigenvalues"] == sum(
+        len(vals) for system in systems for vals in system.mode_eigenvalues.values()
+    ) > 0
