@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Regenerate the pinned regression values under tests/data/.
 
-Runs the continuity ladder for the bump-vs-plain pair and stores the
-sup-distance of the relative trace at each cap size.  The test suite compares
+Runs the point-surgery sweep of the bump-vs-plain pair and stores the
+sup-distance of the relative trace (``sweep.csv``'s ``dsup``) at each cap
+size of the ladder ``LADDER``.  The test suite compares
 future runs against these values bit-for-bit modulo a small tolerance, so this
 script should only be re-run after an intentional algorithm change, followed
 by a manual audit of the new numbers.
@@ -19,20 +20,23 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from relspec.cli import CONTINUITY_EPSILONS, ScenarioConfig, run_scenario
+from relspec.cli import ScenarioConfig, run_scenario
+
+# Cap sizes of the pinned ladder, each an ``epsilons`` value of the sweep.
+LADDER = (0.4, 0.2, 0.1, 0.05)
 
 
 def main() -> int:
     root = pathlib.Path(__file__).resolve().parent.parent
-    cfg = ScenarioConfig.from_json(root / "configs" / "continuity.json")
-    out = root / "out" / "freeze-continuity"
+    cfg = ScenarioConfig.from_json(root / "configs" / "point_sweep.json")
+    out = root / "out" / "freeze-sweep"
     report = run_scenario(cfg, out)
     if report.failed_stage is not None:
         print(f"scenario failed at stage {report.failed_stage}: {report.error}", file=sys.stderr)
         return 1
 
     rows = {}
-    with open(out / "continuity.csv", encoding="utf-8") as fh:
+    with open(out / "sweep.csv", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
         for line in fh:
             rec = dict(zip(header, line.strip().split(",")))
@@ -40,9 +44,9 @@ def main() -> int:
 
     data = {
         "description": "sup_t |relative trace at cap size eps - baseline| for the bump-vs-plain pair",
-        "config": "configs/continuity.json",
-        "epsilons": list(CONTINUITY_EPSILONS),
-        "dsup": [rows[e] for e in CONTINUITY_EPSILONS],
+        "config": "configs/point_sweep.json",
+        "epsilons": list(LADDER),
+        "dsup": [rows[e] for e in LADDER],
     }
     target = root / "tests" / "data" / "continuity_baseline.json"
     target.parent.mkdir(parents=True, exist_ok=True)

@@ -10,6 +10,12 @@ Exit codes: 0 all checks passed, 1 a check failed or a component raised
 (the summary names the failing stage and a FAILED marker is left in the
 output directory), 2 for config errors.  CSV bodies are byte-identical
 across reruns of the same config.
+
+Loading a config builds its solve plan (``Plan``): every surface the run
+solves, in queue order, with its grid and its weight sampled once, and the
+stage name and members of each distinct pair.  Every config check runs
+there, so a config that cannot run exits 2 before any solve; the run then
+solves the plan as built, building and sampling nothing again.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .discretize import Grid, ModeQueue, check_resolution, make_grid, solve_modes
+from .discretize import Grid, ModeQueue, Surface, check_resolution, make_grid, solve_modes
 from .geometry import (
     DEFAULT_TRUNCATION,
     BumpSpec,
@@ -58,12 +64,9 @@ SCENARIO_KINDS = (
     "surgery_sweep",
     "isospectral_check",
     "decay_check",
-    "continuity_check",
     "funnel_conformal_check",
     "offdiag_check",
 )
-
-CONTINUITY_EPSILONS = (0.4, 0.2, 0.1, 0.05)
 
 # Times of the off-diagonal Gaussian functional sup_t [log I(t) + d^2/(8t)].
 OFFDIAG_TIMES = tuple(float(t) for t in np.geomspace(0.05, 1.0, 9))
@@ -197,13 +200,14 @@ class ScenarioConfig:
     carries the bump, B is the plain reference); sweep scenarios rewrite the
     surgery parameter of *both* members per grid point, so the pair stays
     relatively compact and its invariants are the quantity under test.
-    Construction builds the pair of every point the run solves (``points``),
-    or the lone surface_a of validate and offdiag_check, chart layout
-    included, and checks an offdiag_check's probe points against that
-    chart.  It samples the weight of every member that the run solves (an
-    offdiag_check's surface_a at both resolutions) on the grid it is solved
-    on, and checks that the grid resolves the cutoff.  So an unusable value
-    fails here, naming its key.
+
+    Construction builds the run's ``plan`` (a ``Plan``, outside the
+    fields): both members of every distinct point the run solves
+    (``points``), or the lone surface_a of validate and offdiag_check (the
+    latter on both of its grids, probe points checked against its chart),
+    chart layout included, each on its grid with its weight sampled once.
+    It checks the charts of every pair and that every grid resolves the
+    cutoff.  So an unusable value fails here, naming its key.
     """
 
     kind: str
@@ -235,44 +239,47 @@ class ScenarioConfig:
             ):
                 raise ConfigError(f"{name} must be a list of numbers, got {values!r}")
             object.__setattr__(self, name, tuple(float(v) for v in values))
-        self._check_surfaces()
+        # The plan is no field: to_dict() and the summary's config echo
+        # only what the file says.
+        object.__setattr__(self, "plan", self._plan())
 
-    def _check_surfaces(self) -> None:
-        num, names, surfaces = self.numerics, [], []
+    def _plan(self) -> "Plan":
+        num = self.numerics
         if self.kind in ("validate", "offdiag_check"):
-            profile = self.member("surface_a")
+            plan = Plan(surface_a=self.member("surface_a"))
             if self.kind == "offdiag_check":
-                self._check_probe_points(profile)
-                surfaces = _offdiag_surfaces(profile, num)
-                names = ["surface_a"] * len(surfaces)
-        keys = dict.fromkeys(tuple(point.items()) for point in self.points())
-        if keys:
-            pairs = [self.pair(**dict(key)) for key in keys]
-            surfaces, _ = _pair_surfaces(pairs, num.n_nodes)
+                profile = plan.surface_a
+                # The probe circles must lie on the chart they snap to.
+                for key in ("offdiag_y_s", "offdiag_y2_s"):
+                    s = getattr(num, key)
+                    if not profile.s_min - 1e-12 <= s <= profile.s_max + 1e-12:
+                        raise ConfigError(
+                            f"numerics.{key} = {s!r} lies outside the chart "
+                            f"[{profile.s_min!r}, {profile.s_max!r}] of surface_a"
+                        )
+                grids = [make_grid(profile, n) for n in (num.n_nodes, num.n_nodes * 3 // 2)]
+                plan = Plan(surfaces=tuple(Surface(profile, g) for g in grids), surface_a=profile)
+            names = ["surface_a"] * len(plan.surfaces)
+        else:
             b = "surface_a" if self.kind == "isospectral_check" else "surface_b"
-            names = [
-                "".join([where, *(f" at {_POINT_KEYS[k]} value {v!r}" for k, v in key)])
-                for key in keys
-                for where in ("surface_a", b)
-            ]
-        for where, (profile, grid) in zip(names, surfaces):
+            points = [tuple(point.items()) for point in self.points()]
+            index = {key: i for i, key in enumerate(dict.fromkeys(points))}
+            family = []
+            for key in index:
+                name = " ".join(["pair", *(f"{k} = {v}" for k, v in key)])
+                at = "".join(f" at {_POINT_KEYS[k]} value {v!r}" for k, v in key)
+                family.append((name, "surface_a" + at, b + at, self.pair(**dict(key))))
+            plan = _pair_plan(family, num.n_nodes, [index[point] for point in points])
+            names = [where for _, where_a, where_b, _ in family for where in (where_a, where_b)]
+        for where, surface in zip(names, plan.surfaces):
             try:
-                check_resolution(profile.weight(grid.nodes), grid.h, num.lambda_cut)
+                check_resolution(surface.weights, surface.grid.h, num.lambda_cut)
             except ValueError as exc:
                 raise ConfigError(
                     f"numerics.n_nodes = {num.n_nodes!r}, numerics.lambda_cut = "
-                    f"{num.lambda_cut!r}: on the {grid.n}-node grid of {where}, {exc}"
+                    f"{num.lambda_cut!r}: on the {surface.grid.n}-node grid of {where}, {exc}"
                 ) from exc
-
-    def _check_probe_points(self, profile: MetricProfile) -> None:
-        """The off-diagonal probe circles must lie on the chart they snap to."""
-        for key in ("offdiag_y_s", "offdiag_y2_s"):
-            s = getattr(self.numerics, key)
-            if not profile.s_min - 1e-12 <= s <= profile.s_max + 1e-12:
-                raise ConfigError(
-                    f"numerics.{key} = {s!r} lies outside the chart "
-                    f"[{profile.s_min!r}, {profile.s_max!r}] of surface_a"
-                )
+        return plan
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
@@ -313,12 +320,10 @@ class ScenarioConfig:
         """The pairs the scenario solves, in run order, as ``pair()`` keywords.
 
         A surgery sweep solves epsilon 0 and then each ``epsilons`` value; a
-        continuity check epsilon 0 and then the nonzero ``epsilons`` in
-        decreasing order (load rejects negative ones, so these are the
-        positive ones); a conformal check each ``conformal_constants``
-        value; the other pair kinds their one pair; validate and
-        offdiag_check none.  A family with no member to compare raises a
-        ConfigError naming its key.
+        conformal check each ``conformal_constants`` value; the other pair
+        kinds their one pair; validate and offdiag_check none.  A family
+        with no member to compare raises a ConfigError naming its key.
+        ``plan.points`` maps each entry to its distinct pair.
         """
         if self.kind in ("validate", "offdiag_check"):
             return []
@@ -326,14 +331,10 @@ class ScenarioConfig:
             key, family = "conformal_constants", [{"constant": c} for c in self.conformal_constants]
         elif self.kind == "surgery_sweep":
             key, family = "epsilons", [{"epsilon": e} for e in self.epsilons]
-        elif self.kind == "continuity_check":
-            ladder = sorted((e for e in self.epsilons if e != 0.0), reverse=True)
-            key, family = "epsilons", [{"epsilon": e} for e in ladder]
         else:
             return [{}]
         if not family:
-            need = "a positive value" if self.kind == "continuity_check" else "a value"
-            raise ConfigError(f"{key} = {list(getattr(self, key))!r}: a {self.kind} needs {need}")
+            raise ConfigError(f"{key} = {list(getattr(self, key))!r}: a {self.kind} needs a value")
         return family if key == "conformal_constants" else [{"epsilon": 0.0}, *family]
 
     def _spec(self, d: dict, where: str) -> SurfaceSpec:
@@ -465,8 +466,6 @@ def _prefix_grid(master: Grid, profile) -> Grid:
     family, so the O(h^2) eigenvalue bias cancels in cross-member
     comparisons instead of wandering with the chart length.
     """
-    if abs(float(master.nodes[0]) - profile.s_min) > 1e-12:
-        raise ValueError("family members must share the left chart endpoint")
     hi = profile.s_max + 1e-12 * max(1.0, abs(profile.s_max))
     k = int(np.searchsorted(master.nodes, hi, side="right"))
     return Grid(
@@ -476,24 +475,45 @@ def _prefix_grid(master: Grid, profile) -> Grid:
     )
 
 
-def _pair_surfaces(pairs, n_nodes: int):
-    """The (profile, grid) surfaces that ``_solve_pairs`` queues for
-    ``pairs``: A and B of each pair on the prefix of the first pair's
-    ``n_nodes`` grid that their chart covers.  They stop before the first
-    pair whose members live on different charts, or whose chart is not a
-    prefix of the first one; that error comes back as the second item
-    (None if every pair fits)."""
-    master = make_grid(pairs[0][0], n_nodes)
-    surfaces = []
-    for profile_a, profile_b in pairs:
-        try:
-            if (profile_b.s_min, profile_b.s_max) != (profile_a.s_min, profile_a.s_max):
-                raise ValueError("pair members live on different charts")
-            grid = _prefix_grid(master, profile_a)
-        except ValueError as exc:
-            return surfaces, exc  # the run stops at this pair, so later ones need no solve
-        surfaces += [(profile_a, grid), (profile_b, grid)]
-    return surfaces, None
+@dataclass(frozen=True)
+class Plan:
+    """What a run solves, built once at load: ``surfaces`` in queue order;
+    per distinct point of ``ScenarioConfig.points()``, its stage name
+    ("pair epsilon = 0.4", "pair constant = 0.2" or "pair") and the indices
+    of its A and B in ``surfaces`` (``pairs``); per entry of ``points()``,
+    its index in ``pairs`` (``points``); and the ``surface_a`` profile that
+    validate and offdiag_check read."""
+
+    surfaces: tuple[Surface, ...] = ()
+    pairs: tuple[tuple[str, int, int], ...] = ()
+    points: tuple[int, ...] = ()
+    surface_a: MetricProfile | None = None
+
+
+def _pair_plan(family, n_nodes: int, points=(0,)) -> Plan:
+    """The plan of a family of pairs: per distinct point, ``family`` holds
+    its stage name, the names of its A and B (with the point) and (A, B).
+
+    Both members of every pair are solved on the prefix of the first A's
+    ``n_nodes`` grid that their chart covers, so the family shares its node
+    positions.  Members on different charts, or a chart that does not start
+    where the first one does, raise a ConfigError naming member and point.
+    """
+    master = make_grid(family[0][3][0], n_nodes)
+    surfaces, pairs = [], []
+    for name, where_a, where_b, (profile_a, profile_b) in family:
+        chart_a, chart_b = (profile_a.s_min, profile_a.s_max), (profile_b.s_min, profile_b.s_max)
+        if chart_b != chart_a:
+            raise ConfigError(
+                f"{where_b}: pair members live on different charts, "
+                f"{list(chart_b)!r} against {list(chart_a)!r} of {where_a}"
+            )
+        if abs(float(master.nodes[0]) - profile_a.s_min) > 1e-12:
+            raise ConfigError(f"{where_a}: family members must share the left chart endpoint")
+        grid = _prefix_grid(master, profile_a)
+        pairs.append((name, len(surfaces), len(surfaces) + 1))
+        surfaces += [Surface(profile_a, grid), Surface(profile_b, grid)]
+    return Plan(surfaces=tuple(surfaces), pairs=tuple(pairs), points=tuple(points))
 
 
 def solve_pair(
@@ -501,55 +521,34 @@ def solve_pair(
     numerics: NumericsConfig,
 ):
     """Solve the pair (A, B) and compute its relative trace, heat-invariant
-    fit and relative determinant: the one-pair case of ``_solve_pairs``.
+    fit and relative determinant: the one-pair case of ``_solve_plan``.
 
     Returns (sys_a, series, det); the fit is ``det.invariants``.
     """
-    return _solve_pairs([pair], numerics)[0]
+    plan = _pair_plan([("pair", "surface_a", "surface_b", pair)], numerics.n_nodes)
+    return _solve_plan(plan, numerics)[0]
 
 
-def _solve_pairs(pairs, numerics: NumericsConfig, opened=None) -> list:
-    """(sys_a, series, det) of every (A, B) pair in ``pairs``, in order.
+def _solve_plan(plan: Plan, numerics: NumericsConfig, stage=None) -> list:
+    """(sys_a, series, det) of every point of ``plan``, in order.
 
-    The first pair's chart gets an ``n_nodes`` grid, and both members of
-    every pair are solved on the prefix of it that their chart covers, so
-    the family shares its node positions.  All members go on one
-    ``ModeQueue`` up front.  Pair i is then finished on this thread (the
-    relative trace on the default time grid, the configured heat-invariant
-    fit and the determinant) while the queue's threads solve later pairs.
-    ``opened(i)`` is called before pair i is taken, so an error of that
-    pair, a chart mismatch included, is raised after it.
+    All of the plan's surfaces go on one ``ModeQueue`` up front.  Each
+    distinct pair is then finished on this thread, in a stage of its own
+    (``stage`` is called with its name before it is taken): the relative
+    trace on the default time grid, the configured heat-invariant fit and
+    the determinant, while the queue's threads solve later pairs.  A
+    repeated point reuses its pair's result.
     """
-    surfaces, mismatch = _pair_surfaces(pairs, numerics.n_nodes)
-    results = []
-    with ModeQueue(surfaces, numerics.lambda_cut) as queue:
-        for i in range(len(pairs)):
-            if opened is not None:
-                opened(i)
-            if 2 * i == len(surfaces):
-                raise mismatch
-            sys_a, sys_b = queue.result(2 * i), queue.result(2 * i + 1)
+    solved = []
+    with ModeQueue(plan.surfaces, numerics.lambda_cut) as queue:
+        for name, a, b in plan.pairs:
+            if stage is not None:
+                stage(name)
+            sys_a, sys_b = queue.result(a), queue.result(b)
             series = relative_trace_series(sys_a, sys_b)
             inv = fit_heat_invariants(series, numerics.fit_k_max, window=numerics.fit_window)
-            results.append((sys_a, series, determinant_from_series(series, inv)))
-    return results
-
-
-def _solve_points(cfg: ScenarioConfig, stage) -> list:
-    """The solved pair of every point of ``cfg.points()``, in order.
-
-    Each distinct point is solved once, by one ``_solve_pairs`` call, in a
-    stage of its own ("pair epsilon = 0.4", "pair constant = 0.2" or
-    "pair"), and a repeated point reuses that result.  Every pair is solved
-    on the first pair's grid, so the family shares its node positions.
-    """
-    points = cfg.points()
-    keys = list(dict.fromkeys(tuple(point.items()) for point in points))
-    names = [" ".join(["pair", *(f"{name} = {value}" for name, value in key)]) for key in keys]
-    pairs = [cfg.pair(**dict(key)) for key in keys]
-    solved = _solve_pairs(pairs, cfg.numerics, opened=lambda i: stage(names[i]))
-    by_key = dict(zip(keys, solved))
-    return [by_key[tuple(point.items())] for point in points]
+            solved.append((sys_a, series, determinant_from_series(series, inv)))
+    return [solved[i] for i in plan.points]
 
 
 def _budget_header(det) -> str:
@@ -606,7 +605,7 @@ def _run_validate(cfg: ScenarioConfig, out: Path, report: Report, stage):
     )
 
     stage("2D oracle agreement")
-    profile = cfg.member("surface_a")
+    profile = cfg.plan.surface_a
     grid2 = make_grid_2d(profile)
     two_d = low_eigenvalues_2d(profile, grid2)
     mode_sum = mode_sum_reference(profile, grid2)
@@ -645,21 +644,8 @@ def _run_validate(cfg: ScenarioConfig, out: Path, report: Report, stage):
     )
 
 
-def _check_dsup_non_increasing(report: Report, ladder) -> None:
-    """Dsup must not grow as the surgery shrinks; ``ladder`` holds
-    (epsilon, dsup) pairs in decreasing epsilon."""
-    worst = max((b[1] - a[1] for a, b in zip(ladder, ladder[1:])), default=0.0)
-    report.add(
-        "dsup_non_increasing",
-        worst <= 1e-4,
-        value=worst,
-        tolerance=1e-4,
-        detail=f"Dsup along eps = {[e for e, _ in ladder]} (positive = violation)",
-    )
-
-
 def _run_surgery_sweep(cfg: ScenarioConfig, out: Path, report: Report, stage):
-    (sys_a0, series0, det0), *solved = _solve_points(cfg, stage)
+    (sys_a0, series0, det0), *solved = _solve_plan(cfg.plan, cfg.numerics, stage)
     inv0 = det0.invariants
     nodes, base_weight = sys_a0.profile.sample(2048)
 
@@ -728,13 +714,23 @@ def _run_surgery_sweep(cfg: ScenarioConfig, out: Path, report: Report, stage):
         tolerance=1e-2,
         detail="max |log det(eps) - log det(0)|",
     )
+    # Dsup must not grow as the surgery shrinks, along the distinct positive
+    # epsilons in decreasing order.
     positive = {e: d for e, d in zip(col["epsilon"], col["dsup"]) if e > 0.0}
     if len(positive) >= 2:
-        _check_dsup_non_increasing(report, sorted(positive.items(), reverse=True))
+        ladder = sorted(positive.items(), reverse=True)
+        worst = max(b[1] - a[1] for a, b in zip(ladder, ladder[1:]))
+        report.add(
+            "dsup_non_increasing",
+            worst <= 1e-4,
+            value=worst,
+            tolerance=1e-4,
+            detail=f"Dsup along eps = {[e for e, _ in ladder]} (positive = violation)",
+        )
 
 
 def _run_isospectral(cfg: ScenarioConfig, out: Path, report: Report, stage):
-    [(_, series, det)] = _solve_points(cfg, stage)
+    [(_, series, det)] = _solve_plan(cfg.plan, cfg.numerics, stage)
     inv = det.invariants
     series.to_csv(out / "trace.csv")
     report.artifacts.append("trace.csv")
@@ -762,7 +758,7 @@ def _run_isospectral(cfg: ScenarioConfig, out: Path, report: Report, stage):
 
 
 def _run_decay(cfg: ScenarioConfig, out: Path, report: Report, stage):
-    [(_, series, _)] = _solve_points(cfg, stage)
+    [(_, series, _)] = _solve_plan(cfg.plan, cfg.numerics, stage)
     series.to_csv(out / "trace.csv")
     report.artifacts.append("trace.csv")
     stage("long-time decay bound")
@@ -797,21 +793,8 @@ def _run_decay(cfg: ScenarioConfig, out: Path, report: Report, stage):
     report.artifacts.append("decay.csv")
 
 
-def _run_continuity(cfg: ScenarioConfig, out: Path, report: Report, stage):
-    (_, series0, _), *ladder = _solve_points(cfg, stage)
-    rows = [
-        (point["epsilon"], float(np.max(np.abs(series.values - series0.values))))
-        for point, (_, series, _) in zip(cfg.points()[1:], ladder)
-    ]
-    stage("continuity table")
-    _write_csv(out / "continuity.csv", "epsilon,dsup", rows)
-    report.artifacts.append("continuity.csv")
-    stage("monotonicity check")
-    _check_dsup_non_increasing(report, rows)
-
-
 def _run_funnel_conformal(cfg: ScenarioConfig, out: Path, report: Report, stage):
-    dets = [det for _, _, det in _solve_points(cfg, stage)]
+    dets = [det for _, _, det in _solve_plan(cfg.plan, cfg.numerics, stage)]
     stage("conformal table")
     _write_csv(
         out / "conformal.csv",
@@ -840,12 +823,6 @@ def _run_funnel_conformal(cfg: ScenarioConfig, out: Path, report: Report, stage)
     )
 
 
-def _offdiag_surfaces(profile, num: NumericsConfig) -> list:
-    """The (profile, grid) surfaces of an off-diagonal check: surface_a on
-    ``n_nodes`` and on ``n_nodes * 3 // 2`` nodes."""
-    return [(profile, make_grid(profile, n)) for n in (num.n_nodes, num.n_nodes * 3 // 2)]
-
-
 def _offdiag_sup(sys, num: NumericsConfig):
     y, y2 = num.offdiag_points
     sup = -math.inf
@@ -865,10 +842,9 @@ def _run_offdiag(cfg: ScenarioConfig, out: Path, report: Report, stage):
     ``ProbeModes`` at the two probe radii: the ``n_nodes`` integrals run on
     this thread while the queue's threads solve the refined grid."""
     num = cfg.numerics
-    profile = cfg.member("surface_a")
     stage("off-diagonal integrals")
     y, y2 = num.offdiag_points
-    with ModeQueue(_offdiag_surfaces(profile, num), num.lambda_cut, probes=(y[0], y2[0])) as queue:
+    with ModeQueue(cfg.plan.surfaces, num.lambda_cut, probes=(y[0], y2[0])) as queue:
         sys = queue.result(0)
         sup, rows, dist = _offdiag_sup(sys, num)
         sup = float(sup)
@@ -911,7 +887,6 @@ _RUNNERS = {
     "surgery_sweep": _run_surgery_sweep,
     "isospectral_check": _run_isospectral,
     "decay_check": _run_decay,
-    "continuity_check": _run_continuity,
     "funnel_conformal_check": _run_funnel_conformal,
     "offdiag_check": _run_offdiag,
 }

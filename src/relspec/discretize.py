@@ -61,15 +61,18 @@ made once and reused, so a call sets n, vl and vu, passes the addresses of
 d and e, and copies the eigenvalues out.
 
 Those threads are a ``ModeQueue``: a pool of ``worker_count()`` threads
-that takes the (surface, m) tasks of a whole list of surfaces first in,
+that takes the (surface, m) tasks of a whole list of ``Surface``s first in,
 first out (the surfaces in list order, ascending m within each), with no
 barrier between surfaces; a surface's modes are merged in m order when its
-result is taken.  Each thread runs its values-only solves on its own
-workspace, which lives as long as the thread.  ``solve_modes`` is its one-surface case.  Every mode's
-result is independent of the thread that solved it, and the queue holds
-numpy's OpenBLAS at one thread while it runs: ``dstein``'s level-1 BLAS
-splits long vectors across OpenBLAS threads, which would make eigenvectors
-of more than about 10,000 rows follow the machine's CPU count.
+result is taken.  A ``Surface`` is a profile, its grid and its weight,
+sampled once on the grid when it is made; the queue sets each surface up
+from that weight and never samples it again.  Each thread runs its
+values-only solves on its own workspace, which lives as long as the thread.
+``solve_modes`` is its one-surface case.  Every mode's result is
+independent of the thread that solved it, and the queue holds numpy's
+OpenBLAS at one thread while it runs: ``dstein``'s level-1 BLAS splits long
+vectors across OpenBLAS threads, which would make eigenvectors of more than
+about 10,000 rows follow the machine's CPU count.
 
 No eigenvector outlives its mode's task.  The off-diagonal heat kernel
 needs a surface's eigenvectors only at two probe radii and through their
@@ -84,6 +87,7 @@ import ctypes
 import math
 import os
 import threading
+import traceback
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -93,6 +97,7 @@ from .geometry import MetricProfile, line_distance
 
 __all__ = [
     "Grid",
+    "Surface",
     "PencilBase",
     "ModeOperator",
     "Eigensystem",
@@ -162,6 +167,21 @@ def make_grid(profile: MetricProfile, n_nodes: int) -> Grid:
     with the profile's boundary conditions."""
     nodes = np.linspace(profile.s_min, profile.s_max, n_nodes)
     return Grid(nodes=nodes, bc_left=profile.bc_left, bc_right=profile.bc_right)
+
+
+@dataclass(frozen=True, eq=False)
+class Surface:
+    """A profile, the grid it is solved on, and its weight sampled once on
+    ``grid.nodes`` (read-only): what a ``ModeQueue`` solves."""
+
+    profile: MetricProfile
+    grid: Grid
+    weights: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        weights = self.profile.weight(self.grid.nodes)
+        weights.setflags(write=False)
+        object.__setattr__(self, "weights", weights)
 
 
 def nearest_row(grid: Grid, s: float) -> int:
@@ -659,20 +679,20 @@ def check_resolution(weights: np.ndarray, h: float, lambda_cut: float) -> None:
         )
 
 
-def _set_up(profile: MetricProfile, grid: Grid, lambda_cut: float, probes):
-    """A surface's weight on the grid, the ``agmon_window`` envelope of its
-    modes m >= 1, its ``PencilBase`` and its ``_Pending`` (Rayleigh bound,
-    witness mode, and the grid rows nearest the ``probes`` radii with their
-    distance), after checking the weight (in ``pencil_base``), the grid's
-    resolution capacity and the probes."""
-    w = profile.weight(grid.nodes)
+def _set_up(surface: Surface, lambda_cut: float, probes):
+    """A surface's ``agmon_window`` envelope of its modes m >= 1, its
+    ``PencilBase`` and its ``_Pending`` (Rayleigh bound, witness mode, and
+    the grid rows nearest the ``probes`` radii with their distance), after
+    checking its weight (in ``pencil_base``), the grid's resolution capacity
+    and the probes."""
+    grid, w = surface.grid, surface.weights
     base = pencil_base(grid, w)
     check_resolution(w, base.h, lambda_cut)
     probe_rows = distance = None
     if probes is not None:
         probe_rows = tuple(nearest_row(grid, s) for s in probes)
         ends = [float(grid.nodes[i]) for i in probe_rows]
-        distance = line_distance(profile, *ends)
+        distance = line_distance(surface.profile, *ends)
     # Every mode m >= 1 solves within the rows of mode 1 (a cap end is
     # Dirichlet for all of them), so the Rayleigh bound needs the weight on
     # those rows only.
@@ -680,7 +700,7 @@ def _set_up(profile: MetricProfile, grid: Grid, lambda_cut: float, probes):
     max_weight = float(np.max(w[lo:hi]))
     top = mode_cutoff(lambda_cut, max_weight)
     pending = _Pending(max_weight, probe_rows, distance, [None] * (top + 1), top + 1)
-    return w, _envelope(w[lo:hi], lambda_cut), base, pending
+    return _envelope(w[lo:hi], lambda_cut), base, pending
 
 
 # Rows per block of a radial Gram sum: one weighted copy of a whole n x k
@@ -698,23 +718,23 @@ def _radial_gram(vecs: np.ndarray, mass: np.ndarray) -> np.ndarray:
     return gram
 
 
-def _solve_one(profile, base, w, envelope, m, top, lambda_cut, probe_rows, workspace):
-    """Mode m on the ``agmon_window`` of its rows; the witness mode (m =
-    top) on all of them.  ``base`` is the surface's ``PencilBase`` and
-    ``w`` its weight on the grid; ``envelope`` is the one of the modes
-    m >= 1, whose rows are all the same; mode 0 (m^2 = 0) keeps its rows
-    without reading it.  A values-only solve runs LAPACK on ``workspace``,
-    the calling thread's.
+def _solve_one(surface, base, envelope, m, top, lambda_cut, probe_rows, workspace):
+    """Mode m of ``surface`` on the ``agmon_window`` of its rows; the
+    witness mode (m = top) on all of them.  ``base`` is the surface's
+    ``PencilBase``; ``envelope`` is the one of the modes m >= 1, whose rows
+    are all the same; mode 0 (m^2 = 0) keeps its rows without reading it.
+    A values-only solve runs LAPACK on ``workspace``, the calling
+    thread's.
     Returns the solved rows, the eigenvalues and the mode's ``ProbeModes``
     entry: (a, b, gram) when the rows hold both ``probe_rows``, else None.
     Only such a mode is solved with eigenvectors, and they are dropped on
     return."""
-    grid = base.grid
+    grid, w = surface.grid, surface.weights
     lo, hi = mode_rows(grid, m)
     if m < top:
         a, b = agmon_window(w[lo:hi], base.h, float(m * m), lambda_cut, envelope=envelope)
         lo, hi = lo + a, lo + b
-    op = assemble_mode_operator(profile, m, grid, rows=(lo, hi), base=base)
+    op = assemble_mode_operator(surface.profile, m, grid, rows=(lo, hi), base=base)
     probed = probe_rows is not None and all(lo <= i < hi for i in probe_rows)
     # A solve with eigenvectors makes a one-shot workspace, freed before its
     # n x k block is scaled and summed: kept, the worker's would add to the
@@ -745,24 +765,23 @@ class _Pending:
 
 
 class ModeQueue:
-    """Every angular mode of a list of surfaces, solved on one set of
+    """Every angular mode of a list of ``Surface``s, solved on one set of
     ``worker_count()`` threads.
 
-    ``surfaces`` holds (profile, grid) pairs.  The tasks are (surface, m):
-    the surfaces in list order and, within each, m = 0 .. witness in
-    ascending order, which is close to largest first.  The threads take
-    them one at a time with no barrier between surfaces; the thread that
-    takes a surface's first task sets the surface up (weight check and
-    ``PencilBase``, capacity guard, probe rows, witness mode, Agmon
-    envelope), and every task of the surface carries its weight, envelope
-    and base.  Each thread assembles and solves its modes through
-    ``assemble_mode_operator`` and ``solve_mode``, the values-only solves on
-    a LAPACK workspace of its own, sized to the largest grid, which the
-    thread drops when the queue stops.  ``result(i)``
-    waits for surface i's last mode and merges its modes in m order.  An
-    exception raised by a surface's set-up, a mode solve (the lowest failing
-    m) or the witness check belongs to that surface alone: ``result`` raises
-    it unchanged.
+    The tasks are (surface, m): the surfaces in list order and, within
+    each, m = 0 .. witness in ascending order, which is close to largest
+    first.  The threads take them one at a time with no barrier between
+    surfaces; the thread that takes a surface's first task sets the surface
+    up from its sampled weight (weight check and ``PencilBase``, capacity
+    guard, probe rows, witness mode, Agmon envelope), and every task of the
+    surface carries its envelope and base.  Each thread assembles and
+    solves its modes through ``assemble_mode_operator`` and ``solve_mode``,
+    the values-only solves on a LAPACK workspace of its own, sized to the
+    largest grid, which the thread drops when the queue stops.
+    ``result(i)`` waits for surface i's last mode and merges its modes in m
+    order.  An exception raised by a surface's set-up, a mode solve (the
+    lowest failing m) or the witness check belongs to that surface alone:
+    ``result`` raises it unchanged.
 
     ``probes`` = (s_y, s_y2), two radii on every surface's chart, makes each
     system carry a ``ProbeModes`` record at the rows nearest them.
@@ -780,7 +799,7 @@ class ModeQueue:
     def __init__(self, surfaces, lambda_cut: float, *, probes: tuple[float, float] | None = None):
         if not (math.isfinite(lambda_cut) and lambda_cut > 0):
             raise ValueError(f"lambda_cut must be positive and finite, got {lambda_cut!r}")
-        self._surfaces = list(surfaces)
+        self._surfaces: list[Surface] = list(surfaces)
         self._lambda_cut = lambda_cut
         self._probes = None if probes is None else tuple(float(s) for s in probes)
         # per surface: its set-up error or its _Pending, once set up
@@ -813,6 +832,13 @@ class ModeQueue:
             self._tasks = iter(())
         for thread in self._threads:
             thread.join()
+        # A failed mode's traceback keeps its worker's frames and their
+        # locals (the LAPACK workspace, the pencil base, the operator).  Now
+        # that every such frame has finished, clear them; the text stays.
+        for state in self._states:
+            for outcome in getattr(state, "modes", ()):
+                if isinstance(outcome, BaseException):
+                    traceback.clear_frames(outcome.__traceback__)
         if self._blas_threads is not None:
             _BLAS_THREADS[1](self._blas_threads)
             self._blas_threads = None
@@ -836,7 +862,7 @@ class ModeQueue:
                 f"mode cutoff violated: mode {top} has eigenvalues below "
                 f"{self._lambda_cut} (max weight {state.max_weight:.6g})"
             )
-        profile, grid = self._surfaces[index]
+        surface = self._surfaces[index]
         probes = None
         if state.probe_rows is not None:
             probes = ProbeModes(
@@ -845,8 +871,8 @@ class ModeQueue:
                 modes={m: kept for m, (_, _, kept) in enumerate(state.modes) if kept is not None},
             )
         return Eigensystem(
-            profile=profile,
-            grid=grid,
+            profile=surface.profile,
+            grid=surface.grid,
             lambda_cut=float(self._lambda_cut),
             m_max=top,
             mode_eigenvalues={m: vals for m, (_, vals, _) in enumerate(state.modes)},
@@ -855,36 +881,34 @@ class ModeQueue:
         )
 
     def _stream(self):
-        """The tasks (surface index, m, weight, envelope, pencil base) in
-        queue order; each surface is set up when its first task is taken."""
-        for i, (profile, grid) in enumerate(self._surfaces):
+        """The tasks (surface index, m, envelope, pencil base) in queue
+        order; each surface is set up when its first task is taken."""
+        for i, surface in enumerate(self._surfaces):
             try:
-                w, envelope, base, self._states[i] = _set_up(
-                    profile, grid, self._lambda_cut, self._probes
-                )
+                envelope, base, self._states[i] = _set_up(surface, self._lambda_cut, self._probes)
             except BaseException as exc:
                 self._states[i] = exc
                 self._done[i].set()
                 continue
             for m in range(len(self._states[i].modes)):
-                yield i, m, w, envelope, base
+                yield i, m, envelope, base
 
     def _work(self) -> None:
         # This thread's LAPACK workspace, sized to the largest grid; it dies
         # with the thread.
-        workspace = _Workspace(max((grid.n for _, grid in self._surfaces), default=1))
+        workspace = _Workspace(max((s.grid.n for s in self._surfaces), default=1))
         while True:
             with self._lock:
                 task = next(self._tasks, None)
             if task is None:
                 return
-            i, m, w, envelope, base = task
-            state, profile = self._states[i], self._surfaces[i][0]
+            i, m, envelope, base = task
+            state = self._states[i]
             top = len(state.modes) - 1
             try:
                 outcome = _solve_one(
-                    profile, base, w, envelope, m, top, self._lambda_cut, state.probe_rows,
-                    workspace,
+                    self._surfaces[i], base, envelope, m, top, self._lambda_cut,
+                    state.probe_rows, workspace,
                 )
             except BaseException as exc:
                 outcome = exc
@@ -917,5 +941,5 @@ def solve_modes(
     result is bitwise the same for any thread count, and an exception raised
     by a mode's solve (the lowest failing m) propagates unchanged.
     """
-    with ModeQueue([(profile, grid)], lambda_cut, probes=probes) as queue:
+    with ModeQueue([Surface(profile, grid)], lambda_cut, probes=probes) as queue:
         return queue.result(0)

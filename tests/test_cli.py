@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import importlib.metadata
 import io
 import json
@@ -28,6 +29,7 @@ from relspec.cli import (
     main,
     run_scenario,
 )
+from relspec.geometry import MetricProfile
 
 from conftest import ROOT
 
@@ -278,18 +280,20 @@ def _boundary_left_ends(data):
          "conformal_constants = []: a funnel_conformal_check needs a value"),
         ("point_sweep.json", lambda d: d.update(epsilons=[]),
          "epsilons = []: a surgery_sweep needs a value"),
-        ("continuity.json", lambda d: d.update(epsilons=[]),
-         "epsilons = []: a continuity_check needs a positive value"),
-        ("continuity.json", lambda d: d.update(epsilons=[0.0]),
-         "epsilons = [0.0]: a continuity_check needs a positive value"),
+        # pairs whose members the run could not solve on one grid
+        ("point_sweep.json", lambda d: d["surface_b"].update(core_length=0.4),
+         "surface_b at epsilons value 0.0: pair members live on different charts"),
+        # a retired kind, whose table point_sweep's sweep.csv holds
+        ("point_sweep.json", lambda d: d.update(kind="continuity_check"),
+         "unknown scenario kind 'continuity_check'"),
     ],
     ids=["epsilon-above-1", "epsilon-nan", "no-surgery-end", "no-funnel-end",
          "bump-amplitude-nan", "fit-window-too-short", "bump-outside-core",
          "no-room-for-funnel", "probe-beyond-chart", "probe-before-chart",
          "sweep-grid-too-coarse", "kernel-grid-too-coarse", "cutoff-too-high",
          "conformal-weight-too-large",
-         "no-conformal-constant", "no-sweep-epsilon", "no-continuity-epsilon",
-         "baseline-only-continuity"],
+         "no-conformal-constant", "no-sweep-epsilon", "members-on-different-charts",
+         "retired-continuity-kind"],
 )
 def test_unusable_shipped_config_exits_two_before_any_solve(tmp_path, capsys, name, mutate, key):
     data = shipped_config(name)
@@ -473,7 +477,6 @@ MINI_PAIR_KINDS = {
     "surgery_sweep": {"epsilons": [0.0, 0.2]},
     "isospectral_check": {},
     "decay_check": {},
-    "continuity_check": {"epsilons": [0.1, 0.0, 0.2]},
     "funnel_conformal_check": {"conformal_constants": [0.0, 0.2, 0.0]},
 }
 
@@ -496,8 +499,8 @@ def record_solves(monkeypatch):
 
     def recorder(surfaces, lambda_cut, **kwargs):
         queues.append([
-            ((a.spec, b.spec), grid_a, grid_b)
-            for (a, grid_a), (b, grid_b) in zip(surfaces[::2], surfaces[1::2])
+            ((a.profile.spec, b.profile.spec), a.grid, b.grid)
+            for a, b in zip(surfaces[::2], surfaces[1::2])
         ])
         return make(surfaces, lambda_cut, **kwargs)
 
@@ -527,7 +530,6 @@ def test_points_list_each_family_in_run_order():
         return ScenarioConfig.from_dict(mini_pair_dict(kind, **MINI_PAIR_KINDS[kind])).points()
 
     assert points("surgery_sweep") == [{"epsilon": e} for e in (0.0, 0.0, 0.2)]
-    assert points("continuity_check") == [{"epsilon": e} for e in (0.0, 0.2, 0.1)]
     assert points("funnel_conformal_check") == [{"constant": c} for c in (0.0, 0.2, 0.0)]
     assert points("isospectral_check") == points("decay_check") == [{}]
     validate = ScenarioConfig.from_dict({"kind": "validate", "surface_a": MINI_SURFACE})
@@ -569,15 +571,19 @@ def test_a_surface_failing_in_the_second_pair_fails_that_pairs_stage(tmp_path, m
     assert report.error == f"ArithmeticError: {error}"
 
 
-def test_a_chart_mismatch_is_raised_after_its_pair_is_opened():
+def test_a_family_chart_off_the_first_left_end_is_named_at_plan():
     cfg = ScenarioConfig.from_dict(mini_pair_dict("surgery_sweep", epsilons=[0.0, 0.2]))
-    baseline, shrunk = cfg.pair(epsilon=0.0), cfg.pair(epsilon=0.2)
-    mixed = (shrunk[0], baseline[1])
-    assert mixed[0].s_max != mixed[1].s_max
-    opened = []
-    with pytest.raises(ValueError, match="different charts"):
-        cli._solve_pairs([baseline, mixed, shrunk], cfg.numerics, opened=opened.append)
-    assert opened == [0, 1]
+    shifted = tuple(
+        dataclasses.replace(p, s_min=p.s_min + 0.1) for p in cfg.pair(epsilon=0.2)
+    )
+    family = [
+        (f"pair epsilon = {e}", f"surface_a at epsilons value {e!r}",
+         f"surface_b at epsilons value {e!r}", pair)
+        for e, pair in ((0.0, cfg.pair(epsilon=0.0)), (0.2, shifted))
+    ]
+    message = "surface_a at epsilons value 0.2: family members must share the left chart endpoint"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        cli._pair_plan(family, cfg.numerics.n_nodes)
 
 
 def test_a_run_leaves_no_thread_behind(tmp_path, monkeypatch):
@@ -617,8 +623,37 @@ def test_an_offdiag_run_solves_both_resolutions_on_one_queue(tmp_path, monkeypat
     [(surfaces, kwargs)] = queues
     num = cfg.numerics
     assert kwargs == {"probes": (num.offdiag_y_s, num.offdiag_y2_s)}
-    assert [grid.n for _, grid in surfaces] == [400, 600]
-    assert all(profile.spec == cfg.member("surface_a").spec for profile, _ in surfaces)
+    assert surfaces is cfg.plan.surfaces
+    assert [surface.grid.n for surface in surfaces] == [400, 600]
+    assert all(surface.profile is cfg.plan.surface_a for surface in surfaces)
+    assert cfg.plan.surface_a.spec == cfg.member("surface_a").spec
+
+
+def test_load_and_run_sample_each_planned_weight_once(tmp_path, monkeypatch):
+    # Load builds each surface and samples its weight on its grid; the run
+    # solves those surfaces and samples nothing on their grids again.
+    calls = []
+    weight = MetricProfile.weight
+
+    def counting(profile, s):
+        calls.append((profile, s))
+        return weight(profile, s)
+
+    monkeypatch.setattr(MetricProfile, "weight", counting)
+    for label, data, count in (
+        ("sweep", mini_pair_dict("surgery_sweep", epsilons=[0.0, 0.2, 0.2]), 4),
+        ("offdiag", light_offdiag_dict(), 2),
+    ):
+        calls.clear()
+        cfg = ScenarioConfig.from_dict(data)
+        assert run_scenario(cfg, tmp_path / label).passed, label
+        surfaces = cfg.plan.surfaces
+        assert len(surfaces) == count, label
+        for surface in surfaces:
+            once = [p is surface.profile and s is surface.grid.nodes for p, s in calls]
+            assert sum(once) == 1, label
+        on_planned_grids = [s for _, s in calls if any(s is o.grid.nodes for o in surfaces)]
+        assert len(on_planned_grids) == count, label
 
 
 def test_a_failing_refined_offdiag_surface_fails_refinement_stability(tmp_path, monkeypatch):

@@ -9,6 +9,7 @@ import re
 import sys
 import threading
 import time
+import traceback
 import weakref
 
 import numpy as np
@@ -17,13 +18,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh, eigh_tridiagonal
 
-from relspec import cli, discretize
+from relspec import discretize
 from relspec.cli import ScenarioConfig, solve_pair
 from relspec.discretize import (
     AGMON_MARGIN,
     KERNEL_FLOOR,
     Grid,
     ModeQueue,
+    Surface,
     agmon_window,
     assemble_mode_operator,
     make_grid,
@@ -209,7 +211,7 @@ def test_a_nonfinite_or_nonpositive_cutoff_is_rejected_by_name(lambda_cut):
     with pytest.raises(ValueError, match=re.escape(message)):
         solve_modes(flat, grid, lambda_cut)
     with pytest.raises(ValueError, match=re.escape(message)):
-        ModeQueue([(flat, grid)], lambda_cut)
+        ModeQueue([Surface(flat, grid)], lambda_cut)
 
 
 def test_eigensystem_csv_roundtrip(tmp_path, flat_system):
@@ -608,24 +610,18 @@ def test_windows_and_pencils_of_every_queued_surface_match_the_full_row_referenc
     # Every surface a sweep or an off-diagonal check queues, through the
     # queue's own set-up and per-mode path, with the LAPACK solve stubbed out.
     plan = []
-    for name in ("point_sweep.json", "boundary_sweep.json"):
+    for name in ("point_sweep.json", "boundary_sweep.json", "offdiag.json"):
         cfg = ScenarioConfig.from_json(configs_dir / name)
-        keys = dict.fromkeys(tuple(point.items()) for point in cfg.points())
-        pairs = [cfg.pair(**dict(key)) for key in keys]
-        surfaces, mismatch = cli._pair_surfaces(pairs, cfg.numerics.n_nodes)
-        assert mismatch is None
-        plan += [(surface, cfg.numerics.lambda_cut) for surface in surfaces]
-    cfg = ScenarioConfig.from_json(configs_dir / "offdiag.json")
-    surfaces = cli._offdiag_surfaces(cfg.member("surface_a"), cfg.numerics)
-    plan += [(surface, cfg.numerics.lambda_cut) for surface in surfaces]
+        plan += [(surface, cfg.numerics.lambda_cut) for surface in cfg.plan.surfaces]
     monkeypatch.setattr(discretize, "solve_mode", lambda op, cut, **kwargs: (op, None))
     windowed = 0
-    for (profile, grid), lambda_cut in plan:
-        w, envelope, base, pending = discretize._set_up(profile, grid, lambda_cut, None)
+    for surface, lambda_cut in plan:
+        grid, w = surface.grid, surface.weights
+        envelope, base, pending = discretize._set_up(surface, lambda_cut, None)
         top = len(pending.modes) - 1
         for m in range(top + 1):
             (lo, hi), op, _ = discretize._solve_one(
-                profile, base, w, envelope, m, top, lambda_cut, None, None
+                surface, base, envelope, m, top, lambda_cut, None, None
             )
             c_lo, c_hi = mode_rows(grid, m)
             a, b = 0, c_hi - c_lo
@@ -911,12 +907,45 @@ def test_a_failing_mode_solve_surfaces_unchanged(small_pair, monkeypatch):
         assert caught.value is error
 
 
+def test_a_held_mode_error_keeps_no_workspace_alive(small_pair, monkeypatch):
+    # The error's traceback passes through the worker's frames, whose
+    # locals held its LAPACK workspace; the queue clears them on exit and
+    # keeps their text.
+    profile, _ = small_pair
+    grid = make_grid(profile, 900)
+    made = []
+
+    class Recorded(discretize._Workspace):
+        def __init__(self, rows):
+            super().__init__(rows)
+            made.append(weakref.ref(self))
+
+    solve = discretize.solve_mode
+
+    def failing(op, cut, **kwargs):
+        if op.m == 3:
+            raise ArithmeticError("mode 3 failed")
+        return solve(op, cut, **kwargs)
+
+    monkeypatch.setattr(discretize, "_Workspace", Recorded)
+    monkeypatch.setattr(discretize, "solve_mode", failing)
+    monkeypatch.setattr(discretize, "worker_count", lambda: 2)
+    with pytest.raises(ArithmeticError) as caught:
+        with ModeQueue([Surface(profile, grid)], 25.0) as queue:
+            queue.result(0)
+    held = caught.value
+    assert len(made) == 2 and all(ref() is None for ref in made)
+    text = "".join(traceback.format_exception(held))
+    for frame in ("in result", "in _work", "in _solve_one", "in failing"):
+        assert frame in text, frame
+
+
 def _queue_surfaces(small_pair):
     """Three surfaces of different sizes: the small pair on one grid, and
     the bump member on a coarser one."""
     profile_a, profile_b = small_pair
     grid, coarse = make_grid(profile_a, 900), make_grid(profile_a, 600)
-    return [(profile_a, grid), (profile_b, grid), (profile_a, coarse)]
+    return [Surface(profile_a, grid), Surface(profile_b, grid), Surface(profile_a, coarse)]
 
 
 @pytest.mark.parametrize("probes", [None, (0.35, 0.9)])
@@ -924,7 +953,7 @@ def test_a_queue_solves_each_surface_bitwise_as_solve_modes_alone(
     small_pair, monkeypatch, probes
 ):
     surfaces = _queue_surfaces(small_pair)
-    alone = [solve_modes(p, g, 25.0, probes=probes) for p, g in surfaces]
+    alone = [solve_modes(s.profile, s.grid, 25.0, probes=probes) for s in surfaces]
     made = []
 
     class Recorded(discretize._Workspace):
@@ -960,19 +989,19 @@ def test_a_failing_surface_fails_alone_and_the_queue_joins_its_threads(
     fine_a, fine_b, coarse = _queue_surfaces(small_pair)
     # A weight that is zero only at node 0, a Dirichlet end outside every
     # mode's rows: no assembled operator sees it, only the surface's set-up.
-    profile_b, grid = fine_b
+    profile_b, grid = fine_b.profile, fine_b.grid
     fn = profile_b.weight
     zero_at_left = dataclasses.replace(
         profile_b, _fn=lambda s: np.where(s <= profile_b.s_min, 0.0, fn(s))
     )
-    bad = (zero_at_left, grid)
-    assert bad[0].weight(grid.nodes)[0] == 0.0 and mode_rows(grid, 0)[0] == 1
+    bad = Surface(zero_at_left, grid)
+    assert bad.weights[0] == 0.0 and mode_rows(grid, 0)[0] == 1
     surfaces = [fine_a, coarse, bad, fine_b]  # the failing surfaces in the middle
     error = ArithmeticError("mode 2 of the coarse surface failed")
     solve = discretize.solve_mode
 
     def failing(op, cut, **kwargs):
-        if op.m == 2 and op.grid is coarse[1]:
+        if op.m == 2 and op.grid is coarse.grid:
             raise error
         return solve(op, cut, **kwargs)
 
@@ -987,7 +1016,7 @@ def test_a_failing_surface_fails_alone_and_the_queue_joins_its_threads(
             queue.result(2)
     assert caught.value is error
     with pytest.raises(ValueError, match="positive and finite"):
-        solve_modes(*bad, 25.0)
+        solve_modes(bad.profile, bad.grid, 25.0)
     assert threading.active_count() == before
     assert first.m_max > 5 and last.m_max > 5
     # an error leaving the block stops the queue before every surface is solved

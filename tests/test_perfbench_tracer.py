@@ -71,7 +71,7 @@ def test_tracer_spans_every_mode_solve_of_a_probe_queue(small_pair):
     tracer_mod = _load_tracer()
     discretize = sys.modules["relspec.discretize"]
     profile, _ = small_pair
-    surfaces = [(profile, discretize.make_grid(profile, n)) for n in (600, 900)]
+    surfaces = [discretize.Surface(profile, discretize.make_grid(profile, n)) for n in (600, 900)]
 
     tracer = tracer_mod.Tracer()
     tracer.install()
@@ -101,7 +101,7 @@ def test_tracer_spans_every_mode_solve_of_a_values_only_queue(small_pair):
     discretize = sys.modules["relspec.discretize"]
     profile_a, profile_b = small_pair
     grid = discretize.make_grid(profile_a, 900)
-    surfaces = [(profile_a, grid), (profile_b, grid)]
+    surfaces = [discretize.Surface(profile_a, grid), discretize.Surface(profile_b, grid)]
 
     tracer = tracer_mod.Tracer()
     tracer.install()

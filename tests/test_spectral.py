@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 from relspec import discretize
-from relspec.cli import OFFDIAG_TIMES, ScenarioConfig, _offdiag_surfaces
+from relspec.cli import OFFDIAG_TIMES, ScenarioConfig
 from relspec.discretize import (
     Grid,
     ModeQueue,
+    Surface,
     assemble_mode_operator,
     make_grid,
     solve_mode,
@@ -451,8 +452,8 @@ def offdiag_grids(configs_dir):
     num = cfg.numerics
     y, y2 = num.offdiag_points
     out = []
-    for profile, grid in _offdiag_surfaces(cfg.member("surface_a"), num):
-        sys = solve_modes(profile, grid, num.lambda_cut, probes=(y[0], y2[0]))
+    for surface in cfg.plan.surfaces:
+        sys = solve_modes(surface.profile, surface.grid, num.lambda_cut, probes=(y[0], y2[0]))
         out.append(((y, y2), sys, _full_vectors(sys)))
     return out
 
@@ -493,7 +494,7 @@ def test_offdiag_integral_is_the_full_vector_radial_sum(offdiag_grids):
 
 
 def test_probe_data_are_independent_of_the_thread_count(offdiag_grids, monkeypatch):
-    surfaces = [(sys.profile, sys.grid) for _, sys, _ in offdiag_grids]
+    surfaces = [Surface(sys.profile, sys.grid) for _, sys, _ in offdiag_grids]
     (y, y2), _, _ = offdiag_grids[0]
     for threads in (1, 3):
         monkeypatch.setattr(discretize, "worker_count", lambda threads=threads: threads)
