@@ -8,14 +8,16 @@ Verbs
 
 Exit codes: 0 all checks passed, 1 a check failed or a component raised
 (the summary names the failing stage and a FAILED marker is left in the
-output directory), 2 for config errors.  CSV bodies are byte-identical
-across reruns of the same config.
+output directory), 2 for config errors and an output directory that cannot
+be created.  CSV bodies are byte-identical across reruns of the same
+config.
 
 Loading a config builds its solve plan (``Plan``): every surface the run
-solves, in queue order, with its grid and its weight sampled once, and the
-stage name and members of each distinct pair.  Every config check runs
-there, so a config that cannot run exits 2 before any solve; the run then
-solves the plan as built, building and sampling nothing again.
+solves, in queue order, with its grid, its weight sampled and checked once
+and its pencil, and the stage name and members of each distinct pair.
+Every config check runs there, so a config that cannot run exits 2 before
+any solve; the run then solves the plan as built, building and sampling
+nothing again.
 """
 
 from __future__ import annotations
@@ -57,15 +59,6 @@ from .zeta import (
     determinant_from_series,
     fit_heat_invariants,
     min_fit_samples,
-)
-
-SCENARIO_KINDS = (
-    "validate",
-    "surgery_sweep",
-    "isospectral_check",
-    "decay_check",
-    "funnel_conformal_check",
-    "offdiag_check",
 )
 
 # Times of the off-diagonal Gaussian functional sup_t [log I(t) + d^2/(8t)].
@@ -205,8 +198,9 @@ class ScenarioConfig:
     fields): both members of every distinct point the run solves
     (``points``), or the lone surface_a of validate and offdiag_check (the
     latter on both of its grids, probe points checked against its chart),
-    chart layout included, each on its grid with its weight sampled once.
-    It checks the charts of every pair and that every grid resolves the
+    chart layout included, each a ``Surface`` on its grid, its weight
+    sampled once.  It checks the charts of every pair, that every weight is
+    positive and finite on its grid and that every grid resolves the
     cutoff.  So an unusable value fails here, naming its key.
     """
 
@@ -221,8 +215,8 @@ class ScenarioConfig:
     notes: str = ""
 
     def __post_init__(self):
-        if self.kind not in SCENARIO_KINDS:
-            raise ConfigError(f"unknown scenario kind {self.kind!r}; one of {SCENARIO_KINDS}")
+        if self.kind not in _RUNNERS:
+            raise ConfigError(f"unknown scenario kind {self.kind!r}; one of {tuple(_RUNNERS)}")
         for name, types, want in (
             ("label", str, "a string"),
             ("notes", str, "a string"),
@@ -258,7 +252,8 @@ class ScenarioConfig:
                             f"[{profile.s_min!r}, {profile.s_max!r}] of surface_a"
                         )
                 grids = [make_grid(profile, n) for n in (num.n_nodes, num.n_nodes * 3 // 2)]
-                plan = Plan(surfaces=tuple(Surface(profile, g) for g in grids), surface_a=profile)
+                surfaces = tuple(_surface(profile, g, "surface_a") for g in grids)
+                plan = Plan(surfaces=surfaces, surface_a=profile)
             names = ["surface_a"] * len(plan.surfaces)
         else:
             b = "surface_a" if self.kind == "isospectral_check" else "surface_b"
@@ -273,7 +268,7 @@ class ScenarioConfig:
             names = [where for _, where_a, where_b, _ in family for where in (where_a, where_b)]
         for where, surface in zip(names, plan.surfaces):
             try:
-                check_resolution(surface.weights, surface.grid.h, num.lambda_cut)
+                check_resolution(surface, num.lambda_cut)
             except ValueError as exc:
                 raise ConfigError(
                     f"numerics.n_nodes = {num.n_nodes!r}, numerics.lambda_cut = "
@@ -490,6 +485,16 @@ class Plan:
     surface_a: MetricProfile | None = None
 
 
+def _surface(profile: MetricProfile, grid: Grid, where: str) -> Surface:
+    """``Surface(profile, grid)`` of the member named ``where``; a weight
+    that is not positive and finite on the grid raises a ConfigError naming
+    it."""
+    try:
+        return Surface(profile, grid)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
 def _pair_plan(family, n_nodes: int, points=(0,)) -> Plan:
     """The plan of a family of pairs: per distinct point, ``family`` holds
     its stage name, the names of its A and B (with the point) and (A, B).
@@ -512,7 +517,7 @@ def _pair_plan(family, n_nodes: int, points=(0,)) -> Plan:
             raise ConfigError(f"{where_a}: family members must share the left chart endpoint")
         grid = _prefix_grid(master, profile_a)
         pairs.append((name, len(surfaces), len(surfaces) + 1))
-        surfaces += [Surface(profile_a, grid), Surface(profile_b, grid)]
+        surfaces += [_surface(profile_a, grid, where_a), _surface(profile_b, grid, where_b)]
     return Plan(surfaces=tuple(surfaces), pairs=tuple(pairs), points=tuple(points))
 
 
@@ -901,6 +906,9 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> Report:
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    # A marker an earlier failing run left here would outlive this run's
+    # verdict.
+    (out / "FAILED").unlink(missing_ok=True)
     report = Report(label=cfg.label, kind=cfg.kind, config=cfg.to_dict())
     current = {"stage": "setup"}
 
@@ -977,7 +985,13 @@ def main(argv=None) -> int:
         if args.verb == "validate":
             print(json.dumps(cfg.to_dict(), indent=2, sort_keys=True))
             return 0
-        out_dir = args.out or cfg.output_dir or f"out/{cfg.label}"
+        out_dir = Path(args.out or cfg.output_dir or f"out/{cfg.label}")
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            reason = exc.strerror or exc
+            print(f"cannot create output directory {out_dir}: {reason}", file=sys.stderr)
+            return 2
         report = run_scenario(cfg, out_dir)
         _print_report(report.to_dict())
         return 0 if report.passed else 1

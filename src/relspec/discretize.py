@@ -37,12 +37,13 @@ A mode's set-up costs O(window), not O(N): each surface keeps one running
 maximum of lambda_cut * w from its last row backwards, on which one
 ``searchsorted`` finds a mode's last allowed row; the Agmon sum then runs
 from the mode's first row only until it passes the right margin, and the
-pencil is assembled on the window's rows alone.  Each surface also keeps one
-``PencilBase``, built (and its weight checked) once: the full-cell masses
-w h and the off-diagonal between every two rows, on the whole grid and
-read-only.  A mode's pencil takes views of its rows and computes only its
-diagonal, (2/h + m^2 h) / mass; a range that reaches a Neumann grid end
-copies them and patches the half-cell row.
+pencil is assembled on the window's rows alone.  The parts of the pencil
+that no mode changes belong to the ``Surface``, built (and its weight
+checked) once when it is made: the full-cell masses w h and the
+off-diagonal between every two rows, on the whole grid and read-only.  A
+mode's pencil takes views of its rows and computes only its diagonal,
+(2/h + m^2 h) / mass; a range that reaches a Neumann grid end copies them
+and patches the half-cell row.
 
 The eigensolves call LAPACK ``dstebz`` (bisection) and ``dstein`` (inverse
 iteration) through ``ctypes.CFUNCTYPE``, which releases the GIL while
@@ -64,10 +65,11 @@ Those threads are a ``ModeQueue``: a pool of ``worker_count()`` threads
 that takes the (surface, m) tasks of a whole list of ``Surface``s first in,
 first out (the surfaces in list order, ascending m within each), with no
 barrier between surfaces; a surface's modes are merged in m order when its
-result is taken.  A ``Surface`` is a profile, its grid and its weight,
-sampled once on the grid when it is made; the queue sets each surface up
-from that weight and never samples it again.  Each thread runs its
-values-only solves on its own workspace, which lives as long as the thread.
+result is taken.  A ``Surface`` is a profile, its grid, its weight sampled
+once on the grid and its pencil, all made when it is made; the queue sets
+each surface up from them and never samples the weight again.  Each thread
+runs its values-only solves on its own workspace, which lives as long as
+the thread.
 ``solve_modes`` is its one-surface case.  Every mode's result is
 independent of the thread that solved it, and the queue holds numpy's
 OpenBLAS at one thread while it runs: ``dstein``'s level-1 BLAS splits long
@@ -98,14 +100,12 @@ from .geometry import MetricProfile, line_distance
 __all__ = [
     "Grid",
     "Surface",
-    "PencilBase",
     "ModeOperator",
     "Eigensystem",
     "ProbeModes",
     "make_grid",
     "nearest_row",
     "mode_rows",
-    "pencil_base",
     "assemble_mode_operator",
     "agmon_window",
     "solve_mode",
@@ -113,6 +113,7 @@ __all__ = [
     "ModeQueue",
     "solve_modes",
     "mode_cutoff",
+    "worker_count",
 ]
 
 _BC = ("dirichlet", "neumann", "cap")
@@ -171,17 +172,45 @@ def make_grid(profile: MetricProfile, n_nodes: int) -> Grid:
 
 @dataclass(frozen=True, eq=False)
 class Surface:
-    """A profile, the grid it is solved on, and its weight sampled once on
-    ``grid.nodes`` (read-only): what a ``ModeQueue`` solves."""
+    """A profile, the grid it is solved on, and the parts of its pencils
+    that no mode changes, all built once when it is made: what
+    ``assemble_mode_operator`` assembles and a ``ModeQueue`` solves.
+
+    ``weights`` is the profile's weight sampled once on ``grid.nodes``,
+    which must be positive and finite there (ValueError otherwise), and
+    ``h`` the grid spacing.  ``mass`` = w h is each row's lumped mass with
+    a full cell, and ``e`` the off-diagonal (-1/h) / sqrt(mass_i
+    mass_{i+1}) between rows i and i + 1.  A row at a Neumann grid end has
+    a half cell instead: ``ends`` holds, for the first and the last row,
+    the half-cell mass w h / 2 and the off-diagonal beside it, which a
+    range reaching that end takes in place of the full-cell entries.
+    ``weights``, ``mass`` and ``e`` are read-only and shared by every mode.
+    """
 
     profile: MetricProfile
     grid: Grid
     weights: np.ndarray = field(init=False, repr=False)
+    h: float = field(init=False)
+    mass: np.ndarray = field(init=False, repr=False)
+    e: np.ndarray = field(init=False, repr=False)
+    ends: tuple[tuple[float, float], tuple[float, float]] = field(init=False, repr=False)
 
     def __post_init__(self):
-        weights = self.profile.weight(self.grid.nodes)
-        weights.setflags(write=False)
-        object.__setattr__(self, "weights", weights)
+        w = self.profile.weight(self.grid.nodes)
+        if not (w.min() > 0.0 and w.max() < math.inf):  # a NaN fails the first test
+            raise ValueError("weight must be positive and finite on the grid")
+        h = self.grid.h
+        mass = w * h
+        e = (-1.0 / h) / np.sqrt(mass[:-1] * mass[1:])
+        first, last = float(w[0] * (h / 2.0)), float(w[-1] * (h / 2.0))
+        ends = (
+            (first, (-1.0 / h) / math.sqrt(first * mass[1])),
+            (last, (-1.0 / h) / math.sqrt(mass[-2] * last)),
+        )
+        for array in (w, mass, e):
+            array.setflags(write=False)
+        for name, value in (("weights", w), ("h", h), ("mass", mass), ("e", e), ("ends", ends)):
+            object.__setattr__(self, name, value)
 
 
 def nearest_row(grid: Grid, s: float) -> int:
@@ -203,53 +232,12 @@ def mode_rows(grid: Grid, m: int) -> tuple[int, int]:
     return (0 if keep_left else 1), (grid.n if keep_right else grid.n - 1)
 
 
-@dataclass(frozen=True, eq=False)
-class PencilBase:
-    """The parts of a surface's pencils that no mode changes, on the whole
-    grid, built once by ``pencil_base`` and shared read-only by every mode.
-
-    ``mass`` = w h is each row's lumped mass with a full cell, and ``e`` the
-    off-diagonal (-1/h) / sqrt(mass_i mass_{i+1}) between rows i and i + 1.
-    A row at a Neumann grid end has a half cell instead: ``ends`` holds, for
-    the first and the last row, the half-cell mass w h / 2 and the
-    off-diagonal beside it, which a range reaching that end takes in place
-    of the full-cell entries.
-    """
-
-    grid: Grid
-    h: float
-    mass: np.ndarray = field(repr=False)
-    e: np.ndarray = field(repr=False)
-    ends: tuple[tuple[float, float], tuple[float, float]]
-
-
-def pencil_base(grid: Grid, weights: np.ndarray) -> PencilBase:
-    """The ``PencilBase`` of the weight ``weights``, sampled on
-    ``grid.nodes``, which must be positive and finite there."""
-    w = np.asarray(weights)
-    if w.shape != grid.nodes.shape:
-        raise ValueError("weights must be sampled on the grid nodes")
-    if not (w.min() > 0.0 and w.max() < math.inf):  # a NaN fails the first test
-        raise ValueError("weight must be positive and finite on the grid")
-    h = grid.h
-    mass = w * h
-    e = (-1.0 / h) / np.sqrt(mass[:-1] * mass[1:])
-    first, last = float(w[0] * (h / 2.0)), float(w[-1] * (h / 2.0))
-    ends = (
-        (first, (-1.0 / h) / math.sqrt(first * mass[1])),
-        (last, (-1.0 / h) / math.sqrt(mass[-2] * last)),
-    )
-    mass.setflags(write=False)
-    e.setflags(write=False)
-    return PencilBase(grid=grid, h=h, mass=mass, e=e, ends=ends)
-
-
 @dataclass(frozen=True)
 class ModeOperator:
     """Mode m's pencil on grid rows [lo, hi): the lumped ``mass`` and the
     symmetric tridiagonal (d, e) that the congruence by mass^{-1/2} turns
     the stiffness into.  ``mass`` and ``e`` may be read-only views of the
-    surface's ``PencilBase``."""
+    ``Surface``'s."""
 
     grid: Grid
     m: int
@@ -261,56 +249,43 @@ class ModeOperator:
 
 
 def assemble_mode_operator(
-    profile: MetricProfile,
+    surface: Surface,
     m: int,
-    grid: Grid,
     *,
-    m2_value: float | None = None,
-    weights: np.ndarray | None = None,
     rows: tuple[int, int] | None = None,
-    base: PencilBase | None = None,
+    m2_value: float | None = None,
 ) -> ModeOperator:
-    """Assemble the pencil for mode m on grid rows ``rows`` = (lo, hi),
-    ``mode_rows(grid, m)`` by default; a narrower range is cut by Dirichlet
-    rows.
+    """Assemble the pencil of ``surface`` for mode m on grid rows ``rows``
+    = (lo, hi), ``mode_rows(surface.grid, m)`` by default; a narrower range
+    is cut by Dirichlet rows.
 
     ``m2_value`` replaces the exact angular symbol m^2 (used for
     discretization-matched comparisons against 2D stencils, where the
     five-point angular symbol (4/h^2) sin^2(m h / 2) is substituted).
-    ``base`` is the surface's ``pencil_base`` on ``grid``; callers
-    assembling many modes of one surface build it once and pass it.
-    Without it, one is built here from ``weights`` (the profile's weight
-    already sampled on ``grid.nodes``) or, without those, from the
-    profile's weight; either way the weight must be positive and finite on
-    the whole grid.
 
     Only the diagonal depends on the mode: d = (2/h + m^2 h) / mass on
-    interior rows.  ``mass`` and ``e`` are views of the base's rows, except
-    where the range reaches a Neumann grid end, whose row has a half cell
-    and one neighbour: there they are copies with that row's mass and the
-    off-diagonal beside it patched, and d there is (1/h + m^2 h / 2) / mass.
+    interior rows.  ``mass`` and ``e`` are views of the surface's rows,
+    except where the range reaches a Neumann grid end, whose row has a half
+    cell and one neighbour: there they are copies with that row's mass and
+    the off-diagonal beside it patched, and d there is
+    (1/h + m^2 h / 2) / mass.
     """
+    grid = surface.grid
     carried = mode_rows(grid, m)
     lo, hi = carried if rows is None else rows
     if not carried[0] <= lo < hi <= carried[1]:
         raise ValueError(f"rows [{lo}, {hi}) must lie within mode {m}'s rows {carried}")
-    if base is None:
-        base = pencil_base(grid, profile.weight(grid.nodes) if weights is None else weights)
-    elif weights is not None:
-        raise ValueError("pass weights or base, not both")
-    elif base.grid is not grid:
-        raise ValueError("base must be built on grid")
-    h = base.h
+    h = surface.h
     m2 = float(m * m) if m2_value is None else float(m2_value)
-    mass, e = base.mass[lo:hi], base.e[lo : hi - 1]
+    mass, e = surface.mass[lo:hi], surface.e[lo : hi - 1]
     d = np.divide(2.0 / h + m2 * h, mass)
-    n = len(base.mass)
+    n = grid.n
     if lo == 0 or hi == n:
         end_row = 1.0 / h + m2 * (h / 2.0)
         mass, e = mass.copy(), e.copy()
         for at, reached in ((0, lo == 0), (-1, hi == n)):
             if reached:
-                half, beside = base.ends[at]
+                half, beside = surface.ends[at]
                 mass[at] = half
                 d[at] = end_row / half
                 if len(e):
@@ -660,16 +635,16 @@ class Eigensystem:
                     fh.write(f"{m},{j},{self.multiplicity(m)},{float(lam)!r}\n")
 
 
-def check_resolution(weights: np.ndarray, h: float, lambda_cut: float) -> None:
-    """Raise ValueError unless a grid of spacing ``h`` with the weight
-    ``weights`` on its nodes resolves the cutoff.
+def check_resolution(surface: Surface, lambda_cut: float) -> None:
+    """Raise ValueError unless the grid of ``surface`` resolves the cutoff
+    under its weight.
 
     The largest wavenumber admitted by the cutoff, k = sqrt(lambda_cut *
     max w), needs a few nodes per wavelength or the top of the requested
     window is pure discretization noise: the capacity k h may not exceed
     0.8 pi (2.5 nodes per wavelength).
     """
-    capacity = math.sqrt(lambda_cut * float(np.max(weights))) * h
+    capacity = math.sqrt(lambda_cut * float(np.max(surface.weights))) * surface.h
     if capacity > 0.8 * math.pi:
         raise ValueError(
             "lambda_cut exceeds grid resolution capacity: "
@@ -679,15 +654,13 @@ def check_resolution(weights: np.ndarray, h: float, lambda_cut: float) -> None:
         )
 
 
-def _set_up(surface: Surface, lambda_cut: float, probes):
-    """A surface's ``agmon_window`` envelope of its modes m >= 1, its
-    ``PencilBase`` and its ``_Pending`` (Rayleigh bound, witness mode, and
-    the grid rows nearest the ``probes`` radii with their distance), after
-    checking its weight (in ``pencil_base``), the grid's resolution capacity
-    and the probes."""
+def _set_up(surface: Surface, lambda_cut: float, probes) -> "_Pending":
+    """A surface's ``_Pending`` (Rayleigh bound, witness mode, the
+    ``agmon_window`` envelope of its modes m >= 1, and the grid rows nearest
+    the ``probes`` radii with their distance), after checking the grid's
+    resolution capacity and the probes."""
     grid, w = surface.grid, surface.weights
-    base = pencil_base(grid, w)
-    check_resolution(w, base.h, lambda_cut)
+    check_resolution(surface, lambda_cut)
     probe_rows = distance = None
     if probes is not None:
         probe_rows = tuple(nearest_row(grid, s) for s in probes)
@@ -699,8 +672,8 @@ def _set_up(surface: Surface, lambda_cut: float, probes):
     lo, hi = mode_rows(grid, 1)
     max_weight = float(np.max(w[lo:hi]))
     top = mode_cutoff(lambda_cut, max_weight)
-    pending = _Pending(max_weight, probe_rows, distance, [None] * (top + 1), top + 1)
-    return _envelope(w[lo:hi], lambda_cut), base, pending
+    envelope = _envelope(w[lo:hi], lambda_cut)
+    return _Pending(max_weight, envelope, probe_rows, distance, [None] * (top + 1), top + 1)
 
 
 # Rows per block of a radial Gram sum: one weighted copy of a whole n x k
@@ -718,23 +691,24 @@ def _radial_gram(vecs: np.ndarray, mass: np.ndarray) -> np.ndarray:
     return gram
 
 
-def _solve_one(surface, base, envelope, m, top, lambda_cut, probe_rows, workspace):
+def _solve_one(surface, state, m, lambda_cut, workspace):
     """Mode m of ``surface`` on the ``agmon_window`` of its rows; the
-    witness mode (m = top) on all of them.  ``base`` is the surface's
-    ``PencilBase``; ``envelope`` is the one of the modes m >= 1, whose rows
-    are all the same; mode 0 (m^2 = 0) keeps its rows without reading it.
-    A values-only solve runs LAPACK on ``workspace``, the calling
-    thread's.
+    witness mode (the last of ``state.modes``) on all of them.  ``state``
+    is the surface's ``_Pending``, whose envelope is the one of the modes
+    m >= 1, whose rows are all the same; mode 0 (m^2 = 0) keeps its rows
+    without reading it.  A values-only solve runs LAPACK on ``workspace``,
+    the calling thread's.
     Returns the solved rows, the eigenvalues and the mode's ``ProbeModes``
-    entry: (a, b, gram) when the rows hold both ``probe_rows``, else None.
-    Only such a mode is solved with eigenvectors, and they are dropped on
-    return."""
-    grid, w = surface.grid, surface.weights
-    lo, hi = mode_rows(grid, m)
-    if m < top:
-        a, b = agmon_window(w[lo:hi], base.h, float(m * m), lambda_cut, envelope=envelope)
+    entry: (a, b, gram) when the rows hold both ``state.probe_rows``, else
+    None.  Only such a mode is solved with eigenvectors, and they are
+    dropped on return."""
+    lo, hi = mode_rows(surface.grid, m)
+    if m < len(state.modes) - 1:
+        rows = surface.weights[lo:hi]
+        a, b = agmon_window(rows, surface.h, float(m * m), lambda_cut, envelope=state.envelope)
         lo, hi = lo + a, lo + b
-    op = assemble_mode_operator(surface.profile, m, grid, rows=(lo, hi), base=base)
+    op = assemble_mode_operator(surface, m, rows=(lo, hi))
+    probe_rows = state.probe_rows
     probed = probe_rows is not None and all(lo <= i < hi for i in probe_rows)
     # A solve with eigenvectors makes a one-shot workspace, freed before its
     # n x k block is scaled and summed: kept, the worker's would add to the
@@ -752,12 +726,13 @@ def _solve_one(surface, base, envelope, m, top, lambda_cut, probe_rows, workspac
 
 @dataclass(eq=False)
 class _Pending:
-    """A set-up surface: its Rayleigh bound, its probe rows and their
-    distance (None without probes), the outcome of each mode m
-    (``_solve_one``'s result or the exception it raised) and the number of
-    modes still unsolved."""
+    """A set-up surface: its Rayleigh bound, the ``agmon_window`` envelope
+    of its modes m >= 1, its probe rows and their distance (None without
+    probes), the outcome of each mode m (``_solve_one``'s result or the
+    exception it raised) and the number of modes still unsolved."""
 
     max_weight: float
+    envelope: np.ndarray = field(repr=False)
     probe_rows: tuple[int, int] | None
     distance: float | None
     modes: list
@@ -772,10 +747,10 @@ class ModeQueue:
     each, m = 0 .. witness in ascending order, which is close to largest
     first.  The threads take them one at a time with no barrier between
     surfaces; the thread that takes a surface's first task sets the surface
-    up from its sampled weight (weight check and ``PencilBase``, capacity
-    guard, probe rows, witness mode, Agmon envelope), and every task of the
-    surface carries its envelope and base.  Each thread assembles and
-    solves its modes through ``assemble_mode_operator`` and ``solve_mode``,
+    up from its sampled weight (capacity guard, probe rows, witness mode,
+    Agmon envelope) into its ``_Pending``, which every task of the surface
+    reads.  Each thread assembles and solves its modes, on the pencil the
+    ``Surface`` built, through ``assemble_mode_operator`` and ``solve_mode``,
     the values-only solves on a LAPACK workspace of its own, sized to the
     largest grid, which the thread drops when the queue stops.
     ``result(i)`` waits for surface i's last mode and merges its modes in m
@@ -833,8 +808,8 @@ class ModeQueue:
         for thread in self._threads:
             thread.join()
         # A failed mode's traceback keeps its worker's frames and their
-        # locals (the LAPACK workspace, the pencil base, the operator).  Now
-        # that every such frame has finished, clear them; the text stays.
+        # locals (the LAPACK workspace, the operator).  Now that every such
+        # frame has finished, clear them; the text stays.
         for state in self._states:
             for outcome in getattr(state, "modes", ()):
                 if isinstance(outcome, BaseException):
@@ -881,17 +856,17 @@ class ModeQueue:
         )
 
     def _stream(self):
-        """The tasks (surface index, m, envelope, pencil base) in queue
-        order; each surface is set up when its first task is taken."""
+        """The tasks (surface index, m) in queue order; each surface is set
+        up when its first task is taken."""
         for i, surface in enumerate(self._surfaces):
             try:
-                envelope, base, self._states[i] = _set_up(surface, self._lambda_cut, self._probes)
+                self._states[i] = _set_up(surface, self._lambda_cut, self._probes)
             except BaseException as exc:
                 self._states[i] = exc
                 self._done[i].set()
                 continue
             for m in range(len(self._states[i].modes)):
-                yield i, m, envelope, base
+                yield i, m
 
     def _work(self) -> None:
         # This thread's LAPACK workspace, sized to the largest grid; it dies
@@ -902,14 +877,10 @@ class ModeQueue:
                 task = next(self._tasks, None)
             if task is None:
                 return
-            i, m, envelope, base = task
+            i, m = task
             state = self._states[i]
-            top = len(state.modes) - 1
             try:
-                outcome = _solve_one(
-                    self._surfaces[i], base, envelope, m, top, self._lambda_cut,
-                    state.probe_rows, workspace,
-                )
+                outcome = _solve_one(self._surfaces[i], state, m, self._lambda_cut, workspace)
             except BaseException as exc:
                 outcome = exc
             with self._lock:

@@ -25,7 +25,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 from scipy.sparse.linalg._dsolve import _superlu
 
-from .discretize import Grid, assemble_mode_operator, solve_mode
+from .discretize import Grid, Surface, assemble_mode_operator, solve_mode
 from .geometry import MetricProfile
 
 __all__ = [
@@ -34,6 +34,7 @@ __all__ = [
     "finite_matrix_relative_det",
     "low_eigenvalues_2d",
     "mode_sum_reference",
+    "angular_symbol",
 ]
 
 ORACLE_EIGENVALUES = 20  # eigenvalues the 2D cross-check compares by default
@@ -241,13 +242,14 @@ def mode_sum_reference(
     with symbol mu_m (multiplicity 2 except m = 0 and Nyquist), leaving 1D
     pencils that the tridiagonal solver handles.  Returns the first ``count``
     values ascending; agreement with low_eigenvalues_2d is at linear-algebra
-    precision since both routes diagonalize the same matrix pair.
+    precision since both routes diagonalize the same matrix pair.  The 1D
+    pencils of every mode and every cap round share one ``Surface``.
     """
     if count < 1:
         raise ValueError("count must be positive")
     grid_1d = Grid(nodes=np.asarray(grid.s_nodes), bc_left=grid.bc_left, bc_right=grid.bc_right)
-    w = profile.weight(grid.s_nodes)
-    max_w = float(np.max(w))
+    surface = Surface(profile, grid_1d)
+    max_w = float(np.max(surface.weights))
     nyquist = grid.n_theta // 2
     cap = 16.0
     while True:
@@ -256,7 +258,7 @@ def mode_sum_reference(
             mu = angular_symbol(m, grid.n_theta)
             if mu / max_w > cap:
                 continue
-            op = assemble_mode_operator(profile, m, grid_1d, m2_value=mu)
+            op = assemble_mode_operator(surface, m, m2_value=mu)
             vals, _ = solve_mode(op, cap)
             mult = 1 if (m == 0 or (grid.n_theta % 2 == 0 and m == nyquist)) else 2
             for lam in vals:

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import errno
 import importlib.metadata
 import io
 import json
@@ -244,6 +245,13 @@ def _boundary_left_ends(data):
         data[key]["left_end"] = {"kind": "dirichlet_boundary"}
 
 
+def _underflowing_funnels(data):
+    """Funnel shifts so low that the weight underflows to 0 on the grid."""
+    for key in ("surface_a", "surface_b"):
+        data[key]["left_end"]["funnel_constant"] = -800.0
+    data["epsilons"] = [0.4]
+
+
 @pytest.mark.parametrize(
     "name, mutate, key",
     [
@@ -275,6 +283,11 @@ def _boundary_left_ends(data):
          "numerics.lambda_cut = 1000000.0: on the 4000-node grid of surface_a, lambda_cut"),
         ("funnel_conformal.json", lambda d: d.update(conformal_constants=[0.0, 1.5]),
          "on the 5000-node grid of surface_a at conformal_constants value 1.5, lambda_cut"),
+        # a weight that underflows to 0, which only the sampled weight shows
+        ("point_sweep.json", _underflowing_funnels,
+         "surface_a at epsilons value 0.0: weight must be positive and finite on the grid"),
+        ("offdiag.json", lambda d: d["surface_a"]["left_end"].update(f_value=-800.0),
+         "surface_a: weight must be positive and finite on the grid"),
         # families with no member to compare
         ("funnel_conformal.json", lambda d: d.update(conformal_constants=[]),
          "conformal_constants = []: a funnel_conformal_check needs a value"),
@@ -291,7 +304,7 @@ def _boundary_left_ends(data):
          "bump-amplitude-nan", "fit-window-too-short", "bump-outside-core",
          "no-room-for-funnel", "probe-beyond-chart", "probe-before-chart",
          "sweep-grid-too-coarse", "kernel-grid-too-coarse", "cutoff-too-high",
-         "conformal-weight-too-large",
+         "conformal-weight-too-large", "sweep-weight-underflows", "offdiag-weight-underflows",
          "no-conformal-constant", "no-sweep-epsilon", "members-on-different-charts",
          "retired-continuity-kind"],
 )
@@ -558,10 +571,10 @@ def test_a_surface_failing_in_the_second_pair_fails_that_pairs_stage(tmp_path, m
     error = ArithmeticError("member B at epsilon 0.2 failed")
     assemble = discretize.assemble_mode_operator
 
-    def failing(profile, m, grid, **kwargs):
-        if profile.spec == target and m == 1:
+    def failing(surface, m, **kwargs):
+        if surface.profile.spec == target and m == 1:
             raise error
-        return assemble(profile, m, grid, **kwargs)
+        return assemble(surface, m, **kwargs)
 
     monkeypatch.setattr(discretize, "assemble_mode_operator", failing)
     before = threading.active_count()
@@ -709,6 +722,37 @@ def test_cli_run_exit_one_on_failure(tmp_path, capsys, monkeypatch):
     # report verb mirrors the failure exit code
     assert main(["report", str(out)]) == 1
     capsys.readouterr()
+
+
+def test_a_passing_rerun_removes_a_stale_failed_marker(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "out"
+    broken = write_config(tmp_path, light_sweep_dict("cli-broken"), "broken.json")
+    passing = write_config(tmp_path, mini_isospectral_dict("cli-iso"), "passing.json")
+    with monkeypatch.context() as patch:
+        fail_relative_traces(patch)
+        assert main(["run", str(broken), "--out", str(out)]) == 1
+    assert (out / "FAILED").exists()
+    (out / "notes.txt").write_text("kept\n")
+    assert main(["run", str(passing), "--out", str(out)]) == 0
+    assert not (out / "FAILED").exists()
+    assert (out / "notes.txt").read_text() == "kept\n"  # only the marker goes
+    assert main(["report", str(out)]) == 0
+    assert "[PASS] isospectral_check :: cli-iso" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "errno_code", [errno.EEXIST, errno.ENOTDIR], ids=["a-file", "under-a-file"]
+)
+def test_an_output_directory_that_cannot_be_created_exits_two(tmp_path, capsys, errno_code):
+    cfg_path = write_config(tmp_path, mini_isospectral_dict("cli-iso"))
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file\n")
+    out = blocker if errno_code == errno.EEXIST else blocker / "out"
+    assert main(["run", str(cfg_path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"cannot create output directory {out}: {os.strerror(errno_code)}\n"
+    assert blocker.read_text() == "a file\n"
 
 
 def test_cli_validate_verb_prints_resolved_config(tmp_path, capsys):

@@ -31,7 +31,6 @@ from relspec.discretize import (
     make_grid,
     mode_cutoff,
     mode_rows,
-    pencil_base,
     solve_mode,
     solve_modes,
 )
@@ -48,7 +47,7 @@ from conftest import funnel_cusp_spec, same_probes, small_truncation
 def test_flat_mode_zero_matches_sine_spectrum():
     flat = flat_cylinder()
     grid = make_grid(flat, 2000)
-    op = assemble_mode_operator(flat, 0, grid)
+    op = assemble_mode_operator(Surface(flat, grid), 0)
     vals, _ = solve_mode(op, 30.0)
     exact = np.arange(1, len(vals) + 1, dtype=float) ** 2
     assert np.max(np.abs(vals / exact - 1.0)) < 1e-5
@@ -60,8 +59,9 @@ def test_flat_mode_m_is_mode_zero_shifted_by_m_squared():
     # to round-off, not just to discretization error.
     flat = flat_cylinder()
     grid = make_grid(flat, 500)
-    v0, _ = solve_mode(assemble_mode_operator(flat, 0, grid), 40.0)
-    v3, _ = solve_mode(assemble_mode_operator(flat, 3, grid), 49.0)
+    surface = Surface(flat, grid)
+    v0, _ = solve_mode(assemble_mode_operator(surface, 0), 40.0)
+    v3, _ = solve_mode(assemble_mode_operator(surface, 3), 49.0)
     n = min(len(v0), len(v3))
     assert v3[:n] == pytest.approx(v0[:n] + 9.0, rel=1e-11)
 
@@ -101,7 +101,7 @@ def test_second_order_richardson_on_curved_profile():
 
     def lam1(n):
         grid = make_grid(prof, n)
-        vals, _ = solve_mode(assemble_mode_operator(prof, 0, grid), 10.0)
+        vals, _ = solve_mode(assemble_mode_operator(Surface(prof, grid), 0), 10.0)
         return vals[0]
 
     l1, l2, l3 = lam1(400), lam1(800), lam1(1600)
@@ -116,7 +116,7 @@ def test_second_order_richardson_on_curved_profile():
 def test_eigenvectors_are_mass_orthonormal():
     prof = build_weight(funnel_cusp_spec(), truncation=small_truncation())
     grid = make_grid(prof, 400)
-    op = assemble_mode_operator(prof, 1, grid)
+    op = assemble_mode_operator(Surface(prof, grid), 1)
     vals, vecs = solve_mode(op, 40.0, with_vectors=True)
     # the vectors live on the pencil's rows, which leave out both Dirichlet ends
     assert (op.lo, op.hi) == (1, grid.n - 1)
@@ -142,7 +142,7 @@ def test_tridiagonal_pencil_matches_dense_generalized_solver():
         off = np.full(hi - lo - 1, -1.0 / h)
         stiff = np.diag(deg / h + m * m * cell) + np.diag(off, 1) + np.diag(off, -1)
         dense = eigh(stiff, np.diag(w[lo:hi] * cell), eigvals_only=True)
-        op = assemble_mode_operator(prof, m, grid)
+        op = assemble_mode_operator(Surface(prof, grid), m)
         assert (op.lo, op.hi) == (lo, hi)
         vals, _ = solve_mode(op, 60.0)
         assert len(vals) > 3
@@ -153,8 +153,9 @@ def test_rayleigh_lower_bound_per_mode():
     prof = build_weight(funnel_cusp_spec(), truncation=small_truncation())
     grid = make_grid(prof, 600)
     maxw = float(np.max(prof.weight(grid.nodes)))
+    surface = Surface(prof, grid)
     for m in (1, 2, 4):
-        vals, _ = solve_mode(assemble_mode_operator(prof, m, grid), 80.0)
+        vals, _ = solve_mode(assemble_mode_operator(surface, m), 80.0)
         if len(vals):
             assert vals[0] >= m * m / maxw
 
@@ -165,8 +166,8 @@ def test_domain_monotonicity_under_dirichlet_restriction():
     flat_small = flat_cylinder(2.0)
     g_big = make_grid(flat_big, 1200)
     g_small = make_grid(flat_small, 1200)
-    v_big, _ = solve_mode(assemble_mode_operator(flat_big, 0, g_big), 50.0)
-    v_small, _ = solve_mode(assemble_mode_operator(flat_small, 0, g_small), 50.0)
+    v_big, _ = solve_mode(assemble_mode_operator(Surface(flat_big, g_big), 0), 50.0)
+    v_small, _ = solve_mode(assemble_mode_operator(Surface(flat_small, g_small), 0), 50.0)
     n = min(len(v_big), len(v_small))
     assert np.all(v_small[:n] > v_big[:n])
 
@@ -255,8 +256,8 @@ def test_make_grid_bc_override_and_cap_resolution():
     grid = Grid(nodes=np.linspace(flat.s_min, flat.s_max, 64), bc_left="neumann", bc_right="cap")
     assert mode_rows(grid, 0) == (0, 64)  # cap -> Neumann for m = 0
     assert mode_rows(grid, 2) == (0, 63)  # cap -> Dirichlet for m >= 1
-    op0 = assemble_mode_operator(flat, 0, grid)
-    op2 = assemble_mode_operator(flat, 2, grid)
+    surface = Surface(flat, grid)
+    op0, op2 = assemble_mode_operator(surface, 0), assemble_mode_operator(surface, 2)
     assert (op0.lo, op0.hi) == (0, 64) and (op2.lo, op2.hi) == (0, 63)
     # a half cell on each kept Neumann end row, a full one next to a cut
     assert op0.mass[0] == op0.mass[-1] == grid.h / 2.0
@@ -281,7 +282,7 @@ def test_negative_mode_rejected():
     flat = flat_cylinder()
     grid = make_grid(flat, 64)
     with pytest.raises(ValueError):
-        assemble_mode_operator(flat, -1, grid)
+        assemble_mode_operator(Surface(flat, grid), -1)
 
 
 def test_rows_outside_the_mode_rejected():
@@ -289,7 +290,7 @@ def test_rows_outside_the_mode_rejected():
     grid = make_grid(flat, 64)
     for rows in ((0, 10), (5, 64), (10, 10)):  # Dirichlet end rows, empty range
         with pytest.raises(ValueError, match="must lie within"):
-            assemble_mode_operator(flat, 1, grid, rows=rows)
+            assemble_mode_operator(Surface(flat, grid), 1, rows=rows)
 
 
 
@@ -316,12 +317,13 @@ def test_window_truncation_is_at_round_off(shipped_pair):
     # A tight bisection tolerance takes LAPACK's ||T||-scaled default out of
     # the comparison, so what is left is the truncation itself.
     profile, _, grid, lambda_cut = shipped_pair
-    w = profile.weight(grid.nodes)
+    surface = Surface(profile, grid)
+    w = surface.weights
     top = mode_cutoff(lambda_cut, float(np.max(w)))
     rng = (KERNEL_FLOOR, lambda_cut)
     shortened = 0
     for m in range(top):
-        op = assemble_mode_operator(profile, m, grid, weights=w)
+        op = assemble_mode_operator(surface, m)
         d, e = op.d, op.e
         a, b = agmon_window(w[op.lo : op.hi], grid.h, float(m * m), lambda_cut)
         shortened += (b - a) < len(d)
@@ -400,7 +402,8 @@ def test_windowed_operators_are_slices_of_the_full_row_operators(shipped_pair, m
     # keeps one only where it reaches that end.
     profile, _, grid, lambda_cut = shipped_pair
     system, ops = _solved_operators(profile, grid, lambda_cut, monkeypatch)
-    w = profile.weight(grid.nodes)
+    surface = Surface(profile, grid)
+    w = surface.weights
     assert sorted(ops) == list(range(system.m_max + 1))
     for m, op in ops.items():
         lo, hi = mode_rows(grid, m)
@@ -408,7 +411,7 @@ def test_windowed_operators_are_slices_of_the_full_row_operators(shipped_pair, m
         if m < system.m_max:
             a, b = agmon_window(w[lo:hi], grid.h, float(m * m), lambda_cut)
         assert (op.lo, op.hi) == (lo + a, lo + b), m
-        full = assemble_mode_operator(profile, m, grid, weights=w)
+        full = assemble_mode_operator(surface, m)
         assert (full.lo, full.hi) == (lo, hi)
         assert np.array_equal(op.d, full.d[a:b]), m
         assert np.array_equal(op.e, full.e[a : b - 1]), m
@@ -419,14 +422,15 @@ def test_witness_is_the_rayleigh_bound_over_the_solved_rows(shipped_pair):
     # Modes m >= 1 drop the Dirichlet endpoints, so the weight there does
     # not enter the cutoff; every mode it no longer enumerates is empty.
     profile, _, grid, lambda_cut = shipped_pair
-    w = profile.weight(grid.nodes)
+    surface = Surface(profile, grid)
+    w = surface.weights
     lo, hi = mode_rows(grid, 1)
     full_top = mode_cutoff(lambda_cut, float(np.max(w)))
     system = solve_modes(profile, grid, lambda_cut)
     assert system.m_max == mode_cutoff(lambda_cut, float(np.max(w[lo:hi]))) < full_top
     assert len(system.mode_eigenvalues[system.m_max]) == 0
     for m in range(system.m_max, full_top + 1):
-        vals, _ = solve_mode(assemble_mode_operator(profile, m, grid, weights=w), lambda_cut)
+        vals, _ = solve_mode(assemble_mode_operator(surface, m), lambda_cut)
         assert len(vals) == 0, m
 
 
@@ -437,7 +441,8 @@ def test_windowed_eigenvectors_are_mass_orthonormal_on_their_rows(small_pair):
     assert system.rows == solve_modes(profile, grid, 25.0).rows
     assert system.rows[system.m_max] == mode_rows(grid, system.m_max)  # the witness
     assert system.vectors is None
-    w = profile.weight(grid.nodes)
+    surface = Surface(profile, grid)
+    w = surface.weights
     shortened = 0
     for m in range(system.m_max):
         carried = mode_rows(grid, m)
@@ -445,7 +450,7 @@ def test_windowed_eigenvectors_are_mass_orthonormal_on_their_rows(small_pair):
         shortened += (b - a) < carried[1] - carried[0]
         lo, hi = system.rows[m]
         assert (lo, hi) == (carried[0] + a, carried[0] + b)
-        op = assemble_mode_operator(profile, m, grid, rows=(lo, hi))
+        op = assemble_mode_operator(surface, m, rows=(lo, hi))
         vals, vecs = solve_mode(op, 25.0, with_vectors=True)
         assert vecs.shape == (hi - lo, len(system.mode_eigenvalues[m]))
         gram = vecs.T @ (op.mass[:, None] * vecs)
@@ -571,17 +576,13 @@ def _window_pencil(w, grid, m, lo, hi):
 @pytest.mark.parametrize("bcs", list(itertools.product(("dirichlet", "neumann", "cap"), repeat=2)))
 def test_window_pencils_are_bitwise_slices_of_the_full_row_pencil_at_every_end(bcs):
     # No shipped surface has a Neumann end for m >= 1, where the end row's
-    # half cell meets the m^2 term.  Pencils from a shared base, and from
-    # weights alone, are bitwise the full-row pencil's rows and the pencil
-    # built from the window's own weights.
+    # half cell meets the m^2 term.  Pencils assembled from the surface's
+    # shared mass and off-diagonal are bitwise the full-row pencil's rows
+    # and the pencil built from the window's own weights.
     prof = build_weight(funnel_cusp_spec(), truncation=small_truncation())
     grid = Grid(nodes=np.linspace(prof.s_min, prof.s_max, 120), bc_left=bcs[0], bc_right=bcs[1])
-    w = prof.weight(grid.nodes)
-    base = pencil_base(grid, w)
-    for shared in (base.mass, base.e):
-        assert not shared.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            shared[0] = 1.0
+    surface = Surface(prof, grid)
+    w = surface.weights
     ends = set()
     for m in range(4):
         lo, hi = mode_rows(grid, m)
@@ -591,17 +592,17 @@ def test_window_pencils_are_bitwise_slices_of_the_full_row_pencil_at_every_end(b
         for a, b in windows:
             rows = (lo + a, lo + b)
             ends.update(end for end, at in (("lo", rows[0] == 0), ("hi", rows[1] == grid.n)) if at)
-            one_shot = assemble_mode_operator(prof, m, grid, weights=w, rows=rows)
-            shared = assemble_mode_operator(prof, m, grid, rows=rows, base=base)
+            op = assemble_mode_operator(surface, m, rows=rows)
             references = [(d[a:b], e[a : b - 1], mass[a:b]), _window_pencil(w, grid, m, *rows)]
-            for op in (one_shot, shared):
-                for ref_d, ref_e, ref_mass in references:
-                    assert np.array_equal(op.d, ref_d), (m, a, b)
-                    assert np.array_equal(op.e, ref_e), (m, a, b)
-                    assert np.array_equal(op.mass, ref_mass), (m, a, b)
+            for ref_d, ref_e, ref_mass in references:
+                assert np.array_equal(op.d, ref_d), (m, a, b)
+                assert np.array_equal(op.e, ref_e), (m, a, b)
+                assert np.array_equal(op.mass, ref_mass), (m, a, b)
     neumann_ends = {"lo": bcs[0] != "dirichlet", "hi": bcs[1] != "dirichlet"}
     assert ends == {end for end, kept in neumann_ends.items() if kept}
-    assert np.array_equal(base.mass, w * grid.h)
+    assert np.array_equal(surface.mass, w * grid.h)
+    left, right = surface.mass[:-1], surface.mass[1:]
+    assert np.array_equal(surface.e, (-1.0 / grid.h) / np.sqrt(left * right))
 
 
 def test_windows_and_pencils_of_every_queued_surface_match_the_full_row_reference(
@@ -617,12 +618,10 @@ def test_windows_and_pencils_of_every_queued_surface_match_the_full_row_referenc
     windowed = 0
     for surface, lambda_cut in plan:
         grid, w = surface.grid, surface.weights
-        envelope, base, pending = discretize._set_up(surface, lambda_cut, None)
+        pending = discretize._set_up(surface, lambda_cut, None)
         top = len(pending.modes) - 1
         for m in range(top + 1):
-            (lo, hi), op, _ = discretize._solve_one(
-                surface, base, envelope, m, top, lambda_cut, None, None
-            )
+            (lo, hi), op, _ = discretize._solve_one(surface, pending, m, lambda_cut, None)
             c_lo, c_hi = mode_rows(grid, m)
             a, b = 0, c_hi - c_lo
             if m < top:
@@ -679,27 +678,22 @@ def test_exactness_invariants_hold_under_windows(configs_dir):
     assert ab != 0.0 and ab == -ba
 
 
-def test_assemble_accepts_presampled_weights():
+def test_a_surface_rejects_a_weight_not_positive_and_finite_and_shares_its_pencil_read_only():
     prof = build_weight(funnel_cusp_spec(), truncation=small_truncation())
     grid = make_grid(prof, 200)
-    w = prof.weight(grid.nodes)
-    sampled = assemble_mode_operator(prof, 3, grid)
-    given = assemble_mode_operator(prof, 3, grid, weights=w)
-    shared = assemble_mode_operator(prof, 3, grid, base=pencil_base(grid, w))
-    for op in (given, shared):
-        assert np.array_equal(sampled.mass, op.mass) and np.array_equal(sampled.d, op.d)
-        assert np.array_equal(sampled.e, op.e)
-    with pytest.raises(ValueError, match="positive"):
-        assemble_mode_operator(prof, 3, grid, weights=np.where(w > w[100], w, -1.0))
-    with pytest.raises(ValueError, match="positive"):
-        pencil_base(grid, np.where(w > w[100], w, np.nan))
-    with pytest.raises(ValueError, match="grid nodes"):
-        assemble_mode_operator(prof, 3, grid, weights=w[1:])
-    # a base belongs to its grid, and weights do not come with it
-    with pytest.raises(ValueError, match="built on grid"):
-        assemble_mode_operator(prof, 3, make_grid(prof, 200), base=pencil_base(grid, w))
-    with pytest.raises(ValueError, match="not both"):
-        assemble_mode_operator(prof, 3, grid, weights=w, base=pencil_base(grid, w))
+    surface = Surface(prof, grid)
+    for shared in (surface.weights, surface.mass, surface.e):
+        assert not shared.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            shared[0] = 1.0
+    # a bad value on one node, an interior one or a Dirichlet end's
+    fn, nodes = prof.weight, grid.nodes
+    for at, bad in itertools.product((0, 100), (0.0, -1.0, np.nan, np.inf)):
+        on_node = dataclasses.replace(
+            prof, _fn=lambda s, at=at, bad=bad: np.where(s == nodes[at], bad, fn(s))
+        )
+        with pytest.raises(ValueError, match="weight must be positive and finite on the grid"):
+            Surface(on_node, grid)
 
 
 # ----------------------------------------------------------------------------
@@ -722,19 +716,20 @@ def _assert_binding_matches_scipy(d, e, lo, hi):
 
 def test_lapack_binding_is_bitwise_scipy(shipped_pair):
     profile, _, grid, lambda_cut = shipped_pair
-    w = profile.weight(grid.nodes)
-    op0 = assemble_mode_operator(profile, 0, grid, weights=w)
+    surface = Surface(profile, grid)
+    w = surface.weights
+    op0 = assemble_mode_operator(surface, 0)
     assert len(_assert_binding_matches_scipy(op0.d, op0.e, KERNEL_FLOOR, lambda_cut)) > 10
 
     m = 40
     lo, hi = mode_rows(grid, m)
     a, b = agmon_window(w[lo:hi], grid.h, float(m * m), lambda_cut)
     assert b - a < hi - lo
-    op = assemble_mode_operator(profile, m, grid, weights=w, rows=(lo + a, lo + b))
+    op = assemble_mode_operator(surface, m, rows=(lo + a, lo + b))
     assert len(_assert_binding_matches_scipy(op.d, op.e, KERNEL_FLOOR, lambda_cut))
 
     top = mode_cutoff(lambda_cut, float(np.max(w)))
-    witness = assemble_mode_operator(profile, top, grid, weights=w)
+    witness = assemble_mode_operator(surface, top)
     assert len(_assert_binding_matches_scipy(witness.d, witness.e, KERNEL_FLOOR, lambda_cut)) == 0
 
 
@@ -767,13 +762,14 @@ def test_one_workspace_solves_problems_in_turn_bitwise_as_fresh_ones(shipped_pai
     # more rows than the workspace holds: every result is bitwise a fresh
     # solve's, and none shares memory with the workspace it came from.
     profile, _, grid, lambda_cut = shipped_pair
-    w = profile.weight(grid.nodes)
+    surface = Surface(profile, grid)
+    w = surface.weights
     rng = (KERNEL_FLOOR, lambda_cut)
-    ops = [assemble_mode_operator(profile, 0, grid, weights=w)]
+    ops = [assemble_mode_operator(surface, 0)]
     lo, hi = mode_rows(grid, 40)
     a, b = agmon_window(w[lo:hi], grid.h, 1600.0, lambda_cut)
-    ops.append(assemble_mode_operator(profile, 40, grid, weights=w, rows=(lo + a, lo + b)))
-    ops.append(assemble_mode_operator(profile, 1, grid, weights=w, rows=(lo + a, lo + a + 1)))
+    ops.append(assemble_mode_operator(surface, 40, rows=(lo + a, lo + b)))
+    ops.append(assemble_mode_operator(surface, 1, rows=(lo + a, lo + a + 1)))
     assert len(ops[0].d) > len(ops[1].d) > len(ops[2].d) == 1
     workspace = discretize._Workspace(grid.n)
     assert workspace.rows == grid.n
@@ -797,7 +793,7 @@ def test_one_workspace_solves_problems_in_turn_bitwise_as_fresh_ones(shipped_pai
     assert all(x is y for x, y in zip(buffers, _workspace_buffers(workspace), strict=True))
 
     finer = make_grid(profile, grid.n + 500)
-    op = assemble_mode_operator(profile, 0, finer)
+    op = assemble_mode_operator(Surface(profile, finer), 0)
     vals, _ = solve_mode(op, lambda_cut, workspace=workspace)
     assert workspace.rows == len(op.d) > grid.n
     ref = eigh_tridiagonal(op.d, op.e, select="v", select_range=rng, eigvals_only=True)
@@ -987,15 +983,9 @@ def test_a_failing_surface_fails_alone_and_the_queue_joins_its_threads(
     small_pair, monkeypatch
 ):
     fine_a, fine_b, coarse = _queue_surfaces(small_pair)
-    # A weight that is zero only at node 0, a Dirichlet end outside every
-    # mode's rows: no assembled operator sees it, only the surface's set-up.
-    profile_b, grid = fine_b.profile, fine_b.grid
-    fn = profile_b.weight
-    zero_at_left = dataclasses.replace(
-        profile_b, _fn=lambda s: np.where(s <= profile_b.s_min, 0.0, fn(s))
-    )
-    bad = Surface(zero_at_left, grid)
-    assert bad.weights[0] == 0.0 and mode_rows(grid, 0)[0] == 1
+    # A grid too coarse for the cutoff: the surface fails its set-up's
+    # capacity check, before any of its modes is queued.
+    bad = Surface(fine_b.profile, make_grid(fine_b.profile, 100))
     surfaces = [fine_a, coarse, bad, fine_b]  # the failing surfaces in the middle
     error = ArithmeticError("mode 2 of the coarse surface failed")
     solve = discretize.solve_mode
@@ -1012,10 +1002,10 @@ def test_a_failing_surface_fails_alone_and_the_queue_joins_its_threads(
         first, last = queue.result(0), queue.result(3)
         with pytest.raises(ArithmeticError) as caught:
             queue.result(1)
-        with pytest.raises(ValueError, match="positive and finite"):
+        with pytest.raises(ValueError, match="resolution capacity"):
             queue.result(2)
     assert caught.value is error
-    with pytest.raises(ValueError, match="positive and finite"):
+    with pytest.raises(ValueError, match="resolution capacity"):
         solve_modes(bad.profile, bad.grid, 25.0)
     assert threading.active_count() == before
     assert first.m_max > 5 and last.m_max > 5

@@ -7,7 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from relspec.geometry import BumpSpec, build_weight, flat_cylinder
+from relspec import oracle
+from relspec.geometry import BumpSpec, MetricProfile, build_weight, flat_cylinder
 from relspec.oracle import (
     angular_symbol,
     finite_matrix_relative_det,
@@ -84,6 +85,30 @@ def test_curved_2d_pencil_matches_mode_sum_at_machine_precision():
     direct = low_eigenvalues_2d(prof, grid, count=12)
     via_modes = mode_sum_reference(prof, grid, count=12)
     assert np.max(np.abs(direct / via_modes - 1.0)) < 1e-9
+
+
+def test_mode_sum_reference_samples_the_weight_once_for_every_mode_and_cap_round(monkeypatch):
+    prof = build_weight(
+        funnel_cusp_spec(BumpSpec(center=0.35, radius=0.09, amplitude=0.3)),
+        truncation=small_truncation(),
+    )
+    grid = make_grid_2d(prof, n_s=300, n_theta=24)
+    calls, caps = [], set()
+    weight, solve = MetricProfile.weight, oracle.solve_mode
+
+    def counting(profile, s):
+        calls.append(s)
+        return weight(profile, s)
+
+    def recording(op, cut, **kwargs):
+        caps.add(cut)
+        return solve(op, cut, **kwargs)
+
+    monkeypatch.setattr(MetricProfile, "weight", counting)
+    monkeypatch.setattr(oracle, "solve_mode", recording)
+    vals = mode_sum_reference(prof, grid, count=100)
+    assert len(vals) == 100 and len(caps) > 1  # more than one cap round
+    assert len(calls) == 1 and np.array_equal(calls[0], grid.s_nodes)
 
 
 def test_2d_solver_is_deterministic():

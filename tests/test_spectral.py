@@ -256,10 +256,10 @@ def test_finite_spectra_series():
 def _full_vectors(sys):
     """Each mode's mass-normalised eigenvectors on its solved rows, from
     ``solve_mode`` with vectors on the pencil the system solved."""
-    w = sys.profile.weight(sys.grid.nodes)
+    surface = Surface(sys.profile, sys.grid)
     vectors = {}
     for m, rows in sys.rows.items():
-        op = assemble_mode_operator(sys.profile, m, sys.grid, weights=w, rows=rows)
+        op = assemble_mode_operator(surface, m, rows=rows)
         vals, vectors[m] = solve_mode(op, sys.lambda_cut, with_vectors=True)
         assert np.array_equal(vals, sys.mode_eigenvalues[m]), m
     return vectors
