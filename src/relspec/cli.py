@@ -63,6 +63,8 @@ from .zeta import (
 
 # Times of the off-diagonal Gaussian functional sup_t [log I(t) + d^2/(8t)].
 OFFDIAG_TIMES = tuple(float(t) for t in np.geomspace(0.05, 1.0, 9))
+# The validate scenario's 2D oracle grid: radial nodes x angles.
+ORACLE_S_NODES, ORACLE_N_THETA = 400, 64
 
 
 class ConfigError(ValueError):
@@ -196,12 +198,14 @@ class ScenarioConfig:
 
     Construction builds the run's ``plan`` (a ``Plan``, outside the
     fields): both members of every distinct point the run solves
-    (``points``), or the lone surface_a of validate and offdiag_check (the
-    latter on both of its grids, probe points checked against its chart),
-    chart layout included, each a ``Surface`` on its grid, its weight
-    sampled once.  It checks the charts of every pair, that every weight is
-    positive and finite on its grid and that every grid resolves the
-    cutoff.  So an unusable value fails here, naming its key.
+    (``points``), or the lone surface_a of validate (on the
+    ORACLE_S_NODES oracle grid, its bump checked to span 8 of its nodes)
+    and of offdiag_check (on both of its grids, probe points checked
+    against its chart), chart layout included, each a ``Surface`` on its
+    grid, its weight sampled once.  It checks the charts of every pair,
+    that every weight is positive and finite on its grid and that every
+    grid but the oracle's, which has no cutoff, resolves the cutoff.  So
+    an unusable value fails here, naming its key.
     """
 
     kind: str
@@ -239,21 +243,30 @@ class ScenarioConfig:
 
     def _plan(self) -> "Plan":
         num = self.numerics
-        if self.kind in ("validate", "offdiag_check"):
-            plan = Plan(surface_a=self.member("surface_a"))
-            if self.kind == "offdiag_check":
-                profile = plan.surface_a
-                # The probe circles must lie on the chart they snap to.
-                for key in ("offdiag_y_s", "offdiag_y2_s"):
-                    s = getattr(num, key)
-                    if not profile.s_min - 1e-12 <= s <= profile.s_max + 1e-12:
-                        raise ConfigError(
-                            f"numerics.{key} = {s!r} lies outside the chart "
-                            f"[{profile.s_min!r}, {profile.s_max!r}] of surface_a"
-                        )
-                grids = [make_grid(profile, n) for n in (num.n_nodes, num.n_nodes * 3 // 2)]
-                surfaces = tuple(_surface(profile, g, "surface_a") for g in grids)
-                plan = Plan(surfaces=surfaces, surface_a=profile)
+        if self.kind == "validate":
+            # The 2D oracle needs scipy.sparse, which no other kind loads.
+            from .oracle import check_bump_span
+
+            profile = self.member("surface_a")
+            surface = _surface(profile, make_grid(profile, ORACLE_S_NODES), "surface_a")
+            try:
+                check_bump_span(surface)
+            except ValueError as exc:
+                raise ConfigError(f"surface_a: {exc}") from exc
+            # The oracle solves with no cutoff, so no capacity check applies.
+            return Plan(surfaces=(surface,))
+        if self.kind == "offdiag_check":
+            profile = self.member("surface_a")
+            # The probe circles must lie on the chart they snap to.
+            for key in ("offdiag_y_s", "offdiag_y2_s"):
+                s = getattr(num, key)
+                if not profile.s_min - 1e-12 <= s <= profile.s_max + 1e-12:
+                    raise ConfigError(
+                        f"numerics.{key} = {s!r} lies outside the chart "
+                        f"[{profile.s_min!r}, {profile.s_max!r}] of surface_a"
+                    )
+            grids = [make_grid(profile, n) for n in (num.n_nodes, num.n_nodes * 3 // 2)]
+            plan = Plan(surfaces=tuple(_surface(profile, g, "surface_a") for g in grids))
             names = ["surface_a"] * len(plan.surfaces)
         else:
             b = "surface_a" if self.kind == "isospectral_check" else "surface_b"
@@ -278,19 +291,10 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
-        if not isinstance(data, dict):
-            raise ConfigError(f"config: expected an object, got {type(data).__name__}")
-        data = dict(data)
-        if "numerics" in data:
-            data["numerics"] = _from_mapping(NumericsConfig, data["numerics"], "numerics")
-        names = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - names
-        if unknown:
-            raise ConfigError(f"config: unknown keys {sorted(unknown)}; known: {sorted(names)}")
-        try:
-            return cls(**data)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
+        if isinstance(data, dict) and "numerics" in data:
+            numerics = _from_mapping(NumericsConfig, data["numerics"], "numerics")
+            data = {**data, "numerics": numerics}
+        return _from_mapping(cls, data, "config")
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -475,14 +479,14 @@ class Plan:
     """What a run solves, built once at load: ``surfaces`` in queue order;
     per distinct point of ``ScenarioConfig.points()``, its stage name
     ("pair epsilon = 0.4", "pair constant = 0.2" or "pair") and the indices
-    of its A and B in ``surfaces`` (``pairs``); per entry of ``points()``,
-    its index in ``pairs`` (``points``); and the ``surface_a`` profile that
-    validate and offdiag_check read."""
+    of its A and B in ``surfaces`` (``pairs``); and per entry of
+    ``points()``, its index in ``pairs`` (``points``).  validate and
+    offdiag_check have no pairs: their surfaces are surface_a on the oracle
+    grid, or on offdiag_check's two grids."""
 
     surfaces: tuple[Surface, ...] = ()
     pairs: tuple[tuple[str, int, int], ...] = ()
     points: tuple[int, ...] = ()
-    surface_a: MetricProfile | None = None
 
 
 def _surface(profile: MetricProfile, grid: Grid, where: str) -> Surface:
@@ -576,7 +580,7 @@ def _flat_reference(count: int) -> list[float]:
 
 def _run_validate(cfg: ScenarioConfig, out: Path, report: Report, stage):
     # The 2D oracle needs scipy.sparse, which no other scenario loads.
-    from .oracle import low_eigenvalues_2d, make_grid_2d, mode_sum_reference
+    from .oracle import low_eigenvalues_2d, mode_sum_reference
 
     num = cfg.numerics
 
@@ -610,10 +614,9 @@ def _run_validate(cfg: ScenarioConfig, out: Path, report: Report, stage):
     )
 
     stage("2D oracle agreement")
-    profile = cfg.plan.surface_a
-    grid2 = make_grid_2d(profile)
-    two_d = low_eigenvalues_2d(profile, grid2)
-    mode_sum = mode_sum_reference(profile, grid2)
+    [surface] = cfg.plan.surfaces
+    two_d = low_eigenvalues_2d(surface, ORACLE_N_THETA)
+    mode_sum = mode_sum_reference(surface, ORACLE_N_THETA)
     rel2 = float(np.max(np.abs(two_d - mode_sum) / mode_sum))
     report.add(
         "oracle_2d_vs_mode_sum",
@@ -621,7 +624,7 @@ def _run_validate(cfg: ScenarioConfig, out: Path, report: Report, stage):
         value=rel2,
         tolerance=1e-3,
         detail=(
-            f"first {len(two_d)} eigenvalues, {len(grid2.s_nodes)}x{grid2.n_theta} "
+            f"first {len(two_d)} eigenvalues, {surface.grid.n}x{ORACLE_N_THETA} "
             "five-point pencil vs angular-symbol mode sum (same discrete operator)"
         ),
     )
@@ -636,9 +639,8 @@ def _run_validate(cfg: ScenarioConfig, out: Path, report: Report, stage):
     report.artifacts.append("oracle_agreement.csv")
 
     stage("angular refinement stability")
-    m0_coarse = mode_sum_reference(profile, grid2, 5)
-    grid2_fine = make_grid_2d(profile, len(grid2.s_nodes), 2 * grid2.n_theta)
-    m0_fine = mode_sum_reference(profile, grid2_fine, 5)
+    m0_coarse = mode_sum[:5]  # the first 5 at ORACLE_N_THETA, solved above
+    m0_fine = mode_sum_reference(surface, 2 * ORACLE_N_THETA, 5)
     drift = float(np.max(np.abs(m0_fine - m0_coarse) / m0_coarse))
     report.add(
         "angular_refinement_drift",
@@ -897,8 +899,29 @@ _RUNNERS = {
 }
 
 
+def _remove_earlier_artifacts(out: Path) -> None:
+    """Remove from ``out`` the FAILED marker and every artifact that an
+    earlier run's summary.json there lists, which would otherwise outlive
+    this run's verdict beside a summary that does not list them.  Only a
+    regular file under a plain name (no path separator) is removed; a
+    missing or malformed summary removes the marker alone."""
+    names = ["FAILED"]
+    try:
+        with open(out / "summary.json") as fh:
+            listed = json.load(fh)["artifacts"]
+    except (OSError, ValueError, KeyError, TypeError):
+        listed = []
+    if isinstance(listed, list):
+        names += listed
+    for name in names:
+        if isinstance(name, str) and Path(name).name == name and (out / name).is_file():
+            (out / name).unlink()
+
+
 def run_scenario(cfg: ScenarioConfig, out_dir) -> Report:
-    """Run one scenario, writing artifacts + summary.json into out_dir.
+    """Run one scenario, writing artifacts + summary.json into out_dir,
+    after removing what an earlier run there left (see
+    ``_remove_earlier_artifacts``).
 
     Component failures are caught: the summary names the failing stage, a
     FAILED marker file is written next to whatever partial outputs exist, and
@@ -906,9 +929,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> Report:
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    # A marker an earlier failing run left here would outlive this run's
-    # verdict.
-    (out / "FAILED").unlink(missing_ok=True)
+    _remove_earlier_artifacts(out)
     report = Report(label=cfg.label, kind=cfg.kind, config=cfg.to_dict())
     current = {"stage": "setup"}
 

@@ -10,6 +10,11 @@ Two oracles that share no code path with the per-mode solver:
   ``mode_sum_reference`` substitutes into the 1D assembly, so the two routes
   solve the *same* discrete operator through entirely different linear
   algebra and can be compared at solver precision.
+
+Both 2D routes take a ``discretize.Surface`` and n_theta angles: the
+surface's grid crossed with n_theta equispaced periodic angles.  The
+five-point solver reads only the surface's grid, spacing and sampled
+weight; its stiffness, cells, boundary rule and linear algebra are its own.
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -26,11 +30,9 @@ from scipy.sparse.linalg import LinearOperator, eigsh, splu
 from scipy.sparse.linalg._dsolve import _superlu
 
 from .discretize import Grid, Surface, assemble_mode_operator, solve_mode
-from .geometry import MetricProfile
 
 __all__ = [
-    "Grid2D",
-    "make_grid_2d",
+    "check_bump_span",
     "finite_matrix_relative_det",
     "low_eigenvalues_2d",
     "mode_sum_reference",
@@ -71,65 +73,43 @@ def finite_matrix_relative_det(lam_a, lam_b) -> float:
     return math.exp(float(np.sum(np.log(la)) - np.sum(np.log(lb))))
 
 
-@dataclass(frozen=True)
-class Grid2D:
-    """Tensor grid for the five-point solver: the 1D chart grid crossed with
-    n_theta equispaced angles (periodic)."""
-
-    s_nodes: np.ndarray = field(repr=False)
-    n_theta: int
-    bc_left: str
-    bc_right: str
-
-    def __post_init__(self):
-        if self.n_theta < 8:
-            raise ValueError("need at least 8 angular nodes")
-        self.s_nodes.setflags(write=False)
-
-    @property
-    def n_s(self) -> int:
-        return len(self.s_nodes)
-
-    @property
-    def h_s(self) -> float:
-        return float(self.s_nodes[1] - self.s_nodes[0])
-
-    @property
-    def h_theta(self) -> float:
-        return 2.0 * math.pi / self.n_theta
+def _check_angular_nodes(n_theta: int) -> None:
+    if n_theta < 8:
+        raise ValueError("need at least 8 angular nodes")
 
 
-def make_grid_2d(profile: MetricProfile, n_s: int = 400, n_theta: int = 64) -> Grid2D:
-    nodes = np.linspace(profile.s_min, profile.s_max, n_s)
-    return Grid2D(
-        s_nodes=nodes,
-        n_theta=n_theta,
-        bc_left=profile.bc_left,
-        bc_right=profile.bc_right,
-    )
+def check_bump_span(surface: Surface) -> None:
+    """Raise ValueError unless the profile's bump, if it has one, spans at
+    least 8 radial nodes of the surface's grid: the least that the 2D
+    oracle resolves."""
+    bump = surface.profile.bump
+    if bump is not None and 2.0 * bump.radius / surface.h < 8.0:
+        raise ValueError(
+            f"bump of radius {bump.radius} spans fewer than 8 radial nodes at "
+            f"h_s={surface.h:.4g}; refine the oracle grid"
+        )
 
 
-def _active_slice(grid: Grid2D) -> tuple[int, int, bool, bool]:
+def _active_slice(grid: Grid) -> tuple[int, int, bool, bool]:
     # A cap edge is kept (Neumann for every theta); the m != 0 components
     # there sit at ~ e^{-2 m s_max} and cannot move the low spectrum.
     keep_left = grid.bc_left in ("neumann", "cap")
     keep_right = grid.bc_right in ("neumann", "cap")
     lo = 0 if keep_left else 1
-    hi = grid.n_s if keep_right else grid.n_s - 1
+    hi = grid.n if keep_right else grid.n - 1
     return lo, hi, keep_left, keep_right
 
 
-def _assemble_2d(profile: MetricProfile, grid: Grid2D):
+def _assemble_2d(surface: Surface, n_theta: int):
     """One sparse pencil (A, W) for the quadratic forms
     int (u_s^2 + u_theta^2) ds dtheta  against  int u^2 w ds dtheta,
+    on the surface's grid crossed with n_theta equispaced (periodic) angles,
     on lumped cells -- the exact tensor product of the 1D assembly."""
-    h = grid.h_s
-    ht = grid.h_theta
-    lo, hi, keep_left, keep_right = _active_slice(grid)
+    h = surface.h
+    ht = 2.0 * math.pi / n_theta
+    lo, hi, keep_left, keep_right = _active_slice(surface.grid)
     n_act = hi - lo
-    w = profile.weight(grid.s_nodes)
-    if np.any(~np.isfinite(w)) or np.any(w <= 0.0):
-        raise ValueError("weight must be positive and finite on the grid")
+    w = surface.weights
     cell = np.full(n_act, h)
     deg = np.full(n_act, 2.0)
     if keep_left:
@@ -143,15 +123,14 @@ def _assemble_2d(profile: MetricProfile, grid: Grid2D):
         [-1, 0, 1],
     )
     C_s = sp.diags(cell)
-    nt = grid.n_theta
-    shift = sp.lil_matrix((nt, nt))
-    shift.setdiag(np.ones(nt - 1), 1)
-    shift[nt - 1, 0] = 1.0
+    shift = sp.lil_matrix((n_theta, n_theta))
+    shift.setdiag(np.ones(n_theta - 1), 1)
+    shift[n_theta - 1, 0] = 1.0
     shift = shift.tocsr()
-    K_t = (2.0 * sp.eye(nt) - shift - shift.T) / ht
-    I_t = sp.eye(nt)
+    K_t = (2.0 * sp.eye(n_theta) - shift - shift.T) / ht
+    I_t = sp.eye(n_theta)
     A = sp.kron(K_s, ht * I_t) + sp.kron(C_s, K_t)
-    W = sp.diags(np.repeat(w[lo:hi] * cell, nt) * ht)
+    W = sp.diags(np.repeat(w[lo:hi] * cell, n_theta) * ht)
     return A.tocsc(), W.tocsc()
 
 
@@ -180,31 +159,29 @@ def _one_blas_thread():
 
 
 def low_eigenvalues_2d(
-    profile: MetricProfile,
-    grid: Grid2D,
+    surface: Surface,
+    n_theta: int,
     count: int = ORACLE_EIGENVALUES,
 ) -> np.ndarray:
-    """First ``count`` eigenvalues of the five-point pencil, ascending.
+    """First ``count`` eigenvalues of the five-point pencil on the
+    surface's grid crossed with n_theta angles, ascending.
 
     Shift-invert Lanczos around _EIGSH_SHIFT (below the spectrum) with a
     fixed, seeded start vector; every returned pair is verified to satisfy
     ||A v - lam W v|| <= _EIGSH_RESIDUAL_TOL * ||A v|| and non-convergence
     raises.
 
-    pre: count <= 50 (this is a low-spectrum cross-check, not a production
-    eigensolver); a bump, when present, must span at least 8 radial nodes.
+    pre: n_theta >= 8; count <= 50 (this is a low-spectrum cross-check, not
+    a production eigensolver); a bump, when present, must span at least 8
+    radial nodes (``check_bump_span``).
     """
+    _check_angular_nodes(n_theta)
     if count > 50:
         raise ValueError("the 2D oracle is limited to the first 50 eigenvalues")
     if count < 1:
         raise ValueError("count must be positive")
-    bump = profile.bump
-    if bump is not None and 2.0 * bump.radius / grid.h_s < 8.0:
-        raise ValueError(
-            f"bump of radius {bump.radius} spans fewer than 8 radial nodes at "
-            f"h_s={grid.h_s:.4g}; refine the oracle grid"
-        )
-    A, W = _assemble_2d(profile, grid)
+    check_bump_span(surface)
+    A, W = _assemble_2d(surface, n_theta)
     n = A.shape[0]
     if count >= n - 1:
         raise ValueError("count exceeds the oracle grid size")
@@ -233,8 +210,8 @@ def angular_symbol(m: int, n_theta: int) -> float:
 
 
 def mode_sum_reference(
-    profile: MetricProfile,
-    grid: Grid2D,
+    surface: Surface,
+    n_theta: int,
     count: int = ORACLE_EIGENVALUES,
 ) -> np.ndarray:
     """The same discrete spectrum as the five-point pencil, by angular
@@ -243,24 +220,23 @@ def mode_sum_reference(
     pencils that the tridiagonal solver handles.  Returns the first ``count``
     values ascending; agreement with low_eigenvalues_2d is at linear-algebra
     precision since both routes diagonalize the same matrix pair.  The 1D
-    pencils of every mode and every cap round share one ``Surface``.
+    pencils of every mode and every cap round are the surface's own.
     """
+    _check_angular_nodes(n_theta)
     if count < 1:
         raise ValueError("count must be positive")
-    grid_1d = Grid(nodes=np.asarray(grid.s_nodes), bc_left=grid.bc_left, bc_right=grid.bc_right)
-    surface = Surface(profile, grid_1d)
     max_w = float(np.max(surface.weights))
-    nyquist = grid.n_theta // 2
+    nyquist = n_theta // 2
     cap = 16.0
     while True:
         found: list[tuple[float, int]] = []
         for m in range(nyquist + 1):
-            mu = angular_symbol(m, grid.n_theta)
+            mu = angular_symbol(m, n_theta)
             if mu / max_w > cap:
                 continue
             op = assemble_mode_operator(surface, m, m2_value=mu)
             vals, _ = solve_mode(op, cap)
-            mult = 1 if (m == 0 or (grid.n_theta % 2 == 0 and m == nyquist)) else 2
+            mult = 1 if (m == 0 or (n_theta % 2 == 0 and m == nyquist)) else 2
             for lam in vals:
                 found.append((float(lam), mult))
         total = sum(mult for _, mult in found)

@@ -189,6 +189,11 @@ def test_config_rejects_unknown_kind():
         ScenarioConfig.from_dict({"kind": "frobnicate"})
 
 
+def test_a_config_without_a_kind_names_the_config():
+    with pytest.raises(ConfigError, match=r"^config: .*'kind'"):
+        ScenarioConfig.from_dict({"label": "no kind"})
+
+
 def test_config_label_defaults_to_kind():
     cfg = ScenarioConfig.from_dict({"kind": "validate", "surface_a": MINI_SURFACE})
     assert cfg.label == "validate"
@@ -288,6 +293,12 @@ def _underflowing_funnels(data):
          "surface_a at epsilons value 0.0: weight must be positive and finite on the grid"),
         ("offdiag.json", lambda d: d["surface_a"]["left_end"].update(f_value=-800.0),
          "surface_a: weight must be positive and finite on the grid"),
+        ("validate.json", lambda d: d["surface_a"]["left_end"].update(funnel_constant=-800.0),
+         "surface_a: weight must be positive and finite on the grid"),
+        # a bump the 400-node oracle grid cannot resolve
+        ("validate.json", lambda d: d["surface_a"]["bump"].update(radius=0.07),
+         "surface_a: bump of radius 0.07 spans fewer than 8 radial nodes at h_s=0.01978; "
+         "refine the oracle grid"),
         # families with no member to compare
         ("funnel_conformal.json", lambda d: d.update(conformal_constants=[]),
          "conformal_constants = []: a funnel_conformal_check needs a value"),
@@ -305,6 +316,7 @@ def _underflowing_funnels(data):
          "no-room-for-funnel", "probe-beyond-chart", "probe-before-chart",
          "sweep-grid-too-coarse", "kernel-grid-too-coarse", "cutoff-too-high",
          "conformal-weight-too-large", "sweep-weight-underflows", "offdiag-weight-underflows",
+         "validate-weight-underflows", "validate-bump-below-oracle-grid",
          "no-conformal-constant", "no-sweep-epsilon", "members-on-different-charts",
          "retired-continuity-kind"],
 )
@@ -638,8 +650,8 @@ def test_an_offdiag_run_solves_both_resolutions_on_one_queue(tmp_path, monkeypat
     assert kwargs == {"probes": (num.offdiag_y_s, num.offdiag_y2_s)}
     assert surfaces is cfg.plan.surfaces
     assert [surface.grid.n for surface in surfaces] == [400, 600]
-    assert all(surface.profile is cfg.plan.surface_a for surface in surfaces)
-    assert cfg.plan.surface_a.spec == cfg.member("surface_a").spec
+    assert all(surface.profile is surfaces[0].profile for surface in surfaces)
+    assert surfaces[0].profile.spec == cfg.member("surface_a").spec
 
 
 def test_load_and_run_sample_each_planned_weight_once(tmp_path, monkeypatch):
@@ -656,6 +668,7 @@ def test_load_and_run_sample_each_planned_weight_once(tmp_path, monkeypatch):
     for label, data, count in (
         ("sweep", mini_pair_dict("surgery_sweep", epsilons=[0.0, 0.2, 0.2]), 4),
         ("offdiag", light_offdiag_dict(), 2),
+        ("validate", shipped_config("validate.json"), 1),
     ):
         calls.clear()
         cfg = ScenarioConfig.from_dict(data)
@@ -722,6 +735,44 @@ def test_cli_run_exit_one_on_failure(tmp_path, capsys, monkeypatch):
     # report verb mirrors the failure exit code
     assert main(["report", str(out)]) == 1
     capsys.readouterr()
+
+
+def test_a_rerun_removes_the_artifacts_the_earlier_summary_lists(tmp_path):
+    out = tmp_path / "out"
+    first = ScenarioConfig.from_dict(mini_pair_dict("surgery_sweep", epsilons=[0.1, 0.2]))
+    assert run_scenario(first, out).passed
+    assert (out / "trace_eps_01.csv").exists()
+    # Names that are not plain file names in ``out`` are left alone.
+    summary = json.loads((out / "summary.json").read_text())
+    summary["artifacts"] += ["../outside.txt", "sub/inner.txt", "sub"]
+    (out / "summary.json").write_text(json.dumps(summary))
+    (tmp_path / "outside.txt").write_text("kept\n")
+    (out / "sub").mkdir()
+    (out / "sub" / "inner.txt").write_text("kept\n")
+    (out / "notes.txt").write_text("kept\n")
+    second = ScenarioConfig.from_dict(mini_pair_dict("surgery_sweep", epsilons=[0.1]))
+    assert run_scenario(second, out).passed
+    assert (out / "trace_eps_00.csv").exists()
+    assert not (out / "trace_eps_01.csv").exists()
+    for kept in (tmp_path / "outside.txt", out / "sub" / "inner.txt", out / "notes.txt"):
+        assert kept.read_text() == "kept\n"
+    listed = json.loads((out / "summary.json").read_text())["artifacts"]
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        [*listed, "notes.txt", "sub", "summary.json"]
+    )
+
+
+def test_a_malformed_earlier_summary_removes_only_the_failed_marker(tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    for summary in ("{not json", '{"artifacts": "trace.csv"}', '["trace.csv"]'):
+        (out / "summary.json").write_text(summary)
+        for name in ("FAILED", "trace_eps_05.csv"):
+            (out / name).write_text("stale\n")
+        cfg = ScenarioConfig.from_dict(mini_isospectral_dict())
+        assert run_scenario(cfg, out).passed
+        assert not (out / "FAILED").exists()
+        assert (out / "trace_eps_05.csv").read_text() == "stale\n"
 
 
 def test_a_passing_rerun_removes_a_stale_failed_marker(tmp_path, capsys, monkeypatch):
@@ -882,24 +933,33 @@ import json, sys
 
 import relspec.cli
 
-print(json.dumps([
-    m for m in ("scipy", "scipy.linalg", "scipy.linalg.cython_lapack", "scipy.special",
-                "scipy.sparse", "numpy.f2py", "numpy.polynomial", "_hashlib")
-    if m in sys.modules
-]))
+def heavy():
+    return [
+        m for m in ("scipy", "scipy.linalg", "scipy.linalg.cython_lapack", "scipy.special",
+                    "scipy.sparse", "numpy.f2py", "numpy.polynomial", "_hashlib")
+        if m in sys.modules
+    ]
+
+imported = heavy()
+for path in sys.argv[1:]:
+    relspec.cli.ScenarioConfig.from_json(path)
+print(json.dumps({"imported": imported, "loaded": heavy()}))
 """
 
 
 def test_importing_the_cli_loads_no_heavy_scipy_or_numpy_subpackage(repo_root):
+    # Nor does loading a config of a kind other than validate, whose plan
+    # alone needs the 2D oracle and so scipy.sparse.
+    configs = [str(CONFIGS / name) for name in ("point_sweep.json", "offdiag.json")]
     proc = subprocess.run(
-        [sys.executable, "-c", _STARTUP_PROBE],
+        [sys.executable, "-c", _STARTUP_PROBE, *configs],
         capture_output=True,
         text=True,
         timeout=120,
         env=checkout_env(repo_root),
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == []
+    assert json.loads(proc.stdout) == {"imported": [], "loaded": []}
 
 
 _FOOTPRINT_PROBE = """

@@ -7,13 +7,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from relspec import oracle
+from relspec import discretize, oracle
+from relspec.discretize import Surface, make_grid
 from relspec.geometry import BumpSpec, MetricProfile, build_weight, flat_cylinder
 from relspec.oracle import (
     angular_symbol,
+    check_bump_span,
     finite_matrix_relative_det,
     low_eigenvalues_2d,
-    make_grid_2d,
     mode_sum_reference,
 )
 
@@ -68,31 +69,53 @@ def test_product_determinant_validation():
 # the 2D pencil vs the mode decomposition
 # ----------------------------------------------------------------------------
 
+def surface_on(profile, n_s):
+    return Surface(profile, make_grid(profile, n_s))
+
+
+def bumped_profile():
+    return build_weight(
+        funnel_cusp_spec(BumpSpec(center=0.35, radius=0.09, amplitude=0.3)),
+        truncation=small_truncation(),
+    )
+
+
 def test_flat_2d_pencil_matches_mode_sum_at_machine_precision():
-    flat = flat_cylinder()
-    grid = make_grid_2d(flat, n_s=120, n_theta=16)
-    direct = low_eigenvalues_2d(flat, grid, count=10)
-    via_modes = mode_sum_reference(flat, grid, count=10)
+    surface = surface_on(flat_cylinder(), 120)
+    direct = low_eigenvalues_2d(surface, 16, count=10)
+    via_modes = mode_sum_reference(surface, 16, count=10)
     assert np.max(np.abs(direct / via_modes - 1.0)) < 1e-10
 
 
 def test_curved_2d_pencil_matches_mode_sum_at_machine_precision():
-    prof = build_weight(
-        funnel_cusp_spec(BumpSpec(center=0.35, radius=0.09, amplitude=0.3)),
-        truncation=small_truncation(),
-    )
-    grid = make_grid_2d(prof, n_s=300, n_theta=24)
-    direct = low_eigenvalues_2d(prof, grid, count=12)
-    via_modes = mode_sum_reference(prof, grid, count=12)
+    surface = surface_on(bumped_profile(), 300)
+    direct = low_eigenvalues_2d(surface, 24, count=12)
+    via_modes = mode_sum_reference(surface, 24, count=12)
     assert np.max(np.abs(direct / via_modes - 1.0)) < 1e-9
 
 
+def test_the_2d_solver_runs_without_the_mode_solver(monkeypatch):
+    # The five-point pencil is the reference the mode sum is checked
+    # against, so it must share no assembly or LAPACK call with it.
+    surface = surface_on(bumped_profile(), 300)
+    want = low_eigenvalues_2d(surface, 24, count=12)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the 2D oracle called the mode solver")
+
+    for module in (discretize, oracle):
+        monkeypatch.setattr(module, "assemble_mode_operator", forbidden)
+        monkeypatch.setattr(module, "solve_mode", forbidden)
+    monkeypatch.setattr(discretize, "_eigh_tridiagonal", forbidden)
+    monkeypatch.setattr(discretize, "_DSTEBZ", forbidden)
+    monkeypatch.setattr(discretize, "_DSTEIN", forbidden)
+    assert np.array_equal(low_eigenvalues_2d(surface, 24, count=12), want)
+    with pytest.raises(AssertionError, match="mode solver"):
+        mode_sum_reference(surface, 24, count=12)
+
+
 def test_mode_sum_reference_samples_the_weight_once_for_every_mode_and_cap_round(monkeypatch):
-    prof = build_weight(
-        funnel_cusp_spec(BumpSpec(center=0.35, radius=0.09, amplitude=0.3)),
-        truncation=small_truncation(),
-    )
-    grid = make_grid_2d(prof, n_s=300, n_theta=24)
+    prof = bumped_profile()
     calls, caps = [], set()
     weight, solve = MetricProfile.weight, oracle.solve_mode
 
@@ -106,16 +129,16 @@ def test_mode_sum_reference_samples_the_weight_once_for_every_mode_and_cap_round
 
     monkeypatch.setattr(MetricProfile, "weight", counting)
     monkeypatch.setattr(oracle, "solve_mode", recording)
-    vals = mode_sum_reference(prof, grid, count=100)
+    surface = surface_on(prof, 300)
+    vals = mode_sum_reference(surface, 24, count=100)
     assert len(vals) == 100 and len(caps) > 1  # more than one cap round
-    assert len(calls) == 1 and np.array_equal(calls[0], grid.s_nodes)
+    assert len(calls) == 1 and calls[0] is surface.grid.nodes
 
 
 def test_2d_solver_is_deterministic():
-    flat = flat_cylinder()
-    grid = make_grid_2d(flat, n_s=100, n_theta=16)
-    first = low_eigenvalues_2d(flat, grid, count=6)
-    second = low_eigenvalues_2d(flat, grid, count=6)
+    surface = surface_on(flat_cylinder(), 100)
+    first = low_eigenvalues_2d(surface, 16, count=6)
+    second = low_eigenvalues_2d(surface, 16, count=6)
     assert np.array_equal(first, second)
 
 
@@ -129,17 +152,13 @@ def test_2d_solver_is_bitwise_independent_of_the_blas_thread_count():
         pytest.skip("scipy is not built on its own OpenBLAS")
     get_threads, set_threads = library.scipy_openblas_get_num_threads, library.scipy_openblas_set_num_threads
     get_threads.restype, set_threads.argtypes = ctypes.c_int, [ctypes.c_int]
-    prof = build_weight(
-        funnel_cusp_spec(BumpSpec(center=0.35, radius=0.09, amplitude=0.3)),
-        truncation=small_truncation(),
-    )
-    grid = make_grid_2d(prof, n_s=300, n_theta=48)
+    surface = surface_on(bumped_profile(), 300)
     before = get_threads()
     runs = []
     try:
         for threads in (1, 2):
             set_threads(threads)
-            runs.append(low_eigenvalues_2d(prof, grid))
+            runs.append(low_eigenvalues_2d(surface, 48))
             assert get_threads() == threads
     finally:
         set_threads(before)
@@ -147,25 +166,27 @@ def test_2d_solver_is_bitwise_independent_of_the_blas_thread_count():
 
 
 def test_2d_eigenvalues_are_sorted_and_positive():
-    flat = flat_cylinder()
-    grid = make_grid_2d(flat, n_s=100, n_theta=16)
-    vals = low_eigenvalues_2d(flat, grid, count=8)
+    surface = surface_on(flat_cylinder(), 100)
+    vals = low_eigenvalues_2d(surface, 16, count=8)
     assert np.all(np.diff(vals) >= -1e-12)
     assert np.all(vals > 0)
 
 
 def test_2d_solver_preconditions():
-    flat = flat_cylinder()
-    grid = make_grid_2d(flat, n_s=100, n_theta=16)
+    surface = surface_on(flat_cylinder(), 100)
     with pytest.raises(ValueError, match="50"):
-        low_eigenvalues_2d(flat, grid, count=60)
+        low_eigenvalues_2d(surface, 16, count=60)
     with pytest.raises(ValueError):
-        low_eigenvalues_2d(flat, grid, count=0)
-    narrow = flat_cylinder(bump=BumpSpec(center=1.5, radius=0.01, amplitude=0.2))
+        low_eigenvalues_2d(surface, 16, count=0)
+    narrow = surface_on(flat_cylinder(bump=BumpSpec(center=1.5, radius=0.01, amplitude=0.2)), 100)
     with pytest.raises(ValueError, match="radial nodes"):
-        low_eigenvalues_2d(narrow, make_grid_2d(narrow, n_s=100, n_theta=16), count=4)
-    with pytest.raises(ValueError):
-        make_grid_2d(flat, n_s=100, n_theta=4)
+        low_eigenvalues_2d(narrow, 16, count=4)
+    with pytest.raises(ValueError, match="radial nodes"):
+        check_bump_span(narrow)
+    check_bump_span(surface)  # no bump
+    for entry in (low_eigenvalues_2d, mode_sum_reference):
+        with pytest.raises(ValueError, match="need at least 8 angular nodes"):
+            entry(surface, 4)
 
 
 def test_angular_symbol_limits():
