@@ -17,7 +17,9 @@ solves, in queue order, with its grid, its weight sampled and checked once
 and its pencil, and the stage name and members of each distinct pair.
 Every config check runs there, so a config that cannot run exits 2 before
 any solve; the run then solves the plan as built, building and sampling
-nothing again.
+nothing again.  Each kind's runner, plan, pair member and swept family, and
+the config keys it reads, are its row of ``_KINDS``; a key that the file
+sets and its kind does not read exits 2 too.
 """
 
 from __future__ import annotations
@@ -30,12 +32,13 @@ import math
 import sys
 import time
 import traceback
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .discretize import Grid, ModeQueue, Surface, check_resolution, make_grid, solve_modes
+from .discretize import Grid, ModeQueue, Surface, check_resolution, make_grid
 from .geometry import (
     DEFAULT_TRUNCATION,
     BumpSpec,
@@ -65,6 +68,8 @@ from .zeta import (
 OFFDIAG_TIMES = tuple(float(t) for t in np.geomspace(0.05, 1.0, 9))
 # The validate scenario's 2D oracle grid: radial nodes x angles.
 ORACLE_S_NODES, ORACLE_N_THETA = 400, 64
+# The eigenvalue cutoff of the validate scenario's flat-cylinder stage.
+FLAT_LAMBDA_CUT = 30.0
 
 
 class ConfigError(ValueError):
@@ -86,6 +91,12 @@ def _from_mapping(cls, data: dict, where: str):
         raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _default(obj, name: str):
+    """The default of the field ``name`` of the dataclass ``obj``."""
+    f = obj.__dataclass_fields__[name]
+    return f.default_factory() if f.default is dataclasses.MISSING else f.default
 
 
 def _with_surgery(spec: SurfaceSpec, epsilon: float) -> SurfaceSpec:
@@ -179,10 +190,6 @@ class NumericsConfig:
         return (self.offdiag_y_s, self.offdiag_y_theta), (self.offdiag_y2_s, self.offdiag_y2_theta)
 
 
-# The config key of each ``ScenarioConfig.points()`` keyword.
-_POINT_KEYS = {"epsilon": "epsilons", "constant": "conformal_constants"}
-
-
 def _default_epsilons() -> tuple[float, ...]:
     return tuple(k / 20.0 for k in range(21))
 
@@ -197,15 +204,12 @@ class ScenarioConfig:
     relatively compact and its invariants are the quantity under test.
 
     Construction builds the run's ``plan`` (a ``Plan``, outside the
-    fields): both members of every distinct point the run solves
-    (``points``), or the lone surface_a of validate (on the
-    ORACLE_S_NODES oracle grid, its bump checked to span 8 of its nodes)
-    and of offdiag_check (on both of its grids, probe points checked
-    against its chart), chart layout included, each a ``Surface`` on its
-    grid, its weight sampled once.  It checks the charts of every pair,
+    fields) with the plan builder of its kind's row in ``_KINDS``: every
+    surface the run solves, each a ``Surface`` on its grid, chart layout
+    included, its weight sampled once.  It checks the charts of every pair,
     that every weight is positive and finite on its grid and that every
-    grid but the oracle's, which has no cutoff, resolves the cutoff.  So
-    an unusable value fails here, naming its key.
+    grid solved at ``lambda_cut`` resolves it.  So an unusable value fails
+    here, naming its key.
     """
 
     kind: str
@@ -219,8 +223,8 @@ class ScenarioConfig:
     notes: str = ""
 
     def __post_init__(self):
-        if self.kind not in _RUNNERS:
-            raise ConfigError(f"unknown scenario kind {self.kind!r}; one of {tuple(_RUNNERS)}")
+        if self.kind not in _KINDS:
+            raise ConfigError(f"unknown scenario kind {self.kind!r}; one of {tuple(_KINDS)}")
         for name, types, want in (
             ("label", str, "a string"),
             ("notes", str, "a string"),
@@ -239,62 +243,31 @@ class ScenarioConfig:
             object.__setattr__(self, name, tuple(float(v) for v in values))
         # The plan is no field: to_dict() and the summary's config echo
         # only what the file says.
-        object.__setattr__(self, "plan", self._plan())
-
-    def _plan(self) -> "Plan":
-        num = self.numerics
-        if self.kind == "validate":
-            # The 2D oracle needs scipy.sparse, which no other kind loads.
-            from .oracle import check_bump_span
-
-            profile = self.member("surface_a")
-            surface = _surface(profile, make_grid(profile, ORACLE_S_NODES), "surface_a")
-            try:
-                check_bump_span(surface)
-            except ValueError as exc:
-                raise ConfigError(f"surface_a: {exc}") from exc
-            # The oracle solves with no cutoff, so no capacity check applies.
-            return Plan(surfaces=(surface,))
-        if self.kind == "offdiag_check":
-            profile = self.member("surface_a")
-            # The probe circles must lie on the chart they snap to.
-            for key in ("offdiag_y_s", "offdiag_y2_s"):
-                s = getattr(num, key)
-                if not profile.s_min - 1e-12 <= s <= profile.s_max + 1e-12:
-                    raise ConfigError(
-                        f"numerics.{key} = {s!r} lies outside the chart "
-                        f"[{profile.s_min!r}, {profile.s_max!r}] of surface_a"
-                    )
-            grids = [make_grid(profile, n) for n in (num.n_nodes, num.n_nodes * 3 // 2)]
-            plan = Plan(surfaces=tuple(_surface(profile, g, "surface_a") for g in grids))
-            names = ["surface_a"] * len(plan.surfaces)
-        else:
-            b = "surface_a" if self.kind == "isospectral_check" else "surface_b"
-            points = [tuple(point.items()) for point in self.points()]
-            index = {key: i for i, key in enumerate(dict.fromkeys(points))}
-            family = []
-            for key in index:
-                name = " ".join(["pair", *(f"{k} = {v}" for k, v in key)])
-                at = "".join(f" at {_POINT_KEYS[k]} value {v!r}" for k, v in key)
-                family.append((name, "surface_a" + at, b + at, self.pair(**dict(key))))
-            plan = _pair_plan(family, num.n_nodes, [index[point] for point in points])
-            names = [where for _, where_a, where_b, _ in family for where in (where_a, where_b)]
-        for where, surface in zip(names, plan.surfaces):
-            try:
-                check_resolution(surface, num.lambda_cut)
-            except ValueError as exc:
-                raise ConfigError(
-                    f"numerics.n_nodes = {num.n_nodes!r}, numerics.lambda_cut = "
-                    f"{num.lambda_cut!r}: on the {surface.grid.n}-node grid of {where}, {exc}"
-                ) from exc
-        return plan
+        object.__setattr__(self, "plan", _KINDS[self.kind].plan(self))
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
+        """The config of the mapping ``data``, checked in full: unknown
+        keys, types and ranges, then the plan, then every key ``data``
+        sets off its default against the keys its kind reads.  A default
+        is never flagged, so ``to_dict()`` of a loaded config loads."""
+        raw = data
         if isinstance(data, dict) and "numerics" in data:
             numerics = _from_mapping(NumericsConfig, data["numerics"], "numerics")
             data = {**data, "numerics": numerics}
-        return _from_mapping(cls, data, "config")
+        cfg = _from_mapping(cls, data, "config")
+        named = [(key, cfg, key) for key in raw if key != "numerics"]
+        named += [(f"numerics.{key}", cfg.numerics, key) for key in raw.get("numerics", {})]
+        unread = [
+            key
+            for key, owner, name in named
+            if key not in _KINDS[cfg.kind].reads and getattr(owner, name) != _default(owner, name)
+        ]
+        if unread:
+            a = "an" if cfg.kind[0] in "aeiou" else "a"
+            these = "this key" if len(unread) == 1 else "these keys"
+            raise ConfigError(f"{', '.join(unread)}: {a} {cfg.kind} run does not read {these}")
+        return cfg
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -324,17 +297,15 @@ class ScenarioConfig:
         with no member to compare raises a ConfigError naming its key.
         ``plan.points`` maps each entry to its distinct pair.
         """
-        if self.kind in ("validate", "offdiag_check"):
+        kind = _KINDS[self.kind]
+        if kind.b is None:
             return []
-        if self.kind == "funnel_conformal_check":
-            key, family = "conformal_constants", [{"constant": c} for c in self.conformal_constants]
-        elif self.kind == "surgery_sweep":
-            key, family = "epsilons", [{"epsilon": e} for e in self.epsilons]
-        else:
+        if kind.family is None:
             return [{}]
-        if not family:
-            raise ConfigError(f"{key} = {list(getattr(self, key))!r}: a {self.kind} needs a value")
-        return family if key == "conformal_constants" else [{"epsilon": 0.0}, *family]
+        values = getattr(self, kind.family)
+        if not values:
+            raise ConfigError(f"{kind.family} = {list(values)!r}: a {self.kind} needs a value")
+        return [{kind.keyword: v} for v in (*kind.baseline, *values)]
 
     def _spec(self, d: dict, where: str) -> SurfaceSpec:
         if not d:
@@ -380,8 +351,12 @@ class ScenarioConfig:
         self, *, epsilon: float | None = None, constant: float | None = None
     ) -> tuple[MetricProfile, MetricProfile]:
         """The (A, B) profiles of the scenario, each rewritten as ``member``
-        rewrites it.  The isospectral check compares A against itself."""
-        b = "surface_a" if self.kind == "isospectral_check" else "surface_b"
+        rewrites it.  B is the member of the kind's row in ``_KINDS``: the
+        isospectral check compares A against itself; a kind that solves no
+        pair raises a ConfigError."""
+        b = _KINDS[self.kind].b
+        if b is None:
+            raise ConfigError(f"a {self.kind} run solves no pair")
         return (
             self.member("surface_a", epsilon=epsilon, constant=constant),
             self.member(b, epsilon=epsilon, constant=constant),
@@ -481,8 +456,9 @@ class Plan:
     ("pair epsilon = 0.4", "pair constant = 0.2" or "pair") and the indices
     of its A and B in ``surfaces`` (``pairs``); and per entry of
     ``points()``, its index in ``pairs`` (``points``).  validate and
-    offdiag_check have no pairs: their surfaces are surface_a on the oracle
-    grid, or on offdiag_check's two grids."""
+    offdiag_check have no pairs: their surfaces are the flat cylinder and
+    surface_a on the oracle grid, or surface_a on offdiag_check's two
+    grids."""
 
     surfaces: tuple[Surface, ...] = ()
     pairs: tuple[tuple[str, int, int], ...] = ()
@@ -497,6 +473,78 @@ def _surface(profile: MetricProfile, grid: Grid, where: str) -> Surface:
         return Surface(profile, grid)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _check_capacity(named, lambda_cut: float, keys: str) -> None:
+    """``check_resolution`` of every (where, surface) of ``named`` at
+    ``lambda_cut``; a grid that fails raises a ConfigError naming ``keys``
+    and ``where``."""
+    for where, surface in named:
+        try:
+            check_resolution(surface, lambda_cut)
+        except ValueError as exc:
+            grid = f"the {surface.grid.n}-node grid of {where}"
+            raise ConfigError(f"{keys}: on {grid}, {exc}") from exc
+
+
+def _cutoff_keys(num: NumericsConfig) -> str:
+    return f"numerics.n_nodes = {num.n_nodes!r}, numerics.lambda_cut = {num.lambda_cut!r}"
+
+
+def _plan_validate(cfg: ScenarioConfig) -> Plan:
+    """The flat cylinder on the ``n_nodes`` grid, then surface_a on the
+    oracle grid, its bump spanning 8 of its nodes."""
+    # The 2D oracle needs scipy.sparse, which no other kind loads.
+    from .oracle import check_bump_span
+
+    flat_profile = flat_cylinder(math.pi)
+    # Every n_nodes of at least 8 resolves FLAT_LAMBDA_CUT here, so no
+    # capacity check applies at load; the mode queue checks it as it solves.
+    flat = Surface(flat_profile, make_grid(flat_profile, cfg.numerics.n_nodes))
+    profile = cfg.member("surface_a")
+    surface = _surface(profile, make_grid(profile, ORACLE_S_NODES), "surface_a")
+    try:
+        check_bump_span(surface)
+    except ValueError as exc:
+        raise ConfigError(f"surface_a: {exc}") from exc
+    # The oracle solves with no cutoff, so no capacity check applies.
+    return Plan(surfaces=(flat, surface))
+
+
+def _plan_offdiag(cfg: ScenarioConfig) -> Plan:
+    """surface_a on the ``n_nodes`` grid and on 1.5 times as many nodes,
+    its probe circles on its chart."""
+    num = cfg.numerics
+    profile = cfg.member("surface_a")
+    # The probe circles must lie on the chart they snap to.
+    for key in ("offdiag_y_s", "offdiag_y2_s"):
+        s = getattr(num, key)
+        if not profile.s_min - 1e-12 <= s <= profile.s_max + 1e-12:
+            raise ConfigError(
+                f"numerics.{key} = {s!r} lies outside the chart "
+                f"[{profile.s_min!r}, {profile.s_max!r}] of surface_a"
+            )
+    grids = [make_grid(profile, n) for n in (num.n_nodes, num.n_nodes * 3 // 2)]
+    surfaces = tuple(_surface(profile, g, "surface_a") for g in grids)
+    _check_capacity([("surface_a", s) for s in surfaces], num.lambda_cut, _cutoff_keys(num))
+    return Plan(surfaces=surfaces)
+
+
+def _plan_pairs(cfg: ScenarioConfig) -> Plan:
+    """Both members of every distinct point of ``cfg.points()``, by
+    ``_pair_plan``."""
+    kind, num = _KINDS[cfg.kind], cfg.numerics
+    points = [tuple(point.items()) for point in cfg.points()]
+    index = {key: i for i, key in enumerate(dict.fromkeys(points))}
+    family = []
+    for key in index:
+        name = " ".join(["pair", *(f"{k} = {v}" for k, v in key)])
+        at = "".join(f" at {kind.family} value {v!r}" for _, v in key)
+        family.append((name, "surface_a" + at, kind.b + at, cfg.pair(**dict(key))))
+    plan = _pair_plan(family, num.n_nodes, [index[point] for point in points])
+    names = [where for _, where_a, where_b, _ in family for where in (where_a, where_b)]
+    _check_capacity(zip(names, plan.surfaces), num.lambda_cut, _cutoff_keys(num))
+    return plan
 
 
 def _pair_plan(family, n_nodes: int, points=(0,)) -> Plan:
@@ -583,11 +631,11 @@ def _run_validate(cfg: ScenarioConfig, out: Path, report: Report, stage):
     from .oracle import low_eigenvalues_2d, mode_sum_reference
 
     num = cfg.numerics
+    flat, surface = cfg.plan.surfaces
 
     stage("flat-cylinder spectrum")
-    flat = flat_cylinder(math.pi)
-    grid = make_grid(flat, num.n_nodes)
-    sys_flat = solve_modes(flat, grid, 30.0)
+    with ModeQueue([flat], FLAT_LAMBDA_CUT) as queue:
+        sys_flat = queue.result(0)
     got = sys_flat.eigenvalues_with_multiplicity()[:12]
     want = np.asarray(_flat_reference(12))
     rel = float(np.max(np.abs(got - want) / want))
@@ -614,7 +662,6 @@ def _run_validate(cfg: ScenarioConfig, out: Path, report: Report, stage):
     )
 
     stage("2D oracle agreement")
-    [surface] = cfg.plan.surfaces
     two_d = low_eigenvalues_2d(surface, ORACLE_N_THETA)
     mode_sum = mode_sum_reference(surface, ORACLE_N_THETA)
     rel2 = float(np.max(np.abs(two_d - mode_sum) / mode_sum))
@@ -889,13 +936,57 @@ def _run_offdiag(cfg: ScenarioConfig, out: Path, report: Report, stage):
     )
 
 
-_RUNNERS = {
-    "validate": _run_validate,
-    "surgery_sweep": _run_surgery_sweep,
-    "isospectral_check": _run_isospectral,
-    "decay_check": _run_decay,
-    "funnel_conformal_check": _run_funnel_conformal,
-    "offdiag_check": _run_offdiag,
+@dataclass(frozen=True)
+class _Kind:
+    """A scenario kind: its runner (``run``), its plan builder (``plan``)
+    and every config key it reads (``reads``, numerics keys as
+    ``numerics.<name>``).  A kind that solves pairs names the member ``b``
+    that surface_a is compared against; a kind that sweeps a family names
+    its config key (``family``), the ``pair()`` keyword of its values
+    (``keyword``) and the values it solves first (``baseline``)."""
+
+    run: Callable
+    plan: Callable
+    reads: frozenset[str]
+    b: str | None = None
+    family: str | None = None
+    keyword: str | None = None
+    baseline: tuple[float, ...] = ()
+
+
+def _reads(*keys: str) -> frozenset[str]:
+    """``keys`` and the keys every kind reads."""
+    return frozenset(("kind", "label", "notes", "output_dir", *keys))
+
+
+_TRUNCATION_KEYS = ("numerics.funnel_depth", "numerics.cusp_end", "numerics.cap_end")
+_SOLVE_KEYS = ("numerics.n_nodes", "numerics.lambda_cut", *_TRUNCATION_KEYS)
+_FIT_KEYS = ("numerics.fit_k_max", "numerics.fit_window_lo", "numerics.fit_window_hi")
+_PAIR_KEYS = ("surface_a", "surface_b", *_SOLVE_KEYS, *_FIT_KEYS)
+_OFFDIAG_KEYS = tuple(f"numerics.offdiag_{k}" for k in ("y_s", "y_theta", "y2_s", "y2_theta"))
+
+# Every per-kind decision.  decay_check reads the fit keys because its
+# unused fit can still fail the run.
+_KINDS = {
+    "validate": _Kind(
+        _run_validate, _plan_validate, _reads("surface_a", "numerics.n_nodes", *_TRUNCATION_KEYS)
+    ),
+    "surgery_sweep": _Kind(
+        _run_surgery_sweep, _plan_pairs, _reads(*_PAIR_KEYS, "epsilons"),
+        b="surface_b", family="epsilons", keyword="epsilon", baseline=(0.0,),
+    ),
+    "isospectral_check": _Kind(
+        _run_isospectral, _plan_pairs, _reads("surface_a", *_SOLVE_KEYS, *_FIT_KEYS),
+        b="surface_a",
+    ),
+    "decay_check": _Kind(_run_decay, _plan_pairs, _reads(*_PAIR_KEYS), b="surface_b"),
+    "funnel_conformal_check": _Kind(
+        _run_funnel_conformal, _plan_pairs, _reads(*_PAIR_KEYS, "conformal_constants"),
+        b="surface_b", family="conformal_constants", keyword="constant",
+    ),
+    "offdiag_check": _Kind(
+        _run_offdiag, _plan_offdiag, _reads("surface_a", *_SOLVE_KEYS, *_OFFDIAG_KEYS)
+    ),
 }
 
 
@@ -938,7 +1029,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> Report:
 
     t0 = time.perf_counter()
     try:
-        _RUNNERS[cfg.kind](cfg, out, report, stage)
+        _KINDS[cfg.kind].run(cfg, out, report, stage)
     except Exception as exc:  # noqa: BLE001 -- the report carries the failure
         report.failed_stage = current["stage"]
         report.error = f"{type(exc).__name__}: {exc}"

@@ -7,9 +7,16 @@ Two oracles that share no code path with the per-mode solver:
 * a genuinely two-dimensional five-point solver on the (s, theta) cylinder,
   assembled as one sparse generalized pencil and solved by shift-invert
   Lanczos.  Its theta-difference symbol mu_m = (4/h^2) sin^2(m h / 2) is what
-  ``mode_sum_reference`` substitutes into the 1D assembly, so the two routes
-  solve the *same* discrete operator through entirely different linear
-  algebra and can be compared at solver precision.
+  ``mode_sum_reference`` substitutes into the 1D assembly, so on a surface
+  without a ``filled_cap`` end the two routes solve the *same* discrete
+  operator through entirely different linear algebra and agree at solver
+  precision.  A cap ring is the exception: the five-point pencil keeps it
+  Neumann at every angle (``_active_slice``), while the surface's own
+  pencils make it Dirichlet for m != 0 (``discretize.mode_rows``).  There
+  the two routes solve different operators, and on a funnel + filled_cap
+  surface (cap_epsilon 0.3, 400 x 64) their first 20 eigenvalues differ by
+  up to 1.9e-4 relative.  ROADMAP.md item 21 gives the cap ring one pole
+  unknown, which is ``mode_rows``'s rule.
 
 Both 2D routes take a ``discretize.Surface`` and n_theta angles: the
 surface's grid crossed with n_theta equispaced periodic angles.  The
@@ -214,13 +221,17 @@ def mode_sum_reference(
     n_theta: int,
     count: int = ORACLE_EIGENVALUES,
 ) -> np.ndarray:
-    """The same discrete spectrum as the five-point pencil, by angular
+    """The discrete spectrum of the five-point pencil by angular
     diagonalization: the theta circulant factors into modes m = 0..n_theta/2
     with symbol mu_m (multiplicity 2 except m = 0 and Nyquist), leaving 1D
     pencils that the tridiagonal solver handles.  Returns the first ``count``
-    values ascending; agreement with low_eigenvalues_2d is at linear-algebra
-    precision since both routes diagonalize the same matrix pair.  The 1D
-    pencils of every mode and every cap round are the surface's own.
+    values ascending.  The 1D pencils of every mode and every cap round are
+    the surface's own.  On a surface without a ``filled_cap`` end both
+    routes diagonalize the same matrix pair, so agreement with
+    low_eigenvalues_2d is at linear-algebra precision.  With a cap they do
+    not: these pencils make the cap ring Dirichlet for m != 0, while the
+    five-point pencil keeps it Neumann, and the low eigenvalues differ by up
+    to about 2e-4 relative (see the module docstring).
     """
     _check_angular_nodes(n_theta)
     if count < 1:

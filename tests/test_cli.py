@@ -257,6 +257,11 @@ def _underflowing_funnels(data):
     data["epsilons"] = [0.4]
 
 
+def _set_what_validate_does_not_read(data):
+    data["numerics"].update(lambda_cut=1.0, fit_k_max=5, offdiag_y_s=99.0)
+    data.update(epsilons=[0.3], surface_b=data["surface_a"])
+
+
 @pytest.mark.parametrize(
     "name, mutate, key",
     [
@@ -310,6 +315,26 @@ def _underflowing_funnels(data):
         # a retired kind, whose table point_sweep's sweep.csv holds
         ("point_sweep.json", lambda d: d.update(kind="continuity_check"),
          "unknown scenario kind 'continuity_check'"),
+        # a key the kind does not read, one kind each
+        ("validate.json", lambda d: d["numerics"].update(lambda_cut=1.0),
+         "config error: numerics.lambda_cut: a validate run does not read this key\n"),
+        ("validate.json", _set_what_validate_does_not_read,
+         "config error: epsilons, surface_b, numerics.lambda_cut, numerics.fit_k_max, "
+         "numerics.offdiag_y_s: a validate run does not read these keys\n"),
+        ("isospectral.json", lambda d: d.update(surface_b={"nonsense": 1}),
+         "config error: surface_b: an isospectral_check run does not read this key\n"),
+        ("offdiag.json", lambda d: d.update(numerics={"fit_k_max": 4}),
+         "config error: numerics.fit_k_max: an offdiag_check run does not read this key\n"),
+        ("decay.json", lambda d: d.update(epsilons=[0.3]),
+         "config error: epsilons: a decay_check run does not read this key\n"),
+        ("point_sweep.json", lambda d: d.update(conformal_constants=[0.0, 0.2]),
+         "config error: conformal_constants: a surgery_sweep run does not read this key\n"),
+        ("funnel_conformal.json", lambda d: d["numerics"].update(offdiag_y2_theta=1.0),
+         "config error: numerics.offdiag_y2_theta: a funnel_conformal_check run does not "
+         "read this key\n"),
+        # an unread key of the wrong type reports its type first
+        ("validate.json", lambda d: d.update(epsilons="0.3"),
+         "config error: epsilons must be a list of numbers, got '0.3'\n"),
     ],
     ids=["epsilon-above-1", "epsilon-nan", "no-surgery-end", "no-funnel-end",
          "bump-amplitude-nan", "fit-window-too-short", "bump-outside-core",
@@ -318,7 +343,9 @@ def _underflowing_funnels(data):
          "conformal-weight-too-large", "sweep-weight-underflows", "offdiag-weight-underflows",
          "validate-weight-underflows", "validate-bump-below-oracle-grid",
          "no-conformal-constant", "no-sweep-epsilon", "members-on-different-charts",
-         "retired-continuity-kind"],
+         "retired-continuity-kind", "validate-reads-no-cutoff", "validate-five-unread-keys",
+         "isospectral-reads-no-surface-b", "offdiag-reads-no-fit", "decay-reads-no-epsilons",
+         "sweep-reads-no-constants", "conformal-reads-no-probe", "unread-and-mistyped"],
 )
 def test_unusable_shipped_config_exits_two_before_any_solve(tmp_path, capsys, name, mutate, key):
     data = shipped_config(name)
@@ -331,6 +358,46 @@ def test_unusable_shipped_config_exits_two_before_any_solve(tmp_path, capsys, na
     assert not out.exists()  # no summary.json, nothing solved
     assert main(["validate", str(path)]) == 2
     assert key in capsys.readouterr().err
+
+
+# The values each kind accepts, ``kind`` aside: 74 of the 6 x 19 settable.
+ACCEPTED_VALUES = {
+    "validate": 8,
+    "isospectral_check": 12,
+    "offdiag_check": 13,
+    "decay_check": 13,
+    "surgery_sweep": 14,
+    "funnel_conformal_check": 14,
+}
+
+
+def test_each_kind_reads_its_own_keys_and_every_kind_the_common_ones():
+    settable = {f.name for f in dataclasses.fields(ScenarioConfig)} - {"kind", "numerics"}
+    settable |= {f"numerics.{f.name}" for f in dataclasses.fields(NumericsConfig)}
+    assert len(settable) == 19
+    assert cli._KINDS.keys() == ACCEPTED_VALUES.keys()
+    for name, kind in cli._KINDS.items():
+        assert kind.reads - {"kind"} <= settable, name
+        assert len(kind.reads - {"kind"}) == ACCEPTED_VALUES[name], name
+        assert {"kind", "label", "notes", "output_dir", "surface_a"} <= kind.reads, name
+        assert {kind.b, kind.family} - {None} <= kind.reads, name
+    assert sum(ACCEPTED_VALUES.values()) == 74
+
+
+def test_a_validate_run_builds_no_profile_grid_or_surface(tmp_path, monkeypatch):
+    cfg = ScenarioConfig.from_json(CONFIGS / "validate.json")
+    flat, surface = cfg.plan.surfaces
+    assert (flat.grid.n, surface.grid.n) == (cfg.numerics.n_nodes, cli.ORACLE_S_NODES)
+    assert (flat.profile.s_min, flat.profile.s_max) == (0.0, math.pi)
+
+    def built(*args, **kwargs):
+        raise AssertionError("the run built what its plan holds")
+
+    for name in ("flat_cylinder", "make_grid", "build_weight", "Surface"):
+        monkeypatch.setattr(cli, name, built)
+    monkeypatch.setattr(discretize, "Surface", built)
+    assert run_scenario(cfg, tmp_path).passed
+    assert not hasattr(cli, "solve_modes")
 
 
 @pytest.mark.parametrize(
@@ -353,6 +420,25 @@ def test_validate_accepts_a_null_output_dir(tmp_path, capsys):
     data["output_dir"] = None
     assert main(["validate", str(write_config(tmp_path, data))]) == 0
     assert json.loads(capsys.readouterr().out)["output_dir"] is None
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
+def test_the_resolved_config_that_validate_prints_loads_back(tmp_path, capsys, path):
+    # The echo sets every key, those its kind does not read at their
+    # defaults, and a default is never flagged.
+    assert main(["validate", str(path)]) == 0
+    echo = capsys.readouterr().out
+    resolved = tmp_path / "resolved.json"
+    resolved.write_text(echo)
+    assert main(["validate", str(resolved)]) == 0
+    assert capsys.readouterr().out == echo
+
+
+def test_an_unread_key_at_its_default_loads():
+    data = shipped_config("validate.json")
+    data["numerics"].update(lambda_cut=400, fit_k_max=3)
+    data.update(surface_b={}, conformal_constants=[0.0, 0.2, 0.4])
+    assert ScenarioConfig.from_dict(data) == ScenarioConfig.from_json(CONFIGS / "validate.json")
 
 
 def _leaf_paths(node, path=()):
@@ -507,13 +593,16 @@ MINI_PAIR_KINDS = {
 
 
 def mini_pair_dict(kind, **extra):
-    return {
+    data = {
         "kind": kind,
         "surface_a": MINI_SURFACE,
         "surface_b": MINI_PLAIN,
         "numerics": dict(MINI_PAIR_NUMERICS),
         **extra,
     }
+    if kind == "isospectral_check":  # compares surface_a against itself
+        del data["surface_b"]
+    return data
 
 
 def record_solves(monkeypatch):
@@ -668,7 +757,7 @@ def test_load_and_run_sample_each_planned_weight_once(tmp_path, monkeypatch):
     for label, data, count in (
         ("sweep", mini_pair_dict("surgery_sweep", epsilons=[0.0, 0.2, 0.2]), 4),
         ("offdiag", light_offdiag_dict(), 2),
-        ("validate", shipped_config("validate.json"), 1),
+        ("validate", shipped_config("validate.json"), 2),
     ):
         calls.clear()
         cfg = ScenarioConfig.from_dict(data)
