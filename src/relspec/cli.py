@@ -68,8 +68,9 @@ from .zeta import (
 OFFDIAG_TIMES = tuple(float(t) for t in np.geomspace(0.05, 1.0, 9))
 # The validate scenario's 2D oracle grid: radial nodes x angles.
 ORACLE_S_NODES, ORACLE_N_THETA = 400, 64
-# The eigenvalue cutoff of the validate scenario's flat-cylinder stage.
-FLAT_LAMBDA_CUT = 30.0
+# The validate scenario's flat-cylinder stage: its grid nodes and its
+# eigenvalue cutoff.
+FLAT_S_NODES, FLAT_LAMBDA_CUT = 4000, 30.0
 
 
 class ConfigError(ValueError):
@@ -492,15 +493,15 @@ def _cutoff_keys(num: NumericsConfig) -> str:
 
 
 def _plan_validate(cfg: ScenarioConfig) -> Plan:
-    """The flat cylinder on the ``n_nodes`` grid, then surface_a on the
-    oracle grid, its bump spanning 8 of its nodes."""
+    """The flat cylinder on its fixed grid, then surface_a on the oracle
+    grid, its bump spanning 8 of its nodes."""
     # The 2D oracle needs scipy.sparse, which no other kind loads.
     from .oracle import check_bump_span
 
     flat_profile = flat_cylinder(math.pi)
-    # Every n_nodes of at least 8 resolves FLAT_LAMBDA_CUT here, so no
-    # capacity check applies at load; the mode queue checks it as it solves.
-    flat = Surface(flat_profile, make_grid(flat_profile, cfg.numerics.n_nodes))
+    # FLAT_S_NODES resolves FLAT_LAMBDA_CUT here, so no capacity check
+    # applies at load; the mode queue checks it as it solves.
+    flat = Surface(flat_profile, make_grid(flat_profile, FLAT_S_NODES))
     profile = cfg.member("surface_a")
     surface = _surface(profile, make_grid(profile, ORACLE_S_NODES), "surface_a")
     try:
@@ -630,7 +631,6 @@ def _run_validate(cfg: ScenarioConfig, out: Path, report: Report, stage):
     # The 2D oracle needs scipy.sparse, which no other scenario loads.
     from .oracle import low_eigenvalues_2d, mode_sum_reference
 
-    num = cfg.numerics
     flat, surface = cfg.plan.surfaces
 
     stage("flat-cylinder spectrum")
@@ -644,7 +644,7 @@ def _run_validate(cfg: ScenarioConfig, out: Path, report: Report, stage):
         rel <= 1e-5,
         value=rel,
         tolerance=1e-5,
-        detail=f"first 12 of k^2+m^2 at N={num.n_nodes}",
+        detail=f"first 12 of k^2+m^2 at N={FLAT_S_NODES}",
     )
     sys_flat.to_csv(out / "flat_spectrum.csv")
     report.artifacts.append("flat_spectrum.csv")
@@ -968,9 +968,7 @@ _OFFDIAG_KEYS = tuple(f"numerics.offdiag_{k}" for k in ("y_s", "y_theta", "y2_s"
 # Every per-kind decision.  decay_check reads the fit keys because its
 # unused fit can still fail the run.
 _KINDS = {
-    "validate": _Kind(
-        _run_validate, _plan_validate, _reads("surface_a", "numerics.n_nodes", *_TRUNCATION_KEYS)
-    ),
+    "validate": _Kind(_run_validate, _plan_validate, _reads("surface_a", *_TRUNCATION_KEYS)),
     "surgery_sweep": _Kind(
         _run_surgery_sweep, _plan_pairs, _reads(*_PAIR_KEYS, "epsilons"),
         b="surface_b", family="epsilons", keyword="epsilon", baseline=(0.0,),

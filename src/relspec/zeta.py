@@ -6,35 +6,31 @@ relative heat trace E(t),
     zeta(s) Gamma(s) = int_0^inf t^{s-1} E(t) dt,
 
 meromorphically continued through the small-time expansion
-t E(t) ~ sum_k a_k t^k.  Splitting the integral at tau = 1 (``SPLIT_TAU``)
-and expanding 1/Gamma around s = 0 gives
+t E(t) ~ sum_k a_k t^k.  Below the trust floor t_f of the series the model
+stands in for E; above it E is taken as computed.  The model part continues
+term by term,
 
-    zeta'(0) = gamma a_1 + a_1 ln tau - a_0 / tau
-               + sum_{k>=2} a_k tau^{k-1} / (k - 1)
-               + int_0^tau (E(t) - sum_k a_k t^{k-1}) dt/t
-               + int_tau^inf E(t) dt/t,
+    int_0^t_f t^{s-1} sum_k a_k t^{k-1} dt = sum_k a_k t_f^{s+k-1} / (s+k-1),
 
-with gamma the Euler-Mascheroni constant.  Both integrals are taken in
-closed form.  Over the kept spectra E is a finite exponential sum, and
-int_x^inf e^{-lam t} dt/t = E1(lam x) (Abramowitz-Stegun 5.1.1), so
+and with 1/Gamma(s) = s + gamma s^2 + O(s^3) (gamma the Euler-Mascheroni
+constant) the derivative at s = 0 is
 
-    S(x) = int_x^inf E(t) dt/t = sum mult sum_j [E1(lam_a,j x) - E1(lam_b,j x)]
+    zeta'(0) = S(t_f) - a_0 / t_f + a_1 (gamma + ln t_f)
+               + sum_{k>=2} a_k t_f^{k-1} / (k - 1),
 
-(``PairedSpectrum.e1_sum``, paired mode by mode).  The large-time integral
-is S(tau), exact to infinity.  The small-time integral is cut at the trust
-floor t_floor and equals S(t_floor) - S(tau) - M, where M is the model
-integral
+where S(x) = int_x^inf E(t) dt/t.  Over the kept spectra E is a finite
+exponential sum, and int_x^inf e^{-lam t} dt/t = E1(lam x)
+(Abramowitz-Stegun 5.1.1), so
 
-    M = a_0 (1/t_floor - 1/tau) + a_1 ln(tau/t_floor)
-        + sum_{k>=2} a_k (tau^{k-1} - t_floor^{k-1}) / (k - 1).
+    S(x) = sum mult sum_j [E1(lam_a,j x) - E1(lam_b,j x)]
 
-The value does not depend on tau up to round-off, so tau is fixed at 1.
-What remains inexact is the data: the model's truncation below t_floor, the
-residual of the invariant fit (which leaks in through the 1/t_floor
-sensitivity of the small-time integral), and the spectrum the cutoff
-dropped.  The error budget tracks these three.  The
-determinant convention is det = exp(-zeta'(0)), so for finite spectra
-det({1,2,3}, {1,2,4}) = (1*2*3)/(1*2*4) = 3/4.
+(``PairedSpectrum.e1_sum``, paired mode by mode), exact to infinity.  The
+model is a small-time expansion, so t_f must stay below ``MODEL_T_MAX``.
+What remains inexact is the data: the model's truncation below t_f, the
+residual of the invariant fit (which leaks in through the 1/t_f sensitivity
+of the model terms), and the spectrum the cutoff dropped.  The error budget
+tracks these three.  The determinant convention is det = exp(-zeta'(0)), so
+for finite spectra det({1,2,3}, {1,2,4}) = (1*2*3)/(1*2*4) = 3/4.
 """
 
 from __future__ import annotations
@@ -57,7 +53,7 @@ __all__ = [
 ]
 
 EULER_GAMMA = float(np.euler_gamma)
-SPLIT_TAU = 1.0  # the Mellin split point tau of the module docstring
+MODEL_T_MAX = 1.0  # the small-time model is never integrated past t = 1
 
 # The window balances three error sources at the default discretization
 # (N = 4000, lambda_cut = 400): below ~0.05 the spectral-cutoff tail of the
@@ -205,11 +201,12 @@ def determinant_from_series(
     series: TraceSeries,
     invariants: HeatInvariants | None = None,
 ) -> DeterminantResult:
-    """zeta'(0) and the relative determinant by the split-Mellin closed form
-    (module docstring); ``invariants`` defaults to the default fit.
+    """zeta'(0) and the relative determinant by the closed form of the module
+    docstring, from one E1 sum at the trust floor; ``invariants`` defaults to
+    the default fit.
 
     pre: at least two invariant orders beyond the Weyl term (k_max >= 2);
-    the recorded cutoff tail bound at the last sample is below 1e-8 of the
+    the trust floor below ``MODEL_T_MAX``; the recorded cutoff tail bound at the last sample is below 1e-8 of the
     series scale (otherwise the large-time data cannot be trusted and this
     raises); no eigenvalue at or below the kernel threshold lacks a
     bitwise-equal partner (E1 diverges at 0; raises naming the mode).
@@ -223,24 +220,20 @@ def determinant_from_series(
             "cutoff tail bound at the last sample exceeds 1e-8 of the series scale; "
             "extend the time grid or raise the cutoff"
         )
-    tau = SPLIT_TAU
     a = inv.coefficients
     t_floor = max(series.t_trust_min, 1e-9)
-    if t_floor >= tau:
-        raise ValueError(f"trust threshold {t_floor:.4g} reaches the split {tau}")
-
-    singular = -a[0] / tau + a[1] * math.log(tau)
-    model_int = a[0] * (1.0 / t_floor - 1.0 / tau) + a[1] * math.log(tau / t_floor)
+    if t_floor >= MODEL_T_MAX:
+        raise ValueError(
+            f"trust threshold {t_floor:.4g} reaches t = {MODEL_T_MAX}, past which "
+            "the small-time model is never integrated"
+        )
+    value = (
+        series.spectrum.e1_sum(t_floor)
+        - a[0] / t_floor
+        + a[1] * (EULER_GAMMA + math.log(t_floor))
+    )
     for k in range(2, len(a)):
-        singular += a[k] * tau ** (k - 1) / (k - 1)
-        model_int += a[k] * (tau ** (k - 1) - t_floor ** (k - 1)) / (k - 1)
-    euler_term = EULER_GAMMA * a[1]
-
-    s_floor = series.spectrum.e1_sum(t_floor)
-    large_int = series.spectrum.e1_sum(tau)
-    small_int = s_floor - large_int - model_int
-
-    value = euler_term + singular + small_int + large_int
+        value += a[k] * t_floor ** (k - 1) / (k - 1)
 
     a_top = max(abs(c) for c in a)
     k_top = len(a) - 1

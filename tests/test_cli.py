@@ -318,6 +318,8 @@ def _set_what_validate_does_not_read(data):
         # a key the kind does not read, one kind each
         ("validate.json", lambda d: d["numerics"].update(lambda_cut=1.0),
          "config error: numerics.lambda_cut: a validate run does not read this key\n"),
+        ("validate.json", lambda d: d["numerics"].update(n_nodes=100),
+         "config error: numerics.n_nodes: a validate run does not read this key\n"),
         ("validate.json", _set_what_validate_does_not_read,
          "config error: epsilons, surface_b, numerics.lambda_cut, numerics.fit_k_max, "
          "numerics.offdiag_y_s: a validate run does not read these keys\n"),
@@ -343,7 +345,8 @@ def _set_what_validate_does_not_read(data):
          "conformal-weight-too-large", "sweep-weight-underflows", "offdiag-weight-underflows",
          "validate-weight-underflows", "validate-bump-below-oracle-grid",
          "no-conformal-constant", "no-sweep-epsilon", "members-on-different-charts",
-         "retired-continuity-kind", "validate-reads-no-cutoff", "validate-five-unread-keys",
+         "retired-continuity-kind", "validate-reads-no-cutoff", "validate-reads-no-grid",
+         "validate-five-unread-keys",
          "isospectral-reads-no-surface-b", "offdiag-reads-no-fit", "decay-reads-no-epsilons",
          "sweep-reads-no-constants", "conformal-reads-no-probe", "unread-and-mistyped"],
 )
@@ -360,9 +363,9 @@ def test_unusable_shipped_config_exits_two_before_any_solve(tmp_path, capsys, na
     assert key in capsys.readouterr().err
 
 
-# The values each kind accepts, ``kind`` aside: 74 of the 6 x 19 settable.
+# The values each kind accepts, ``kind`` aside: 73 of the 6 x 19 settable.
 ACCEPTED_VALUES = {
-    "validate": 8,
+    "validate": 7,
     "isospectral_check": 12,
     "offdiag_check": 13,
     "decay_check": 13,
@@ -381,13 +384,13 @@ def test_each_kind_reads_its_own_keys_and_every_kind_the_common_ones():
         assert len(kind.reads - {"kind"}) == ACCEPTED_VALUES[name], name
         assert {"kind", "label", "notes", "output_dir", "surface_a"} <= kind.reads, name
         assert {kind.b, kind.family} - {None} <= kind.reads, name
-    assert sum(ACCEPTED_VALUES.values()) == 74
+    assert sum(ACCEPTED_VALUES.values()) == 73
 
 
 def test_a_validate_run_builds_no_profile_grid_or_surface(tmp_path, monkeypatch):
     cfg = ScenarioConfig.from_json(CONFIGS / "validate.json")
     flat, surface = cfg.plan.surfaces
-    assert (flat.grid.n, surface.grid.n) == (cfg.numerics.n_nodes, cli.ORACLE_S_NODES)
+    assert (flat.grid.n, surface.grid.n) == (cli.FLAT_S_NODES, cli.ORACLE_S_NODES)
     assert (flat.profile.s_min, flat.profile.s_max) == (0.0, math.pi)
 
     def built(*args, **kwargs):

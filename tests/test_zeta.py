@@ -241,6 +241,34 @@ def test_three_level_log_determinant_to_round_off():
     assert abs(det.zeta_prime_zero - math.log(np.prod(lb) / np.prod(la))) <= 1e-12
 
 
+def test_determinant_takes_one_e1_sum(monkeypatch):
+    calls = []
+    e1_sum = PairedSpectrum.e1_sum
+
+    def counted(self, x):
+        calls.append(x)
+        return e1_sum(self, x)
+
+    monkeypatch.setattr(PairedSpectrum, "e1_sum", counted)
+    la, lb = [1.0, 2.0, 3.0], [1.0, 2.0, 4.0]
+    determinant_from_series(TraceSeries.from_finite_spectra(la, lb), taylor_invariants(la, lb, 6))
+    assert calls == [1e-9]  # the trust floor of a series trusted to t = 0
+
+
+@pytest.mark.parametrize("t_trust", [0.01, 0.05, 0.1])
+@pytest.mark.parametrize(
+    "la, lb", [([1.0, 2.0, 3.0], [1.0, 2.0, 4.0]), ([1.5, 2.5, 4.0], [1.0, 3.0, 5.5])]
+)
+def test_late_trust_floor_stays_inside_its_budget(la, lb, t_trust):
+    # Above t = 1e-9 the model's truncation below the floor is no longer
+    # negligible; the budget must still cover it.
+    series = TraceSeries.from_finite_spectra(la, lb)
+    series.t_trust_min = t_trust
+    det = determinant_from_series(series, taylor_invariants(la, lb, k_max=6))
+    exact = math.log(np.prod(lb) / np.prod(la))
+    assert abs(det.zeta_prime_zero - exact) <= det.error_budget["total"] + 1e-12
+
+
 def test_swap_negates_zeta_prime_bitwise_finite():
     rng = np.random.default_rng(7)
     for n_a, n_b in ((8, 8), (8, 5), (3, 6)):
