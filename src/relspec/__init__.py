@@ -13,7 +13,7 @@ from .geometry import (  # noqa: F401
     flat_cylinder,
     relative_area,
 )
-from .discretize import Eigensystem, Grid, make_grid, solve_modes  # noqa: F401
+from .discretize import Eigensystem, make_grid, solve_modes  # noqa: F401
 from .spectral import TraceSeries, heat_trace, relative_trace_series, spectral_gap  # noqa: F401
 from .zeta import (  # noqa: F401
     DeterminantResult,

@@ -13,13 +13,14 @@ be created.  CSV bodies are byte-identical across reruns of the same
 config.
 
 Loading a config builds its solve plan (``Plan``): every surface the run
-solves, in queue order, with its grid, its weight sampled and checked once
-and its pencil, and the stage name and members of each distinct pair.
-Every config check runs there, so a config that cannot run exits 2 before
-any solve; the run then solves the plan as built, building and sampling
-nothing again.  Each kind's runner, plan, pair member and swept family, and
-the config keys it reads, are its row of ``_KINDS``; a key that the file
-sets and its kind does not read exits 2 too.
+solves, in queue order, each one ``Surface`` (its profile, its grid nodes,
+its weight sampled and checked once and its pencil), and the stage name and
+members of each distinct pair.  Every config check runs there, so a config
+that cannot run exits 2 before any solve; the run then solves the plan as
+built, building and sampling nothing again.  Each kind's runner, plan, pair
+member and swept family, and the config keys it reads, are its row of
+``_KINDS``; a key that the file sets and its kind does not read exits 2
+too.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .discretize import Grid, ModeQueue, Surface, check_resolution, make_grid
+from .discretize import ModeQueue, Surface, check_resolution, make_grid
 from .geometry import (
     DEFAULT_TRUNCATION,
     BumpSpec,
@@ -48,6 +49,7 @@ from .geometry import (
     Truncation,
     build_weight,
     flat_cylinder,
+    line_distance,
 )
 from .spectral import (
     default_time_grid,
@@ -432,8 +434,8 @@ def _write_csv(path: Path, header: str, rows) -> None:
 # shared pipeline pieces
 # ----------------------------------------------------------------------------
 
-def _prefix_grid(master: Grid, profile) -> Grid:
-    """Largest master-grid prefix covered by the profile chart.
+def _prefix_grid(master: np.ndarray, profile) -> np.ndarray:
+    """Largest prefix of the master grid nodes covered by the profile chart.
 
     Surgery family members live on charts that shorten with the parameter
     (the cap truncation moves in).  Giving every member a prefix of one
@@ -442,12 +444,7 @@ def _prefix_grid(master: Grid, profile) -> Grid:
     comparisons instead of wandering with the chart length.
     """
     hi = profile.s_max + 1e-12 * max(1.0, abs(profile.s_max))
-    k = int(np.searchsorted(master.nodes, hi, side="right"))
-    return Grid(
-        nodes=master.nodes[: min(k, master.n)],
-        bc_left=profile.bc_left,
-        bc_right=profile.bc_right,
-    )
+    return master[: int(np.searchsorted(master, hi, side="right"))]
 
 
 @dataclass(frozen=True)
@@ -466,12 +463,11 @@ class Plan:
     points: tuple[int, ...] = ()
 
 
-def _surface(profile: MetricProfile, grid: Grid, where: str) -> Surface:
-    """``Surface(profile, grid)`` of the member named ``where``; a weight
-    that is not positive and finite on the grid raises a ConfigError naming
-    it."""
+def _surface(profile: MetricProfile, nodes: np.ndarray, where: str) -> Surface:
+    """``Surface(profile, nodes)`` of the member named ``where``; a grid or
+    a weight that it rejects raises a ConfigError naming the member."""
     try:
-        return Surface(profile, grid)
+        return Surface(profile, nodes)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
@@ -484,7 +480,7 @@ def _check_capacity(named, lambda_cut: float, keys: str) -> None:
         try:
             check_resolution(surface, lambda_cut)
         except ValueError as exc:
-            grid = f"the {surface.grid.n}-node grid of {where}"
+            grid = f"the {surface.n}-node grid of {where}"
             raise ConfigError(f"{keys}: on {grid}, {exc}") from exc
 
 
@@ -526,7 +522,7 @@ def _plan_offdiag(cfg: ScenarioConfig) -> Plan:
                 f"[{profile.s_min!r}, {profile.s_max!r}] of surface_a"
             )
     grids = [make_grid(profile, n) for n in (num.n_nodes, num.n_nodes * 3 // 2)]
-    surfaces = tuple(_surface(profile, g, "surface_a") for g in grids)
+    surfaces = tuple(_surface(profile, nodes, "surface_a") for nodes in grids)
     _check_capacity([("surface_a", s) for s in surfaces], num.lambda_cut, _cutoff_keys(num))
     return Plan(surfaces=surfaces)
 
@@ -566,11 +562,11 @@ def _pair_plan(family, n_nodes: int, points=(0,)) -> Plan:
                 f"{where_b}: pair members live on different charts, "
                 f"{list(chart_b)!r} against {list(chart_a)!r} of {where_a}"
             )
-        if abs(float(master.nodes[0]) - profile_a.s_min) > 1e-12:
+        if abs(float(master[0]) - profile_a.s_min) > 1e-12:
             raise ConfigError(f"{where_a}: family members must share the left chart endpoint")
-        grid = _prefix_grid(master, profile_a)
+        nodes = _prefix_grid(master, profile_a)
         pairs.append((name, len(surfaces), len(surfaces) + 1))
-        surfaces += [_surface(profile_a, grid, where_a), _surface(profile_b, grid, where_b)]
+        surfaces += [_surface(profile_a, nodes, where_a), _surface(profile_b, nodes, where_b)]
     return Plan(surfaces=tuple(surfaces), pairs=tuple(pairs), points=tuple(points))
 
 
@@ -671,7 +667,7 @@ def _run_validate(cfg: ScenarioConfig, out: Path, report: Report, stage):
         value=rel2,
         tolerance=1e-3,
         detail=(
-            f"first {len(two_d)} eigenvalues, {surface.grid.n}x{ORACLE_N_THETA} "
+            f"first {len(two_d)} eigenvalues, {surface.n}x{ORACLE_N_THETA} "
             "five-point pencil vs angular-symbol mode sum (same discrete operator)"
         ),
     )
@@ -701,7 +697,7 @@ def _run_validate(cfg: ScenarioConfig, out: Path, report: Report, stage):
 def _run_surgery_sweep(cfg: ScenarioConfig, out: Path, report: Report, stage):
     (sys_a0, series0, det0), *solved = _solve_plan(cfg.plan, cfg.numerics, stage)
     inv0 = det0.invariants
-    nodes, base_weight = sys_a0.profile.sample(2048)
+    nodes, base_weight = sys_a0.surface.profile.sample(2048)
 
     stage("sweep table")
     series0.to_csv(out / "trace_baseline.csv")
@@ -714,7 +710,7 @@ def _run_surgery_sweep(cfg: ScenarioConfig, out: Path, report: Report, stage):
         rows.append((
             eps,
             spectral_gap(sys_a),
-            float(np.max(sys_a.profile.weight(nodes) / base_weight)),
+            float(np.max(sys_a.surface.profile.weight(nodes) / base_weight)),
             series.rel_area,
             *[float(c) for c in det.invariants.coefficients],
             det.invariants.residual,
@@ -878,15 +874,17 @@ def _run_funnel_conformal(cfg: ScenarioConfig, out: Path, report: Report, stage)
 
 
 def _offdiag_sup(sys, num: NumericsConfig):
+    """sup_t [log I(t) + d^2/(8t)] over ``OFFDIAG_TIMES``, its rows and d,
+    the distance between the circles of the system's two probe rows."""
     y, y2 = num.offdiag_points
+    surface = sys.surface
+    dist = line_distance(surface.profile, *(float(surface.nodes[i]) for i in sys.probes.rows))
     sup = -math.inf
     rows = []
-    dist = None
     for t in OFFDIAG_TIMES:
-        res = offdiag_l2_integral(sys, t, y=y, y2=y2)
-        dist = res.pair_distance
-        val = math.log(abs(res.value)) + dist**2 / (8.0 * t)
-        rows.append((float(t), res.value, val))
+        value = offdiag_l2_integral(sys, t, y=y, y2=y2)
+        val = math.log(abs(value)) + dist**2 / (8.0 * t)
+        rows.append((float(t), value, val))
         sup = max(sup, val)
     return sup, rows, dist
 
@@ -924,9 +922,9 @@ def _run_offdiag(cfg: ScenarioConfig, out: Path, report: Report, stage):
     )
     stage("semigroup identity")
     t_mid = 0.5 * (OFFDIAG_TIMES[0] + OFFDIAG_TIMES[-1])
-    res = offdiag_l2_integral(sys, t_mid, y=y, y2=y2)
+    value = offdiag_l2_integral(sys, t_mid, y=y, y2=y2)
     direct = kernel_value(sys, 2.0 * t_mid, y, y2)
-    rel = abs(res.value - direct) / max(abs(direct), 1e-300)
+    rel = abs(value - direct) / max(abs(direct), 1e-300)
     report.add(
         "semigroup_identity",
         rel <= 1e-10,

@@ -14,10 +14,11 @@ the maximum taken over the rows that the modes m >= 1 solve.
 
 Each mode's problem lives on one range of grid rows [lo, hi).
 ``mode_rows`` gives the rows a mode carries: every node but a Dirichlet
-end's, where a 'cap' end is Neumann for m = 0 and Dirichlet otherwise.  The
-pencil is assembled on its range only.  A row has a half cell only where the
-range reaches a Neumann grid end; a range that stops short of a grid end is
-cut by a Dirichlet row.
+end's, under the end conditions of the surface's profile, where a 'cap' end
+is Neumann for m = 0 and Dirichlet otherwise.  The pencil is assembled on
+its range only.  A row has a half cell only where the range reaches a
+Neumann grid end; a range that stops short of a grid end is cut by a
+Dirichlet row.
 
 ``solve_modes`` narrows each mode's rows to its Agmon window.  Every
 eigenfunction of mode m with lambda <= lambda_cut decays where
@@ -65,11 +66,13 @@ Those threads are a ``ModeQueue``: a pool of ``worker_count()`` threads
 that takes the (surface, m) tasks of a whole list of ``Surface``s first in,
 first out (the surfaces in list order, ascending m within each), with no
 barrier between surfaces; a surface's modes are merged in m order when its
-result is taken.  A ``Surface`` is a profile, its grid, its weight sampled
-once on the grid and its pencil, all made when it is made; the queue sets
-each surface up from them and never samples the weight again.  Each thread
-runs its values-only solves on its own workspace, which lives as long as
-the thread.
+result is taken.  A ``Surface`` is the one object of a discretized
+surface: a profile (whose end conditions every mode reads), its grid
+nodes, its weight sampled once on them and its pencil, all made when it is
+made; the queue sets each surface up from them, never samples the weight
+again, and hands each surface's ``Eigensystem`` the ``Surface`` itself.
+Each thread runs its values-only solves on its own workspace, which lives
+as long as the thread.
 ``solve_modes`` is its one-surface case.  Every mode's result is
 independent of the thread that solved it, and the queue holds numpy's
 OpenBLAS at one thread while it runs: ``dstein``'s level-1 BLAS splits long
@@ -95,10 +98,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
 
-from .geometry import MetricProfile, line_distance
+from .geometry import MetricProfile
 
 __all__ = [
-    "Grid",
     "Surface",
     "ModeOperator",
     "Eigensystem",
@@ -121,74 +123,37 @@ KERNEL_FLOOR = -1e-9  # lower edge of the bisection window; catches exact kernel
 AGMON_MARGIN = 20.0  # discrete Agmon distance kept past the allowed set per mode
 
 
-@dataclass(frozen=True)
-class Grid:
-    """Uniform grid on a profile chart with end boundary conditions.
-
-    'cap' is resolved per mode by ``mode_rows``: Neumann for
-    m = 0 (no flux through the smooth tip closure), Dirichlet for m != 0
-    (those modes decay like e^{-m s} down the tip, so the far truncation
-    error is ~ e^{-2 m s_max}).
-    """
-
-    nodes: np.ndarray = field(repr=False)
-    bc_left: str
-    bc_right: str
-
-    def __post_init__(self):
-        if self.bc_left not in _BC or self.bc_right not in _BC:
-            raise ValueError(f"boundary conditions must be one of {_BC}")
-        if len(self.nodes) < 8:
-            raise ValueError("grid needs at least 8 nodes")
-        steps = np.diff(self.nodes)
-        scale = max(1.0, abs(float(self.nodes[0])), abs(float(self.nodes[-1])))
-        if np.max(np.abs(steps - steps[0])) > 1e-14 * scale:
-            raise ValueError("grid spacing must be uniform")
-        self.nodes.setflags(write=False)
-
-    @property
-    def n(self) -> int:
-        return len(self.nodes)
-
-    @property
-    def h(self) -> float:
-        return float(self.nodes[1] - self.nodes[0])
-
-    def same_family(self, other: "Grid") -> bool:
-        return (
-            self.n == other.n
-            and self.bc_left == other.bc_left
-            and self.bc_right == other.bc_right
-            and np.array_equal(self.nodes, other.nodes)
-        )
-
-
-def make_grid(profile: MetricProfile, n_nodes: int) -> Grid:
-    """Uniform n_nodes grid spanning the profile chart (endpoints included),
-    with the profile's boundary conditions."""
-    nodes = np.linspace(profile.s_min, profile.s_max, n_nodes)
-    return Grid(nodes=nodes, bc_left=profile.bc_left, bc_right=profile.bc_right)
+def make_grid(profile: MetricProfile, n_nodes: int) -> np.ndarray:
+    """Uniform n_nodes grid spanning the profile chart (endpoints included):
+    the nodes of a ``Surface`` of the profile."""
+    return np.linspace(profile.s_min, profile.s_max, n_nodes)
 
 
 @dataclass(frozen=True, eq=False)
 class Surface:
-    """A profile, the grid it is solved on, and the parts of its pencils
-    that no mode changes, all built once when it is made: what
-    ``assemble_mode_operator`` assembles and a ``ModeQueue`` solves.
+    """One discretized surface: a profile, the uniform grid ``nodes`` it is
+    solved on, and the parts of its pencils that no mode changes, all built
+    once when it is made: what ``assemble_mode_operator`` assembles, a
+    ``ModeQueue`` solves and an ``Eigensystem`` carries.
 
-    ``weights`` is the profile's weight sampled once on ``grid.nodes``,
-    which must be positive and finite there (ValueError otherwise), and
-    ``h`` the grid spacing.  ``mass`` = w h is each row's lumped mass with
-    a full cell, and ``e`` the off-diagonal (-1/h) / sqrt(mass_i
-    mass_{i+1}) between rows i and i + 1.  A row at a Neumann grid end has
-    a half cell instead: ``ends`` holds, for the first and the last row,
-    the half-cell mass w h / 2 and the off-diagonal beside it, which a
-    range reaching that end takes in place of the full-cell entries.
-    ``weights``, ``mass`` and ``e`` are read-only and shared by every mode.
+    The grid needs at least 8 nodes at uniform spacing (to 1e-14 of its
+    largest coordinate, or of 1), and the profile's end conditions are read
+    from it:
+    'dirichlet', 'neumann' or 'cap' (ValueError otherwise).  ``nodes`` is
+    made read-only, ``n`` is its length and ``h`` the spacing.
+    ``weights`` is the profile's weight sampled once on ``nodes``, which
+    must be positive and finite there (ValueError otherwise).  ``mass`` =
+    w h is each row's lumped mass with a full cell, and ``e`` the
+    off-diagonal (-1/h) / sqrt(mass_i mass_{i+1}) between rows i and i + 1.
+    A row at a Neumann grid end has a half cell instead: ``ends`` holds,
+    for the first and the last row, the half-cell mass w h / 2 and the
+    off-diagonal beside it, which a range reaching that end takes in place
+    of the full-cell entries.  ``weights``, ``mass`` and ``e`` are
+    read-only and shared by every mode.
     """
 
     profile: MetricProfile
-    grid: Grid
+    nodes: np.ndarray = field(repr=False)
     weights: np.ndarray = field(init=False, repr=False)
     h: float = field(init=False)
     mass: np.ndarray = field(init=False, repr=False)
@@ -196,10 +161,20 @@ class Surface:
     ends: tuple[tuple[float, float], tuple[float, float]] = field(init=False, repr=False)
 
     def __post_init__(self):
-        w = self.profile.weight(self.grid.nodes)
+        profile, nodes = self.profile, self.nodes
+        if profile.bc_left not in _BC or profile.bc_right not in _BC:
+            raise ValueError(f"boundary conditions must be one of {_BC}")
+        if len(nodes) < 8:
+            raise ValueError("grid needs at least 8 nodes")
+        steps = np.diff(nodes)
+        scale = max(1.0, abs(float(nodes[0])), abs(float(nodes[-1])))
+        if np.max(np.abs(steps - steps[0])) > 1e-14 * scale:
+            raise ValueError("grid spacing must be uniform")
+        nodes.setflags(write=False)
+        w = profile.weight(nodes)
         if not (w.min() > 0.0 and w.max() < math.inf):  # a NaN fails the first test
             raise ValueError("weight must be positive and finite on the grid")
-        h = self.grid.h
+        h = float(nodes[1] - nodes[0])
         mass = w * h
         e = (-1.0 / h) / np.sqrt(mass[:-1] * mass[1:])
         first, last = float(w[0] * (h / 2.0)), float(w[-1] * (h / 2.0))
@@ -212,34 +187,44 @@ class Surface:
         for name, value in (("weights", w), ("h", h), ("mass", mass), ("e", e), ("ends", ends)):
             object.__setattr__(self, name, value)
 
+    @property
+    def n(self) -> int:
+        return len(self.nodes)
 
-def nearest_row(grid: Grid, s: float) -> int:
-    """The grid row nearest the radius ``s``, which must lie on the chart
-    (to 1e-12)."""
-    nodes = grid.nodes
+
+def nearest_row(surface: Surface, s: float) -> int:
+    """The grid row of ``surface`` nearest the radius ``s``, which must lie
+    on the chart (to 1e-12)."""
+    nodes = surface.nodes
     if s < nodes[0] - 1e-12 or s > nodes[-1] + 1e-12:
         raise ValueError(f"point s={s} outside the chart [{nodes[0]}, {nodes[-1]}]")
     return int(np.argmin(np.abs(nodes - s)))
 
 
-def mode_rows(grid: Grid, m: int) -> tuple[int, int]:
+def mode_rows(surface: Surface, m: int) -> tuple[int, int]:
     """Grid rows [lo, hi) that mode m carries: every node but a Dirichlet
-    end's, with a 'cap' end Neumann for m = 0 and Dirichlet otherwise."""
+    end's, under the end conditions of ``surface.profile``.
+
+    A 'cap' end is Neumann for m = 0 (no flux through the smooth tip
+    closure) and Dirichlet for m != 0 (those modes decay like e^{-m s} down
+    the tip, so the far truncation error is ~ e^{-2 m s_max}).
+    """
     if m < 0:
         raise ValueError("mode index must be nonnegative")
-    keep_left = grid.bc_left == "neumann" or (grid.bc_left == "cap" and m == 0)
-    keep_right = grid.bc_right == "neumann" or (grid.bc_right == "cap" and m == 0)
-    return (0 if keep_left else 1), (grid.n if keep_right else grid.n - 1)
+    bc_left, bc_right = surface.profile.bc_left, surface.profile.bc_right
+    keep_left = bc_left == "neumann" or (bc_left == "cap" and m == 0)
+    keep_right = bc_right == "neumann" or (bc_right == "cap" and m == 0)
+    return (0 if keep_left else 1), (surface.n if keep_right else surface.n - 1)
 
 
 @dataclass(frozen=True)
 class ModeOperator:
-    """Mode m's pencil on grid rows [lo, hi): the lumped ``mass`` and the
-    symmetric tridiagonal (d, e) that the congruence by mass^{-1/2} turns
-    the stiffness into.  ``mass`` and ``e`` may be read-only views of the
-    ``Surface``'s."""
+    """Mode m's pencil on grid rows [lo, hi) of ``surface``: the lumped
+    ``mass`` and the symmetric tridiagonal (d, e) that the congruence by
+    mass^{-1/2} turns the stiffness into.  ``mass`` and ``e`` may be
+    read-only views of the surface's."""
 
-    grid: Grid
+    surface: Surface
     m: int
     lo: int
     hi: int
@@ -256,7 +241,7 @@ def assemble_mode_operator(
     m2_value: float | None = None,
 ) -> ModeOperator:
     """Assemble the pencil of ``surface`` for mode m on grid rows ``rows``
-    = (lo, hi), ``mode_rows(surface.grid, m)`` by default; a narrower range
+    = (lo, hi), ``mode_rows(surface, m)`` by default; a narrower range
     is cut by Dirichlet rows.
 
     ``m2_value`` replaces the exact angular symbol m^2 (used for
@@ -270,8 +255,7 @@ def assemble_mode_operator(
     the off-diagonal beside it patched, and d there is
     (1/h + m^2 h / 2) / mass.
     """
-    grid = surface.grid
-    carried = mode_rows(grid, m)
+    carried = mode_rows(surface, m)
     lo, hi = carried if rows is None else rows
     if not carried[0] <= lo < hi <= carried[1]:
         raise ValueError(f"rows [{lo}, {hi}) must lie within mode {m}'s rows {carried}")
@@ -279,7 +263,7 @@ def assemble_mode_operator(
     m2 = float(m * m) if m2_value is None else float(m2_value)
     mass, e = surface.mass[lo:hi], surface.e[lo : hi - 1]
     d = np.divide(2.0 / h + m2 * h, mass)
-    n = grid.n
+    n = surface.n
     if lo == 0 or hi == n:
         end_row = 1.0 / h + m2 * (h / 2.0)
         mass, e = mass.copy(), e.copy()
@@ -290,7 +274,7 @@ def assemble_mode_operator(
                 d[at] = end_row / half
                 if len(e):
                     e[at] = beside
-    return ModeOperator(grid=grid, m=m, lo=lo, hi=hi, d=d, e=e, mass=mass)
+    return ModeOperator(surface=surface, m=m, lo=lo, hi=hi, d=d, e=e, mass=mass)
 
 
 def agmon_window(
@@ -573,11 +557,10 @@ class ProbeModes:
     """A surface's eigenvectors as the off-diagonal heat kernel reads them:
     at two probe rows and through each mode's radial Gram matrix.
 
-    ``rows`` = (i, i2) are the grid rows nearest the two probe radii, and
-    ``distance`` is ``line_distance`` between their circles.  For each mode
-    m with eigenvalues whose solved rows [lo, hi) hold both probe rows,
-    ``modes[m]`` = (a, b, gram): the mass-normalised eigenvectors u_j at
-    rows i and i2 (a_j = u_j(i), b_j = u_j(i2), length k) and the k x k
+    ``rows`` = (i, i2) are the grid rows nearest the two probe radii.  For
+    each mode m with eigenvalues whose solved rows [lo, hi) hold both probe
+    rows, ``modes[m]`` = (a, b, gram): the mass-normalised eigenvectors u_j
+    at rows i and i2 (a_j = u_j(i), b_j = u_j(i2), length k) and the k x k
     radial Gram matrix
 
         gram[j, l] = sum_{lo <= r < hi} rw_r u_j(r) u_l(r),
@@ -587,13 +570,13 @@ class ProbeModes:
     """
 
     rows: tuple[int, int]
-    distance: float
     modes: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = field(repr=False)
 
 
 @dataclass(eq=False)
 class Eigensystem:
-    """Eigenvalues (<= lambda_cut) of all angular modes of one surface.
+    """Eigenvalues (<= lambda_cut) of all angular modes of ``surface``, the
+    ``Surface`` they were solved on (its profile, nodes and weights).
 
     mode_eigenvalues[m] holds the ascending eigenvalues of mode m; angular
     multiplicity is 1 for m = 0 and 2 for m >= 1.  rows[m] = (lo, hi) is the
@@ -604,8 +587,7 @@ class Eigensystem:
     it.
     """
 
-    profile: MetricProfile
-    grid: Grid
+    surface: Surface
     lambda_cut: float
     m_max: int
     mode_eigenvalues: dict[int, np.ndarray] = field(repr=False)
@@ -657,23 +639,19 @@ def check_resolution(surface: Surface, lambda_cut: float) -> None:
 def _set_up(surface: Surface, lambda_cut: float, probes) -> "_Pending":
     """A surface's ``_Pending`` (Rayleigh bound, witness mode, the
     ``agmon_window`` envelope of its modes m >= 1, and the grid rows nearest
-    the ``probes`` radii with their distance), after checking the grid's
-    resolution capacity and the probes."""
-    grid, w = surface.grid, surface.weights
+    the ``probes`` radii), after checking the grid's resolution capacity
+    and the probes."""
+    w = surface.weights
     check_resolution(surface, lambda_cut)
-    probe_rows = distance = None
-    if probes is not None:
-        probe_rows = tuple(nearest_row(grid, s) for s in probes)
-        ends = [float(grid.nodes[i]) for i in probe_rows]
-        distance = line_distance(surface.profile, *ends)
+    probe_rows = None if probes is None else tuple(nearest_row(surface, s) for s in probes)
     # Every mode m >= 1 solves within the rows of mode 1 (a cap end is
     # Dirichlet for all of them), so the Rayleigh bound needs the weight on
     # those rows only.
-    lo, hi = mode_rows(grid, 1)
+    lo, hi = mode_rows(surface, 1)
     max_weight = float(np.max(w[lo:hi]))
     top = mode_cutoff(lambda_cut, max_weight)
     envelope = _envelope(w[lo:hi], lambda_cut)
-    return _Pending(max_weight, envelope, probe_rows, distance, [None] * (top + 1), top + 1)
+    return _Pending(max_weight, envelope, probe_rows, [None] * (top + 1), top + 1)
 
 
 # Rows per block of a radial Gram sum: one weighted copy of a whole n x k
@@ -702,7 +680,7 @@ def _solve_one(surface, state, m, lambda_cut, workspace):
     entry: (a, b, gram) when the rows hold both ``state.probe_rows``, else
     None.  Only such a mode is solved with eigenvectors, and they are
     dropped on return."""
-    lo, hi = mode_rows(surface.grid, m)
+    lo, hi = mode_rows(surface, m)
     if m < len(state.modes) - 1:
         rows = surface.weights[lo:hi]
         a, b = agmon_window(rows, surface.h, float(m * m), lambda_cut, envelope=state.envelope)
@@ -727,14 +705,13 @@ def _solve_one(surface, state, m, lambda_cut, workspace):
 @dataclass(eq=False)
 class _Pending:
     """A set-up surface: its Rayleigh bound, the ``agmon_window`` envelope
-    of its modes m >= 1, its probe rows and their distance (None without
-    probes), the outcome of each mode m (``_solve_one``'s result or the
-    exception it raised) and the number of modes still unsolved."""
+    of its modes m >= 1, its probe rows (None without probes), the outcome
+    of each mode m (``_solve_one``'s result or the exception it raised) and
+    the number of modes still unsolved."""
 
     max_weight: float
     envelope: np.ndarray = field(repr=False)
     probe_rows: tuple[int, int] | None
-    distance: float | None
     modes: list
     unsolved: int
 
@@ -754,9 +731,10 @@ class ModeQueue:
     the values-only solves on a LAPACK workspace of its own, sized to the
     largest grid, which the thread drops when the queue stops.
     ``result(i)`` waits for surface i's last mode and merges its modes in m
-    order.  An exception raised by a surface's set-up, a mode solve (the
-    lowest failing m) or the witness check belongs to that surface alone:
-    ``result`` raises it unchanged.
+    order into an ``Eigensystem`` that carries surface i itself.  An
+    exception raised by a surface's set-up, a mode solve (the lowest failing
+    m) or the witness check belongs to that surface alone: ``result`` raises
+    it unchanged.
 
     ``probes`` = (s_y, s_y2), two radii on every surface's chart, makes each
     system carry a ``ProbeModes`` record at the rows nearest them.
@@ -837,17 +815,14 @@ class ModeQueue:
                 f"mode cutoff violated: mode {top} has eigenvalues below "
                 f"{self._lambda_cut} (max weight {state.max_weight:.6g})"
             )
-        surface = self._surfaces[index]
         probes = None
         if state.probe_rows is not None:
             probes = ProbeModes(
                 rows=state.probe_rows,
-                distance=state.distance,
                 modes={m: kept for m, (_, _, kept) in enumerate(state.modes) if kept is not None},
             )
         return Eigensystem(
-            profile=surface.profile,
-            grid=surface.grid,
+            surface=self._surfaces[index],
             lambda_cut=float(self._lambda_cut),
             m_max=top,
             mode_eigenvalues={m: vals for m, (_, vals, _) in enumerate(state.modes)},
@@ -871,7 +846,7 @@ class ModeQueue:
     def _work(self) -> None:
         # This thread's LAPACK workspace, sized to the largest grid; it dies
         # with the thread.
-        workspace = _Workspace(max((s.grid.n for s in self._surfaces), default=1))
+        workspace = _Workspace(max((s.n for s in self._surfaces), default=1))
         while True:
             with self._lock:
                 task = next(self._tasks, None)
@@ -892,13 +867,14 @@ class ModeQueue:
 
 def solve_modes(
     profile: MetricProfile,
-    grid: Grid,
+    nodes: np.ndarray,
     lambda_cut: float,
     *,
     probes: tuple[float, float] | None = None,
 ) -> Eigensystem:
-    """Solve every angular mode up to the cutoff (inclusive witness mode):
-    the one-surface case of ``ModeQueue``, with its ``probes``.
+    """Solve every angular mode up to the cutoff (inclusive witness mode) of
+    ``Surface(profile, nodes)``: the one-surface case of ``ModeQueue``,
+    with its ``probes``.
 
     Each mode m < top is solved on the ``agmon_window`` of its
     ``mode_rows``: the rows within discrete Agmon distance ``AGMON_MARGIN``
@@ -912,5 +888,5 @@ def solve_modes(
     result is bitwise the same for any thread count, and an exception raised
     by a mode's solve (the lowest failing m) propagates unchanged.
     """
-    with ModeQueue([Surface(profile, grid)], lambda_cut, probes=probes) as queue:
+    with ModeQueue([Surface(profile, nodes)], lambda_cut, probes=probes) as queue:
         return queue.result(0)

@@ -19,9 +19,10 @@ Two oracles that share no code path with the per-mode solver:
   unknown, which is ``mode_rows``'s rule.
 
 Both 2D routes take a ``discretize.Surface`` and n_theta angles: the
-surface's grid crossed with n_theta equispaced periodic angles.  The
-five-point solver reads only the surface's grid, spacing and sampled
-weight; its stiffness, cells, boundary rule and linear algebra are its own.
+surface's grid nodes crossed with n_theta equispaced periodic angles.  The
+five-point solver reads only the surface's node count, spacing, sampled
+weight and the end conditions of its profile; its stiffness, cells,
+boundary rule and linear algebra are its own.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 from scipy.sparse.linalg._dsolve import _superlu
 
-from .discretize import Grid, Surface, assemble_mode_operator, solve_mode
+from .discretize import Surface, assemble_mode_operator, solve_mode
 
 __all__ = [
     "check_bump_span",
@@ -97,13 +98,16 @@ def check_bump_span(surface: Surface) -> None:
         )
 
 
-def _active_slice(grid: Grid) -> tuple[int, int, bool, bool]:
+def _active_slice(surface: Surface) -> tuple[int, int, bool, bool]:
+    """The rows [lo, hi) of ``surface`` that the five-point pencil carries,
+    and whether each grid end is kept, under the end conditions of
+    ``surface.profile``."""
     # A cap edge is kept (Neumann for every theta); the m != 0 components
     # there sit at ~ e^{-2 m s_max} and cannot move the low spectrum.
-    keep_left = grid.bc_left in ("neumann", "cap")
-    keep_right = grid.bc_right in ("neumann", "cap")
+    keep_left = surface.profile.bc_left in ("neumann", "cap")
+    keep_right = surface.profile.bc_right in ("neumann", "cap")
     lo = 0 if keep_left else 1
-    hi = grid.n if keep_right else grid.n - 1
+    hi = surface.n if keep_right else surface.n - 1
     return lo, hi, keep_left, keep_right
 
 
@@ -114,7 +118,7 @@ def _assemble_2d(surface: Surface, n_theta: int):
     on lumped cells -- the exact tensor product of the 1D assembly."""
     h = surface.h
     ht = 2.0 * math.pi / n_theta
-    lo, hi, keep_left, keep_right = _active_slice(surface.grid)
+    lo, hi, keep_left, keep_right = _active_slice(surface)
     n_act = hi - lo
     w = surface.weights
     cell = np.full(n_act, h)

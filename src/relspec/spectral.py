@@ -25,7 +25,6 @@ from .geometry import relative_area
 __all__ = [
     "PairedSpectrum",
     "TraceSeries",
-    "OffdiagResult",
     "default_time_grid",
     "heat_trace",
     "heat_trace_tail_bound",
@@ -335,24 +334,24 @@ def relative_trace_series(sys_a: Eigensystem, sys_b: Eigensystem) -> TraceSeries
     """Relative heat trace E(t) of two eigensystems on a shared chart, sampled
     on the default time grid.
 
-    pre: the systems were solved on the same grid family with the same cutoff
-    and mode range, and their profiles agree on the end regions (so the
-    relative area is well defined); violations raise ValueError.
+    pre: the systems were solved on the same grid nodes under the same end
+    conditions, with the same cutoff and mode range, and their profiles
+    agree on the end regions (so the relative area is well defined);
+    violations raise ValueError.  A mode empty on both sides is left out.
     """
-    if not sys_a.grid.same_family(sys_b.grid):
+    a, b = sys_a.surface, sys_b.surface
+    same_ends = (a.profile.bc_left, a.profile.bc_right) == (b.profile.bc_left, b.profile.bc_right)
+    if not (np.array_equal(a.nodes, b.nodes) and same_ends):
         raise ValueError("eigensystems live on different grids; relative trace undefined")
     if sys_a.lambda_cut != sys_b.lambda_cut:
         raise ValueError("eigensystems have different cutoffs")
     if sys_a.m_max != sys_b.m_max:
         raise ValueError("eigensystems have different mode ranges")
     tgrid = default_time_grid()
-    rel_area = relative_area(sys_a.profile, sys_b.profile)
+    rel_area = relative_area(a.profile, b.profile)
     pairs = []
-    for m in range(max(sys_a.m_max, sys_b.m_max) + 1):
-        va = sys_a.mode_eigenvalues.get(m)
-        vb = sys_b.mode_eigenvalues.get(m)
-        va = np.empty(0) if va is None else va
-        vb = np.empty(0) if vb is None else vb
+    for m in range(sys_a.m_max + 1):
+        va, vb = sys_a.mode_eigenvalues[m], sys_b.mode_eigenvalues[m]
         if len(va) == 0 and len(vb) == 0:
             continue
         pairs.append((m, 1 if m == 0 else 2, va, vb))
@@ -364,7 +363,7 @@ def relative_trace_series(sys_a: Eigensystem, sys_b: Eigensystem) -> TraceSeries
         times=tgrid,
         values=values,
         tail_bounds=tails,
-        pair_id=f"{sys_a.profile.label}-vs-{sys_b.profile.label}",
+        pair_id=f"{a.profile.label}-vs-{b.profile.label}",
         rel_area=rel_area,
         gap_a=spectral_gap(sys_a),
         gap_b=spectral_gap(sys_b),
@@ -385,7 +384,7 @@ def _probe_columns(sys: Eigensystem, y, y2) -> tuple[ProbeModes, int, int]:
         raise ValueError("eigensystem was solved without probes; pass probes=(s_y, s_y2)")
     columns = []
     for s, _ in (y, y2):
-        row = nearest_row(sys.grid, s)
+        row = nearest_row(sys.surface, s)
         if row not in probes.rows:
             raise ValueError(
                 f"point s={s} snaps to grid row {row}, not to a probe row {probes.rows}"
@@ -430,24 +429,13 @@ def kernel_value(sys: Eigensystem, t: float, y, y2=None) -> float:
     return total
 
 
-@dataclass(frozen=True)
-class OffdiagResult:
+def offdiag_l2_integral(sys: Eigensystem, t: float, *, y, y2=None) -> float:
     """The kernel-product integral
 
         I(t) = int K(t, x, y) K(t, x, y2) dA(x)
 
-    over the whole chart, which the semigroup property collapses to
-    K(2t, y, y2), and pair_distance, the distance between the two base
-    circles that controls its decay.  value takes the angular integral in
-    closed form, as a per-mode radial sum (see offdiag_l2_integral).
-    """
-
-    value: float
-    pair_distance: float
-
-
-def offdiag_l2_integral(sys: Eigensystem, t: float, *, y, y2=None) -> OffdiagResult:
-    """Integrate K(t, x, y) K(t, x, y2) over the chart against dA = w ds dtheta.
+    over the whole chart against dA = w ds dtheta, which the semigroup
+    property collapses to K(2t, y, y2).
 
     y = (s, theta) with s snapped to the nearest node, which must be one of
     the system's probe rows (y2 defaults to y).  Both kernel columns expand
@@ -476,12 +464,13 @@ def offdiag_l2_integral(sys: Eigensystem, t: float, *, y, y2=None) -> OffdiagRes
     probes, col_y, col_y2 = _probe_columns(sys, y, y2)
     if t <= 0:
         raise ValueError("t must be positive")
-    tail = float(heat_trace_tail_bound(sys.profile.area, sys.lambda_cut, t))
+    area = sys.surface.profile.area
+    tail = float(heat_trace_tail_bound(area, sys.lambda_cut, t))
     trace = heat_trace(sys, t)
     tail_fraction = 2.0 * tail / trace
     if tail_fraction > 1e-6:
         probe = np.geomspace(1e-4, 10.0, 2049)
-        frac = 2.0 * heat_trace_tail_bound(sys.profile.area, sys.lambda_cut, probe) / np.maximum(
+        frac = 2.0 * heat_trace_tail_bound(area, sys.lambda_cut, probe) / np.maximum(
             heat_trace(sys, probe), 1e-300
         )
         ok = probe[frac <= 1e-6]
@@ -498,4 +487,4 @@ def offdiag_l2_integral(sys: Eigensystem, t: float, *, y, y2=None) -> OffdiagRes
         p, p2, gram = decay * kept[col_y], decay * kept[col_y2], kept[2]
         radial = 0.5 * (float(p @ gram @ p2) + float(p2 @ gram @ p))
         value += _angular_factor(m, dth) * radial
-    return OffdiagResult(value=value, pair_distance=probes.distance if col_y != col_y2 else 0.0)
+    return value

@@ -27,8 +27,8 @@ from relspec.geometry import (  # noqa: E402
 
 
 def same_probes(one, other) -> bool:
-    """Two ``ProbeModes`` records (or None) with equal rows and distance and
-    bitwise equal kept arrays, dtype and shape included."""
+    """Two ``ProbeModes`` records (or None) with equal rows and bitwise
+    equal kept arrays, dtype and shape included."""
     if one is None or other is None:
         return one is other
 
@@ -37,7 +37,6 @@ def same_probes(one, other) -> bool:
 
     return (
         one.rows == other.rows
-        and one.distance == other.distance
         and one.modes.keys() == other.modes.keys()
         and all(same(x, y) for m in one.modes for x, y in zip(one.modes[m], other.modes[m]))
     )

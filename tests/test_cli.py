@@ -390,7 +390,7 @@ def test_each_kind_reads_its_own_keys_and_every_kind_the_common_ones():
 def test_a_validate_run_builds_no_profile_grid_or_surface(tmp_path, monkeypatch):
     cfg = ScenarioConfig.from_json(CONFIGS / "validate.json")
     flat, surface = cfg.plan.surfaces
-    assert (flat.grid.n, surface.grid.n) == (cli.FLAT_S_NODES, cli.ORACLE_S_NODES)
+    assert (flat.n, surface.n) == (cli.FLAT_S_NODES, cli.ORACLE_S_NODES)
     assert (flat.profile.s_min, flat.profile.s_max) == (0.0, math.pi)
 
     def built(*args, **kwargs):
@@ -610,13 +610,13 @@ def mini_pair_dict(kind, **extra):
 
 def record_solves(monkeypatch):
     """Replace the ModeQueue that cli builds by a pass-through that records,
-    for each queue, every pair's member specs and the grids of A and B."""
+    for each queue, every pair's member specs and the grid nodes of A and B."""
     queues = []
     make = cli.ModeQueue
 
     def recorder(surfaces, lambda_cut, **kwargs):
         queues.append([
-            ((a.profile.spec, b.profile.spec), a.grid, b.grid)
+            ((a.profile.spec, b.profile.spec), a.nodes, b.nodes)
             for a, b in zip(surfaces[::2], surfaces[1::2])
         ])
         return make(surfaces, lambda_cut, **kwargs)
@@ -637,9 +637,18 @@ def test_a_run_solves_each_distinct_point_once_on_the_first_grid(tmp_path, monke
         tuple(m.spec for m in cfg.pair(**p)) for p in distinct
     ]
     first = pairs[0][1]
-    assert first.n == cfg.numerics.n_nodes
+    assert len(first) == cfg.numerics.n_nodes
     for _, grid_a, grid_b in pairs:
-        assert grid_b is grid_a and np.array_equal(grid_a.nodes, first.nodes[: grid_a.n])
+        assert grid_b is grid_a and np.array_equal(grid_a, first[: len(grid_a)])
+
+
+def test_each_solved_system_carries_its_planned_surface():
+    cfg = ScenarioConfig.from_dict(mini_pair_dict("surgery_sweep", epsilons=[0.0, 0.2]))
+    plan = cfg.plan
+    assert len(plan.surfaces) == 4
+    with discretize.ModeQueue(plan.surfaces, cfg.numerics.lambda_cut) as queue:
+        for i in range(len(plan.surfaces)):
+            assert queue.result(i).surface is plan.surfaces[i]
 
 
 def test_points_list_each_family_in_run_order():
@@ -741,7 +750,7 @@ def test_an_offdiag_run_solves_both_resolutions_on_one_queue(tmp_path, monkeypat
     num = cfg.numerics
     assert kwargs == {"probes": (num.offdiag_y_s, num.offdiag_y2_s)}
     assert surfaces is cfg.plan.surfaces
-    assert [surface.grid.n for surface in surfaces] == [400, 600]
+    assert [surface.n for surface in surfaces] == [400, 600]
     assert all(surface.profile is surfaces[0].profile for surface in surfaces)
     assert surfaces[0].profile.spec == cfg.member("surface_a").spec
 
@@ -768,9 +777,9 @@ def test_load_and_run_sample_each_planned_weight_once(tmp_path, monkeypatch):
         surfaces = cfg.plan.surfaces
         assert len(surfaces) == count, label
         for surface in surfaces:
-            once = [p is surface.profile and s is surface.grid.nodes for p, s in calls]
+            once = [p is surface.profile and s is surface.nodes for p, s in calls]
             assert sum(once) == 1, label
-        on_planned_grids = [s for _, s in calls if any(s is o.grid.nodes for o in surfaces)]
+        on_planned_grids = [s for _, s in calls if any(s is o.nodes for o in surfaces)]
         assert len(on_planned_grids) == count, label
 
 
@@ -783,7 +792,7 @@ def test_a_failing_refined_offdiag_surface_fails_refinement_stability(tmp_path, 
     solve = discretize.solve_mode
 
     def failing(op, cut, **kwargs):
-        if op.grid.n == 600 and op.m == 1:
+        if op.surface.n == 600 and op.m == 1:
             raise error
         return solve(op, cut, **kwargs)
 

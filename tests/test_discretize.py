@@ -23,7 +23,6 @@ from relspec.cli import ScenarioConfig, solve_pair
 from relspec.discretize import (
     AGMON_MARGIN,
     KERNEL_FLOOR,
-    Grid,
     ModeQueue,
     Surface,
     agmon_window,
@@ -119,7 +118,7 @@ def test_eigenvectors_are_mass_orthonormal():
     op = assemble_mode_operator(Surface(prof, grid), 1)
     vals, vecs = solve_mode(op, 40.0, with_vectors=True)
     # the vectors live on the pencil's rows, which leave out both Dirichlet ends
-    assert (op.lo, op.hi) == (1, grid.n - 1)
+    assert (op.lo, op.hi) == (1, len(grid) - 1)
     assert vecs.shape == (op.hi - op.lo, len(vals))
     gram = vecs.T @ (op.mass[:, None] * vecs)
     assert np.max(np.abs(gram - np.eye(len(vals)))) < 1e-8
@@ -133,8 +132,9 @@ def test_tridiagonal_pencil_matches_dense_generalized_solver():
     n, m = 300, 2
     w = prof.weight(np.linspace(prof.s_min, prof.s_max, n))
     for bc in ("dirichlet", "neumann"):
-        grid = Grid(nodes=np.linspace(prof.s_min, prof.s_max, n), bc_left=bc, bc_right=bc)
-        h = grid.h
+        ended = dataclasses.replace(prof, bc_left=bc, bc_right=bc)
+        surface = Surface(ended, np.linspace(prof.s_min, prof.s_max, n))
+        h = surface.h
         lo, hi = (1, n - 1) if bc == "dirichlet" else (0, n)
         cell, deg = np.full(hi - lo, h), np.full(hi - lo, 2.0)
         if bc == "neumann":
@@ -142,7 +142,7 @@ def test_tridiagonal_pencil_matches_dense_generalized_solver():
         off = np.full(hi - lo - 1, -1.0 / h)
         stiff = np.diag(deg / h + m * m * cell) + np.diag(off, 1) + np.diag(off, -1)
         dense = eigh(stiff, np.diag(w[lo:hi] * cell), eigvals_only=True)
-        op = assemble_mode_operator(Surface(prof, grid), m)
+        op = assemble_mode_operator(surface, m)
         assert (op.lo, op.hi) == (lo, hi)
         vals, _ = solve_mode(op, 60.0)
         assert len(vals) > 3
@@ -152,7 +152,7 @@ def test_tridiagonal_pencil_matches_dense_generalized_solver():
 def test_rayleigh_lower_bound_per_mode():
     prof = build_weight(funnel_cusp_spec(), truncation=small_truncation())
     grid = make_grid(prof, 600)
-    maxw = float(np.max(prof.weight(grid.nodes)))
+    maxw = float(np.max(prof.weight(grid)))
     surface = Surface(prof, grid)
     for m in (1, 2, 4):
         vals, _ = solve_mode(assemble_mode_operator(surface, m), 80.0)
@@ -185,8 +185,9 @@ def test_mode_cutoff_arithmetic():
 def _mode_one_max_weight(system):
     """The largest weight on the rows of mode 1, which hold every mode
     m >= 1: the weight of the Rayleigh bound."""
-    lo, hi = mode_rows(system.grid, 1)
-    return float(np.max(system.profile.weight(system.grid.nodes)[lo:hi]))
+    surface = system.surface
+    lo, hi = mode_rows(surface, 1)
+    return float(np.max(surface.profile.weight(surface.nodes)[lo:hi]))
 
 
 def test_solve_modes_witness_mode_is_empty(flat_system):
@@ -234,34 +235,39 @@ def test_eigensystem_csv_roundtrip(tmp_path, flat_system):
 # ----------------------------------------------------------------------------
 
 def test_grid_validation():
-    with pytest.raises(ValueError):
-        Grid(nodes=np.linspace(0, 1, 5), bc_left="dirichlet", bc_right="dirichlet")
+    flat = flat_cylinder()
+    with pytest.raises(ValueError, match="grid needs at least 8 nodes"):
+        Surface(flat, np.linspace(0, 1, 5))
     jitter = np.linspace(0, 1, 50)
     jitter = jitter.copy()
     jitter[20] += 1e-6
-    with pytest.raises(ValueError):
-        Grid(nodes=jitter, bc_left="dirichlet", bc_right="dirichlet")
-    with pytest.raises(ValueError):
-        Grid(nodes=np.linspace(0, 1, 50), bc_left="free", bc_right="dirichlet")
+    with pytest.raises(ValueError, match="grid spacing must be uniform"):
+        Surface(flat, jitter)
+    free = dataclasses.replace(flat, bc_left="free")
+    message = "boundary conditions must be one of ('dirichlet', 'neumann', 'cap')"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Surface(free, np.linspace(0, 1, 50))
 
 
 def test_grid_nodes_are_write_protected():
-    grid = make_grid(flat_cylinder(), 64)
+    flat = flat_cylinder()
+    surface = Surface(flat, make_grid(flat, 64))
+    assert surface.n == 64
     with pytest.raises(ValueError):
-        grid.nodes[0] = -1.0
+        surface.nodes[0] = -1.0
 
 
 def test_make_grid_bc_override_and_cap_resolution():
     flat = flat_cylinder()
-    grid = Grid(nodes=np.linspace(flat.s_min, flat.s_max, 64), bc_left="neumann", bc_right="cap")
-    assert mode_rows(grid, 0) == (0, 64)  # cap -> Neumann for m = 0
-    assert mode_rows(grid, 2) == (0, 63)  # cap -> Dirichlet for m >= 1
-    surface = Surface(flat, grid)
+    capped = dataclasses.replace(flat, bc_left="neumann", bc_right="cap")
+    surface = Surface(capped, np.linspace(flat.s_min, flat.s_max, 64))
+    assert mode_rows(surface, 0) == (0, 64)  # cap -> Neumann for m = 0
+    assert mode_rows(surface, 2) == (0, 63)  # cap -> Dirichlet for m >= 1
     op0, op2 = assemble_mode_operator(surface, 0), assemble_mode_operator(surface, 2)
     assert (op0.lo, op0.hi) == (0, 64) and (op2.lo, op2.hi) == (0, 63)
     # a half cell on each kept Neumann end row, a full one next to a cut
-    assert op0.mass[0] == op0.mass[-1] == grid.h / 2.0
-    assert op2.mass[0] == grid.h / 2.0 and op2.mass[-1] == grid.h
+    assert op0.mass[0] == op0.mass[-1] == surface.h / 2.0
+    assert op2.mass[0] == surface.h / 2.0 and op2.mass[-1] == surface.h
 
 
 def test_neumann_kernel_is_dropped_and_gap_is_positive():
@@ -270,10 +276,8 @@ def test_neumann_kernel_is_dropped_and_gap_is_positive():
     # spectral gap is the first cosine/angular mode at exactly 1.  A modest
     # grid keeps ||T|| (hence the absolute eigenvalue round-off) small.
     flat = flat_cylinder()
-    grid = Grid(
-        nodes=np.linspace(flat.s_min, flat.s_max, 400), bc_left="neumann", bc_right="neumann"
-    )
-    sys = solve_modes(flat, grid, 10.0)
+    neumann = dataclasses.replace(flat, bc_left="neumann", bc_right="neumann")
+    sys = solve_modes(neumann, np.linspace(flat.s_min, flat.s_max, 400), 10.0)
     gap = spectral_gap(sys)
     assert gap == pytest.approx(1.0, rel=1e-4)
 
@@ -325,7 +329,7 @@ def test_window_truncation_is_at_round_off(shipped_pair):
     for m in range(top):
         op = assemble_mode_operator(surface, m)
         d, e = op.d, op.e
-        a, b = agmon_window(w[op.lo : op.hi], grid.h, float(m * m), lambda_cut)
+        a, b = agmon_window(w[op.lo : op.hi], surface.h, float(m * m), lambda_cut)
         shortened += (b - a) < len(d)
         full = eigh_tridiagonal(d, e, select="v", select_range=rng, eigvals_only=True, tol=1e-300)
         cut = eigh_tridiagonal(
@@ -342,21 +346,22 @@ def test_window_truncation_is_at_round_off(shipped_pair):
 
 def test_window_cuts_lie_beyond_the_agmon_margin(shipped_pair):
     profile, _, grid, lambda_cut = shipped_pair
-    w = profile.weight(grid.nodes)
+    surface = Surface(profile, grid)
+    w = profile.weight(grid)
     top = mode_cutoff(lambda_cut, float(np.max(w)))
     cuts = 0
     for m in range(top):
-        lo, hi = mode_rows(grid, m)
+        lo, hi = mode_rows(surface, m)
         rows = w[lo:hi]
         m2 = float(m * m)
-        a, b = agmon_window(rows, grid.h, m2, lambda_cut)
+        a, b = agmon_window(rows, surface.h, m2, lambda_cut)
         allowed = np.flatnonzero(lambda_cut * rows >= m2)
         if allowed.size == 0:  # max w sits on a dropped Dirichlet endpoint
             assert (a, b) == (0, len(rows))
             continue
         first, last = allowed[0], allowed[-1]
         assert a <= first and last < b
-        rate = _rates(rows, grid.h, m2, lambda_cut)
+        rate = _rates(rows, surface.h, m2, lambda_cut)
         # the distance of a row is the sum of rates over the rows strictly
         # between it and the allowed set
         if a > 0:
@@ -386,14 +391,14 @@ def _solved_operators(profile, grid, lambda_cut, monkeypatch):
 def test_mode_zero_witness_and_empty_modes_get_the_full_grid(shipped_pair, monkeypatch):
     profile, _, grid, lambda_cut = shipped_pair
     system, ops = _solved_operators(profile, grid, lambda_cut, monkeypatch)
-    top = system.m_max
-    assert (ops[0].lo, ops[0].hi) == mode_rows(grid, 0)
-    assert (ops[top].lo, ops[top].hi) == mode_rows(grid, top)  # the witness
-    assert any((op.lo, op.hi) != mode_rows(grid, m) for m, op in ops.items())  # windowed
+    surface, top = system.surface, system.m_max
+    assert (ops[0].lo, ops[0].hi) == mode_rows(surface, 0)
+    assert (ops[top].lo, ops[top].hi) == mode_rows(surface, top)  # the witness
+    assert any((op.lo, op.hi) != mode_rows(surface, m) for m, op in ops.items())  # windowed
     # above the Rayleigh cutoff the allowed set on the solved rows is empty
-    w = profile.weight(grid.nodes)
-    lo, hi = mode_rows(grid, top)
-    assert agmon_window(w[lo:hi], grid.h, float(top**2), lambda_cut) == (0, hi - lo)
+    w = profile.weight(grid)
+    lo, hi = mode_rows(surface, top)
+    assert agmon_window(w[lo:hi], surface.h, float(top**2), lambda_cut) == (0, hi - lo)
 
 
 def test_windowed_operators_are_slices_of_the_full_row_operators(shipped_pair, monkeypatch):
@@ -406,10 +411,10 @@ def test_windowed_operators_are_slices_of_the_full_row_operators(shipped_pair, m
     w = surface.weights
     assert sorted(ops) == list(range(system.m_max + 1))
     for m, op in ops.items():
-        lo, hi = mode_rows(grid, m)
+        lo, hi = mode_rows(surface, m)
         a, b = (0, hi - lo)
         if m < system.m_max:
-            a, b = agmon_window(w[lo:hi], grid.h, float(m * m), lambda_cut)
+            a, b = agmon_window(w[lo:hi], surface.h, float(m * m), lambda_cut)
         assert (op.lo, op.hi) == (lo + a, lo + b), m
         full = assemble_mode_operator(surface, m)
         assert (full.lo, full.hi) == (lo, hi)
@@ -424,7 +429,7 @@ def test_witness_is_the_rayleigh_bound_over_the_solved_rows(shipped_pair):
     profile, _, grid, lambda_cut = shipped_pair
     surface = Surface(profile, grid)
     w = surface.weights
-    lo, hi = mode_rows(grid, 1)
+    lo, hi = mode_rows(surface, 1)
     full_top = mode_cutoff(lambda_cut, float(np.max(w)))
     system = solve_modes(profile, grid, lambda_cut)
     assert system.m_max == mode_cutoff(lambda_cut, float(np.max(w[lo:hi]))) < full_top
@@ -439,14 +444,14 @@ def test_windowed_eigenvectors_are_mass_orthonormal_on_their_rows(small_pair):
     grid = make_grid(profile, 900)
     system = solve_modes(profile, grid, 25.0, probes=(0.35, 0.9))
     assert system.rows == solve_modes(profile, grid, 25.0).rows
-    assert system.rows[system.m_max] == mode_rows(grid, system.m_max)  # the witness
+    assert system.rows[system.m_max] == mode_rows(system.surface, system.m_max)  # the witness
     assert system.vectors is None
     surface = Surface(profile, grid)
     w = surface.weights
     shortened = 0
     for m in range(system.m_max):
-        carried = mode_rows(grid, m)
-        a, b = agmon_window(w[carried[0] : carried[1]], grid.h, float(m * m), 25.0)
+        carried = mode_rows(surface, m)
+        a, b = agmon_window(w[carried[0] : carried[1]], surface.h, float(m * m), 25.0)
         shortened += (b - a) < carried[1] - carried[0]
         lo, hi = system.rows[m]
         assert (lo, hi) == (carried[0] + a, carried[0] + b)
@@ -475,15 +480,15 @@ def _full_row_window(weights, h, m2, lambda_cut):
     return a, min(b, n)
 
 
-def _full_row_pencil(w, grid, m):
+def _full_row_pencil(w, surface, m):
     """(d, e, mass) of mode m on all of its rows, from per-row cells and
     stencil degrees."""
-    lo, hi = mode_rows(grid, m)
-    h, m2 = grid.h, float(m * m)
+    lo, hi = mode_rows(surface, m)
+    h, m2 = surface.h, float(m * m)
     cell, deg = np.full(hi - lo, h), np.full(hi - lo, 2.0)
     if lo == 0:
         cell[0], deg[0] = h / 2.0, 1.0
-    if hi == grid.n:
+    if hi == surface.n:
         cell[-1], deg[-1] = h / 2.0, 1.0
     mass = w[lo:hi] * cell
     d = (deg / h + m2 * cell) / mass
@@ -556,10 +561,10 @@ def test_agmon_window_of_each_shape_of_allowed_set_is_bitwise_the_full_row_windo
     assert has_shape(a, b), (a, b)
 
 
-def _window_pencil(w, grid, m, lo, hi):
+def _window_pencil(w, surface, m, lo, hi):
     """(d, e, mass) of mode m on rows [lo, hi), built from the weight on
     those rows alone, a half cell patched in on a row at a grid end."""
-    h, m2 = grid.h, float(m * m)
+    h, m2 = surface.h, float(m * m)
     rows = w[lo:hi]
     mass = rows * h
     d = (2.0 / h + m2 * h) / mass
@@ -567,7 +572,7 @@ def _window_pencil(w, grid, m, lo, hi):
     if lo == 0:
         mass[0] = rows[0] * (h / 2.0)
         d[0] = end_row / mass[0]
-    if hi == grid.n:
+    if hi == surface.n:
         mass[-1] = rows[-1] * (h / 2.0)
         d[-1] = end_row / mass[-1]
     return d, (-1.0 / h) / np.sqrt(mass[:-1] * mass[1:]), mass
@@ -580,29 +585,30 @@ def test_window_pencils_are_bitwise_slices_of_the_full_row_pencil_at_every_end(b
     # shared mass and off-diagonal are bitwise the full-row pencil's rows
     # and the pencil built from the window's own weights.
     prof = build_weight(funnel_cusp_spec(), truncation=small_truncation())
-    grid = Grid(nodes=np.linspace(prof.s_min, prof.s_max, 120), bc_left=bcs[0], bc_right=bcs[1])
-    surface = Surface(prof, grid)
+    ended = dataclasses.replace(prof, bc_left=bcs[0], bc_right=bcs[1])
+    surface = Surface(ended, np.linspace(prof.s_min, prof.s_max, 120))
     w = surface.weights
     ends = set()
     for m in range(4):
-        lo, hi = mode_rows(grid, m)
-        d, e, mass = _full_row_pencil(w, grid, m)
+        lo, hi = mode_rows(surface, m)
+        d, e, mass = _full_row_pencil(w, surface, m)
         windows = [(0, hi - lo), (0, 7), (hi - lo - 7, hi - lo), (5, 12), (3, 4)]
         windows += [(0, 1), (0, 2), (hi - lo - 2, hi - lo), (hi - lo - 1, hi - lo)]
         for a, b in windows:
             rows = (lo + a, lo + b)
-            ends.update(end for end, at in (("lo", rows[0] == 0), ("hi", rows[1] == grid.n)) if at)
+            reached = (("lo", rows[0] == 0), ("hi", rows[1] == surface.n))
+            ends.update(end for end, at in reached if at)
             op = assemble_mode_operator(surface, m, rows=rows)
-            references = [(d[a:b], e[a : b - 1], mass[a:b]), _window_pencil(w, grid, m, *rows)]
+            references = [(d[a:b], e[a : b - 1], mass[a:b]), _window_pencil(w, surface, m, *rows)]
             for ref_d, ref_e, ref_mass in references:
                 assert np.array_equal(op.d, ref_d), (m, a, b)
                 assert np.array_equal(op.e, ref_e), (m, a, b)
                 assert np.array_equal(op.mass, ref_mass), (m, a, b)
     neumann_ends = {"lo": bcs[0] != "dirichlet", "hi": bcs[1] != "dirichlet"}
     assert ends == {end for end, kept in neumann_ends.items() if kept}
-    assert np.array_equal(surface.mass, w * grid.h)
+    assert np.array_equal(surface.mass, w * surface.h)
     left, right = surface.mass[:-1], surface.mass[1:]
-    assert np.array_equal(surface.e, (-1.0 / grid.h) / np.sqrt(left * right))
+    assert np.array_equal(surface.e, (-1.0 / surface.h) / np.sqrt(left * right))
 
 
 def test_windows_and_pencils_of_every_queued_surface_match_the_full_row_reference(
@@ -617,18 +623,18 @@ def test_windows_and_pencils_of_every_queued_surface_match_the_full_row_referenc
     monkeypatch.setattr(discretize, "solve_mode", lambda op, cut, **kwargs: (op, None))
     windowed = 0
     for surface, lambda_cut in plan:
-        grid, w = surface.grid, surface.weights
+        w = surface.weights
         pending = discretize._set_up(surface, lambda_cut, None)
         top = len(pending.modes) - 1
         for m in range(top + 1):
             (lo, hi), op, _ = discretize._solve_one(surface, pending, m, lambda_cut, None)
-            c_lo, c_hi = mode_rows(grid, m)
+            c_lo, c_hi = mode_rows(surface, m)
             a, b = 0, c_hi - c_lo
             if m < top:
-                a, b = _full_row_window(w[c_lo:c_hi], grid.h, float(m * m), lambda_cut)
+                a, b = _full_row_window(w[c_lo:c_hi], surface.h, float(m * m), lambda_cut)
             assert (lo, hi) == (op.lo, op.hi) == (c_lo + a, c_lo + b), m
             windowed += (a, b) != (0, c_hi - c_lo)
-            d, e, mass = _full_row_pencil(w, grid, m)
+            d, e, mass = _full_row_pencil(w, surface, m)
             assert np.array_equal(op.d, d[a:b]), m
             assert np.array_equal(op.e, e[a : b - 1]), m
             assert np.array_equal(op.mass, mass[a:b]), m
@@ -639,9 +645,10 @@ def test_agmon_windows_work_in_proportion_to_their_rows(configs_dir, monkeypatch
     cfg = ScenarioConfig.from_json(configs_dir / "boundary_sweep.json")
     profile, _ = cfg.pair(epsilon=0.0)
     grid = make_grid(profile, cfg.numerics.n_nodes)
+    surface = Surface(profile, grid)
     lambda_cut = cfg.numerics.lambda_cut
-    w = profile.weight(grid.nodes)
-    lo, hi = mode_rows(grid, 1)
+    w = profile.weight(grid)
+    lo, hi = mode_rows(surface, 1)
     top = mode_cutoff(lambda_cut, float(np.max(w[lo:hi])))
     rates = []
     arccosh = np.arccosh
@@ -653,13 +660,13 @@ def test_agmon_windows_work_in_proportion_to_their_rows(configs_dir, monkeypatch
     monkeypatch.setattr(np, "arccosh", counting)
     kept = 0
     for m in range(1, top):
-        a, b = agmon_window(w[lo:hi], grid.h, float(m * m), lambda_cut)
+        a, b = agmon_window(w[lo:hi], surface.h, float(m * m), lambda_cut)
         kept += b - a
     assert top > 50 and kept < (top - 1) * (hi - lo) / 5
     assert sum(rates) <= 3 * kept
     rates.clear()
-    lo0, hi0 = mode_rows(grid, 0)
-    assert agmon_window(w[lo0:hi0], grid.h, 0.0, lambda_cut) == (0, hi0 - lo0)
+    lo0, hi0 = mode_rows(surface, 0)
+    assert agmon_window(w[lo0:hi0], surface.h, 0.0, lambda_cut) == (0, hi0 - lo0)
     assert rates == []  # mode 0 keeps its rows without a rate
 
 
@@ -687,7 +694,7 @@ def test_a_surface_rejects_a_weight_not_positive_and_finite_and_shares_its_penci
         with pytest.raises(ValueError, match="read-only"):
             shared[0] = 1.0
     # a bad value on one node, an interior one or a Dirichlet end's
-    fn, nodes = prof.weight, grid.nodes
+    fn, nodes = prof.weight, grid
     for at, bad in itertools.product((0, 100), (0.0, -1.0, np.nan, np.inf)):
         on_node = dataclasses.replace(
             prof, _fn=lambda s, at=at, bad=bad: np.where(s == nodes[at], bad, fn(s))
@@ -722,8 +729,8 @@ def test_lapack_binding_is_bitwise_scipy(shipped_pair):
     assert len(_assert_binding_matches_scipy(op0.d, op0.e, KERNEL_FLOOR, lambda_cut)) > 10
 
     m = 40
-    lo, hi = mode_rows(grid, m)
-    a, b = agmon_window(w[lo:hi], grid.h, float(m * m), lambda_cut)
+    lo, hi = mode_rows(surface, m)
+    a, b = agmon_window(w[lo:hi], surface.h, float(m * m), lambda_cut)
     assert b - a < hi - lo
     op = assemble_mode_operator(surface, m, rows=(lo + a, lo + b))
     assert len(_assert_binding_matches_scipy(op.d, op.e, KERNEL_FLOOR, lambda_cut))
@@ -766,13 +773,13 @@ def test_one_workspace_solves_problems_in_turn_bitwise_as_fresh_ones(shipped_pai
     w = surface.weights
     rng = (KERNEL_FLOOR, lambda_cut)
     ops = [assemble_mode_operator(surface, 0)]
-    lo, hi = mode_rows(grid, 40)
-    a, b = agmon_window(w[lo:hi], grid.h, 1600.0, lambda_cut)
+    lo, hi = mode_rows(surface, 40)
+    a, b = agmon_window(w[lo:hi], surface.h, 1600.0, lambda_cut)
     ops.append(assemble_mode_operator(surface, 40, rows=(lo + a, lo + b)))
     ops.append(assemble_mode_operator(surface, 1, rows=(lo + a, lo + a + 1)))
     assert len(ops[0].d) > len(ops[1].d) > len(ops[2].d) == 1
-    workspace = discretize._Workspace(grid.n)
-    assert workspace.rows == grid.n
+    workspace = discretize._Workspace(surface.n)
+    assert workspace.rows == surface.n
     buffers = _workspace_buffers(workspace)
     for op in ops:
         vals, vecs = solve_mode(op, lambda_cut, workspace=workspace)
@@ -792,10 +799,10 @@ def test_one_workspace_solves_problems_in_turn_bitwise_as_fresh_ones(shipped_pai
     # every solve so far ran on the buffers the workspace was made with
     assert all(x is y for x, y in zip(buffers, _workspace_buffers(workspace), strict=True))
 
-    finer = make_grid(profile, grid.n + 500)
+    finer = make_grid(profile, surface.n + 500)
     op = assemble_mode_operator(Surface(profile, finer), 0)
     vals, _ = solve_mode(op, lambda_cut, workspace=workspace)
-    assert workspace.rows == len(op.d) > grid.n
+    assert workspace.rows == len(op.d) > surface.n
     ref = eigh_tridiagonal(op.d, op.e, select="v", select_range=rng, eigvals_only=True)
     assert len(vals) > 10 and _same_array(vals, ref)
     # the first solve again, on the grown buffers
@@ -879,7 +886,7 @@ def test_probe_data_are_independent_of_the_blas_thread_count(small_pair):
     finally:
         set_threads(before)
     one, two = systems
-    assert grid.n >= 12_000 and one.rows[0][1] - one.rows[0][0] > 10_000
+    assert len(grid) >= 12_000 and one.rows[0][1] - one.rows[0][0] > 10_000
     assert len(one.probes.modes[0][0]) > 1
     assert same_probes(one.probes, two.probes)
 
@@ -949,7 +956,7 @@ def test_a_queue_solves_each_surface_bitwise_as_solve_modes_alone(
     small_pair, monkeypatch, probes
 ):
     surfaces = _queue_surfaces(small_pair)
-    alone = [solve_modes(s.profile, s.grid, 25.0, probes=probes) for s in surfaces]
+    alone = [solve_modes(s.profile, s.nodes, 25.0, probes=probes) for s in surfaces]
     made = []
 
     class Recorded(discretize._Workspace):
@@ -967,8 +974,10 @@ def test_a_queue_solves_each_surface_bitwise_as_solve_modes_alone(
         # eigenvectors), each gone once its thread is joined
         assert [caller for caller, _ in made].count("_work") == threads
         assert all(ref() is None for _, ref in made)
-        for one, other in zip(alone, together):
-            assert other.grid is one.grid and other.profile is one.profile
+        for surface, one, other in zip(surfaces, alone, together):
+            assert other.surface is surface
+            assert other.surface.nodes is one.surface.nodes
+            assert other.surface.profile is one.surface.profile
             assert other.m_max == one.m_max
             assert other.m_max == mode_cutoff(25.0, _mode_one_max_weight(other))
             assert list(other.mode_eigenvalues) == list(range(one.m_max + 1))
@@ -991,7 +1000,7 @@ def test_a_failing_surface_fails_alone_and_the_queue_joins_its_threads(
     solve = discretize.solve_mode
 
     def failing(op, cut, **kwargs):
-        if op.m == 2 and op.grid is coarse.grid:
+        if op.m == 2 and op.surface is coarse:
             raise error
         return solve(op, cut, **kwargs)
 
@@ -1006,7 +1015,7 @@ def test_a_failing_surface_fails_alone_and_the_queue_joins_its_threads(
             queue.result(2)
     assert caught.value is error
     with pytest.raises(ValueError, match="resolution capacity"):
-        solve_modes(bad.profile, bad.grid, 25.0)
+        solve_modes(bad.profile, bad.nodes, 25.0)
     assert threading.active_count() == before
     assert first.m_max > 5 and last.m_max > 5
     # an error leaving the block stops the queue before every surface is solved

@@ -132,7 +132,7 @@ def test_mode_sum_reference_samples_the_weight_once_for_every_mode_and_cap_round
     surface = surface_on(prof, 300)
     vals = mode_sum_reference(surface, 24, count=100)
     assert len(vals) == 100 and len(caps) > 1  # more than one cap round
-    assert len(calls) == 1 and calls[0] is surface.grid.nodes
+    assert len(calls) == 1 and calls[0] is surface.nodes
 
 
 def test_2d_solver_is_deterministic():

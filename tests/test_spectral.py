@@ -9,9 +9,8 @@ import numpy as np
 import pytest
 
 from relspec import discretize
-from relspec.cli import OFFDIAG_TIMES, ScenarioConfig
+from relspec.cli import OFFDIAG_TIMES, ScenarioConfig, _offdiag_sup
 from relspec.discretize import (
-    Grid,
     ModeQueue,
     Surface,
     assemble_mode_operator,
@@ -175,9 +174,12 @@ def test_relative_trace_requires_matching_discretizations(small_systems):
         relative_trace_series(sys_a, replace(sys_b, lambda_cut=30.0))
     with pytest.raises(ValueError, match="mode range"):
         relative_trace_series(sys_a, replace(sys_b, m_max=sys_b.m_max + 1))
-    other_grid = Grid(nodes=sys_b.grid.nodes, bc_left="neumann", bc_right=sys_b.grid.bc_right)
-    with pytest.raises(ValueError, match="grid"):
-        relative_trace_series(sys_a, replace(sys_b, grid=other_grid))
+    surface = sys_b.surface
+    neumann = Surface(replace(surface.profile, bc_left="neumann"), surface.nodes)
+    finer = Surface(surface.profile, make_grid(surface.profile, surface.n + 1))
+    for other in (neumann, finer):
+        with pytest.raises(ValueError, match="grid"):
+            relative_trace_series(sys_a, replace(sys_b, surface=other))
 
 
 def test_trace_series_csv_roundtrip_is_bitwise(tmp_path, small_systems):
@@ -256,7 +258,7 @@ def test_finite_spectra_series():
 def _full_vectors(sys):
     """Each mode's mass-normalised eigenvectors on its solved rows, from
     ``solve_mode`` with vectors on the pencil the system solved."""
-    surface = Surface(sys.profile, sys.grid)
+    surface = sys.surface
     vectors = {}
     for m, rows in sys.rows.items():
         op = assemble_mode_operator(surface, m, rows=rows)
@@ -268,21 +270,22 @@ def _full_vectors(sys):
 def _padded(sys, vectors, m):
     """Mode m's eigenvectors zero-padded from its solved rows to the grid."""
     lo, hi = sys.rows[m]
-    full = np.zeros((sys.grid.n, vectors[m].shape[1]))
+    full = np.zeros((sys.surface.n, vectors[m].shape[1]))
     full[lo:hi] = vectors[m]
     return full
 
 
 def _rows(sys, y, y2):
-    nodes = sys.grid.nodes
+    nodes = sys.surface.nodes
     return int(np.argmin(np.abs(nodes - y[0]))), int(np.argmin(np.abs(nodes - y2[0])))
 
 
 def _radial_weights(sys):
-    nodes = sys.grid.nodes
-    cell = np.full(len(nodes), sys.grid.h)
-    cell[0] = cell[-1] = sys.grid.h / 2.0
-    return sys.profile.weight(nodes) * cell
+    surface = sys.surface
+    nodes = surface.nodes
+    cell = np.full(len(nodes), surface.h)
+    cell[0] = cell[-1] = surface.h / 2.0
+    return surface.profile.weight(nodes) * cell
 
 
 def _reference_kernel(sys, vectors, t, y, y2):
@@ -325,10 +328,9 @@ def test_full_chart_offdiag_integral_is_semigroup_product(probe_system):
     y = (0.35, 0.0)
     y2 = (0.9, 1.3)
     sys = probe_system(y[0], y2[0])
-    res = offdiag_l2_integral(sys, 1.0, y=y, y2=y2)
+    value = offdiag_l2_integral(sys, 1.0, y=y, y2=y2)
     expected = kernel_value(sys, 2.0, y, y2)
-    assert res.value == pytest.approx(expected, rel=1e-10)
-    assert res.pair_distance > 0.0
+    assert value == pytest.approx(expected, rel=1e-10)
 
 
 def test_kernel_value_symmetry(probe_system):
@@ -348,8 +350,8 @@ def _trapezoid_offdiag(sys, vectors, t, y, y2, n_theta):
     angular grid and multiplied pointwise before integrating."""
     i_y, i_y2 = _rows(sys, y, y2)
     theta = np.arange(n_theta) * (2.0 * math.pi / n_theta)
-    field_a = np.zeros((sys.grid.n, n_theta))
-    field_b = np.zeros((sys.grid.n, n_theta))
+    field_a = np.zeros((sys.surface.n, n_theta))
+    field_b = np.zeros((sys.surface.n, n_theta))
     for m, lam in sys.mode_eigenvalues.items():
         if len(lam) == 0:
             continue
@@ -377,9 +379,9 @@ def test_offdiag_integral_matches_trapezoid_reference(probe_system, small_vector
     sys = probe_system(y[0], y2[0])
     if n_theta == "minimal":
         n_theta = 2 * sys.m_max + 1
-    res = offdiag_l2_integral(sys, 1.0, y=y, y2=y2)
+    value = offdiag_l2_integral(sys, 1.0, y=y, y2=y2)
     expected = _trapezoid_offdiag(sys, small_vectors, 1.0, y, y2, n_theta)
-    assert res.value == pytest.approx(expected, rel=1e-12)
+    assert value == pytest.approx(expected, rel=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -397,14 +399,11 @@ def test_probes_outside_a_modes_rows_match_zero_padded_vectors(
     assert any(inside) and not all(inside)
     assert len(sys.probes.modes) < len(inside)
     pair = y if y2 is None else y2
-    ends = [float(sys.grid.nodes[i]) for i in _rows(sys, y, pair)]
-    want_distance = line_distance(sys.profile, *ends)
     for t in (1.0, 2.0):
         assert kernel_value(sys, t, y, y2) == _reference_kernel(sys, small_vectors, t, y, pair)
         got = offdiag_l2_integral(sys, t, y=y, y2=y2)
         want = _reference_offdiag(sys, small_vectors, t, y, pair)
-        assert got.value == pytest.approx(want, rel=1e-13, abs=0.0)
-        assert got.pair_distance == want_distance
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("y, y2", [((0.35, 0.0), (0.9, 1.3)), ((0.5, 1.0), (0.9, -0.3))])
@@ -413,8 +412,7 @@ def test_offdiag_integral_swap_is_bitwise(probe_system, y, y2):
     for t in (1.0, 1.5):
         forward = offdiag_l2_integral(sys, t, y=y, y2=y2)
         backward = offdiag_l2_integral(sys, t, y=y2, y2=y)
-        assert forward.value == backward.value
-        assert forward.pair_distance == backward.pair_distance
+        assert forward == backward
 
 
 def test_offdiag_preconditions(probe_system):
@@ -430,7 +428,7 @@ def test_offdiag_preconditions(probe_system):
     with pytest.raises(ValueError, match="not to a probe row"):
         offdiag_l2_integral(sys, 1.0, y=(2.0, 0.0))
     with pytest.raises(ValueError, match="outside the chart"):
-        solve_modes(sys.profile, sys.grid, 25.0, probes=(0.35, 7.0))
+        solve_modes(sys.surface.profile, sys.surface.nodes, 25.0, probes=(0.35, 7.0))
 
 
 def test_offdiag_requires_probes(small_systems):
@@ -453,7 +451,7 @@ def offdiag_grids(configs_dir):
     y, y2 = num.offdiag_points
     out = []
     for surface in cfg.plan.surfaces:
-        sys = solve_modes(surface.profile, surface.grid, num.lambda_cut, probes=(y[0], y2[0]))
+        sys = solve_modes(surface.profile, surface.nodes, num.lambda_cut, probes=(y[0], y2[0]))
         out.append(((y, y2), sys, _full_vectors(sys)))
     return out
 
@@ -463,9 +461,6 @@ def test_kept_probe_rows_are_bitwise_the_full_eigenvectors(offdiag_grids):
         probes = sys.probes
         i, i2 = probes.rows
         assert probes.rows == _rows(sys, y, y2)
-        assert probes.distance == line_distance(
-            sys.profile, float(sys.grid.nodes[i]), float(sys.grid.nodes[i2])
-        )
         missed = 0
         for m, (lo, hi) in sys.rows.items():
             k = len(sys.mode_eigenvalues[m])
@@ -488,13 +483,24 @@ def test_offdiag_integral_is_the_full_vector_radial_sum(offdiag_grids):
         for t in OFFDIAG_TIMES:
             got = offdiag_l2_integral(sys, t, y=y, y2=y2)
             want = _reference_offdiag(sys, vectors, t, y, y2)
-            assert got.value == pytest.approx(want, rel=1e-13, abs=0.0), (sys.grid.n, t)
-            assert offdiag_l2_integral(sys, t, y=y2, y2=y).value == got.value
+            assert got == pytest.approx(want, rel=1e-13, abs=0.0), (sys.surface.n, t)
+            assert offdiag_l2_integral(sys, t, y=y2, y2=y) == got
             assert kernel_value(sys, t, y, y2) == _reference_kernel(sys, vectors, t, y, y2)
 
 
+def test_the_offdiag_run_reads_the_distance_between_its_probe_circles(
+    offdiag_grids, configs_dir
+):
+    num = ScenarioConfig.from_json(configs_dir / "offdiag.json").numerics
+    for _, sys, _ in offdiag_grids:
+        i, i2 = sys.probes.rows
+        nodes = sys.surface.nodes
+        want = line_distance(sys.surface.profile, float(nodes[i]), float(nodes[i2]))
+        assert want > 0.0 and _offdiag_sup(sys, num)[2] == want
+
+
 def test_probe_data_are_independent_of_the_thread_count(offdiag_grids, monkeypatch):
-    surfaces = [Surface(sys.profile, sys.grid) for _, sys, _ in offdiag_grids]
+    surfaces = [Surface(sys.surface.profile, sys.surface.nodes) for _, sys, _ in offdiag_grids]
     (y, y2), _, _ = offdiag_grids[0]
     for threads in (1, 3):
         monkeypatch.setattr(discretize, "worker_count", lambda threads=threads: threads)

@@ -311,7 +311,7 @@ def test_default_path_is_the_scenario_pipeline(configs_dir):
     cfg = ScenarioConfig.from_json(configs_dir / "decay.json")
     pair = cfg.pair()
     sys_a, series, det = solve_pair(pair, cfg.numerics)
-    sys_b = solve_modes(pair[1], sys_a.grid, cfg.numerics.lambda_cut)
+    sys_b = solve_modes(pair[1], sys_a.surface.nodes, cfg.numerics.lambda_cut)
     default = determinant_from_series(relative_trace_series(sys_a, sys_b))
     assert np.array_equal(default.invariants.coefficients, det.invariants.coefficients)
     assert default.log_determinant == det.log_determinant
