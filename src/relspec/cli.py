@@ -663,9 +663,9 @@ def _run_validate(cfg: ScenarioConfig, out: Path, report: Report, stage):
     rel2 = float(np.max(np.abs(two_d - mode_sum) / mode_sum))
     report.add(
         "oracle_2d_vs_mode_sum",
-        rel2 <= 1e-3,
+        rel2 <= 1e-7,
         value=rel2,
-        tolerance=1e-3,
+        tolerance=1e-7,
         detail=(
             f"first {len(two_d)} eigenvalues, {surface.n}x{ORACLE_N_THETA} "
             "five-point pencil vs angular-symbol mode sum (same discrete operator)"

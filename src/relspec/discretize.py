@@ -16,9 +16,9 @@ Each mode's problem lives on one range of grid rows [lo, hi).
 ``mode_rows`` gives the rows a mode carries: every node but a Dirichlet
 end's, under the end conditions of the surface's profile, where a 'cap' end
 is Neumann for m = 0 and Dirichlet otherwise.  The pencil is assembled on
-its range only.  A row has a half cell only where the range reaches a
-Neumann grid end; a range that stops short of a grid end is cut by a
-Dirichlet row.
+its range only.  A row has a half cell only at a grid end that is not
+Dirichlet, which only a range carrying that end reaches; a range that
+stops short of a grid end is cut by a Dirichlet row.
 
 ``solve_modes`` narrows each mode's rows to its Agmon window.  Every
 eigenfunction of mode m with lambda <= lambda_cut decays where
@@ -40,11 +40,11 @@ maximum of lambda_cut * w from its last row backwards, on which one
 from the mode's first row only until it passes the right margin, and the
 pencil is assembled on the window's rows alone.  The parts of the pencil
 that no mode changes belong to the ``Surface``, built (and its weight
-checked) once when it is made: the full-cell masses w h and the
-off-diagonal between every two rows, on the whole grid and read-only.  A
-mode's pencil takes views of its rows and computes only its diagonal,
-(2/h + m^2 h) / mass; a range that reaches a Neumann grid end copies them
-and patches the half-cell row.
+checked) once when it is made: each row's lumped mass, w h or, at a grid
+end that is not Dirichlet, the half cell w h / 2, and the off-diagonal
+between every two rows, on the whole grid and read-only.  A mode's pencil
+takes views of its rows and computes only its diagonal, (2/h + m^2 h) /
+mass, or (1/h + m^2 h / 2) / mass on a grid end's row.
 
 The eigensolves call LAPACK ``dstebz`` (bisection) and ``dstein`` (inverse
 iteration) through ``ctypes.CFUNCTYPE``, which releases the GIL while
@@ -142,14 +142,13 @@ class Surface:
     'dirichlet', 'neumann' or 'cap' (ValueError otherwise).  ``nodes`` is
     made read-only, ``n`` is its length and ``h`` the spacing.
     ``weights`` is the profile's weight sampled once on ``nodes``, which
-    must be positive and finite there (ValueError otherwise).  ``mass`` =
-    w h is each row's lumped mass with a full cell, and ``e`` the
-    off-diagonal (-1/h) / sqrt(mass_i mass_{i+1}) between rows i and i + 1.
-    A row at a Neumann grid end has a half cell instead: ``ends`` holds,
-    for the first and the last row, the half-cell mass w h / 2 and the
-    off-diagonal beside it, which a range reaching that end takes in place
-    of the full-cell entries.  ``weights``, ``mass`` and ``e`` are
-    read-only and shared by every mode.
+    must be positive and finite there (ValueError otherwise).  ``mass`` is
+    each row's lumped mass: w h on a full cell, and w h / 2 on the half
+    cell of a grid end that is not 'dirichlet' (a Neumann end, or a cap
+    end, which mode 0 carries).  ``e`` is the off-diagonal
+    (-1/h) / sqrt(mass_i mass_{i+1}) between rows i and i + 1.  A Dirichlet
+    end's row is carried by no mode, so its entries are never read.
+    ``weights``, ``mass`` and ``e`` are read-only and shared by every mode.
     """
 
     profile: MetricProfile
@@ -158,7 +157,6 @@ class Surface:
     h: float = field(init=False)
     mass: np.ndarray = field(init=False, repr=False)
     e: np.ndarray = field(init=False, repr=False)
-    ends: tuple[tuple[float, float], tuple[float, float]] = field(init=False, repr=False)
 
     def __post_init__(self):
         profile, nodes = self.profile, self.nodes
@@ -176,15 +174,13 @@ class Surface:
             raise ValueError("weight must be positive and finite on the grid")
         h = float(nodes[1] - nodes[0])
         mass = w * h
+        for at, bc in ((0, profile.bc_left), (-1, profile.bc_right)):
+            if bc != "dirichlet":
+                mass[at] = w[at] * (h / 2.0)
         e = (-1.0 / h) / np.sqrt(mass[:-1] * mass[1:])
-        first, last = float(w[0] * (h / 2.0)), float(w[-1] * (h / 2.0))
-        ends = (
-            (first, (-1.0 / h) / math.sqrt(first * mass[1])),
-            (last, (-1.0 / h) / math.sqrt(mass[-2] * last)),
-        )
         for array in (w, mass, e):
             array.setflags(write=False)
-        for name, value in (("weights", w), ("h", h), ("mass", mass), ("e", e), ("ends", ends)):
+        for name, value in (("weights", w), ("h", h), ("mass", mass), ("e", e)):
             object.__setattr__(self, name, value)
 
     @property
@@ -221,8 +217,8 @@ def mode_rows(surface: Surface, m: int) -> tuple[int, int]:
 class ModeOperator:
     """Mode m's pencil on grid rows [lo, hi) of ``surface``: the lumped
     ``mass`` and the symmetric tridiagonal (d, e) that the congruence by
-    mass^{-1/2} turns the stiffness into.  ``mass`` and ``e`` may be
-    read-only views of the surface's."""
+    mass^{-1/2} turns the stiffness into.  ``mass`` and ``e`` are
+    read-only views of the surface's rows."""
 
     surface: Surface
     m: int
@@ -248,12 +244,10 @@ def assemble_mode_operator(
     discretization-matched comparisons against 2D stencils, where the
     five-point angular symbol (4/h^2) sin^2(m h / 2) is substituted).
 
-    Only the diagonal depends on the mode: d = (2/h + m^2 h) / mass on
-    interior rows.  ``mass`` and ``e`` are views of the surface's rows,
-    except where the range reaches a Neumann grid end, whose row has a half
-    cell and one neighbour: there they are copies with that row's mass and
-    the off-diagonal beside it patched, and d there is
-    (1/h + m^2 h / 2) / mass.
+    Only the diagonal depends on the mode: d = (2/h + m^2 h) / mass, and
+    (1/h + m^2 h / 2) / mass on a grid end's row, which has one neighbour
+    and the half cell the surface's ``mass`` holds.  ``mass`` and ``e`` are
+    views of the surface's rows for every range.
     """
     carried = mode_rows(surface, m)
     lo, hi = carried if rows is None else rows
@@ -263,17 +257,9 @@ def assemble_mode_operator(
     m2 = float(m * m) if m2_value is None else float(m2_value)
     mass, e = surface.mass[lo:hi], surface.e[lo : hi - 1]
     d = np.divide(2.0 / h + m2 * h, mass)
-    n = surface.n
-    if lo == 0 or hi == n:
-        end_row = 1.0 / h + m2 * (h / 2.0)
-        mass, e = mass.copy(), e.copy()
-        for at, reached in ((0, lo == 0), (-1, hi == n)):
-            if reached:
-                half, beside = surface.ends[at]
-                mass[at] = half
-                d[at] = end_row / half
-                if len(e):
-                    e[at] = beside
+    for at, reached in ((0, lo == 0), (-1, hi == surface.n)):
+        if reached:
+            d[at] = (1.0 / h + m2 * (h / 2.0)) / mass[at]
     return ModeOperator(surface=surface, m=m, lo=lo, hi=hi, d=d, e=e, mass=mass)
 
 
@@ -697,8 +683,8 @@ def _solve_one(surface, state, m, lambda_cut, workspace):
     if not (probed and len(vals)):
         return (lo, hi), vals, None
     at_i, at_i2 = (vecs[i - lo].copy() for i in probe_rows)
-    # op.mass is the weight times the chart cell on each row: h, or h / 2
-    # at a grid end.
+    # op.mass is the surface's mass on these rows: the weight times the
+    # chart cell, h, or h / 2 on a grid end's row.
     return (lo, hi), vals, (at_i, at_i2, _radial_gram(vecs, op.mass))
 
 

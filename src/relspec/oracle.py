@@ -7,22 +7,18 @@ Two oracles that share no code path with the per-mode solver:
 * a genuinely two-dimensional five-point solver on the (s, theta) cylinder,
   assembled as one sparse generalized pencil and solved by shift-invert
   Lanczos.  Its theta-difference symbol mu_m = (4/h^2) sin^2(m h / 2) is what
-  ``mode_sum_reference`` substitutes into the 1D assembly, so on a surface
-  without a ``filled_cap`` end the two routes solve the *same* discrete
-  operator through entirely different linear algebra and agree at solver
-  precision.  A cap ring is the exception: the five-point pencil keeps it
-  Neumann at every angle (``_active_slice``), while the surface's own
-  pencils make it Dirichlet for m != 0 (``discretize.mode_rows``).  There
-  the two routes solve different operators, and on a funnel + filled_cap
-  surface (cap_epsilon 0.3, 400 x 64) their first 20 eigenvalues differ by
-  up to 1.9e-4 relative.  ROADMAP.md item 21 gives the cap ring one pole
-  unknown, which is ``mode_rows``'s rule.
+  ``mode_sum_reference`` substitutes into the 1D assembly, so the two
+  routes solve the *same* discrete operator through entirely different
+  linear algebra and agree at solver precision.  A cap end's ring is one
+  pole unknown of the five-point pencil, constant in theta: every m != 0
+  component vanishes there and mode 0 keeps it with a half cell, which is
+  ``discretize.mode_rows``'s rule for a cap.
 
 Both 2D routes take a ``discretize.Surface`` and n_theta angles: the
 surface's grid nodes crossed with n_theta equispaced periodic angles.  The
 five-point solver reads only the surface's node count, spacing, sampled
 weight and the end conditions of its profile; its stiffness, cells,
-boundary rule and linear algebra are its own.
+boundary rule, cap pole and linear algebra are its own.
 """
 
 from __future__ import annotations
@@ -98,27 +94,22 @@ def check_bump_span(surface: Surface) -> None:
         )
 
 
-def _active_slice(surface: Surface) -> tuple[int, int, bool, bool]:
-    """The rows [lo, hi) of ``surface`` that the five-point pencil carries,
-    and whether each grid end is kept, under the end conditions of
-    ``surface.profile``."""
-    # A cap edge is kept (Neumann for every theta); the m != 0 components
-    # there sit at ~ e^{-2 m s_max} and cannot move the low spectrum.
-    keep_left = surface.profile.bc_left in ("neumann", "cap")
-    keep_right = surface.profile.bc_right in ("neumann", "cap")
-    lo = 0 if keep_left else 1
-    hi = surface.n if keep_right else surface.n - 1
-    return lo, hi, keep_left, keep_right
-
-
 def _assemble_2d(surface: Surface, n_theta: int):
     """One sparse pencil (A, W) for the quadratic forms
     int (u_s^2 + u_theta^2) ds dtheta  against  int u^2 w ds dtheta,
     on the surface's grid crossed with n_theta equispaced (periodic) angles,
-    on lumped cells -- the exact tensor product of the 1D assembly."""
+    on lumped cells -- the exact tensor product of the 1D assembly.
+
+    A Dirichlet end's ring is left out, and every other end's is kept with
+    a half cell.  A cap end's ring is one pole unknown: with P mapping the
+    pole value to every angle of the ring and the identity elsewhere, the
+    pencil is (P^T A P, P^T W P)."""
     h = surface.h
     ht = 2.0 * math.pi / n_theta
-    lo, hi, keep_left, keep_right = _active_slice(surface)
+    bc_left, bc_right = surface.profile.bc_left, surface.profile.bc_right
+    keep_left, keep_right = bc_left != "dirichlet", bc_right != "dirichlet"
+    lo = 0 if keep_left else 1
+    hi = surface.n if keep_right else surface.n - 1
     n_act = hi - lo
     w = surface.weights
     cell = np.full(n_act, h)
@@ -142,6 +133,16 @@ def _assemble_2d(surface: Surface, n_theta: int):
     I_t = sp.eye(n_theta)
     A = sp.kron(K_s, ht * I_t) + sp.kron(C_s, K_t)
     W = sp.diags(np.repeat(w[lo:hi] * cell, n_theta) * ht)
+    if "cap" in (bc_left, bc_right):
+        # the unknown each node of the grid maps to; rings of n_theta nodes
+        column = np.arange(n_act * n_theta)
+        if bc_left == "cap":
+            column[:n_theta] = 0
+            column[n_theta:] -= n_theta - 1
+        if bc_right == "cap":
+            column[-n_theta:] = column[-n_theta]
+        P = sp.csr_matrix((np.ones(len(column)), (np.arange(len(column)), column)))
+        A, W = P.T @ A @ P, P.T @ W @ P
     return A.tocsc(), W.tocsc()
 
 
@@ -230,12 +231,9 @@ def mode_sum_reference(
     with symbol mu_m (multiplicity 2 except m = 0 and Nyquist), leaving 1D
     pencils that the tridiagonal solver handles.  Returns the first ``count``
     values ascending.  The 1D pencils of every mode and every cap round are
-    the surface's own.  On a surface without a ``filled_cap`` end both
-    routes diagonalize the same matrix pair, so agreement with
-    low_eigenvalues_2d is at linear-algebra precision.  With a cap they do
-    not: these pencils make the cap ring Dirichlet for m != 0, while the
-    five-point pencil keeps it Neumann, and the low eigenvalues differ by up
-    to about 2e-4 relative (see the module docstring).
+    the surface's own.  Both routes diagonalize the same matrix pair, a cap
+    end's pole included, so agreement with low_eigenvalues_2d is at
+    linear-algebra precision.
     """
     _check_angular_nodes(n_theta)
     if count < 1:

@@ -334,14 +334,14 @@ def relative_trace_series(sys_a: Eigensystem, sys_b: Eigensystem) -> TraceSeries
     """Relative heat trace E(t) of two eigensystems on a shared chart, sampled
     on the default time grid.
 
-    pre: the systems were solved on the same grid nodes under the same end
-    conditions, with the same cutoff and mode range, and their profiles
-    agree on the end regions (so the relative area is well defined);
-    violations raise ValueError.  A mode empty on both sides is left out.
+    pre: the systems were solved on the same grid nodes, with the same
+    cutoff and mode range, and their profiles share end conditions (checked
+    by ``relative_area``) and agree on the end regions (so the relative area
+    is well defined); violations raise ValueError.  A mode empty on both
+    sides is left out.
     """
     a, b = sys_a.surface, sys_b.surface
-    same_ends = (a.profile.bc_left, a.profile.bc_right) == (b.profile.bc_left, b.profile.bc_right)
-    if not (np.array_equal(a.nodes, b.nodes) and same_ends):
+    if not np.array_equal(a.nodes, b.nodes):
         raise ValueError("eigensystems live on different grids; relative trace undefined")
     if sys_a.lambda_cut != sys_b.lambda_cut:
         raise ValueError("eigensystems have different cutoffs")

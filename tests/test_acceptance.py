@@ -98,9 +98,9 @@ def test_criterion_02_mode_sum_vs_2d_oracle(validate_run):
     table = _table(out, "oracle_agreement.csv")
     rel = float(np.max(table["rel_diff"]))
     n = len(table)
-    ok = n >= 20 and rel <= 1e-3 and _check(report, "oracle_2d_vs_mode_sum").passed
+    ok = n >= 20 and rel <= 1e-7 and _check(report, "oracle_2d_vs_mode_sum").passed
     assert _criterion(
-        2, ok, f"first {n} eigenvalues, mode sum vs 2D five-point solver, rel {rel:.3e} <= 1e-3"
+        2, ok, f"first {n} eigenvalues, mode sum vs 2D five-point solver, rel {rel:.3e} <= 1e-7"
     )
     assert ok
 

@@ -606,9 +606,24 @@ def test_window_pencils_are_bitwise_slices_of_the_full_row_pencil_at_every_end(b
                 assert np.array_equal(op.mass, ref_mass), (m, a, b)
     neumann_ends = {"lo": bcs[0] != "dirichlet", "hi": bcs[1] != "dirichlet"}
     assert ends == {end for end, kept in neumann_ends.items() if kept}
-    assert np.array_equal(surface.mass, w * surface.h)
-    left, right = surface.mass[:-1], surface.mass[1:]
+    # the surface's mass: a half cell at each grid end that is not Dirichlet
+    cell = np.full(surface.n, surface.h)
+    for at, end in ((0, "lo"), (-1, "hi")):
+        if neumann_ends[end]:
+            cell[at] = surface.h / 2.0
+    assert np.array_equal(surface.mass, w * cell)
+    left, right = (w * cell)[:-1], (w * cell)[1:]
     assert np.array_equal(surface.e, (-1.0 / surface.h) / np.sqrt(left * right))
+
+
+def _queued_plan(configs_dir):
+    """(surface, lambda_cut) of every surface a sweep or an off-diagonal
+    check queues."""
+    plan = []
+    for name in ("point_sweep.json", "boundary_sweep.json", "offdiag.json"):
+        cfg = ScenarioConfig.from_json(configs_dir / name)
+        plan += [(surface, cfg.numerics.lambda_cut) for surface in cfg.plan.surfaces]
+    return plan
 
 
 def test_windows_and_pencils_of_every_queued_surface_match_the_full_row_reference(
@@ -616,10 +631,7 @@ def test_windows_and_pencils_of_every_queued_surface_match_the_full_row_referenc
 ):
     # Every surface a sweep or an off-diagonal check queues, through the
     # queue's own set-up and per-mode path, with the LAPACK solve stubbed out.
-    plan = []
-    for name in ("point_sweep.json", "boundary_sweep.json", "offdiag.json"):
-        cfg = ScenarioConfig.from_json(configs_dir / name)
-        plan += [(surface, cfg.numerics.lambda_cut) for surface in cfg.plan.surfaces]
+    plan = _queued_plan(configs_dir)
     monkeypatch.setattr(discretize, "solve_mode", lambda op, cut, **kwargs: (op, None))
     windowed = 0
     for surface, lambda_cut in plan:
@@ -639,6 +651,21 @@ def test_windows_and_pencils_of_every_queued_surface_match_the_full_row_referenc
             assert np.array_equal(op.e, e[a : b - 1]), m
             assert np.array_equal(op.mass, mass[a:b]), m
     assert len(plan) > 50 and windowed > 5000
+
+
+def test_every_queued_pencil_is_a_view_of_its_surface_at_every_end(configs_dir, monkeypatch):
+    # No mode copies the surface's mass or off-diagonal, not even where its
+    # rows reach a grid end with a half cell.
+    monkeypatch.setattr(discretize, "solve_mode", lambda op, cut, **kwargs: (op, None))
+    reached = 0
+    for surface, lambda_cut in _queued_plan(configs_dir):
+        pending = discretize._set_up(surface, lambda_cut, None)
+        for m in range(len(pending.modes)):
+            _, op, _ = discretize._solve_one(surface, pending, m, lambda_cut, None)
+            assert np.shares_memory(op.mass, surface.mass), m
+            assert np.shares_memory(op.e, surface.e), m
+            reached += op.lo == 0 or op.hi == surface.n
+    assert reached > 20
 
 
 def test_agmon_windows_work_in_proportion_to_their_rows(configs_dir, monkeypatch):

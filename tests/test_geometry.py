@@ -401,6 +401,16 @@ def test_relative_area_requires_matching_charts():
         relative_area(a, b)
 
 
+def test_relative_area_requires_matching_boundary_conditions():
+    a = flat_cylinder(math.pi)
+    for ends in ({"bc_left": "neumann"}, {"bc_right": "cap"}):
+        b = dataclasses.replace(a, **ends)
+        with pytest.raises(ValueError, match="profiles have different boundary conditions"):
+            relative_area(a, b)
+        with pytest.raises(ValueError, match="profiles have different boundary conditions"):
+            relative_area(b, a)
+
+
 # ----------------------------------------------------------------------------
 # distances
 # ----------------------------------------------------------------------------

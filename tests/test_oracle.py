@@ -2,14 +2,18 @@
 from __future__ import annotations
 
 import ctypes
+import dataclasses
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from relspec import discretize, oracle
+from relspec.cli import ScenarioConfig
 from relspec.discretize import Surface, make_grid
-from relspec.geometry import BumpSpec, MetricProfile, build_weight, flat_cylinder
+from relspec.geometry import BumpSpec, MetricProfile, Truncation, build_weight, flat_cylinder
 from relspec.oracle import (
     angular_symbol,
     check_bump_span,
@@ -18,7 +22,7 @@ from relspec.oracle import (
     mode_sum_reference,
 )
 
-from conftest import funnel_cusp_spec, small_truncation
+from conftest import funnel_cap_spec, funnel_cusp_spec, small_truncation
 
 
 # ----------------------------------------------------------------------------
@@ -80,8 +84,15 @@ def bumped_profile():
     )
 
 
-def test_flat_2d_pencil_matches_mode_sum_at_machine_precision():
-    surface = surface_on(flat_cylinder(), 120)
+@pytest.mark.parametrize(
+    "ends",
+    [("dirichlet", "dirichlet"), ("dirichlet", "neumann"), ("dirichlet", "cap"),
+     ("neumann", "dirichlet"), ("cap", "dirichlet")],
+)
+def test_flat_2d_pencil_matches_mode_sum_at_machine_precision(ends):
+    # A cap ring is one pole unknown: Neumann for m = 0, gone for m != 0.
+    prof = dataclasses.replace(flat_cylinder(), bc_left=ends[0], bc_right=ends[1])
+    surface = surface_on(prof, 120)
     direct = low_eigenvalues_2d(surface, 16, count=10)
     via_modes = mode_sum_reference(surface, 16, count=10)
     assert np.max(np.abs(direct / via_modes - 1.0)) < 1e-10
@@ -92,6 +103,41 @@ def test_curved_2d_pencil_matches_mode_sum_at_machine_precision():
     direct = low_eigenvalues_2d(surface, 24, count=12)
     via_modes = mode_sum_reference(surface, 24, count=12)
     assert np.max(np.abs(direct / via_modes - 1.0)) < 1e-9
+
+
+def test_2d_pencil_matches_mode_sum_on_the_readme_cap_surface():
+    # The README's library-use surface (funnel + filled_cap, cap_epsilon
+    # 0.3) on validate's 400 x 64 oracle grid.
+    bump = BumpSpec(center=0.35, radius=0.09, amplitude=0.3)
+    truncation = Truncation(funnel_depth=1.0, cusp_end=40.0, cap_end=14.0)
+    surface = surface_on(build_weight(funnel_cap_spec(0.3, bump), truncation=truncation), 400)
+    assert surface.profile.bc_right == "cap"
+    direct = low_eigenvalues_2d(surface, 64)
+    via_modes = mode_sum_reference(surface, 64)
+    assert np.max(np.abs(direct - via_modes) / via_modes) <= 1e-7
+
+
+def _dirichlet_pencil(surface, n_theta):
+    """The five-point pencil of a surface with two Dirichlet ends as the
+    plain tensor product of its 1D pieces: interior rows, full cells."""
+    h, ht, n = surface.h, 2.0 * math.pi / n_theta, surface.n - 2
+    off = np.full(n - 1, -1.0 / h)
+    K_s = sp.diags([off, np.full(n, 2.0) / h, off], [-1, 0, 1])
+    shift = sp.eye(n_theta, k=1) + sp.eye(n_theta, k=1 - n_theta)
+    K_t = (2.0 * sp.eye(n_theta) - shift - shift.T) / ht
+    A = sp.kron(K_s, ht * sp.eye(n_theta)) + sp.kron(sp.diags(np.full(n, h)), K_t)
+    W = sp.diags(np.repeat(surface.weights[1:-1] * np.full(n, h), n_theta) * ht)
+    return A, W
+
+
+def test_validate_cusp_surface_keeps_its_plain_tensor_pencil(configs_dir):
+    # No cap ring, so no pole: the pencil, and so every eigenvalue, is
+    # bitwise the unreduced tensor product.
+    _flat, surface = ScenarioConfig.from_json(configs_dir / "validate.json").plan.surfaces
+    assert (surface.profile.bc_left, surface.profile.bc_right) == ("dirichlet", "dirichlet")
+    for got, want in zip(oracle._assemble_2d(surface, 64), _dirichlet_pencil(surface, 64)):
+        assert got.shape == want.shape
+        assert abs(got - want).max() == 0.0
 
 
 def test_the_2d_solver_runs_without_the_mode_solver(monkeypatch):

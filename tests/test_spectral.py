@@ -177,8 +177,9 @@ def test_relative_trace_requires_matching_discretizations(small_systems):
     surface = sys_b.surface
     neumann = Surface(replace(surface.profile, bc_left="neumann"), surface.nodes)
     finer = Surface(surface.profile, make_grid(surface.profile, surface.n + 1))
-    for other in (neumann, finer):
-        with pytest.raises(ValueError, match="grid"):
+    cases = ((neumann, "profiles have different boundary conditions"), (finer, "grid"))
+    for other, message in cases:
+        with pytest.raises(ValueError, match=message):
             relative_trace_series(sys_a, replace(sys_b, surface=other))
 
 
