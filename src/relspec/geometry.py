@@ -1,13 +1,19 @@
 """Conformal weights for cylinder metrics with funnel, cusp, boundary and cap ends.
 
 A surface is a positive weight w(s) on a finite coordinate interval: the metric
-is w(s) (ds^2 + dtheta^2) on [s_min, s_max] x S^1.  Weights are assembled from
+is w(s) (ds^2 + dtheta^2) on [s_min, s_max] x S^1.  Every weight is the one
+product that ``_Weight`` evaluates,
 
-* a hyperbolic-end base profile (cusp weight 1/s^2; funnel weight e^c/x^2 in
-  the funnel chart; flat collar e^f next to a Dirichlet boundary),
-* an optional compactly supported log-weight bump in the core region, and
-* optional surgery factors that open up a cusp into a smooth cap, or desingularize
-  a shrinking boundary, along a one-parameter family.
+    w(s) = exp(log w_0(s) + A (1 - u^2)^3) * psi(s),   u = (s - center)/radius,
+
+* log w_0, the chart's base log-weight: the hyperbolic ends (cusp weight
+  1/s^2; funnel weight e^c/x^2 in the funnel chart), or a flat collar e^f
+  next to a Dirichlet boundary blended into a cusp, or 0 on a flat cylinder;
+* the optional compactly supported log-weight bump in the core region (the
+  term is 0 for |u| >= 1 and absent without a bump); and
+* psi, an optional surgery factor that opens up a cusp into a smooth cap, or
+  desingularizes a shrinking boundary, along a one-parameter family (absent
+  without surgery).
 
 Point (cap) surgery acts through ``surgery_factor_point`` evaluated at
 r = e^{-s}; it differs from 1 exactly where r < 1/2, i.e. s > ln 2, so the core
@@ -15,8 +21,8 @@ interval is anchored just below ln 2 and every other feature is kept disjoint
 from the surgery region.  Boundary surgery acts through
 ``surgery_factor_boundary`` on a collar r < 1/2 next to the boundary.
 
-All evaluation paths are pure elementary operations in a fixed order, so a
-rebuilt profile reproduces its weight bitwise.
+The product is pure elementary operations in a fixed order, so a rebuilt
+profile reproduces its weight bitwise.
 """
 
 from __future__ import annotations
@@ -330,78 +336,29 @@ DEFAULT_TRUNCATION = Truncation()
 
 
 # ----------------------------------------------------------------------------
-# weight functions (pure callables, reconstructible from parameters)
+# the weight formula (a pure callable, reconstructible from parameters)
 # ----------------------------------------------------------------------------
 
-class _CapChartWeight:
-    """Weight on the cusp-normalized chart: funnel | core+bump | cusp-or-cap."""
+class _Weight:
+    """The weight product of the module docstring: exp(log_base(s) + the
+    bump's log-weight) * factor(s), with no bump term when ``bump`` is None
+    and no factor when ``factor`` is None; a scalar s gives a float."""
 
-    def __init__(self, s_tip, s_core_left, funnel_constant, bump, cap_epsilon):
-        self.s_tip = s_tip
-        self.s_core_left = s_core_left
-        self.funnel_constant = funnel_constant
+    def __init__(self, log_base, bump, factor=None):
+        self.log_base = log_base
         self.bump = bump
-        self.cap_epsilon = cap_epsilon
-        self._log_ratio = math.log(s_core_left / s_tip)
+        self.factor = factor
 
     def __call__(self, s):
         s_arr = np.asarray(s, dtype=float)
-        logw = -2.0 * np.log(s_arr)
-        if self.funnel_constant != 0.0:
-            # ramp = 1 near the truncated funnel edge, 0 from 3/4 of the way
-            # (in log s) to the core junction; C^2 throughout.
-            u = np.log(s_arr / self.s_tip) / self._log_ratio
-            ramp = 1.0 - smooth01((u - 0.25) / 0.5)
-            logw = logw + self.funnel_constant * ramp
+        logw = self.log_base(s_arr)
         if self.bump is not None:
             logw = logw + self.bump.amplitude * _bump_profile(
                 (s_arr - self.bump.center) / self.bump.radius
             )
         w = np.exp(logw)
-        if self.cap_epsilon is not None and self.cap_epsilon > 0.0:
-            w = w * surgery_factor_point(self.cap_epsilon, np.exp(-s_arr))
-        if np.isscalar(s) or s_arr.ndim == 0:
-            return float(w)
-        return w
-
-
-class _BoundaryChartWeight:
-    """Weight on the boundary-collar chart: collar | blend | core+bump | cusp."""
-
-    def __init__(self, f_value, bump, surgery_epsilon):
-        self.f_value = f_value
-        self.bump = bump
-        self.surgery_epsilon = surgery_epsilon
-
-    def __call__(self, s):
-        s_arr = np.asarray(s, dtype=float)
-        beta = smooth01((s_arr - _COLLAR_EDGE) / (_BLEND_EDGE - _COLLAR_EDGE))
-        logw = (1.0 - beta) * self.f_value - 2.0 * beta * np.log(s_arr + _CUSP_OFFSET)
-        if self.bump is not None:
-            logw = logw + self.bump.amplitude * _bump_profile(
-                (s_arr - self.bump.center) / self.bump.radius
-            )
-        w = np.exp(logw)
-        if self.surgery_epsilon is not None:
-            w = w * surgery_factor_boundary(self.surgery_epsilon, s_arr, self.f_value)
-        if np.isscalar(s) or s_arr.ndim == 0:
-            return float(w)
-        return w
-
-
-class _FlatWeight:
-    def __init__(self, bump):
-        self.bump = bump
-
-    def __call__(self, s):
-        s_arr = np.asarray(s, dtype=float)
-        if self.bump is None:
-            w = np.ones_like(s_arr)
-        else:
-            w = np.exp(
-                self.bump.amplitude
-                * _bump_profile((s_arr - self.bump.center) / self.bump.radius)
-            )
+        if self.factor is not None:
+            w = w * self.factor(s_arr)
         if np.isscalar(s) or s_arr.ndim == 0:
             return float(w)
         return w
@@ -413,14 +370,15 @@ class _FlatWeight:
 
 @dataclass(eq=False)
 class MetricProfile:
-    """A fully resolved surface: chart, weight callable, boundary conditions.
+    """A fully resolved surface: chart, weight, boundary conditions.
 
-    ``weight`` evaluates w(s) (vectorized); two builds from the same spec and
-    truncation (or the same flat cylinder) give bitwise the same weight and
-    label.  ``spec`` is None on a flat cylinder; ``bump`` is the surface's
-    log-weight bump either way.  ``bc_left``/``bc_right`` are 'dirichlet',
-    'neumann' or 'cap' ('cap' resolves per Fourier mode at discretization
-    time: Neumann for m = 0, Dirichlet otherwise).
+    ``weight(s)`` evaluates w(s) at an array of nodes, or at one node as a
+    float; two builds from the same spec and truncation (or the same flat
+    cylinder) give bitwise the same weight and label.  ``spec`` is None on a
+    flat cylinder; ``bump`` is the surface's log-weight bump either way.
+    ``bc_left``/``bc_right`` are 'dirichlet', 'neumann' or 'cap' ('cap'
+    resolves per Fourier mode at discretization time: Neumann for m = 0,
+    Dirichlet otherwise).
     """
 
     spec: SurfaceSpec | None
@@ -506,6 +464,20 @@ def build_weight(spec: SurfaceSpec, truncation: Truncation | None = None) -> Met
             _require_disjoint(spec.bump, s_core_l, s_core_r, "core interval")
         cap_eps = right.cap_epsilon if right.kind == "filled_cap" else None
         s_max = tr.cap_end if right.kind == "filled_cap" else tr.cusp_end
+        log_ratio = math.log(s_core_l / s_tip)
+
+        def log_base(s):
+            logw = -2.0 * np.log(s)
+            if left.funnel_constant != 0.0:
+                # ramp = 1 near the truncated funnel edge, 0 from 3/4 of the
+                # way (in log s) to the core junction; C^2 throughout.
+                u = np.log(s / s_tip) / log_ratio
+                ramp = 1.0 - smooth01((u - 0.25) / 0.5)
+                logw = logw + left.funnel_constant * ramp
+            return logw
+
+        factor = None
+        breakpoints = [s_core_l, s_core_r]
         if cap_eps is not None and cap_eps > 0.0:
             # Past this coordinate the surgered weight is the flat disk
             # c(eps) e^{-2s}; keep it only down to metric radius
@@ -514,9 +486,10 @@ def build_weight(spec: SurfaceSpec, truncation: Truncation | None = None) -> Met
                 1.0 / tr.cap_tip_radius
             )
             s_max = min(s_max, s_star)
-        fn = _CapChartWeight(s_tip, s_core_l, left.funnel_constant, spec.bump, cap_eps)
-        breakpoints = [s_core_l, s_core_r]
-        if cap_eps is not None and cap_eps > 0.0:
+
+            def factor(s):
+                return surgery_factor_point(cap_eps, np.exp(-s))
+
             # the surgery cutoff sigma transitions on r in [1/4, 1/2]
             breakpoints.append(math.log(4.0))
         if spec.bump is not None:
@@ -530,7 +503,7 @@ def build_weight(spec: SurfaceSpec, truncation: Truncation | None = None) -> Met
             bc_right="cap" if right.kind == "filled_cap" else "dirichlet",
             breakpoints=tuple(sorted(breakpoints)),
             bump=spec.bump,
-            _fn=fn,
+            _fn=_Weight(log_base, spec.bump, factor),
         )
 
     # dirichlet_boundary left, cusp right
@@ -543,9 +516,18 @@ def build_weight(spec: SurfaceSpec, truncation: Truncation | None = None) -> Met
         raise ValueError("core_length runs into the cusp truncation")
     eps = spec.boundary_surgery_epsilon
     s_min = _COLLAR_TIP * math.exp(-tr.boundary_depth) if eps is not None else 0.0
-    fn = _BoundaryChartWeight(left.f_value, spec.bump, eps)
+
+    def log_base(s):
+        beta = smooth01((s - _COLLAR_EDGE) / (_BLEND_EDGE - _COLLAR_EDGE))
+        return (1.0 - beta) * left.f_value - 2.0 * beta * np.log(s + _CUSP_OFFSET)
+
+    factor = None
     breakpoints = [_COLLAR_EDGE, _BLEND_EDGE, core_r]
     if eps is not None:
+
+        def factor(s):
+            return surgery_factor_boundary(eps, s, left.f_value)
+
         # the boundary-surgery gate transitions on r in [1/4, 1/2]
         breakpoints.extend(p for p in (0.25, 0.5) if p > s_min)
     if spec.bump is not None:
@@ -559,7 +541,7 @@ def build_weight(spec: SurfaceSpec, truncation: Truncation | None = None) -> Met
         bc_right="dirichlet",
         breakpoints=tuple(sorted(breakpoints)),
         bump=spec.bump,
-        _fn=fn,
+        _fn=_Weight(log_base, spec.bump, factor),
     )
 
 
@@ -581,7 +563,7 @@ def flat_cylinder(length: float = math.pi, bump: BumpSpec | None = None) -> Metr
         bc_right="dirichlet",
         breakpoints=breakpoints,
         bump=bump,
-        _fn=_FlatWeight(bump),
+        _fn=_Weight(np.zeros_like, bump),
     )
 
 

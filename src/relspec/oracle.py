@@ -180,8 +180,9 @@ def low_eigenvalues_2d(
 
     Shift-invert Lanczos around _EIGSH_SHIFT (below the spectrum) with a
     fixed, seeded start vector; every returned pair is verified to satisfy
-    ||A v - lam W v|| <= _EIGSH_RESIDUAL_TOL * ||A v|| and non-convergence
-    raises.
+    ||A v - lam W v|| <= _EIGSH_RESIDUAL_TOL * ||A v||, with ||A v|| floored
+    at |_EIGSH_SHIFT| ||W v|| when |lam| < |_EIGSH_SHIFT| (a zero eigenvalue
+    of a surface with no Dirichlet end), and non-convergence raises.
 
     pre: n_theta >= 8; count <= 50 (this is a low-spectrum cross-check, not
     a production eigensolver); a bump, when present, must span at least 8
@@ -205,9 +206,13 @@ def low_eigenvalues_2d(
     order = np.argsort(vals)
     vals, vecs = vals[order], vecs[:, order]
     for lam, v in zip(vals, vecs.T):
-        av = A @ v
-        res = float(np.linalg.norm(av - lam * (W @ v)))
-        if res > _EIGSH_RESIDUAL_TOL * max(float(np.linalg.norm(av)), 1e-30):
+        av, wv = A @ v, W @ v
+        res = float(np.linalg.norm(av - lam * wv))
+        # ||A v|| is ~0 on a kernel vector (no Dirichlet end); below |sigma|
+        # the scale is floored at the shifted pencil that Lanczos inverts.
+        shift = abs(_EIGSH_SHIFT)
+        floor = shift * float(np.linalg.norm(wv)) if abs(lam) < shift else 1e-30
+        if res > _EIGSH_RESIDUAL_TOL * max(float(np.linalg.norm(av)), floor):
             raise RuntimeError(
                 f"2D eigenpair residual {res:.3e} exceeds {_EIGSH_RESIDUAL_TOL:.1e} "
                 f"at lam={lam:.6g}; Lanczos did not converge"

@@ -354,6 +354,71 @@ def test_profile_roundtrips_bitwise(make):
     assert np.array_equal(clone.weight(s), prof.weight(s))
 
 
+# (profile, nodes, float.hex of the weight at each node).  The nodes cross the
+# funnel ramp, core, bump, cap surgery, collar gate, blend and cusp regions.
+# A rebuild only compares the code with itself; these frozen bits break on
+# any change to the weight's operations or their order.
+WEIGHT_BITS = {
+    "cap-funnel-constant-bump": (
+        lambda: build_weight(
+            SurfaceSpec(
+                left_end=EndModel(kind="funnel", funnel_constant=0.4),
+                right_end=EndModel(kind="filled_cap", cap_epsilon=0.3),
+                core_length=0.45,
+                bump=BumpSpec(center=0.35, radius=0.09, amplitude=0.3),
+            ),
+            truncation=small_truncation(),
+        ),
+        [0.12, 0.16, 0.3, 0.4, 1.0, 3.0],
+        ["0x1.9e654fd43d518p+6", "0x1.8b13d6f324abdp+5", "0x1.889c35f2669d2p+3",
+         "0x1.b9afbcb0b3707p+2", "0x1.96f49753aea71p-1", "0x1.6f7440651839ap-7"],
+    ),
+    "cusp": (
+        lambda: build_weight(funnel_cap_spec(0.0), truncation=small_truncation()),
+        [0.12, 0.2, 0.3, 0.4, 2.0, 5.5],
+        ["0x1.15c71c71c71c7p+6", "0x1.8ffffffffffffp+4", "0x1.638e38e38e390p+3",
+         "0x1.8ffffffffffffp+2", "0x1.0000000000000p-2", "0x1.0ecf56be69c8fp-5"],
+    ),
+    "boundary-surgery-bump": (
+        lambda: build_weight(
+            SurfaceSpec(
+                left_end=EndModel(kind="dirichlet_boundary", f_value=0.2),
+                right_end=EndModel(kind="cusp"),
+                core_length=0.6,
+                bump=BumpSpec(center=1.15, radius=0.2, amplitude=-0.25),
+                boundary_surgery_epsilon=0.15,
+            ),
+            truncation=small_truncation(),
+        ),
+        [0.1, 0.3, 0.5, 0.7, 1.1, 3.0],
+        ["0x1.ec4ec4ec4ec4fp+4", "0x1.fb1bd4a4dd46fp+2", "0x1.38add9e58ac8dp+0",
+         "0x1.4cd9fa5d34c44p+0", "0x1.0aadb32c505e2p-1", "0x1.9ccc97f6322e5p-4"],
+    ),
+    "flat-bump": (
+        lambda: flat_cylinder(bump=BumpSpec(center=1.5, radius=0.4, amplitude=-0.3)),
+        [0.0, 0.5, 1.3, 1.5, 1.8, 3.0],
+        ["0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.c3220a2ec10abp-1",
+         "0x1.7b4c869c37c05p-1", "0x1.f34c377f1a879p-1", "0x1.0000000000000p+0"],
+    ),
+    "flat": (
+        lambda: flat_cylinder(),
+        [0.0, 0.5, 1.3, 1.5, 1.8, 3.0],
+        ["0x1.0000000000000p+0"] * 6,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(WEIGHT_BITS))
+def test_weight_bits_are_frozen(case):
+    make, nodes, bits = WEIGHT_BITS[case]
+    prof = make()
+    w = prof.weight(np.array(nodes))
+    assert isinstance(w, np.ndarray) and w.dtype == np.float64
+    assert [float(x).hex() for x in w] == bits
+    scalar = prof.weight(nodes[3])
+    assert type(scalar) is float and scalar.hex() == bits[3]
+
+
 # ----------------------------------------------------------------------------
 # areas
 # ----------------------------------------------------------------------------

@@ -98,6 +98,39 @@ def test_flat_2d_pencil_matches_mode_sum_at_machine_precision(ends):
     assert np.max(np.abs(direct / via_modes - 1.0)) < 1e-10
 
 
+def neumann_cylinder():
+    """Both ends Neumann: the constant is a kernel vector, eigenvalue 0."""
+    return surface_on(
+        dataclasses.replace(flat_cylinder(), bc_left="neumann", bc_right="neumann"), 120
+    )
+
+
+def test_2d_solver_accepts_the_zero_eigenpair_of_a_neumann_cylinder():
+    surface = neumann_cylinder()
+    direct = low_eigenvalues_2d(surface, 16, count=5)
+    via_modes = mode_sum_reference(surface, 16, count=5)
+    assert abs(direct[0]) <= 1e-10 and abs(via_modes[0]) <= 1e-10
+    assert np.max(np.abs(direct[1:] / via_modes[1:] - 1.0)) <= 1e-7
+
+
+@pytest.mark.parametrize("which", [0, 3])
+def test_2d_solver_rejects_a_perturbed_eigenvector(monkeypatch, which):
+    # The residual floor that admits the kernel vector must not admit a
+    # vector that is off by 1e-9, on the zero eigenvalue or above it.
+    eigsh = oracle.eigsh
+
+    def perturbed(*args, **kwargs):
+        vals, vecs = eigsh(*args, **kwargs)
+        order = np.argsort(vals)
+        noise = np.random.default_rng(3).standard_normal(vecs.shape[0])
+        vecs[:, order[which]] += 1e-9 * noise / np.linalg.norm(noise)
+        return vals, vecs
+
+    monkeypatch.setattr(oracle, "eigsh", perturbed)
+    with pytest.raises(RuntimeError, match="Lanczos did not converge"):
+        low_eigenvalues_2d(neumann_cylinder(), 16, count=5)
+
+
 def test_curved_2d_pencil_matches_mode_sum_at_machine_precision():
     surface = surface_on(bumped_profile(), 300)
     direct = low_eigenvalues_2d(surface, 24, count=12)
