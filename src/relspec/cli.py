@@ -30,6 +30,7 @@ import dataclasses
 import io
 import json
 import math
+import os
 import sys
 import time
 import traceback
@@ -56,7 +57,6 @@ from .spectral import (
     kernel_value,
     offdiag_l2_integral,
     relative_trace_series,
-    spectral_gap,
 )
 from .zeta import (
     DEFAULT_FIT_K_MAX,
@@ -128,7 +128,9 @@ class NumericsConfig:
     Every field has a working default; configs override selectively.  The
     time grid, fit residual threshold, oracle resolution and off-diagonal
     times are the library's own constants.  Construction checks the types
-    and every range that the numerics alone decide, without solving.
+    and every range that the numerics alone decide, without solving, an
+    ``n_nodes`` whose grid arrays would not fit in the machine's memory
+    included.
     """
 
     n_nodes: int = 4000
@@ -165,6 +167,15 @@ class NumericsConfig:
         ):
             if not ok:
                 raise ConfigError(f"numerics.{name} must be {want}, got {getattr(self, name)!r}")
+        # A surface holds four float64 arrays per node (nodes, weights, mass
+        # and e); checked before any grid is built, so it allocates nothing.
+        need = 4 * 8 * self.n_nodes
+        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        if need > memory:
+            raise ConfigError(
+                f"numerics.n_nodes = {self.n_nodes!r}: one surface's grid arrays take "
+                f"{need} bytes, more than the {memory} bytes of this machine's memory"
+            )
         try:
             self.truncation()
         except ValueError as exc:  # Truncation names the field, which is the key
@@ -583,15 +594,16 @@ def solve_pair(
     return _solve_plan(plan, numerics)[0]
 
 
-def _solve_plan(plan: Plan, numerics: NumericsConfig, stage=None) -> list:
+def _solve_plan(plan: Plan, numerics: NumericsConfig, stage=None, *, fit: bool = True) -> list:
     """(sys_a, series, det) of every point of ``plan``, in order.
 
     All of the plan's surfaces go on one ``ModeQueue`` up front.  Each
     distinct pair is then finished on this thread, in a stage of its own
     (``stage`` is called with its name before it is taken): the relative
-    trace on the default time grid, the configured heat-invariant fit and
-    the determinant, while the queue's threads solve later pairs.  A
-    repeated point reuses its pair's result.
+    trace on the default time grid and, unless ``fit`` is False (then
+    ``det`` is None), the configured heat-invariant fit and the
+    determinant, while the queue's threads solve later pairs.  A repeated
+    point reuses its pair's result.
     """
     solved = []
     with ModeQueue(plan.surfaces, numerics.lambda_cut) as queue:
@@ -600,8 +612,11 @@ def _solve_plan(plan: Plan, numerics: NumericsConfig, stage=None) -> list:
                 stage(name)
             sys_a, sys_b = queue.result(a), queue.result(b)
             series = relative_trace_series(sys_a, sys_b)
-            inv = fit_heat_invariants(series, numerics.fit_k_max, window=numerics.fit_window)
-            solved.append((sys_a, series, determinant_from_series(series, inv)))
+            det = None
+            if fit:
+                inv = fit_heat_invariants(series, numerics.fit_k_max, window=numerics.fit_window)
+                det = determinant_from_series(series, inv)
+            solved.append((sys_a, series, det))
     return [solved[i] for i in plan.points]
 
 
@@ -709,7 +724,7 @@ def _run_surgery_sweep(cfg: ScenarioConfig, out: Path, report: Report, stage):
             report.artifacts.append(f"trace_eps_{i:02d}.csv")
         rows.append((
             eps,
-            spectral_gap(sys_a),
+            series.gap_a,
             float(np.max(sys_a.surface.profile.weight(nodes) / base_weight)),
             series.rel_area,
             *[float(c) for c in det.invariants.coefficients],
@@ -732,7 +747,7 @@ def _run_surgery_sweep(cfg: ScenarioConfig, out: Path, report: Report, stage):
     col = dict(zip(header.split(","), zip(*rows)))  # the table's columns, by name
     big_c = max(col["weight_ratio"])
     min_l1 = min(col["lambda1"])
-    lambda1_0 = spectral_gap(sys_a0)
+    lambda1_0 = series0.gap_a
     report.add(
         "gap_lower_bound",
         min_l1 >= lambda1_0 / big_c,
@@ -808,7 +823,7 @@ def _run_isospectral(cfg: ScenarioConfig, out: Path, report: Report, stage):
 
 
 def _run_decay(cfg: ScenarioConfig, out: Path, report: Report, stage):
-    [(_, series, _)] = _solve_plan(cfg.plan, cfg.numerics, stage)
+    [(_, series, _)] = _solve_plan(cfg.plan, cfg.numerics, stage, fit=False)
     series.to_csv(out / "trace.csv")
     report.artifacts.append("trace.csv")
     stage("long-time decay bound")
@@ -960,24 +975,24 @@ def _reads(*keys: str) -> frozenset[str]:
 _TRUNCATION_KEYS = ("numerics.funnel_depth", "numerics.cusp_end", "numerics.cap_end")
 _SOLVE_KEYS = ("numerics.n_nodes", "numerics.lambda_cut", *_TRUNCATION_KEYS)
 _FIT_KEYS = ("numerics.fit_k_max", "numerics.fit_window_lo", "numerics.fit_window_hi")
-_PAIR_KEYS = ("surface_a", "surface_b", *_SOLVE_KEYS, *_FIT_KEYS)
+_PAIR_KEYS = ("surface_a", "surface_b", *_SOLVE_KEYS)
 _OFFDIAG_KEYS = tuple(f"numerics.offdiag_{k}" for k in ("y_s", "y_theta", "y2_s", "y2_theta"))
 
-# Every per-kind decision.  decay_check reads the fit keys because its
-# unused fit can still fail the run.
+# Every per-kind decision.
 _KINDS = {
     "validate": _Kind(_run_validate, _plan_validate, _reads("surface_a", *_TRUNCATION_KEYS)),
     "surgery_sweep": _Kind(
-        _run_surgery_sweep, _plan_pairs, _reads(*_PAIR_KEYS, "epsilons"),
+        _run_surgery_sweep, _plan_pairs, _reads(*_PAIR_KEYS, *_FIT_KEYS, "epsilons"),
         b="surface_b", family="epsilons", keyword="epsilon", baseline=(0.0,),
     ),
     "isospectral_check": _Kind(
-        _run_isospectral, _plan_pairs, _reads("surface_a", *_SOLVE_KEYS, *_FIT_KEYS),
+        _run_isospectral, _plan_pairs, _reads("surface_a", *_SOLVE_KEYS),
         b="surface_a",
     ),
     "decay_check": _Kind(_run_decay, _plan_pairs, _reads(*_PAIR_KEYS), b="surface_b"),
     "funnel_conformal_check": _Kind(
-        _run_funnel_conformal, _plan_pairs, _reads(*_PAIR_KEYS, "conformal_constants"),
+        _run_funnel_conformal, _plan_pairs,
+        _reads(*_PAIR_KEYS, *_FIT_KEYS, "conformal_constants"),
         b="surface_b", family="conformal_constants", keyword="constant",
     ),
     "offdiag_check": _Kind(

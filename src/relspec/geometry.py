@@ -460,6 +460,11 @@ def build_weight(spec: SurfaceSpec, truncation: Truncation | None = None) -> Met
                 f"(core must start above s = 0.05, got {s_core_l:.4g})"
             )
         s_tip = s_core_l * math.exp(-tr.funnel_depth)
+        if not s_tip > 0.0:
+            raise ValueError(
+                f"funnel_depth {tr.funnel_depth!r} puts the funnel tip "
+                f"{s_core_l:.4g} e^(-funnel_depth) at s = 0 in floating point"
+            )
         if spec.bump is not None:
             _require_disjoint(spec.bump, s_core_l, s_core_r, "core interval")
         cap_eps = right.cap_epsilon if right.kind == "filled_cap" else None

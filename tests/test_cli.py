@@ -30,7 +30,7 @@ from relspec.cli import (
     main,
     run_scenario,
 )
-from relspec.geometry import MetricProfile
+from relspec.geometry import BumpSpec, EndModel, MetricProfile
 
 from conftest import ROOT
 
@@ -334,9 +334,21 @@ def _set_what_validate_does_not_read(data):
         ("funnel_conformal.json", lambda d: d["numerics"].update(offdiag_y2_theta=1.0),
          "config error: numerics.offdiag_y2_theta: a funnel_conformal_check run does not "
          "read this key\n"),
+        ("decay.json", lambda d: d.update(numerics={"fit_k_max": 4}),
+         "config error: numerics.fit_k_max: a decay_check run does not read this key\n"),
+        ("isospectral.json",
+         lambda d: d.update(numerics={"fit_window_lo": 0.06, "fit_window_hi": 0.2}),
+         "config error: numerics.fit_window_lo, numerics.fit_window_hi: an isospectral_check "
+         "run does not read these keys\n"),
         # an unread key of the wrong type reports its type first
         ("validate.json", lambda d: d.update(epsilons="0.3"),
          "config error: epsilons must be a list of numbers, got '0.3'\n"),
+        # a funnel tip that underflows to s = 0, and a grid no memory holds
+        ("decay.json", lambda d: d.update(numerics={"funnel_depth": 800.0}),
+         "config error: surface_a: funnel_depth 800.0 puts the funnel tip"),
+        ("decay.json", lambda d: d.update(numerics={"n_nodes": 10**13}),
+         "config error: numerics.n_nodes = 10000000000000: one surface's grid arrays take "
+         "320000000000000 bytes, more than the "),
     ],
     ids=["epsilon-above-1", "epsilon-nan", "no-surgery-end", "no-funnel-end",
          "bump-amplitude-nan", "fit-window-too-short", "bump-outside-core",
@@ -348,7 +360,9 @@ def _set_what_validate_does_not_read(data):
          "retired-continuity-kind", "validate-reads-no-cutoff", "validate-reads-no-grid",
          "validate-five-unread-keys",
          "isospectral-reads-no-surface-b", "offdiag-reads-no-fit", "decay-reads-no-epsilons",
-         "sweep-reads-no-constants", "conformal-reads-no-probe", "unread-and-mistyped"],
+         "sweep-reads-no-constants", "conformal-reads-no-probe", "decay-reads-no-fit",
+         "isospectral-reads-no-fit-window", "unread-and-mistyped", "funnel-tip-underflows",
+         "grid-beyond-memory"],
 )
 def test_unusable_shipped_config_exits_two_before_any_solve(tmp_path, capsys, name, mutate, key):
     data = shipped_config(name)
@@ -363,12 +377,12 @@ def test_unusable_shipped_config_exits_two_before_any_solve(tmp_path, capsys, na
     assert key in capsys.readouterr().err
 
 
-# The values each kind accepts, ``kind`` aside: 73 of the 6 x 19 settable.
+# The values each kind accepts, ``kind`` aside: 67 of the 6 x 19 settable.
 ACCEPTED_VALUES = {
     "validate": 7,
-    "isospectral_check": 12,
+    "isospectral_check": 9,
     "offdiag_check": 13,
-    "decay_check": 13,
+    "decay_check": 10,
     "surgery_sweep": 14,
     "funnel_conformal_check": 14,
 }
@@ -384,7 +398,7 @@ def test_each_kind_reads_its_own_keys_and_every_kind_the_common_ones():
         assert len(kind.reads - {"kind"}) == ACCEPTED_VALUES[name], name
         assert {"kind", "label", "notes", "output_dir", "surface_a"} <= kind.reads, name
         assert {kind.b, kind.family} - {None} <= kind.reads, name
-    assert sum(ACCEPTED_VALUES.values()) == 73
+    assert sum(ACCEPTED_VALUES.values()) == 67
 
 
 def test_a_validate_run_builds_no_profile_grid_or_surface(tmp_path, monkeypatch):
@@ -489,6 +503,62 @@ def test_validate_exits_zero_or_names_the_mutated_key(case, bad):
         assert [k for k in leaf if isinstance(k, str)][-1] in err.getvalue()
 
 
+def _load_keys(data):
+    """Key paths that a load of ``data`` reads: every ``numerics`` key, the
+    end fields of each member and its bump's fields, each family as a whole
+    and as its one element (the trailing 0)."""
+    keys = [("numerics", f.name) for f in dataclasses.fields(NumericsConfig)]
+    for member in ("surface_a", "surface_b"):
+        if member in data:
+            keys += [
+                (member, end, f.name)
+                for end in ("left_end", "right_end")
+                for f in dataclasses.fields(EndModel)
+            ]
+            if "bump" in data[member]:
+                keys += [(member, "bump", f.name) for f in dataclasses.fields(BumpSpec)]
+    families = ("epsilons", "conformal_constants")
+    return keys + [(family, *tail) for family in families for tail in ((), (0,))]
+
+
+LOAD_KEYS = [
+    (path.name, key)
+    for path in sorted(CONFIGS.glob("*.json"))
+    for key in _load_keys(json.loads(path.read_text()))
+]
+LOAD_VALUES = [
+    math.nan, math.inf, -math.inf, 0, -1, 1e300, -1e300, 10**13, 800.0,
+    "", [], {}, True, None, [1, "x"],
+]
+
+
+# numpy warns as a huge weight overflows to inf; the load rejects that weight.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(case=st.sampled_from(LOAD_KEYS), bad=st.sampled_from(LOAD_VALUES))
+def test_a_load_never_ends_in_a_traceback(case, bad):
+    # One key of a shipped config, set or added, takes a non-finite, huge,
+    # negative or wrongly typed value: validate accepts it or exits 2 with a
+    # config error, and nothing raises.
+    name, key = case
+    data = shipped_config(name)
+    if key[-1] == 0:
+        data[key[0]] = [bad]
+    else:
+        node = data
+        for part in key[:-1]:
+            node = node.setdefault(part, {})
+        node[key[-1]] = bad
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_config(pathlib.Path(tmp), data)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["validate", str(path)])
+    assert code in (0, 2)
+    if code == 2:
+        assert err.getvalue().splitlines()[-1].startswith("config error: ")
+
+
 # ----------------------------------------------------------------------------
 # the scenario runner
 # ----------------------------------------------------------------------------
@@ -563,6 +633,16 @@ def fail_relative_traces(monkeypatch):
         raise ArithmeticError("relative trace failed")
 
     monkeypatch.setattr(cli, "relative_trace_series", failing)
+
+
+def test_a_decay_run_takes_no_fit_and_no_determinant(tmp_path, monkeypatch):
+    def unused(*args, **kwargs):
+        raise AssertionError("a decay run fitted or took a determinant")
+
+    for name in ("fit_heat_invariants", "determinant_from_series"):
+        monkeypatch.setattr(cli, name, unused)
+    report = run_scenario(ScenarioConfig.from_json(CONFIGS / "decay.json"), tmp_path)
+    assert report.passed, report.error
 
 
 def test_component_failure_leaves_marker_and_fails(tmp_path, monkeypatch):
