@@ -31,6 +31,7 @@ import io
 import json
 import math
 import os
+import resource
 import sys
 import time
 import traceback
@@ -77,6 +78,14 @@ FLAT_S_NODES, FLAT_LAMBDA_CUT = 4000, 30.0
 
 class ConfigError(ValueError):
     """Anything wrong with a scenario config file (exit code 2)."""
+
+
+def _memory_limit() -> int:
+    """The bytes this process may hold: the machine's physical memory,
+    lowered to the soft address-space limit when that is finite."""
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    soft, _ = resource.getrlimit(resource.RLIMIT_AS)
+    return memory if soft == resource.RLIM_INFINITY else min(memory, soft)
 
 
 def _from_mapping(cls, data: dict, where: str):
@@ -129,8 +138,8 @@ class NumericsConfig:
     time grid, fit residual threshold, oracle resolution and off-diagonal
     times are the library's own constants.  Construction checks the types
     and every range that the numerics alone decide, without solving, an
-    ``n_nodes`` whose grid arrays would not fit in the machine's memory
-    included.
+    ``n_nodes`` whose grid arrays would not fit in the memory this process
+    may hold included.
     """
 
     n_nodes: int = 4000
@@ -170,11 +179,11 @@ class NumericsConfig:
         # A surface holds four float64 arrays per node (nodes, weights, mass
         # and e); checked before any grid is built, so it allocates nothing.
         need = 4 * 8 * self.n_nodes
-        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        memory = _memory_limit()
         if need > memory:
             raise ConfigError(
                 f"numerics.n_nodes = {self.n_nodes!r}: one surface's grid arrays take "
-                f"{need} bytes, more than the {memory} bytes of this machine's memory"
+                f"{need} bytes, more than the {memory} bytes this process may hold"
             )
         try:
             self.truncation()
@@ -540,10 +549,23 @@ def _plan_offdiag(cfg: ScenarioConfig) -> Plan:
 
 def _plan_pairs(cfg: ScenarioConfig) -> Plan:
     """Both members of every distinct point of ``cfg.points()``, by
-    ``_pair_plan``."""
+    ``_pair_plan``, once their grid arrays are known to fit in memory."""
     kind, num = _KINDS[cfg.kind], cfg.numerics
     points = [tuple(point.items()) for point in cfg.points()]
     index = {key: i for i, key in enumerate(dict.fromkeys(points))}
+    # The master grid, then A's and B's weights, mass and e per distinct
+    # point (the nodes are views of the master grid); counted before any
+    # profile is built, so it allocates nothing.
+    need = 8 * num.n_nodes * (1 + 6 * len(index))
+    memory = _memory_limit()
+    if need > memory:
+        keys = f"numerics.n_nodes = {num.n_nodes!r}"
+        if len(index) > 1:
+            keys += f", {kind.family} ({len(index)} distinct values)"
+        raise ConfigError(
+            f"{keys}: the plan's grid arrays take {need} bytes, "
+            f"more than the {memory} bytes this process may hold"
+        )
     family = []
     for key in index:
         name = " ".join(["pair", *(f"{k} = {v}" for k, v in key)])
@@ -594,16 +616,15 @@ def solve_pair(
     return _solve_plan(plan, numerics)[0]
 
 
-def _solve_plan(plan: Plan, numerics: NumericsConfig, stage=None, *, fit: bool = True) -> list:
+def _solve_plan(plan: Plan, numerics: NumericsConfig, stage=None) -> list:
     """(sys_a, series, det) of every point of ``plan``, in order.
 
     All of the plan's surfaces go on one ``ModeQueue`` up front.  Each
     distinct pair is then finished on this thread, in a stage of its own
     (``stage`` is called with its name before it is taken): the relative
-    trace on the default time grid and, unless ``fit`` is False (then
-    ``det`` is None), the configured heat-invariant fit and the
-    determinant, while the queue's threads solve later pairs.  A repeated
-    point reuses its pair's result.
+    trace on the default time grid, the configured heat-invariant fit and
+    the determinant, while the queue's threads solve later pairs.  A
+    repeated point reuses its pair's result.
     """
     solved = []
     with ModeQueue(plan.surfaces, numerics.lambda_cut) as queue:
@@ -612,11 +633,8 @@ def _solve_plan(plan: Plan, numerics: NumericsConfig, stage=None, *, fit: bool =
                 stage(name)
             sys_a, sys_b = queue.result(a), queue.result(b)
             series = relative_trace_series(sys_a, sys_b)
-            det = None
-            if fit:
-                inv = fit_heat_invariants(series, numerics.fit_k_max, window=numerics.fit_window)
-                det = determinant_from_series(series, inv)
-            solved.append((sys_a, series, det))
+            inv = fit_heat_invariants(series, numerics.fit_k_max, window=numerics.fit_window)
+            solved.append((sys_a, series, determinant_from_series(series, inv)))
     return [solved[i] for i in plan.points]
 
 
@@ -632,6 +650,44 @@ def _flat_reference(count: int) -> list[float]:
             vals.extend([float(k * k + m * m)] * (1 if m == 0 else 2))
     vals.sort()
     return vals[:count]
+
+
+def _check_decay(series, out: Path, report: Report, stage) -> None:
+    """The ``long_time_decay`` check of a solved pair's relative trace
+    ``series``: |RelTr(t)| <= K e^{-mu t/2} on [10, 20] at the pair's
+    uniform gap mu, K fitted on [10, 11]; the trace beside its bound goes
+    to ``decay.csv``.  The last stage of a surgery sweep, on its epsilon 0
+    baseline, and of a conformal check, on its first pair."""
+    stage("long-time decay bound")
+    mu = series.gap
+    t = series.times
+    window = (t >= 10.0) & (t <= 11.0)
+    tail = (t >= 10.0) & (t <= 20.0)
+    if not np.any(window) or not np.any(tail):
+        raise ValueError("time grid does not reach the decay window [10, 20]")
+    K = float(np.max(np.abs(series.values[window]) * np.exp(0.5 * mu * t[window])))
+    bound = K * np.exp(-0.5 * mu * t[tail])
+    excess = float(np.max(np.abs(series.values[tail]) - bound))
+    # K is the max of |RelTr| e^{mu t/2} over the fit window, so at the
+    # attaining point the reconstructed bound matches |RelTr| only up to
+    # round-off; allow that much slack and no more.
+    slack = 1e-12 * K
+    report.add(
+        "long_time_decay",
+        excess <= slack,
+        value=excess,
+        tolerance=slack,
+        detail=f"|RelTr| <= K e^(-mu t / 2) on [10,20], K={K!r} fitted on [10,11], mu={mu!r}",
+    )
+    _write_csv(
+        out / "decay.csv",
+        "t,value,bound",
+        [
+            (float(ti), float(vi), float(K * math.exp(-0.5 * mu * ti)))
+            for ti, vi in zip(t[tail], series.values[tail])
+        ],
+    )
+    report.artifacts.append("decay.csv")
 
 
 # ----------------------------------------------------------------------------
@@ -792,6 +848,7 @@ def _run_surgery_sweep(cfg: ScenarioConfig, out: Path, report: Report, stage):
             tolerance=1e-4,
             detail=f"Dsup along eps = {[e for e, _ in ladder]} (positive = violation)",
         )
+    _check_decay(series0, out, report, stage)
 
 
 def _run_isospectral(cfg: ScenarioConfig, out: Path, report: Report, stage):
@@ -822,44 +879,9 @@ def _run_isospectral(cfg: ScenarioConfig, out: Path, report: Report, stage):
     )
 
 
-def _run_decay(cfg: ScenarioConfig, out: Path, report: Report, stage):
-    [(_, series, _)] = _solve_plan(cfg.plan, cfg.numerics, stage, fit=False)
-    series.to_csv(out / "trace.csv")
-    report.artifacts.append("trace.csv")
-    stage("long-time decay bound")
-    mu = series.gap
-    t = series.times
-    window = (t >= 10.0) & (t <= 11.0)
-    tail = (t >= 10.0) & (t <= 20.0)
-    if not np.any(window) or not np.any(tail):
-        raise ValueError("time grid does not reach the decay window [10, 20]")
-    K = float(np.max(np.abs(series.values[window]) * np.exp(0.5 * mu * t[window])))
-    bound = K * np.exp(-0.5 * mu * t[tail])
-    excess = float(np.max(np.abs(series.values[tail]) - bound))
-    # K is the max of |RelTr| e^{mu t/2} over the fit window, so at the
-    # attaining point the reconstructed bound matches |RelTr| only up to
-    # round-off; allow that much slack and no more.
-    slack = 1e-12 * K
-    report.add(
-        "long_time_decay",
-        excess <= slack,
-        value=excess,
-        tolerance=slack,
-        detail=f"|RelTr| <= K e^(-mu t / 2) on [10,20], K={K!r} fitted on [10,11], mu={mu!r}",
-    )
-    _write_csv(
-        out / "decay.csv",
-        "t,value,bound",
-        [
-            (float(ti), float(vi), float(K * math.exp(-0.5 * mu * ti)))
-            for ti, vi in zip(t[tail], series.values[tail])
-        ],
-    )
-    report.artifacts.append("decay.csv")
-
-
 def _run_funnel_conformal(cfg: ScenarioConfig, out: Path, report: Report, stage):
-    dets = [det for _, _, det in _solve_plan(cfg.plan, cfg.numerics, stage)]
+    solved = _solve_plan(cfg.plan, cfg.numerics, stage)
+    dets = [det for _, _, det in solved]
     stage("conformal table")
     _write_csv(
         out / "conformal.csv",
@@ -886,6 +908,7 @@ def _run_funnel_conformal(cfg: ScenarioConfig, out: Path, report: Report, stage)
         tolerance=1e-2,
         detail="max |log det(c) - log det(0)| over funnel-supported conformal constants",
     )
+    _check_decay(solved[0][1], out, report, stage)
 
 
 def _offdiag_sup(sys, num: NumericsConfig):
@@ -989,7 +1012,6 @@ _KINDS = {
         _run_isospectral, _plan_pairs, _reads("surface_a", *_SOLVE_KEYS),
         b="surface_a",
     ),
-    "decay_check": _Kind(_run_decay, _plan_pairs, _reads(*_PAIR_KEYS), b="surface_b"),
     "funnel_conformal_check": _Kind(
         _run_funnel_conformal, _plan_pairs,
         _reads(*_PAIR_KEYS, *_FIT_KEYS, "conformal_constants"),
@@ -1104,6 +1126,9 @@ def main(argv=None) -> int:
             cfg = ScenarioConfig.from_json(args.config)
         except ConfigError as exc:
             print(f"config error: {exc}", file=sys.stderr)
+            return 2
+        except MemoryError:
+            print(f"config error: {args.config}: ran out of memory while loading", file=sys.stderr)
             return 2
         if args.verb == "validate":
             print(json.dumps(cfg.to_dict(), indent=2, sort_keys=True))

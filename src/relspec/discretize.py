@@ -169,7 +169,9 @@ class Surface:
         if np.max(np.abs(steps - steps[0])) > 1e-14 * scale:
             raise ValueError("grid spacing must be uniform")
         nodes.setflags(write=False)
-        w = profile.weight(nodes)
+        # A weight that overflows is rejected by name below, not warned of.
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = profile.weight(nodes)
         if not (w.min() > 0.0 and w.max() < math.inf):  # a NaN fails the first test
             raise ValueError("weight must be positive and finite on the grid")
         h = float(nodes[1] - nodes[0])

@@ -64,11 +64,6 @@ def isospectral_run(configs_dir, tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def decay_run(configs_dir, tmp_path_factory):
-    return _run(configs_dir, tmp_path_factory, "decay.json")
-
-
-@pytest.fixture(scope="module")
 def offdiag_run(configs_dir, tmp_path_factory):
     return _run(configs_dir, tmp_path_factory, "offdiag.json")
 
@@ -195,8 +190,10 @@ def test_criterion_06_determinant_invariance(sweep_run, conformal_run):
 
 # -- 7 -------------------------------------------------------------------
 
-def test_criterion_07_long_time_exponential_decay(decay_run):
-    report, out = decay_run
+@pytest.mark.parametrize("run", ["sweep_run", "conformal_run"])
+def test_criterion_07_long_time_exponential_decay(run, request):
+    # the surgery sweep's epsilon 0 pair and the conformal check's first pair
+    report, out = request.getfixturevalue(run)
     table = _table(out, "decay.csv")
     t, v, bound = table["t"], table["value"], table["bound"]
     assert t[0] >= 10.0 and t[-1] <= 20.0 + 1e-12
@@ -206,7 +203,10 @@ def test_criterion_07_long_time_exponential_decay(decay_run):
     slack = 1e-11 * float(np.max(bound))
     ok = excess <= slack and _check(report, "long_time_decay").passed
     assert _criterion(
-        7, ok, f"|RelTr| <= K e^(-mu t/2) on [10,20]: max excess {excess:.3e} <= {slack:.3e}"
+        7,
+        ok,
+        f"{report.label}: |RelTr| <= K e^(-mu t/2) on [10,20]: max excess {excess:.3e} "
+        f"<= {slack:.3e}",
     )
     assert ok
 
@@ -309,14 +309,13 @@ def test_determinant_tables_carry_error_budgets(run, name, request):
 # -- completeness ---------------------------------------------------------
 
 def test_all_acceptance_scenarios_completed(
-    validate_run, sweep_run, isospectral_run, decay_run, offdiag_run, conformal_run
+    validate_run, sweep_run, isospectral_run, offdiag_run, conformal_run
 ):
     failures = []
     for report, _ in (
         validate_run,
         sweep_run,
         isospectral_run,
-        decay_run,
         offdiag_run,
         conformal_run,
     ):

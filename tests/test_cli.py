@@ -98,7 +98,7 @@ def test_config_roundtrip_through_dict(configs_dir):
 
 def test_all_repo_configs_parse(configs_dir):
     paths = sorted(configs_dir.glob("*.json"))
-    assert len(paths) >= 7
+    assert len(paths) >= 6
     for path in paths:
         ScenarioConfig.from_json(path)  # load builds every member surface
 
@@ -212,7 +212,12 @@ def test_surgery_rewrite_requires_a_surgery_end():
         )
     # and so does a rewrite asked of another kind
     cfg = ScenarioConfig.from_dict(
-        {"kind": "decay_check", "surface_a": cusp_surface, "surface_b": cusp_surface}
+        {
+            "kind": "funnel_conformal_check",
+            "surface_a": cusp_surface,
+            "surface_b": cusp_surface,
+            "conformal_constants": [0.0],
+        }
     )
     with pytest.raises(ConfigError, match="surgery"):
         cfg.pair(epsilon=0.1)
@@ -300,6 +305,13 @@ def _set_what_validate_does_not_read(data):
          "surface_a: weight must be positive and finite on the grid"),
         ("validate.json", lambda d: d["surface_a"]["left_end"].update(funnel_constant=-800.0),
          "surface_a: weight must be positive and finite on the grid"),
+        # a weight that overflows to inf, which numpy would warn of first
+        ("point_sweep.json", lambda d: d["surface_a"]["left_end"].update(funnel_constant=800),
+         "surface_a at epsilons value 0.0: weight must be positive and finite on the grid"),
+        ("point_sweep.json", lambda d: d["surface_a"]["bump"].update(amplitude=800),
+         "surface_a at epsilons value 0.0: weight must be positive and finite on the grid"),
+        ("point_sweep.json", lambda d: d.update(numerics={"cap_end": 1e300}),
+         "surface_a at epsilons value 0.0: weight must be positive and finite on the grid"),
         # a bump the 400-node oracle grid cannot resolve
         ("validate.json", lambda d: d["surface_a"]["bump"].update(radius=0.07),
          "surface_a: bump of radius 0.07 spans fewer than 8 radial nodes at h_s=0.01978; "
@@ -312,9 +324,12 @@ def _set_what_validate_does_not_read(data):
         # pairs whose members the run could not solve on one grid
         ("point_sweep.json", lambda d: d["surface_b"].update(core_length=0.4),
          "surface_b at epsilons value 0.0: pair members live on different charts"),
-        # a retired kind, whose table point_sweep's sweep.csv holds
+        # retired kinds: point_sweep's sweep.csv holds the one's table, and
+        # its decay.csv the other's check
         ("point_sweep.json", lambda d: d.update(kind="continuity_check"),
          "unknown scenario kind 'continuity_check'"),
+        ("point_sweep.json", lambda d: d.update(kind="decay_check"),
+         "unknown scenario kind 'decay_check'"),
         # a key the kind does not read, one kind each
         ("validate.json", lambda d: d["numerics"].update(lambda_cut=1.0),
          "config error: numerics.lambda_cut: a validate run does not read this key\n"),
@@ -327,15 +342,11 @@ def _set_what_validate_does_not_read(data):
          "config error: surface_b: an isospectral_check run does not read this key\n"),
         ("offdiag.json", lambda d: d.update(numerics={"fit_k_max": 4}),
          "config error: numerics.fit_k_max: an offdiag_check run does not read this key\n"),
-        ("decay.json", lambda d: d.update(epsilons=[0.3]),
-         "config error: epsilons: a decay_check run does not read this key\n"),
         ("point_sweep.json", lambda d: d.update(conformal_constants=[0.0, 0.2]),
          "config error: conformal_constants: a surgery_sweep run does not read this key\n"),
         ("funnel_conformal.json", lambda d: d["numerics"].update(offdiag_y2_theta=1.0),
          "config error: numerics.offdiag_y2_theta: a funnel_conformal_check run does not "
          "read this key\n"),
-        ("decay.json", lambda d: d.update(numerics={"fit_k_max": 4}),
-         "config error: numerics.fit_k_max: a decay_check run does not read this key\n"),
         ("isospectral.json",
          lambda d: d.update(numerics={"fit_window_lo": 0.06, "fit_window_hi": 0.2}),
          "config error: numerics.fit_window_lo, numerics.fit_window_hi: an isospectral_check "
@@ -344,9 +355,9 @@ def _set_what_validate_does_not_read(data):
         ("validate.json", lambda d: d.update(epsilons="0.3"),
          "config error: epsilons must be a list of numbers, got '0.3'\n"),
         # a funnel tip that underflows to s = 0, and a grid no memory holds
-        ("decay.json", lambda d: d.update(numerics={"funnel_depth": 800.0}),
+        ("point_sweep.json", lambda d: d.update(numerics={"funnel_depth": 800.0}),
          "config error: surface_a: funnel_depth 800.0 puts the funnel tip"),
-        ("decay.json", lambda d: d.update(numerics={"n_nodes": 10**13}),
+        ("point_sweep.json", lambda d: d.update(numerics={"n_nodes": 10**13}),
          "config error: numerics.n_nodes = 10000000000000: one surface's grid arrays take "
          "320000000000000 bytes, more than the "),
     ],
@@ -355,15 +366,17 @@ def _set_what_validate_does_not_read(data):
          "no-room-for-funnel", "probe-beyond-chart", "probe-before-chart",
          "sweep-grid-too-coarse", "kernel-grid-too-coarse", "cutoff-too-high",
          "conformal-weight-too-large", "sweep-weight-underflows", "offdiag-weight-underflows",
-         "validate-weight-underflows", "validate-bump-below-oracle-grid",
+         "validate-weight-underflows", "funnel-weight-overflows", "bump-weight-overflows",
+         "cap-weight-overflows", "validate-bump-below-oracle-grid",
          "no-conformal-constant", "no-sweep-epsilon", "members-on-different-charts",
-         "retired-continuity-kind", "validate-reads-no-cutoff", "validate-reads-no-grid",
-         "validate-five-unread-keys",
-         "isospectral-reads-no-surface-b", "offdiag-reads-no-fit", "decay-reads-no-epsilons",
-         "sweep-reads-no-constants", "conformal-reads-no-probe", "decay-reads-no-fit",
+         "retired-continuity-kind", "retired-decay-kind", "validate-reads-no-cutoff",
+         "validate-reads-no-grid", "validate-five-unread-keys",
+         "isospectral-reads-no-surface-b", "offdiag-reads-no-fit",
+         "sweep-reads-no-constants", "conformal-reads-no-probe",
          "isospectral-reads-no-fit-window", "unread-and-mistyped", "funnel-tip-underflows",
          "grid-beyond-memory"],
 )
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # stderr holds the error alone
 def test_unusable_shipped_config_exits_two_before_any_solve(tmp_path, capsys, name, mutate, key):
     data = shipped_config(name)
     mutate(data)
@@ -371,18 +384,63 @@ def test_unusable_shipped_config_exits_two_before_any_solve(tmp_path, capsys, na
     out = tmp_path / "out"
     assert main(["run", str(path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: ") and key in err
+    assert err.startswith("config error: ") and key in err and err.count("\n") == 1
     assert not out.exists()  # no summary.json, nothing solved
     assert main(["validate", str(path)]) == 2
     assert key in capsys.readouterr().err
 
 
-# The values each kind accepts, ``kind`` aside: 67 of the 6 x 19 settable.
+def test_a_load_out_of_memory_exits_two_on_one_line(tmp_path, capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "make_grid", exhausted)
+    path = write_config(tmp_path, shipped_config("point_sweep.json"))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: {path}: ran out of memory while loading\n"
+    assert not out.exists()
+
+
+def test_a_plan_beyond_memory_exits_two_before_any_profile(tmp_path, capsys, monkeypatch):
+    # 51 distinct points of 4000 nodes: 6 arrays a point and the master grid
+    # take 9.8 MB, one surface's four arrays 128 kB.
+    def built(*args, **kwargs):
+        raise AssertionError("a profile was built")
+
+    monkeypatch.setattr(cli, "_memory_limit", lambda: 4 * 2**20)
+    monkeypatch.setattr(cli, "build_weight", built)
+    data = shipped_config("point_sweep.json")
+    data["epsilons"] = [k / 50.0 for k in range(1, 51)]
+    path = write_config(tmp_path, data)
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: numerics.n_nodes = 4000, epsilons (51 distinct values): the plan's "
+        "grid arrays take 9824000 bytes, more than the 4194304 bytes this process may hold\n"
+    )
+    assert not out.exists()
+    # one point is named by its grid alone
+    data["epsilons"] = [0.0]
+    monkeypatch.setattr(cli, "_memory_limit", lambda: 200_000)
+    assert main(["validate", str(write_config(tmp_path, data))]) == 2
+    assert capsys.readouterr().err.startswith("config error: numerics.n_nodes = 4000: the plan's")
+
+
+def test_the_memory_limit_is_the_lower_of_memory_and_address_space(monkeypatch):
+    physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    monkeypatch.setattr(cli.resource, "getrlimit", lambda _: (cli.resource.RLIM_INFINITY,) * 2)
+    assert cli._memory_limit() == physical
+    monkeypatch.setattr(cli.resource, "getrlimit", lambda _: (2**20, cli.resource.RLIM_INFINITY))
+    assert cli._memory_limit() == 2**20
+
+
+# The values each kind accepts, ``kind`` aside: 57 of the 5 x 19 settable.
 ACCEPTED_VALUES = {
     "validate": 7,
     "isospectral_check": 9,
     "offdiag_check": 13,
-    "decay_check": 10,
     "surgery_sweep": 14,
     "funnel_conformal_check": 14,
 }
@@ -398,7 +456,7 @@ def test_each_kind_reads_its_own_keys_and_every_kind_the_common_ones():
         assert len(kind.reads - {"kind"}) == ACCEPTED_VALUES[name], name
         assert {"kind", "label", "notes", "output_dir", "surface_a"} <= kind.reads, name
         assert {kind.b, kind.family} - {None} <= kind.reads, name
-    assert sum(ACCEPTED_VALUES.values()) == 67
+    assert sum(ACCEPTED_VALUES.values()) == 57
 
 
 def test_a_validate_run_builds_no_profile_grid_or_surface(tmp_path, monkeypatch):
@@ -532,8 +590,8 @@ LOAD_VALUES = [
 ]
 
 
-# numpy warns as a huge weight overflows to inf; the load rejects that weight.
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+# A weight that overflows to inf is rejected with no numpy warning.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=300, deadline=None)
 @given(case=st.sampled_from(LOAD_KEYS), bad=st.sampled_from(LOAD_VALUES))
 def test_a_load_never_ends_in_a_traceback(case, bad):
@@ -635,16 +693,6 @@ def fail_relative_traces(monkeypatch):
     monkeypatch.setattr(cli, "relative_trace_series", failing)
 
 
-def test_a_decay_run_takes_no_fit_and_no_determinant(tmp_path, monkeypatch):
-    def unused(*args, **kwargs):
-        raise AssertionError("a decay run fitted or took a determinant")
-
-    for name in ("fit_heat_invariants", "determinant_from_series"):
-        monkeypatch.setattr(cli, name, unused)
-    report = run_scenario(ScenarioConfig.from_json(CONFIGS / "decay.json"), tmp_path)
-    assert report.passed, report.error
-
-
 def test_component_failure_leaves_marker_and_fails(tmp_path, monkeypatch):
     cfg = ScenarioConfig.from_dict(light_sweep_dict("broken"))
     fail_relative_traces(monkeypatch)
@@ -670,7 +718,6 @@ MINI_PAIR_NUMERICS = dict(MINI_NUMERICS, n_nodes=800, lambda_cut=400.0)
 MINI_PAIR_KINDS = {
     "surgery_sweep": {"epsilons": [0.0, 0.2]},
     "isospectral_check": {},
-    "decay_check": {},
     "funnel_conformal_check": {"conformal_constants": [0.0, 0.2, 0.0]},
 }
 
@@ -731,13 +778,38 @@ def test_each_solved_system_carries_its_planned_surface():
             assert queue.result(i).surface is plan.surfaces[i]
 
 
+@pytest.mark.parametrize("kind", ["surgery_sweep", "funnel_conformal_check"])
+def test_a_family_run_checks_the_decay_of_its_first_pair_last(tmp_path, monkeypatch, kind):
+    cfg = ScenarioConfig.from_dict(mini_pair_dict(kind, **MINI_PAIR_KINDS[kind]))
+    traces, decayed = [], []
+    trace, check = cli.relative_trace_series, cli._check_decay
+
+    def traced(sys_a, sys_b):
+        traces.append(trace(sys_a, sys_b))
+        return traces[-1]
+
+    def checked(series, *args):
+        decayed.append(series)
+        check(series, *args)
+
+    monkeypatch.setattr(cli, "relative_trace_series", traced)
+    monkeypatch.setattr(cli, "_check_decay", checked)
+    report = run_scenario(cfg, tmp_path)
+    assert report.failed_stage is None
+    assert len(decayed) == 1 and decayed[0] is traces[0]
+    assert report.checks[-1].name == "long_time_decay" and report.checks[-1].passed
+    assert "decay.csv" in report.artifacts
+    rows = (tmp_path / "decay.csv").read_text().splitlines()
+    assert rows[0] == "t,value,bound" and len(rows) > 1
+
+
 def test_points_list_each_family_in_run_order():
     def points(kind):
         return ScenarioConfig.from_dict(mini_pair_dict(kind, **MINI_PAIR_KINDS[kind])).points()
 
     assert points("surgery_sweep") == [{"epsilon": e} for e in (0.0, 0.0, 0.2)]
     assert points("funnel_conformal_check") == [{"constant": c} for c in (0.0, 0.2, 0.0)]
-    assert points("isospectral_check") == points("decay_check") == [{}]
+    assert points("isospectral_check") == [{}]
     validate = ScenarioConfig.from_dict({"kind": "validate", "surface_a": MINI_SURFACE})
     assert validate.points() == []
 

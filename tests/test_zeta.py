@@ -308,8 +308,8 @@ def test_relative_determinant_guards_low_cutoffs(small_systems):
 def test_default_path_is_the_scenario_pipeline(configs_dir):
     # The library's default time grid and fit are the scenario's, so a
     # full-resolution pair needs no arguments to reach its determinant.
-    cfg = ScenarioConfig.from_json(configs_dir / "decay.json")
-    pair = cfg.pair()
+    cfg = ScenarioConfig.from_json(configs_dir / "point_sweep.json")
+    pair = cfg.pair(epsilon=0.0)
     sys_a, series, det = solve_pair(pair, cfg.numerics)
     sys_b = solve_modes(pair[1], sys_a.surface.nodes, cfg.numerics.lambda_cut)
     default = determinant_from_series(relative_trace_series(sys_a, sys_b))
