@@ -4,9 +4,11 @@
 Runs the point-surgery sweep of the bump-vs-plain pair and stores the
 sup-distance of the relative trace (``sweep.csv``'s ``dsup``) at each cap
 size of the ladder ``LADDER``.  The test suite compares
-future runs against these values bit-for-bit modulo a small tolerance, so this
-script should only be re-run after an intentional algorithm change, followed
-by a manual audit of the new numbers.
+future runs against these values bit-for-bit modulo a small tolerance.
+Re-running this script re-states that pin, which is the repository owner's
+call (see the bisection-tolerance item of ROADMAP.md), made after an
+intentional algorithm change and a manual audit of the new numbers.  It is
+never a way to absorb a change in the numbers.
 
 Usage::
 

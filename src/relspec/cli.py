@@ -88,6 +88,22 @@ def _memory_limit() -> int:
     return memory if soft == resource.RLIM_INFINITY else min(memory, soft)
 
 
+def _check_memory(n_nodes: int, grids, family: str = "") -> None:
+    """Raise a ConfigError naming ``numerics.n_nodes`` (and ``family``)
+    unless a plan's grid arrays fit in ``_memory_limit()``: per (nodes,
+    surfaces) of ``grids``, 8 bytes a node for the nodes and
+    ``Surface.ROW_BYTES`` per surface, a prefix counted as the whole grid.
+    Called before any grid is built, so it allocates nothing."""
+    need = sum(n * (8 + surfaces * Surface.ROW_BYTES) for n, surfaces in grids)
+    memory = _memory_limit()
+    if need > memory:
+        keys = f"numerics.n_nodes = {n_nodes!r}" + (f", {family}" if family else "")
+        raise ConfigError(
+            f"{keys}: the plan's grid arrays take {need} bytes, "
+            f"more than the {memory} bytes this process may hold"
+        )
+
+
 def _from_mapping(cls, data: dict, where: str):
     """``cls(**data)`` for the config object at key path ``where``; every
     error names that path."""
@@ -137,9 +153,8 @@ class NumericsConfig:
     Every field has a working default; configs override selectively.  The
     time grid, fit residual threshold, oracle resolution and off-diagonal
     times are the library's own constants.  Construction checks the types
-    and every range that the numerics alone decide, without solving, an
-    ``n_nodes`` whose grid arrays would not fit in the memory this process
-    may hold included.
+    and every range that the numerics alone decide, without solving; the
+    plan checks that its grids fit in memory (``_check_memory``).
     """
 
     n_nodes: int = 4000
@@ -176,15 +191,6 @@ class NumericsConfig:
         ):
             if not ok:
                 raise ConfigError(f"numerics.{name} must be {want}, got {getattr(self, name)!r}")
-        # A surface holds four float64 arrays per node (nodes, weights, mass
-        # and e); checked before any grid is built, so it allocates nothing.
-        need = 4 * 8 * self.n_nodes
-        memory = _memory_limit()
-        if need > memory:
-            raise ConfigError(
-                f"numerics.n_nodes = {self.n_nodes!r}: one surface's grid arrays take "
-                f"{need} bytes, more than the {memory} bytes this process may hold"
-            )
         try:
             self.truncation()
         except ValueError as exc:  # Truncation names the field, which is the key
@@ -532,6 +538,8 @@ def _plan_offdiag(cfg: ScenarioConfig) -> Plan:
     """surface_a on the ``n_nodes`` grid and on 1.5 times as many nodes,
     its probe circles on its chart."""
     num = cfg.numerics
+    sizes = (num.n_nodes, num.n_nodes * 3 // 2)
+    _check_memory(num.n_nodes, [(n, 1) for n in sizes])
     profile = cfg.member("surface_a")
     # The probe circles must lie on the chart they snap to.
     for key in ("offdiag_y_s", "offdiag_y2_s"):
@@ -541,7 +549,7 @@ def _plan_offdiag(cfg: ScenarioConfig) -> Plan:
                 f"numerics.{key} = {s!r} lies outside the chart "
                 f"[{profile.s_min!r}, {profile.s_max!r}] of surface_a"
             )
-    grids = [make_grid(profile, n) for n in (num.n_nodes, num.n_nodes * 3 // 2)]
+    grids = [make_grid(profile, n) for n in sizes]
     surfaces = tuple(_surface(profile, nodes, "surface_a") for nodes in grids)
     _check_capacity([("surface_a", s) for s in surfaces], num.lambda_cut, _cutoff_keys(num))
     return Plan(surfaces=surfaces)
@@ -553,19 +561,9 @@ def _plan_pairs(cfg: ScenarioConfig) -> Plan:
     kind, num = _KINDS[cfg.kind], cfg.numerics
     points = [tuple(point.items()) for point in cfg.points()]
     index = {key: i for i, key in enumerate(dict.fromkeys(points))}
-    # The master grid, then A's and B's weights, mass and e per distinct
-    # point (the nodes are views of the master grid); counted before any
-    # profile is built, so it allocates nothing.
-    need = 8 * num.n_nodes * (1 + 6 * len(index))
-    memory = _memory_limit()
-    if need > memory:
-        keys = f"numerics.n_nodes = {num.n_nodes!r}"
-        if len(index) > 1:
-            keys += f", {kind.family} ({len(index)} distinct values)"
-        raise ConfigError(
-            f"{keys}: the plan's grid arrays take {need} bytes, "
-            f"more than the {memory} bytes this process may hold"
-        )
+    # The master grid holds the nodes of A and B at every distinct point.
+    swept = f"{kind.family} ({len(index)} distinct values)" if len(index) > 1 else ""
+    _check_memory(num.n_nodes, [(num.n_nodes, 2 * len(index))], swept)
     family = []
     for key in index:
         name = " ".join(["pair", *(f"{k} = {v}" for k, v in key)])
@@ -610,8 +608,10 @@ def solve_pair(
     """Solve the pair (A, B) and compute its relative trace, heat-invariant
     fit and relative determinant: the one-pair case of ``_solve_plan``.
 
-    Returns (sys_a, series, det); the fit is ``det.invariants``.
+    Returns (sys_a, series, det); the fit is ``det.invariants``.  A grid
+    beyond memory raises a ConfigError before any grid is built.
     """
+    _check_memory(numerics.n_nodes, [(numerics.n_nodes, 2)])
     plan = _pair_plan([("pair", "surface_a", "surface_b", pair)], numerics.n_nodes)
     return _solve_plan(plan, numerics)[0]
 

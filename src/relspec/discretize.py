@@ -15,10 +15,10 @@ the maximum taken over the rows that the modes m >= 1 solve.
 Each mode's problem lives on one range of grid rows [lo, hi).
 ``mode_rows`` gives the rows a mode carries: every node but a Dirichlet
 end's, under the end conditions of the surface's profile, where a 'cap' end
-is Neumann for m = 0 and Dirichlet otherwise.  The pencil is assembled on
-its range only.  A row has a half cell only at a grid end that is not
-Dirichlet, which only a range carrying that end reaches; a range that
-stops short of a grid end is cut by a Dirichlet row.
+is Neumann for m = 0 and Dirichlet otherwise; it is the one reader of the
+end conditions.  The pencil is assembled on its range only.  Each grid
+end's row has a half cell, which only a range carrying that end reaches; a
+range that stops short of a grid end is cut by a Dirichlet row.
 
 ``solve_modes`` narrows each mode's rows to its Agmon window.  Every
 eigenfunction of mode m with lambda <= lambda_cut decays where
@@ -40,11 +40,11 @@ maximum of lambda_cut * w from its last row backwards, on which one
 from the mode's first row only until it passes the right margin, and the
 pencil is assembled on the window's rows alone.  The parts of the pencil
 that no mode changes belong to the ``Surface``, built (and its weight
-checked) once when it is made: each row's lumped mass, w h or, at a grid
-end that is not Dirichlet, the half cell w h / 2, and the off-diagonal
-between every two rows, on the whole grid and read-only.  A mode's pencil
-takes views of its rows and computes only its diagonal, (2/h + m^2 h) /
-mass, or (1/h + m^2 h / 2) / mass on a grid end's row.
+checked) once when it is made: each row's lumped mass, w h or, at either
+grid end, the half cell w h / 2, and the off-diagonal between every two
+rows, on the whole grid and read-only; it reads no end condition.  A mode's
+pencil takes views of its rows and computes only its diagonal, (2/h + m^2 h)
+/ mass, or (1/h + m^2 h / 2) / mass on a grid end's row.
 
 The eigensolves call LAPACK ``dstebz`` (bisection) and ``dstein`` (inverse
 iteration) through ``ctypes.CFUNCTYPE``, which releases the GIL while
@@ -137,19 +137,20 @@ class Surface:
     ``ModeQueue`` solves and an ``Eigensystem`` carries.
 
     The grid needs at least 8 nodes at uniform spacing (to 1e-14 of its
-    largest coordinate, or of 1), and the profile's end conditions are read
-    from it:
-    'dirichlet', 'neumann' or 'cap' (ValueError otherwise).  ``nodes`` is
-    made read-only, ``n`` is its length and ``h`` the spacing.
-    ``weights`` is the profile's weight sampled once on ``nodes``, which
-    must be positive and finite there (ValueError otherwise).  ``mass`` is
-    each row's lumped mass: w h on a full cell, and w h / 2 on the half
-    cell of a grid end that is not 'dirichlet' (a Neumann end, or a cap
-    end, which mode 0 carries).  ``e`` is the off-diagonal
-    (-1/h) / sqrt(mass_i mass_{i+1}) between rows i and i + 1.  A Dirichlet
-    end's row is carried by no mode, so its entries are never read.
-    ``weights``, ``mass`` and ``e`` are read-only and shared by every mode.
+    largest coordinate, or of 1), and the profile's end conditions must be
+    'dirichlet', 'neumann' or 'cap' (ValueError otherwise); ``mode_rows``
+    is their one reader.  ``nodes`` is made read-only, ``n`` is its length
+    and ``h`` the spacing.  ``weights`` is the profile's weight sampled
+    once on ``nodes``, which must be positive and finite there (ValueError
+    otherwise).  ``mass`` is each row's lumped mass: w h on a full cell,
+    and w h / 2 on the half cell at each grid end.  ``e`` is the
+    off-diagonal (-1/h) / sqrt(mass_i mass_{i+1}) between rows i and
+    i + 1.  A Dirichlet end's row is carried by no mode, so its ``mass``
+    and the ``e`` beside it are never read.  ``weights``, ``mass`` and
+    ``e`` are read-only and shared by every mode.
     """
+
+    ROW_BYTES = 3 * 8  # weights, mass and e per row: a plan's memory count
 
     profile: MetricProfile
     nodes: np.ndarray = field(repr=False)
@@ -176,9 +177,7 @@ class Surface:
             raise ValueError("weight must be positive and finite on the grid")
         h = float(nodes[1] - nodes[0])
         mass = w * h
-        for at, bc in ((0, profile.bc_left), (-1, profile.bc_right)):
-            if bc != "dirichlet":
-                mass[at] = w[at] * (h / 2.0)
+        mass[0], mass[-1] = w[0] * (h / 2.0), w[-1] * (h / 2.0)
         e = (-1.0 / h) / np.sqrt(mass[:-1] * mass[1:])
         for array in (w, mass, e):
             array.setflags(write=False)
@@ -589,10 +588,7 @@ class Eigensystem:
     def eigenvalues_with_multiplicity(self) -> np.ndarray:
         parts = []
         for m in sorted(self.mode_eigenvalues):
-            vals = self.mode_eigenvalues[m]
-            parts.append(vals)
-            if m > 0:
-                parts.append(vals)
+            parts += [self.mode_eigenvalues[m]] * self.multiplicity(m)
         if not parts:
             return np.empty(0)
         return np.sort(np.concatenate(parts), kind="stable")

@@ -448,9 +448,14 @@ def build_weight(spec: SurfaceSpec, truncation: Truncation | None = None) -> Met
     profile 1/(s + 0.15)^2 beyond, core for bumps [0.85, 0.85 + core_length].
     A boundary-surgery family is truncated at the common collar radius
     0.25 e^{-boundary_depth} so every member shares one chart.
+
+    Each layout checks its own values and sets the chart, the right end
+    condition, the log base weight, the surgery factor and the breakpoints;
+    both share the bump's breakpoints and the one ``MetricProfile``.
     """
     tr = truncation if truncation is not None else DEFAULT_TRUNCATION
     left, right = spec.left_end, spec.right_end
+    factor = None
     if left.kind == "funnel":
         s_core_r = SURGERY_S_THRESHOLD
         s_core_l = s_core_r - spec.core_length
@@ -459,8 +464,8 @@ def build_weight(spec: SurfaceSpec, truncation: Truncation | None = None) -> Met
                 f"core_length {spec.core_length} leaves no room for the funnel "
                 f"(core must start above s = 0.05, got {s_core_l:.4g})"
             )
-        s_tip = s_core_l * math.exp(-tr.funnel_depth)
-        if not s_tip > 0.0:
+        s_min = s_core_l * math.exp(-tr.funnel_depth)
+        if not s_min > 0.0:
             raise ValueError(
                 f"funnel_depth {tr.funnel_depth!r} puts the funnel tip "
                 f"{s_core_l:.4g} e^(-funnel_depth) at s = 0 in floating point"
@@ -469,19 +474,19 @@ def build_weight(spec: SurfaceSpec, truncation: Truncation | None = None) -> Met
             _require_disjoint(spec.bump, s_core_l, s_core_r, "core interval")
         cap_eps = right.cap_epsilon if right.kind == "filled_cap" else None
         s_max = tr.cap_end if right.kind == "filled_cap" else tr.cusp_end
-        log_ratio = math.log(s_core_l / s_tip)
+        bc_right = "cap" if right.kind == "filled_cap" else "dirichlet"
+        log_ratio = math.log(s_core_l / s_min)
 
         def log_base(s):
             logw = -2.0 * np.log(s)
             if left.funnel_constant != 0.0:
                 # ramp = 1 near the truncated funnel edge, 0 from 3/4 of the
                 # way (in log s) to the core junction; C^2 throughout.
-                u = np.log(s / s_tip) / log_ratio
+                u = np.log(s / s_min) / log_ratio
                 ramp = 1.0 - smooth01((u - 0.25) / 0.5)
                 logw = logw + left.funnel_constant * ramp
             return logw
 
-        factor = None
         breakpoints = [s_core_l, s_core_r]
         if cap_eps is not None and cap_eps > 0.0:
             # Past this coordinate the surgered weight is the flat disk
@@ -497,44 +502,30 @@ def build_weight(spec: SurfaceSpec, truncation: Truncation | None = None) -> Met
 
             # the surgery cutoff sigma transitions on r in [1/4, 1/2]
             breakpoints.append(math.log(4.0))
+    else:  # dirichlet_boundary left, cusp right
+        core_l = _BLEND_EDGE
+        core_r = _BLEND_EDGE + spec.core_length
         if spec.bump is not None:
-            breakpoints.extend(spec.bump.support)
-        return MetricProfile(
-            spec=spec,
-            truncation=tr,
-            s_min=s_tip,
-            s_max=s_max,
-            bc_left="dirichlet",
-            bc_right="cap" if right.kind == "filled_cap" else "dirichlet",
-            breakpoints=tuple(sorted(breakpoints)),
-            bump=spec.bump,
-            _fn=_Weight(log_base, spec.bump, factor),
-        )
+            _require_disjoint(spec.bump, core_l, core_r, "core interval")
+        s_max = tr.cusp_end - _CUSP_OFFSET
+        if core_r >= s_max:
+            raise ValueError("core_length runs into the cusp truncation")
+        eps = spec.boundary_surgery_epsilon
+        s_min = _COLLAR_TIP * math.exp(-tr.boundary_depth) if eps is not None else 0.0
+        bc_right = "dirichlet"
 
-    # dirichlet_boundary left, cusp right
-    core_l = _BLEND_EDGE
-    core_r = _BLEND_EDGE + spec.core_length
-    if spec.bump is not None:
-        _require_disjoint(spec.bump, core_l, core_r, "core interval")
-    s_max = tr.cusp_end - _CUSP_OFFSET
-    if core_r >= s_max:
-        raise ValueError("core_length runs into the cusp truncation")
-    eps = spec.boundary_surgery_epsilon
-    s_min = _COLLAR_TIP * math.exp(-tr.boundary_depth) if eps is not None else 0.0
+        def log_base(s):
+            beta = smooth01((s - _COLLAR_EDGE) / (_BLEND_EDGE - _COLLAR_EDGE))
+            return (1.0 - beta) * left.f_value - 2.0 * beta * np.log(s + _CUSP_OFFSET)
 
-    def log_base(s):
-        beta = smooth01((s - _COLLAR_EDGE) / (_BLEND_EDGE - _COLLAR_EDGE))
-        return (1.0 - beta) * left.f_value - 2.0 * beta * np.log(s + _CUSP_OFFSET)
+        breakpoints = [_COLLAR_EDGE, _BLEND_EDGE, core_r]
+        if eps is not None:
 
-    factor = None
-    breakpoints = [_COLLAR_EDGE, _BLEND_EDGE, core_r]
-    if eps is not None:
+            def factor(s):
+                return surgery_factor_boundary(eps, s, left.f_value)
 
-        def factor(s):
-            return surgery_factor_boundary(eps, s, left.f_value)
-
-        # the boundary-surgery gate transitions on r in [1/4, 1/2]
-        breakpoints.extend(p for p in (0.25, 0.5) if p > s_min)
+            # the boundary-surgery gate transitions on r in [1/4, 1/2]
+            breakpoints.extend(p for p in (0.25, 0.5) if p > s_min)
     if spec.bump is not None:
         breakpoints.extend(spec.bump.support)
     return MetricProfile(
@@ -543,7 +534,7 @@ def build_weight(spec: SurfaceSpec, truncation: Truncation | None = None) -> Met
         s_min=s_min,
         s_max=s_max,
         bc_left="dirichlet",
-        bc_right="dirichlet",
+        bc_right=bc_right,
         breakpoints=tuple(sorted(breakpoints)),
         bump=spec.bump,
         _fn=_Weight(log_base, spec.bump, factor),

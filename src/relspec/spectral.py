@@ -354,7 +354,7 @@ def relative_trace_series(sys_a: Eigensystem, sys_b: Eigensystem) -> TraceSeries
         va, vb = sys_a.mode_eigenvalues[m], sys_b.mode_eigenvalues[m]
         if len(va) == 0 and len(vb) == 0:
             continue
-        pairs.append((m, 1 if m == 0 else 2, va, vb))
+        pairs.append((m, sys_a.multiplicity(m), va, vb))
     spectrum = PairedSpectrum(tuple(pairs))
     values = spectrum.heat_trace(tgrid)
     tails = relative_trace_tail_bound(rel_area, sys_a.lambda_cut, tgrid)

@@ -358,8 +358,8 @@ def _set_what_validate_does_not_read(data):
         ("point_sweep.json", lambda d: d.update(numerics={"funnel_depth": 800.0}),
          "config error: surface_a: funnel_depth 800.0 puts the funnel tip"),
         ("point_sweep.json", lambda d: d.update(numerics={"n_nodes": 10**13}),
-         "config error: numerics.n_nodes = 10000000000000: one surface's grid arrays take "
-         "320000000000000 bytes, more than the "),
+         "config error: numerics.n_nodes = 10000000000000, epsilons (21 distinct values): "
+         "the plan's grid arrays take 10160000000000000 bytes, more than the "),
     ],
     ids=["epsilon-above-1", "epsilon-nan", "no-surgery-end", "no-funnel-end",
          "bump-amplitude-nan", "fit-window-too-short", "bump-outside-core",
@@ -426,6 +426,72 @@ def test_a_plan_beyond_memory_exits_two_before_any_profile(tmp_path, capsys, mon
     monkeypatch.setattr(cli, "_memory_limit", lambda: 200_000)
     assert main(["validate", str(write_config(tmp_path, data))]) == 2
     assert capsys.readouterr().err.startswith("config error: numerics.n_nodes = 4000: the plan's")
+
+
+def _no_grid(*args, **kwargs):
+    raise AssertionError("a grid was built")
+
+
+def test_an_offdiag_plan_beyond_memory_exits_two_before_any_grid(tmp_path, capsys, monkeypatch):
+    # The 100000- and 150000-node grids, each with one surface: 32 B a node.
+    monkeypatch.setattr(cli, "_memory_limit", lambda: 4 * 2**20)
+    monkeypatch.setattr(cli, "make_grid", _no_grid)
+    data = shipped_config("offdiag.json")
+    data["numerics"] = {"n_nodes": 100000}
+    path = write_config(tmp_path, data)
+    out = tmp_path / "out"
+    want = (
+        "config error: numerics.n_nodes = 100000: the plan's grid arrays take 8000000 bytes, "
+        "more than the 4194304 bytes this process may hold\n"
+    )
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == want
+    assert not out.exists()
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == want
+
+
+def test_solve_pair_checks_memory_before_any_grid(configs_dir, monkeypatch):
+    cfg = ScenarioConfig.from_json(configs_dir / "isospectral.json")
+    numerics = dataclasses.replace(cfg.numerics, n_nodes=10**13)
+    monkeypatch.setattr(cli, "make_grid", _no_grid)
+    with pytest.raises(ConfigError, match=(
+        r"^numerics.n_nodes = 10000000000000: the plan's grid arrays take 560000000000000 bytes"
+    )):
+        cli.solve_pair(cfg.pair(), numerics)
+
+
+def _plan_configs(configs_dir):
+    """Every shipped config and every benchmark workload's config, as dicts."""
+    from test_perfbench_workloads import workloads
+
+    shipped = [json.loads(p.read_text()) for p in sorted(configs_dir.glob("*.json"))]
+    return shipped + [workloads.generate(w, 2601, configs_dir) for w in sorted(workloads.WORKLOADS)]
+
+
+def test_the_memory_count_covers_every_array_a_plan_holds(configs_dir, monkeypatch):
+    # An array added to Surface without a matching count fails here.
+    for data in _plan_configs(configs_dir):
+        cfg = ScenarioConfig.from_dict(data)
+        buffers = {}
+        for surface in cfg.plan.surfaces:
+            arrays = {k: v for k, v in vars(surface).items() if isinstance(v, np.ndarray)}
+            rows = sum(a.nbytes for k, a in arrays.items() if k != "nodes")
+            assert discretize.Surface.ROW_BYTES * surface.n >= rows, (cfg.label, sorted(arrays))
+            for a in arrays.values():
+                while a.base is not None:  # a view counts as the buffer it shows
+                    a = a.base
+                buffers[id(a)] = a
+        held = sum(a.nbytes for a in buffers.values())
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_memory_limit", lambda: 0)
+            if "numerics.n_nodes" not in cli._KINDS[cfg.kind].reads:
+                ScenarioConfig.from_dict(data)  # fixed grids, which no count reads
+                continue
+            with pytest.raises(ConfigError, match="the plan's grid arrays take") as err:
+                ScenarioConfig.from_dict(data)
+        counted = int(re.search(r"take (\d+) bytes", str(err.value)).group(1))
+        assert counted >= held, (cfg.label, counted, held)
 
 
 def test_the_memory_limit_is_the_lower_of_memory_and_address_space(monkeypatch):

@@ -606,14 +606,24 @@ def test_window_pencils_are_bitwise_slices_of_the_full_row_pencil_at_every_end(b
                 assert np.array_equal(op.mass, ref_mass), (m, a, b)
     neumann_ends = {"lo": bcs[0] != "dirichlet", "hi": bcs[1] != "dirichlet"}
     assert ends == {end for end, kept in neumann_ends.items() if kept}
-    # the surface's mass: a half cell at each grid end that is not Dirichlet
+    # the surface's mass: a half cell at each grid end, whatever its condition
     cell = np.full(surface.n, surface.h)
-    for at, end in ((0, "lo"), (-1, "hi")):
-        if neumann_ends[end]:
-            cell[at] = surface.h / 2.0
+    cell[0] = cell[-1] = surface.h / 2.0
     assert np.array_equal(surface.mass, w * cell)
     left, right = (w * cell)[:-1], (w * cell)[1:]
     assert np.array_equal(surface.e, (-1.0 / surface.h) / np.sqrt(left * right))
+
+
+def test_the_pencil_reads_no_end_condition():
+    # Surfaces whose profiles differ only in their end conditions hold the
+    # same mass and off-diagonal, bit for bit; mode_rows alone reads them.
+    prof = build_weight(funnel_cusp_spec(), truncation=small_truncation())
+    nodes = np.linspace(prof.s_min, prof.s_max, 120)
+    reference = Surface(prof, nodes)
+    for left, right in itertools.product(("dirichlet", "neumann", "cap"), repeat=2):
+        surface = Surface(dataclasses.replace(prof, bc_left=left, bc_right=right), nodes)
+        assert surface.mass.tobytes() == reference.mass.tobytes(), (left, right)
+        assert surface.e.tobytes() == reference.e.tobytes(), (left, right)
 
 
 def _queued_plan(configs_dir):
